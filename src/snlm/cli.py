@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--l2", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--valid-fraction", type=float, default=0.05)
     p.add_argument("--log-file")
     p.set_defaults(func=cmd_train)
@@ -196,8 +195,6 @@ def cmd_train(args) -> int:
                            l2_strength=args.l2, noise_samples=args.k,
                            rng_seed=args.seed,
                            validation_fraction=args.valid_fraction)
-    if args.threads > 1:
-        print("note: training runs single-worker; --threads applies to ppl")
 
     print(f"{len(targets)} instances, |V|={len(vocab)}, regime={args.regime}, "
           f"algorithm={args.algorithm}")
@@ -254,6 +251,9 @@ def cmd_info(args) -> int:
     params, vocab = load_model(args.model)
     cfg = params.config
     est = memory_estimate(cfg, vocab)
+    if est.payload_bytes != payload_nbytes(params):
+        raise SnlmError(f"{args.model}: payload holds {payload_nbytes(params)} bytes, "
+                        f"the model's shapes call for {est.payload_bytes}")
     print(f"order\t{cfg.order}")
     print(f"dim\t{cfg.dim}")
     print(f"regime\t{cfg.regime}")
@@ -273,7 +273,6 @@ def cmd_info(args) -> int:
     print(f"payload_bytes\t{est.payload_bytes}")
     print(f"payload_megabytes\t{est.megabytes:.2f}")
     print(f"file_bytes\t{os.path.getsize(args.model)}")
-    assert est.payload_bytes == payload_nbytes(params)
     return 0
 
 

@@ -38,6 +38,14 @@ def perplexity_from_instances(params: ModelParameters, contexts, targets,
     return math.fsum(pieces), len(targets)
 
 
+def perplexity_of(total: float, count: int) -> float:
+    """``exp(-total / count)``, or inf where that overflows a float."""
+    try:
+        return math.exp(-total / count)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass
 class EvaluationReport:
     token_count: int
@@ -94,9 +102,9 @@ def perplexity(params: ModelParameters, sentences, vocab: Vocabulary,
             macs.output += c.output
     seconds = time.perf_counter() - tick
 
-    ppl = math.exp(-total / count)
     return EvaluationReport(
-        token_count=count, oov_count=oov, total_log_prob=total, perplexity=ppl,
+        token_count=count, oov_count=oov, total_log_prob=total,
+        perplexity=perplexity_of(total, count),
         queries_per_second=count / seconds if seconds > 0 else math.inf,
         macs_per_query=macs.total / count)
 

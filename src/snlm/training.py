@@ -8,7 +8,20 @@ A batch of m instances contributes::
     sum_i log-term_i  -  (l2 * m / 2) * ||theta||^2
 
 so ``l2`` is a per-example coefficient. Gradient functions return the data
-term's value and gradients of the full penalized objective.
+term's value and the gradient of the full penalized objective as row-sparse
+``Gradients``: the data term on the rows the batch reads, plus the penalty's
+coefficient ``l2 * m``. ``Gradients.dense`` spells the whole vector out.
+
+Sparse steps
+------------
+``train`` writes only the rows a minibatch reads. The decay that a dense
+step applies to every other row is deferred: each row of Q, R/b and S/t
+records the step it is current through and is multiplied by
+``(1 - lr * l2) ** missed`` when a step next reads it, or when all rows are
+flushed (before each epoch's perplexity passes, and whenever ``train``
+returns or raises). This is the lazy weight decay of Bottou, "Stochastic
+Gradient Descent Tricks" (2012); with it an NCE step costs what its sampled
+rows cost, whatever the vocabulary size.
 
 NCE
 ---
@@ -26,7 +39,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -122,7 +135,12 @@ class NoiseSampler:
 
 
 class ClassNoiseSampler:
-    """Class-level and within-class noise for class-factored NCE."""
+    """Class-level and within-class noise for class-factored NCE.
+
+    The within-class alias tables of all classes sit in one flat table: class
+    c owns the slots ``offset[c] : offset[c] + size[c]``, so a batch of
+    within-class draws is one vectorized alias draw.
+    """
 
     def __init__(self, probs, classing, rng):
         probs = np.asarray(probs, dtype=np.float64)
@@ -139,29 +157,38 @@ class ClassNoiseSampler:
         with np.errstate(invalid="ignore"):
             ratio = log_word - log_mass[classing.class_of]
         self.log_within_probs = np.where(probs > 0, ratio, -np.inf)
-        self._within = []
+        # classes without noise mass get no slots
+        self._size = np.zeros(classing.num_classes, dtype=np.int64)
+        self._offset = np.zeros(classing.num_classes, dtype=np.int64)
+        q, alias, words = [], [], []
+        filled = 0
         for c, mem in enumerate(classing.members):
             if class_mass[c] > 0:
-                self._within.append(NoiseSampler(probs[mem], rng))
-            else:
-                self._within.append(None)
+                table = AliasSampler(probs[mem])
+                self._offset[c], self._size[c] = filled, len(mem)
+                q.append(table.q)
+                alias.append(table.J + filled)
+                words.append(mem)
+                filled += len(mem)
+        self._q = np.concatenate(q)
+        self._alias = np.concatenate(alias)
+        self._words = np.concatenate(words).astype(np.int64)
         self.rng = rng
 
     def sample_classes(self, m, k) -> np.ndarray:
         return self.class_sampler.sample((m, k))
 
     def sample_words(self, target_classes, k) -> np.ndarray:
-        """Within-class draws, grouped by class in ascending order."""
+        """k within-class draws for each target class, as an (m, k) id matrix."""
+        target_classes = np.asarray(target_classes, dtype=np.int64)
+        size = self._size[target_classes]
+        if (size == 0).any():
+            raise DataError(f"class {target_classes[size == 0][0]} has no noise mass")
         m = len(target_classes)
-        out = np.empty((m, k), dtype=np.int64)
-        for c in np.unique(target_classes):
-            idx = np.nonzero(target_classes == c)[0]
-            sampler = self._within[c]
-            if sampler is None:
-                raise DataError(f"class {c} has no noise mass")
-            mem = self.classing.members[c]
-            out[idx] = mem[sampler.sample((len(idx), k))]
-        return out
+        slot = self._offset[target_classes, None] \
+            + self.rng.integers(0, size[:, None], size=(m, k))
+        keep = self.rng.random((m, k)) < self._q[slot]
+        return self._words[np.where(keep, slot, self._alias[slot])]
 
 
 # ---------------------------------------------------------------------------
@@ -169,39 +196,97 @@ class ClassNoiseSampler:
 
 
 @dataclass
-class Gradients:
-    Q: np.ndarray
-    R: np.ndarray
-    b: np.ndarray
-    C: list
-    S: Optional[np.ndarray] = None
-    t: Optional[np.ndarray] = None
+class RowGrad:
+    """Gradient of one row table: ``values[i]`` (and ``bias[i]``) belong to
+    row ``rows[i]``. Rows are unique, so writing them back is exact."""
+
+    rows: np.ndarray
+    values: np.ndarray
+    bias: Optional[np.ndarray] = None
 
     @classmethod
-    def zeros_like(cls, params: ModelParameters) -> "Gradients":
-        return cls(np.zeros_like(params.Q), np.zeros_like(params.R),
-                   np.zeros_like(params.b), [np.zeros_like(c) for c in params.C],
-                   None if params.S is None else np.zeros_like(params.S),
-                   None if params.t is None else np.zeros_like(params.t))
+    def empty(cls, dim, dtype) -> "RowGrad":
+        return cls(np.zeros(0, dtype=np.int64), np.zeros((0, dim), dtype=dtype),
+                   np.zeros(0, dtype=dtype))
 
-    def arrays(self):
-        out = [("Q", self.Q), ("R", self.R), ("b", self.b)]
-        out += [(f"C{j}", Cj) for j, Cj in enumerate(self.C)]
+    @classmethod
+    def segment_sum(cls, rows, values, bias=None) -> "RowGrad":
+        """Sum the entries that share a row id.
+
+        A stable sort groups equal ids in input order and ``np.add.reduceat``
+        adds each group, so the sums are bitwise reproducible.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        starts = np.flatnonzero(first)
+        return cls(rows[starts], np.add.reduceat(values[order], starts, axis=0),
+                   None if bias is None else np.add.reduceat(bias[order], starts))
+
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.values).all()
+                    and (self.bias is None or np.isfinite(self.bias).all()))
+
+
+def _row_tables(params: ModelParameters) -> dict:
+    """The row tables by name, each a (matrix, bias or None) pair sharing row ids."""
+    out = {"Q": (params.Q, None), "R": (params.R, params.b)}
+    if params.S is not None:
+        out["S"] = (params.S, params.t)
+    return out
+
+
+@dataclass
+class Gradients:
+    """Row-sparse gradient of a penalized batch objective.
+
+    ``Q``, ``R`` (with the bias ``b``) and ``S`` (with ``t``; None under the
+    standard regime) hold the data term on the rows the batch reads; the
+    context transforms ``C`` are dense. The penalty's gradient ``-l2 * theta``
+    covers every parameter and is not stored: ``l2`` is its coefficient,
+    already scaled by the batch size, and ``train`` applies it as lazy decay.
+    """
+
+    Q: RowGrad
+    R: RowGrad
+    C: list
+    S: Optional[RowGrad] = None
+    l2: float = 0.0
+
+    def tables(self):
+        """(name, RowGrad) pairs, named as in ``_row_tables``."""
+        out = [("Q", self.Q), ("R", self.R)]
         if self.S is not None:
-            out += [("S", self.S), ("t", self.t)]
+            out.append(("S", self.S))
         return out
 
-    def add_l2(self, params: ModelParameters, coeff: float) -> None:
-        if coeff:
-            for (_, g), (_, p) in zip(self.arrays(), params.arrays()):
-                g -= (coeff * p).astype(g.dtype, copy=False)
+    def finite(self) -> bool:
+        """True when every stored row and every transform gradient is finite."""
+        return all(g.finite() for _, g in self.tables()) \
+            and all(np.isfinite(gC).all() for gC in self.C)
 
-    def all_finite(self) -> bool:
-        return all(np.isfinite(a).all() for _, a in self.arrays())
+    def dense(self, params: ModelParameters) -> ModelParameters:
+        """The full gradient, penalty included, as arrays shaped like ``params``.
 
-    def apply_to(self, params: ModelParameters, lr: float) -> None:
-        for (_, g), (_, p) in zip(self.arrays(), params.arrays()):
-            p += lr * g
+        A pass over every parameter: for tests and diagnostics, not training.
+        """
+        out = params.copy()
+        for _, a in out.arrays():
+            a[...] = 0
+        tables = _row_tables(out)
+        for name, g in self.tables():
+            M, bias = tables[name]
+            M[g.rows] = g.values
+            if bias is not None:
+                bias[g.rows] = g.bias
+        for Cj, gC in zip(out.C, self.C):
+            Cj[...] = gC
+        if self.l2:
+            for (_, g), (_, p) in zip(out.arrays(), params.arrays()):
+                g -= (self.l2 * p).astype(g.dtype, copy=False)
+        return out
 
 
 def squared_norm(params: ModelParameters) -> float:
@@ -245,18 +330,33 @@ def _project_for_grad(params, contexts, macs):
     return P, active
 
 
-def _backprop_projection(params, grads, contexts, P, active, gP):
-    """Push output-side gradient gP through the rectifier into C and Q."""
+def _backprop_projection(params, contexts, P, active, gP, l2, R=None, S=None) -> Gradients:
+    """Push the output-side gradient gP through the rectifier into C and Q.
+
+    Tables the output layer did not touch get no rows.
+    """
+    cfg = params.config
     gA = (gP * active).astype(params.dtype, copy=False)
-    for j in range(params.config.context_size):
-        ids = contexts[:, j]
-        Qj = params.Q[ids]
-        if params.config.diagonal:
-            grads.C[j] += (gA * Qj).sum(axis=0)
-            np.add.at(grads.Q, ids, gA * params.C[j])
+    C, parts = [], []
+    for j in range(cfg.context_size):
+        Qj = params.Q[contexts[:, j]]
+        if cfg.diagonal:
+            C.append((gA * Qj).sum(axis=0))
+            parts.append(gA * params.C[j])
         else:
-            grads.C[j] += gA.T @ Qj
-            np.add.at(grads.Q, ids, gA @ params.C[j])
+            C.append(gA.T @ Qj)
+            parts.append(gA @ params.C[j])
+    Q = RowGrad.segment_sum(np.asarray(contexts).T.ravel(), np.concatenate(parts))
+    if R is None:
+        R = RowGrad.empty(cfg.dim, params.dtype)
+    if S is None and params.S is not None:
+        S = RowGrad.empty(cfg.dim, params.dtype)
+    return Gradients(Q, R, C, S, l2)
+
+
+def _concat_rows(parts) -> tuple:
+    """(rows, values, bias) triples joined into three arrays."""
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _check_targets(targets):
@@ -271,23 +371,37 @@ def ml_objective(params: ModelParameters, contexts, targets, l2: float = 0.0) ->
     return float(lp.sum()) - 0.5 * l2 * len(targets) * squared_norm(params)
 
 
+def _ml_rows(cfg, targets):
+    """(table name, row ids) pairs that ``ml_gradient`` reads for ``targets``."""
+    layout = cfg.layout()
+    if cfg.regime == REGIME_STANDARD:
+        return [("R", layout.support)]
+    if cfg.regime == REGIME_CLASS:
+        classes = np.unique(cfg.classing.class_of[targets])
+        return [("R", np.concatenate([layout.members_eff[c] for c in classes])),
+                ("S", np.arange(cfg.classing.num_classes))]
+    return [("S", np.concatenate([np.concatenate(cfg.tree.path(int(w)))
+                                  for w in np.unique(targets)]))]
+
+
 def ml_gradient(params: ModelParameters, contexts, targets, l2: float = 0.0,
                 macs: MacCounter = None):
     """Exact log-likelihood gradients for the model's regime.
 
-    Returns (Gradients, batch log-likelihood). Only rows appearing in the
-    batch (or scored against it) receive gradient; with ``l2 > 0`` the decay
-    term additionally touches every parameter.
+    Returns (Gradients, batch log-likelihood). The gradient holds the rows
+    the batch reads: the context rows of Q, and every support row of R
+    (standard), every row of S plus the target classes' rows of R (class), or
+    the target paths' nodes and siblings in S (tree).
     """
     cfg = params.config
     layout = cfg.layout()
     targets = np.asarray(targets, dtype=np.int64)
     _check_targets(targets)
-    grads = Gradients.zeros_like(params)
     P, active = _project_for_grad(params, contexts, macs)
     m, D = len(targets), cfg.dim
     gP = np.zeros_like(P, dtype=np.float64)
     loglik = 0.0
+    R = S = None
 
     if cfg.regime == REGIME_STANDARD:
         sup = layout.support
@@ -298,8 +412,7 @@ def ml_gradient(params: ModelParameters, contexts, targets, l2: float = 0.0,
         d = -probs
         d[np.arange(m), pos] += 1.0
         dd = d.astype(params.dtype)
-        grads.R[sup] += dd.T @ P
-        grads.b[sup] += dd.sum(axis=0)
+        R = RowGrad(sup, dd.T @ P, dd.sum(axis=0))
         gP = d @ params.R[sup].astype(np.float64)
         _count_output(macs, m * len(sup), D)
 
@@ -314,10 +427,10 @@ def ml_gradient(params: ModelParameters, contexts, targets, l2: float = 0.0,
             d = -cprobs
             d[np.arange(m), cls] += 1.0
             dd = d.astype(params.dtype)
-            grads.S += dd.T @ P
-            grads.t += dd.sum(axis=0)
+            S = RowGrad(np.arange(K), dd.T @ P, dd.sum(axis=0))
             gP += d @ params.S.astype(np.float64)
             _count_output(macs, m * K, D)
+        parts = []
         for c in np.unique(cls):
             idx = np.nonzero(cls == c)[0]
             mem = layout.members_eff[c]
@@ -328,12 +441,13 @@ def ml_gradient(params: ModelParameters, contexts, targets, l2: float = 0.0,
             d = -wprobs
             d[np.arange(len(idx)), pos] += 1.0
             dd = d.astype(params.dtype)
-            grads.R[mem] += dd.T @ P[idx]
-            grads.b[mem] += dd.sum(axis=0)
+            parts.append((mem, dd.T @ P[idx], dd.sum(axis=0)))
             gP[idx] += d @ params.R[mem].astype(np.float64)
             _count_output(macs, len(idx) * len(mem), D)
+        R = RowGrad(*_concat_rows(parts))  # classes are disjoint
 
     else:  # tree
+        parts = []
         for w in np.unique(targets):
             idx = np.nonzero(targets == w)[0]
             nodes, sibs = cfg.tree.path(int(w))
@@ -344,17 +458,14 @@ def ml_gradient(params: ModelParameters, contexts, targets, l2: float = 0.0,
             p_off = np.exp(off - lz)
             d_on = p_off.astype(params.dtype)
             d_off = (-p_off).astype(params.dtype)
-            grads.S[nodes] += d_on.T @ P[idx]
-            grads.t[nodes] += d_on.sum(axis=0)
-            grads.S[sibs] += d_off.T @ P[idx]
-            grads.t[sibs] += d_off.sum(axis=0)
+            parts.append((nodes, d_on.T @ P[idx], d_on.sum(axis=0)))
+            parts.append((sibs, d_off.T @ P[idx], d_off.sum(axis=0)))
             gP[idx] += p_off @ params.S[nodes].astype(np.float64) \
                 - p_off @ params.S[sibs].astype(np.float64)
             _count_output(macs, len(idx) * 2 * len(nodes), D)
+        S = RowGrad.segment_sum(*_concat_rows(parts))  # paths share ancestors
 
-    _backprop_projection(params, grads, contexts, P, active, gP)
-    grads.add_l2(params, l2 * m)
-    return grads, loglik
+    return _backprop_projection(params, contexts, P, active, gP, l2 * m, R=R, S=S), loglik
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +492,16 @@ def _scores_for(params, M, bias, P, ids):
     return np.einsum("mwd,md->mw", M[ids], P) + bias[ids]
 
 
+def _nce_backward(params, M, P, ids, d):
+    """Row gradient of one NCE block over table M, and its pull on P (float64)."""
+    dd = d.astype(params.dtype)
+    D = params.config.dim
+    rows = RowGrad.segment_sum(ids.ravel(),
+                               (dd[:, :, None] * P[:, None, :]).reshape(-1, D),
+                               dd.ravel())
+    return rows, np.einsum("mw,mwd->md", d, M[ids].astype(np.float64))
+
+
 def nce_objective(params: ModelParameters, contexts, targets, noise,
                   noise_dist, l2: float = 0.0) -> float:
     """NCE objective for fixed noise draws (finite-difference anchor)."""
@@ -400,7 +521,9 @@ def nce_gradient(params: ModelParameters, contexts, targets, noise,
 
     ``noise`` is an (m, k) id matrix; ``noise_dist`` supplies log P_n. Works
     for any regime's R/b parameters but is meant for standard/unnormalised
-    models. Returns (Gradients, objective value without the L2 term).
+    models. The gradient holds the context rows of Q and the target and
+    noise rows of R. Returns (Gradients, objective value without the L2
+    term).
     """
     cfg = params.config
     targets = np.asarray(targets, dtype=np.int64)
@@ -409,31 +532,22 @@ def nce_gradient(params: ModelParameters, contexts, targets, noise,
     if noise.ndim != 2 or noise.shape[0] != len(targets) or noise.shape[1] < 1:
         raise DataError("noise must be (batch, k) with k >= 1")
     log_pn = noise_dist.log_probs if hasattr(noise_dist, "log_probs") else np.asarray(noise_dist)
-    grads = Gradients.zeros_like(params)
     P, active = _project_for_grad(params, contexts, macs)
-    m, D = len(targets), cfg.dim
 
     ids = np.concatenate([targets[:, None], noise], axis=1)
     scores = _scores_for(params, params.R, params.b, P, ids).astype(np.float64)
     value, d = _nce_terms(scores, log_pn[ids], noise.shape[1])
-    dd = d.astype(params.dtype)
-    flat = ids.ravel()
-    np.add.at(grads.R, flat, (dd[:, :, None] * P[:, None, :]).reshape(-1, D))
-    np.add.at(grads.b, flat, dd.ravel())
-    gP = np.einsum("mw,mwd->md", d, params.R[ids].astype(np.float64))
-    _count_output(macs, ids.size, D)
-
-    _backprop_projection(params, grads, contexts, P, active, gP)
-    grads.add_l2(params, l2 * m)
-    return grads, value
+    R, gP = _nce_backward(params, params.R, P, ids, d)
+    _count_output(macs, ids.size, cfg.dim)
+    return _backprop_projection(params, contexts, P, active, gP, l2 * len(targets), R=R), value
 
 
 def nce_class_objective(params: ModelParameters, contexts, targets,
                         class_noise, word_noise, noise: ClassNoiseSampler,
                         l2: float = 0.0) -> float:
     """Class-factored NCE objective for fixed draws (finite-difference anchor)."""
-    value = _nce_class_core(params, contexts, targets, class_noise, word_noise,
-                            noise, None, None)
+    value, _ = _nce_class_core(params, contexts, targets, class_noise, word_noise,
+                               noise, 0.0, None, grad=False)
     return value - 0.5 * l2 * len(targets) * squared_norm(params)
 
 
@@ -444,18 +558,18 @@ def nce_gradient_class_factored(params: ModelParameters, contexts, targets,
 
     The class-level term is skipped when the partition has a single class;
     the word-level term is skipped for targets whose class has a single
-    effective member (its conditional is the point mass either way).
+    effective member (its conditional is the point mass either way). The
+    gradient holds the context rows of Q, the target-class and class-noise
+    rows of S and the target and word-noise rows of R.
     Returns (Gradients, objective value without the L2 term).
     """
-    grads = Gradients.zeros_like(params)
-    value = _nce_class_core(params, contexts, targets, class_noise, word_noise,
-                            noise, grads, macs)
-    grads.add_l2(params, l2 * len(targets))
+    value, grads = _nce_class_core(params, contexts, targets, class_noise,
+                                   word_noise, noise, l2, macs, grad=True)
     return grads, value
 
 
 def _nce_class_core(params, contexts, targets, class_noise, word_noise, noise,
-                    grads, macs):
+                    l2, macs, grad):
     cfg = params.config
     if cfg.regime != REGIME_CLASS:
         raise DataError("class-factored NCE needs a class_factored model")
@@ -466,12 +580,13 @@ def _nce_class_core(params, contexts, targets, class_noise, word_noise, noise,
     K = cfg.classing.num_classes
     cls = cfg.classing.class_of[targets].astype(np.int64)
 
-    if grads is not None:
+    if grad:
         P, active = _project_for_grad(params, contexts, macs)
     else:
         P, active = project_batch(params, contexts)
     gP = np.zeros_like(P, dtype=np.float64)
     value = 0.0
+    R = S = None
 
     if K > 1:
         class_noise = np.asarray(class_noise, dtype=np.int64)
@@ -482,12 +597,9 @@ def _nce_class_core(params, contexts, targets, class_noise, word_noise, noise,
         scores = _scores_for(params, params.S, params.t, P, ids).astype(np.float64)
         v, d = _nce_terms(scores, noise.log_class_probs[ids], k)
         value += v
-        if grads is not None:
-            dd = d.astype(params.dtype)
-            flat = ids.ravel()
-            np.add.at(grads.S, flat, (dd[:, :, None] * P[:, None, :]).reshape(-1, D))
-            np.add.at(grads.t, flat, dd.ravel())
-            gP += np.einsum("mw,mwd->md", d, params.S[ids].astype(np.float64))
+        if grad:
+            S, g = _nce_backward(params, params.S, P, ids, d)
+            gP += g
             _count_output(macs, ids.size, D)
 
     sizes = np.array([len(mem) for mem in layout.members_eff])
@@ -501,30 +613,89 @@ def _nce_class_core(params, contexts, targets, class_noise, word_noise, noise,
         scores = _scores_for(params, params.R, params.b, P[rows], ids).astype(np.float64)
         v, d = _nce_terms(scores, noise.log_within_probs[ids], k)
         value += v
-        if grads is not None:
-            dd = d.astype(params.dtype)
-            flat = ids.ravel()
-            np.add.at(grads.R, flat, (dd[:, :, None] * P[rows][:, None, :]).reshape(-1, D))
-            np.add.at(grads.b, flat, dd.ravel())
-            gP[rows] += np.einsum("mw,mwd->md", d, params.R[ids].astype(np.float64))
+        if grad:
+            R, g = _nce_backward(params, params.R, P[rows], ids, d)
+            gP[rows] += g
             _count_output(macs, ids.size, D)
 
-    if grads is not None:
-        _backprop_projection(params, grads, contexts, P, active, gP)
-    return value
+    if not grad:
+        return value, None
+    return value, _backprop_projection(params, contexts, P, active, gP, l2 * m, R=R, S=S)
 
 
 # ---------------------------------------------------------------------------
 # the training loop
 
 
+class _SparseSGD:
+    """Ascent steps that write only the rows a gradient holds, with lazy L2 decay.
+
+    A dense step sets ``theta = decay * theta + scale * g`` for every
+    parameter, with ``decay = 1 - scale * l2``. Here ``last`` records, for
+    each row of Q, R/b and S/t, the step that row is current through;
+    ``catch_up`` multiplies a row by the ``decay ** missed`` it owes before a
+    step reads it, and ``flush`` does so for every row. Within an epoch the
+    decay is constant, and ``train`` flushes before the learning rate can
+    change. The small C transforms are updated densely.
+    """
+
+    def __init__(self, params: ModelParameters):
+        self.params = params
+        self.tables = _row_tables(params)
+        self.last = {name: np.zeros(len(M), dtype=np.int64)
+                     for name, (M, _) in self.tables.items()}
+        self.step = 0
+        self.decay = 1.0
+
+    def catch_up(self, name, *ids) -> None:
+        """Bring the rows ``ids`` of one table current through the last step."""
+        rows = np.concatenate([np.ravel(i) for i in ids]).astype(np.int64, copy=False)
+        last = self.last[name]
+        missed = self.step - last[rows]
+        stale = missed > 0
+        if self.decay == 1.0 or not stale.any():
+            return
+        rows = rows[stale]  # repeats are harmless: each writes the same value
+        M, bias = self.tables[name]
+        factor = np.power(self.decay, missed[stale]).astype(M.dtype)
+        M[rows] *= factor[:, None]
+        if bias is not None:
+            bias[rows] *= factor
+        last[rows] = self.step
+
+    def flush(self) -> None:
+        for name, (M, _) in self.tables.items():
+            self.catch_up(name, np.arange(len(M)))
+
+    def apply(self, grads: Gradients, scale: float) -> None:
+        """One step on the rows ``grads`` holds, which must be current."""
+        self.decay = 1.0 - scale * grads.l2
+        self.step += 1
+        for name, g in grads.tables():
+            M, bias = self.tables[name]
+            M[g.rows] = M[g.rows] * self.decay + scale * g.values
+            if bias is not None:
+                bias[g.rows] = bias[g.rows] * self.decay + scale * g.bias
+            self.last[name][g.rows] = self.step
+        for Cj, gC in zip(self.params.C, grads.C):
+            Cj[...] = Cj * self.decay + scale * gC
+
+
 @dataclass
 class EpochStats:
+    """One epoch's record; ``seconds`` is its minibatch steps plus its
+    perplexity passes."""
+
     epoch: int
     train_ppl: float
     valid_ppl: float
     learning_rate: float
-    seconds: float
+    train_seconds: float
+    eval_seconds: float
+
+    @property
+    def seconds(self) -> float:
+        return self.train_seconds + self.eval_seconds
 
 
 @dataclass
@@ -536,12 +707,8 @@ class TrainingResult:
 
 
 def _ppl(params, contexts, targets) -> float:
-    from .evaluation import perplexity_from_instances
-    total, count = perplexity_from_instances(params, contexts, targets)
-    try:
-        return math.exp(-total / count)
-    except OverflowError:
-        return math.inf
+    from .evaluation import perplexity_from_instances, perplexity_of
+    return perplexity_of(*perplexity_from_instances(params, contexts, targets))
 
 
 def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
@@ -550,7 +717,10 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
 
     Updates are ascent steps on the batch-averaged gradient,
     ``theta += (lr / m) * batch_gradient``, so the step scale is invariant
-    to the minibatch size. A seeded instance-level split holds out
+    to the minibatch size. A step writes only the rows its batch reads and
+    defers the L2 decay of the others (see the module docstring); all rows
+    are brought up to date before each epoch's perplexity passes and before
+    ``train`` returns or raises. A seeded instance-level split holds out
     ``validation_fraction`` of the data. After each epoch the learning rate
     halves if validation perplexity worsened; training aborts if it exceeds
     10x its pre-training value or a gradient goes non-finite. Identical
@@ -598,6 +768,8 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
     prev_ppl = initial_ppl
     records = []
     k = config.noise_samples
+    l2 = config.l2_strength
+    sgd = _SparseSGD(params)
 
     if log_file is None:
         log_fh = None
@@ -613,34 +785,42 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
             for lo in range(0, len(order), config.minibatch_size):
                 sel = order[lo:lo + config.minibatch_size]
                 ctx_b, tgt_b = tr_ctx[sel], tr_tgt[sel]
+                sgd.catch_up("Q", ctx_b)
                 if config.algorithm == "ml_sgd":
-                    grads, _ = ml_gradient(params, ctx_b, tgt_b,
-                                           l2=config.l2_strength, macs=macs)
+                    for name, rows in _ml_rows(cfg, tgt_b):
+                        sgd.catch_up(name, rows)
+                    grads, _ = ml_gradient(params, ctx_b, tgt_b, l2=l2, macs=macs)
                 elif cfg.regime == REGIME_CLASS:
                     cls_b = cfg.classing.class_of[tgt_b].astype(np.int64)
                     cnoise = sampler.sample_classes(len(sel), k) \
                         if cfg.classing.num_classes > 1 else np.empty((len(sel), 0), np.int64)
                     wnoise = sampler.sample_words(cls_b, k)
+                    sgd.catch_up("S", cls_b, cnoise)
+                    sgd.catch_up("R", tgt_b, wnoise)
                     grads, _ = nce_gradient_class_factored(
-                        params, ctx_b, tgt_b, cnoise, wnoise, sampler,
-                        l2=config.l2_strength, macs=macs)
+                        params, ctx_b, tgt_b, cnoise, wnoise, sampler, l2=l2, macs=macs)
                 else:
                     noise = sampler.sample((len(sel), k))
+                    sgd.catch_up("R", tgt_b, noise)
                     grads, _ = nce_gradient(params, ctx_b, tgt_b, noise, sampler,
-                                            l2=config.l2_strength, macs=macs)
-                if not grads.all_finite():
+                                            l2=l2, macs=macs)
+                if not grads.finite():
                     raise TrainingDivergedError(
                         f"non-finite gradient in epoch {epoch}; lower the learning rate")
                 # averaged step: invariant to the minibatch size
-                grads.apply_to(params, lr / len(sel))
+                sgd.apply(grads, lr / len(sel))
+            sgd.flush()
+            train_seconds = time.perf_counter() - tick
 
+            tick = time.perf_counter()
             train_ppl = _ppl(params, tr_ctx, tr_tgt)
             valid_ppl = _ppl(params, ev_ctx, ev_tgt)
-            seconds = time.perf_counter() - tick
-            records.append(EpochStats(epoch, train_ppl, valid_ppl, lr, seconds))
+            stats = EpochStats(epoch, train_ppl, valid_ppl, lr, train_seconds,
+                               time.perf_counter() - tick)
+            records.append(stats)
             if log_fh is not None:
                 log_fh.write(f"{epoch}\t{train_ppl:.6f}\t{valid_ppl:.6f}"
-                             f"\t{lr:.6g}\t{seconds:.3f}\n")
+                             f"\t{lr:.6g}\t{stats.seconds:.3f}\n")
             if not math.isfinite(valid_ppl) or valid_ppl > 10.0 * initial_ppl:
                 raise TrainingDivergedError(
                     f"validation perplexity {valid_ppl:.3f} exceeds 10x its "
@@ -649,6 +829,7 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
                 lr *= 0.5
             prev_ppl = valid_ppl
     finally:
+        sgd.flush()  # no caller sees a row that still owes decay
         if log_fh is not None and log_fh is not log_file:
             log_fh.close()
 

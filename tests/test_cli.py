@@ -43,7 +43,10 @@ class TestParserDefaults:
         assert args.batch == 64
         assert args.epochs == 10
         assert args.l2 == 1e-5
-        assert args.threads == 1
+
+    def test_train_takes_no_threads_flag(self, capsys):
+        assert main(["train", "c.txt", "--model", "m.bin", "--threads", "2"]) == 1
+        assert "--threads" in capsys.readouterr().err
 
     def test_diagonal_flag_parses_booleans(self):
         parser = build_parser()
@@ -200,6 +203,15 @@ class TestTrainAndEvaluate:
         total = (int(fields["embedding_params"]) + int(fields["bias_params"])
                  + int(fields["context_params"]) + int(fields["structure_params"]))
         assert total == int(fields["parameter_count"])
+
+    def test_info_payload_mismatch_exits_two(self, tmp_path, capsys, corpus,
+                                             monkeypatch):
+        model, _ = self.train_model(tmp_path, capsys, corpus)
+        monkeypatch.setattr("snlm.cli.payload_nbytes", lambda params: 0)
+        code, stdout, stderr = run(capsys, "info", model)
+        assert code == 2
+        assert "payload holds 0 bytes" in stderr
+        assert stdout == ""
 
     def test_bench_runs(self, tmp_path, capsys, corpus):
         model, _ = self.train_model(tmp_path, capsys, corpus)

@@ -46,6 +46,15 @@ class TestPerplexity:
         report = perplexity(params, [["a"]], vocab)
         np.testing.assert_allclose(report.perplexity, 2.0, rtol=1e-12)
 
+    def test_overflowing_perplexity_reads_inf(self):
+        vocab = make_vocab(["a"])
+        params = zero_params(vocab, REGIME_STANDARD)
+        params.b[EOS_ID] = -2000.0  # </s> all but impossible: mean log P < -709
+        report = perplexity(params, [["a"]], vocab)
+        assert math.isfinite(report.total_log_prob)
+        assert report.total_log_prob / report.token_count < -709
+        assert report.perplexity == math.inf
+
     def test_matches_distribution_oracle(self):
         vocab = make_vocab(list("abcd"), counts=[5, 3, 2, 1])
         sentences = [["a", "b", "a"], ["c", "zzz"], ["d"]]

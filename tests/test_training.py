@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config, make_params, make_vocab, numeric_gradient, zero_params
+from snlm import training
 from snlm.corpus import BOS_ID, build_vocabulary, instance_arrays
 from snlm.errors import DataError, TrainingDivergedError
 from snlm.model import (
@@ -37,8 +38,9 @@ from snlm.training import (
 )
 
 
-def grad_vector(grads):
-    return np.concatenate([a.ravel().astype(np.float64) for _, a in grads.arrays()])
+def grad_vector(grads, params):
+    return np.concatenate([a.ravel().astype(np.float64)
+                           for _, a in grads.dense(params).arrays()])
 
 
 class TestEmpiricalUnigram:
@@ -128,7 +130,7 @@ class TestMlGradient:
             grads, _ = ml_gradient(params, contexts, targets, l2=1e-3)
             want = numeric_gradient(
                 lambda q: ml_objective(q, contexts, targets, l2=1e-3), params)
-            got = grad_vector(grads)
+            got = grad_vector(grads, params)
             np.testing.assert_allclose(got, want, rtol=2e-5, atol=1e-7)
 
     def test_uniform_start_bias_gradient(self):
@@ -140,7 +142,7 @@ class TestMlGradient:
         want = np.full(len(vocab), -0.2)  # support has 5 words
         want[BOS_ID] = 0.0
         want[3] += 1.0
-        np.testing.assert_allclose(grads.b, want, atol=1e-12)
+        np.testing.assert_allclose(grads.dense(params).b, want, atol=1e-12)
 
     def test_repeating_an_instance_doubles_its_gradient(self):
         vocab = make_vocab(list("abcd"))
@@ -150,7 +152,8 @@ class TestMlGradient:
         once, _ = ml_gradient(params, ctx, tgt, l2=0.0)
         twice, _ = ml_gradient(params, np.repeat(ctx, 2, 0),
                                np.repeat(tgt, 2), l2=0.0)
-        np.testing.assert_allclose(grad_vector(twice), 2 * grad_vector(once),
+        np.testing.assert_allclose(grad_vector(twice, params),
+                                   2 * grad_vector(once, params),
                                    rtol=1e-12, atol=1e-12)
 
     def test_rows_outside_the_batch_stay_zero(self):
@@ -159,6 +162,7 @@ class TestMlGradient:
         contexts = np.array([[3, 4]], dtype=np.int32)
         targets = np.array([3], dtype=np.int32)
         grads, _ = ml_gradient(params, contexts, targets, l2=0.0)
+        grads = grads.dense(params)
         touched_q = {3, 4}
         for w in range(len(vocab)):
             if w not in touched_q:
@@ -185,8 +189,8 @@ class TestMlGradient:
         decayed, _ = ml_gradient(params, contexts, targets, l2=0.01)
         theta = np.concatenate([a.ravel().astype(np.float64)
                                 for _, a in params.arrays()])
-        np.testing.assert_allclose(grad_vector(decayed),
-                                   grad_vector(plain) - 0.01 * 4 * theta,
+        np.testing.assert_allclose(grad_vector(decayed, params),
+                                   grad_vector(plain, params) - 0.01 * 4 * theta,
                                    rtol=1e-6, atol=1e-9)
 
     def test_sentence_start_target_rejected(self):
@@ -216,6 +220,7 @@ class TestNceGradient:
         np.testing.assert_allclose(value, want, rtol=1e-12)
         # the observed column pushes up, the noise columns push down
         grads, _ = nce_gradient(params, contexts, targets, noise, sampler)
+        grads = grads.dense(params)
         for i, w in enumerate(targets):
             contribution = 0.5 - 0.5 * np.count_nonzero(noise[i] == w)
             assert grads.b[w] != 0.0 or contribution == 0.0
@@ -234,7 +239,7 @@ class TestNceGradient:
             want = numeric_gradient(
                 lambda q: nce_objective(q, contexts, targets, noise, sampler,
                                         l2=1e-3), params)
-            np.testing.assert_allclose(grad_vector(grads), want,
+            np.testing.assert_allclose(grad_vector(grads, params), want,
                                        rtol=2e-5, atol=1e-7)
 
     def test_matches_scalar_enumeration(self):
@@ -265,6 +270,7 @@ class TestNceGradient:
         probs = empirical_unigram(np.arange(2, len(vocab)), len(vocab))
         grads, _ = nce_gradient(params, contexts, targets, noise,
                                 np.log(np.where(probs > 0, probs, 1.0)))
+        grads = grads.dense(params)
         for w in range(len(vocab)):
             if w not in {5, 6, 7}:
                 np.testing.assert_array_equal(grads.R[w], 0.0)
@@ -325,7 +331,7 @@ class TestClassFactoredNce:
         want = numeric_gradient(
             lambda q: nce_class_objective(q, contexts, targets, cnoise,
                                           wnoise, sampler, l2=1e-3), params)
-        np.testing.assert_allclose(grad_vector(grads), want, rtol=2e-5, atol=1e-7)
+        np.testing.assert_allclose(grad_vector(grads, params), want, rtol=2e-5, atol=1e-7)
 
     def test_single_class_partition_equals_flat_nce(self):
         vocab = make_vocab(list("abcd"), counts=[4, 3, 2, 1])
@@ -346,6 +352,7 @@ class TestClassFactoredNce:
                                                      cnoise, wnoise, sampler)
         want, value_std = nce_gradient(std, contexts, targets, wnoise,
                                        sampler.log_within_probs)
+        got, want = got.dense(cls), want.dense(std)
         np.testing.assert_allclose(value_cls, value_std, rtol=1e-12)
         np.testing.assert_allclose(got.R, want.R, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(got.b, want.b, rtol=1e-9, atol=1e-12)
@@ -373,6 +380,7 @@ class TestClassFactoredNce:
                                                      cnoise, wnoise, sampler)
         want, value_std = nce_gradient(std, contexts, targets, cnoise,
                                        sampler.log_class_probs)
+        got, want = got.dense(cls), want.dense(std)
         np.testing.assert_allclose(value_cls, value_std, rtol=1e-12)
         np.testing.assert_allclose(got.S, want.R, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(got.t, want.b, rtol=1e-9, atol=1e-12)
@@ -471,6 +479,22 @@ class TestTrainLoop:
                   np.array([3], dtype=np.int32),
                   TrainingConfig(algorithm="nce", validation_fraction=0.0))
 
+    def test_epoch_seconds_split_into_training_and_evaluation(self):
+        sentences = markov_corpus(300, vocab_size=8, seed=9)
+        vocab = build_vocabulary(sentences)
+        contexts, targets = instance_arrays(sentences, vocab, n=3)
+        params = make_params(vocab, REGIME_CLASS, order=3, dim=4, seed=64,
+                             dtype=np.float32)
+        log = io.StringIO()
+        config = TrainingConfig(algorithm="nce", epochs=2, rng_seed=2,
+                                learning_rate=0.05, noise_samples=3)
+        result = train(params, contexts, targets, config, log_file=log)
+        lines = log.getvalue().strip().split("\n")
+        for ep, line in zip(result.epochs, lines):
+            assert ep.train_seconds > 0 and ep.eval_seconds > 0
+            assert ep.seconds == ep.train_seconds + ep.eval_seconds
+            assert line.split("\t")[4] == f"{ep.seconds:.3f}"
+
     def test_epoch_log_lines(self):
         sentences = markov_corpus(200, vocab_size=6, seed=9)
         vocab = build_vocabulary(sentences)
@@ -526,3 +550,118 @@ class TestTrainLoop:
             zs.append(mx + math.log(np.exp(scores - mx).sum()))
         mean_log_z = float(np.mean(zs))
         assert abs(mean_log_z) < 0.5
+
+
+GRADIENT_FUNCTIONS = ("ml_gradient", "nce_gradient", "nce_gradient_class_factored")
+
+
+def record_gradient_calls(monkeypatch, poison_call=None):
+    """Wrap the gradient functions train() calls and keep each call's inputs.
+
+    Call number ``poison_call`` (1-based) gets a NaN in its C gradient.
+    """
+    calls = []
+    for name in GRADIENT_FUNCTIONS:
+        def wrapper(params, *args, _fn=getattr(training, name), **kwargs):
+            kwargs.pop("macs", None)
+            calls.append((_fn, [np.copy(a) if isinstance(a, np.ndarray) else a
+                                for a in args], kwargs))
+            grads, value = _fn(params, *args, **kwargs)
+            if len(calls) == poison_call:
+                grads.C[0][...] = np.nan
+            return grads, value
+        monkeypatch.setattr(training, name, wrapper)
+    return calls
+
+
+def dense_replay(params, calls, rates):
+    """The reference step: dense gradient with its L2 term, applied to every
+    parameter, ``theta += (lr / m) * g``."""
+    for (fn, args, kwargs), lr in zip(calls, rates):
+        grads, _ = fn(params, *args, **kwargs)
+        step = lr / len(args[1])
+        for (_, p), (_, g) in zip(params.arrays(), grads.dense(params).arrays()):
+            p += step * g
+
+
+def sparse_step_setup(regime, diagonal=True, instances=24):
+    sentences = markov_corpus(400, vocab_size=60, seed=13)
+    vocab = build_vocabulary(sentences)
+    contexts, targets = instance_arrays(sentences, vocab, n=3)
+    params = make_params(vocab, regime, order=3, dim=5, diagonal=diagonal,
+                         seed=120, num_classes=5, scale=0.3)
+    return params, contexts[:instances], targets[:instances]
+
+
+class TestSparseStep:
+    CASES = [(REGIME_STANDARD, "ml_sgd"), (REGIME_STANDARD, "nce"),
+             (REGIME_CLASS, "ml_sgd"), (REGIME_CLASS, "nce"),
+             (REGIME_TREE, "ml_sgd")]
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize("regime,algorithm", CASES)
+    def test_matches_a_dense_reference_step(self, monkeypatch, regime,
+                                            algorithm, diagonal):
+        params, contexts, targets = sparse_step_setup(regime, diagonal)
+        start = params.copy()
+        calls = record_gradient_calls(monkeypatch)
+        config = TrainingConfig(algorithm=algorithm, learning_rate=0.5,
+                                minibatch_size=4, epochs=2, l2_strength=0.05,
+                                noise_samples=2, rng_seed=4,
+                                validation_fraction=0.0)
+        result = train(params, contexts, targets, config)
+        per_epoch = len(calls) // 2
+        assert per_epoch == 6
+        rates = [ep.learning_rate for ep in result.epochs for _ in range(per_epoch)]
+        dense_replay(start, calls, rates)
+        for (name, got), (_, want) in zip(params.arrays(), start.arrays()):
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-12,
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS])
+    def test_rows_no_step_reads_stay_bitwise_unchanged(self, monkeypatch, regime):
+        params, contexts, targets = sparse_step_setup(regime, instances=12)
+        start = params.copy()
+        calls = record_gradient_calls(monkeypatch)
+        config = TrainingConfig(algorithm="nce", learning_rate=0.5,
+                                minibatch_size=4, epochs=1, l2_strength=0.0,
+                                noise_samples=2, rng_seed=5,
+                                validation_fraction=0.0)
+        train(params, contexts, targets, config)
+        read = {"Q": set(), "R": set(), "S": set()}
+        for _, args, _ in calls:
+            read["Q"].update(args[0].ravel().tolist())
+            read["R"].update(args[1].tolist())
+            if regime == REGIME_CLASS:
+                cls = params.config.classing.class_of
+                read["S"].update(cls[args[1]].tolist() + args[2].ravel().tolist())
+                read["R"].update(args[3].ravel().tolist())
+            else:
+                read["R"].update(args[2].ravel().tolist())
+        tables = {"Q": ("Q",), "R": ("R", "b"), "S": ("S", "t")}
+        untouched = 0
+        for table, names in tables.items():
+            for name in names:
+                got, was = getattr(params, name), getattr(start, name)
+                if got is None:
+                    continue
+                rows = [r for r in range(len(got)) if r not in read[table]]
+                untouched += len(rows)
+                assert got[rows].tobytes() == was[rows].tobytes(), name
+        assert untouched > 0
+
+    def test_divergence_leaves_the_flushed_state(self, monkeypatch):
+        params, contexts, targets = sparse_step_setup(REGIME_CLASS)
+        start = params.copy()
+        calls = record_gradient_calls(monkeypatch, poison_call=3)
+        config = TrainingConfig(algorithm="nce", learning_rate=0.5,
+                                minibatch_size=4, epochs=1, l2_strength=0.05,
+                                noise_samples=2, rng_seed=6,
+                                validation_fraction=0.0)
+        with pytest.raises(TrainingDivergedError):
+            train(params, contexts, targets, config)
+        assert len(calls) == 3
+        dense_replay(start, calls[:2], [0.5, 0.5])
+        for (name, got), (_, want) in zip(params.arrays(), start.arrays()):
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-12,
+                                       err_msg=name)
