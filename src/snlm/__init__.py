@@ -18,11 +18,11 @@ from .evaluation import (BenchmarkReport, EvaluationReport, MemoryEstimate,
                          perplexity_from_instances, query_benchmark,
                          score_nbest, score_sentence)
 from .model import (REGIME_CLASS, REGIME_STANDARD, REGIME_TREE, MacCounter,
-                    ModelConfig, ModelParameters, full_distribution,
-                    init_parameters, log_prob, log_prob_class_factored,
-                    log_prob_standard, log_prob_tree_factored,
+                    ModelConfig, ModelParameters, OutputLayer,
+                    full_distribution, init_parameters, log_prob,
                     log_probs_batch, project_batch, project_context,
-                    score_word, unnormalised_log_score)
+                    score_word, unnormalised_log_score,
+                    unnormalised_scores_batch)
 from .modelfile import load_model, payload_nbytes, save_model
 from .partitioning import (VocabularyTree, WordClassing, brown_clustering,
                            class_bigram_objective, frequency_binning,

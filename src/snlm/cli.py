@@ -144,7 +144,7 @@ def cmd_classes(args) -> int:
         tree = huffman_tree(support)
         tree.save(args.output, vocab)
         print(f"huffman tree: {tree.num_leaves} leaves, "
-              f"max depth {max(tree.depth(int(w)) for w in tree.words)} -> {args.output}")
+              f"max depth {tree.max_depth} -> {args.output}")
         return 0
 
     if args.method == "brown":
@@ -262,9 +262,8 @@ def cmd_info(args) -> int:
     if cfg.classing is not None:
         print(f"classes\t{cfg.classing.num_classes}")
     if cfg.tree is not None:
-        depths = [cfg.tree.depth(int(w)) for w in cfg.tree.words]
         print(f"tree_nodes\t{cfg.tree.num_nodes}")
-        print(f"tree_depth_max\t{max(depths)}")
+        print(f"tree_depth_max\t{cfg.tree.max_depth}")
     print(f"embedding_params\t{est.embedding_params}")
     print(f"bias_params\t{est.bias_params}")
     print(f"context_params\t{est.context_params}")
@@ -279,8 +278,7 @@ def cmd_info(args) -> int:
 def cmd_bench(args) -> int:
     params, vocab = load_model(args.model)
     rng = np.random.default_rng(args.seed)
-    layout = params.config.layout()
-    contexts = rng.choice(layout.support,
+    contexts = rng.choice(params.config.layout().support,
                           size=(args.queries, params.config.context_size))
     report = query_benchmark(params, contexts)
     print(f"queries\t{report.queries}")

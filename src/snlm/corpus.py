@@ -177,11 +177,12 @@ def extract_instances(sentence: Sequence[str], vocab: Vocabulary, n: int) -> lis
 
     A sentence of L tokens produces L+1 instances (each token plus ``</s>``).
     Context positions hold the n-1 preceding ids, most recent first, padded
-    with ``<s>`` beyond the sentence start. OOV tokens map to ``<unk>``.
+    with ``<s>`` beyond the sentence start. OOV tokens map to ``<unk>``, and
+    so does a literal ``<s>`` in the text, which is never a target.
     """
     if n < 2:
         raise DataError("model order must be >= 2")
-    ids = [vocab.lookup(t) for t in sentence]
+    ids = [UNK_ID if t == BOS_TOKEN else vocab.lookup(t) for t in sentence]
     out = []
     for i in range(len(ids) + 1):
         target = ids[i] if i < len(ids) else EOS_ID

@@ -10,11 +10,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import UNK_ID, Vocabulary, extract_instances
+from .corpus import UNK_ID, Vocabulary, instance_arrays
 from .errors import DataError
-from .model import (REGIME_CLASS, REGIME_TREE, MacCounter, ModelConfig,
-                    ModelParameters, log_prob, log_probs_batch,
-                    unnormalised_log_score)
+from .model import (MacCounter, ModelConfig, ModelParameters, log_prob,
+                    log_probs_batch, unnormalised_log_score,
+                    unnormalised_scores_batch)
 
 _EVAL_BATCH = 512
 
@@ -72,17 +72,9 @@ def perplexity(params: ModelParameters, sentences, vocab: Vocabulary,
     n = params.config.order
     macs = macs if macs is not None else MacCounter()
 
-    def shard_instances(shard):
-        ctx, tgt = [], []
-        for sent in shard:
-            for inst in extract_instances(sent, vocab, n):
-                ctx.append(inst.context)
-                tgt.append(inst.target)
-        return np.asarray(ctx, dtype=np.int32), np.asarray(tgt, dtype=np.int64)
-
     tick = time.perf_counter()
     if threads <= 1:
-        ctx, tgt = shard_instances(sentences)
+        ctx, tgt = instance_arrays(sentences, vocab, n)
         total, count = perplexity_from_instances(params, ctx, tgt, macs)
         oov = int((tgt == UNK_ID).sum())
     else:
@@ -90,7 +82,7 @@ def perplexity(params: ModelParameters, sentences, vocab: Vocabulary,
         shards = [s for s in shards if s]
         counters = [MacCounter() for _ in shards]
         with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            arrays = list(pool.map(shard_instances, shards))
+            arrays = list(pool.map(lambda s: instance_arrays(s, vocab, n), shards))
             parts = list(pool.map(
                 lambda a: perplexity_from_instances(params, a[0][0], a[0][1], a[1]),
                 zip(arrays, counters)))
@@ -116,13 +108,9 @@ def score_sentence(params: ModelParameters, sentence, vocab: Vocabulary,
     Normalized mode sums log-probabilities; unnormalised mode sums raw
     ``phi`` scores, the fast path for NCE-trained models.
     """
-    total = 0.0
-    for inst in extract_instances(sentence, vocab, params.config.order):
-        if unnormalised:
-            total += unnormalised_log_score(params, inst.context, inst.target, macs)
-        else:
-            total += log_prob(params, inst.context, inst.target, macs)
-    return total
+    contexts, targets = instance_arrays([sentence], vocab, params.config.order)
+    score = unnormalised_scores_batch if unnormalised else log_probs_batch
+    return float(score(params, contexts, targets, macs).sum())
 
 
 class NBestEntry(NamedTuple):
@@ -211,15 +199,7 @@ def memory_estimate(config: ModelConfig, vocab: Vocabulary = None) -> MemoryEsti
     if V < 1:
         raise DataError("vocab_size must be set")
     ctx = config.context_size * (D if config.diagonal else D * D)
-    structure = 0
-    if config.regime == REGIME_CLASS:
-        if config.classing is None:
-            raise DataError("class_factored estimate needs the classing")
-        structure = config.classing.num_classes * (D + 1)
-    elif config.regime == REGIME_TREE:
-        if config.tree is None:
-            raise DataError("tree_factored estimate needs the tree")
-        structure = (config.tree.num_nodes - 1) * (D + 1)
+    structure = config.layout().rows * (D + 1)
     strings = sum(len(t.encode("utf-8")) for t in vocab.tokens) if vocab else 0
     return MemoryEstimate(2 * V * D, V, ctx, structure, strings)
 
@@ -247,28 +227,19 @@ def query_benchmark(params: ModelParameters, contexts, words=None) -> BenchmarkR
     contexts = np.asarray(contexts, dtype=np.int64)
     if contexts.ndim != 2 or len(contexts) == 0:
         raise DataError("need a (queries, order-1) context array")
-    layout = params.config.layout()
     if words is None:
-        sup = layout.support
+        sup = params.config.layout().support
         words = sup[np.arange(len(contexts)) % len(sup)]
     words = np.asarray(words, dtype=np.int64)
-
-    norm_macs = MacCounter()
-    tick = time.perf_counter()
-    for ctx, w in zip(contexts, words):
-        log_prob(params, ctx, int(w), norm_macs)
-    norm_secs = time.perf_counter() - tick
-
-    raw_macs = MacCounter()
-    tick = time.perf_counter()
-    for ctx, w in zip(contexts, words):
-        unnormalised_log_score(params, ctx, int(w), raw_macs)
-    raw_secs = time.perf_counter() - tick
-
     nq = len(contexts)
-    return BenchmarkReport(
-        queries=nq,
-        macs_per_query=norm_macs.total / nq,
-        macs_per_query_unnormalised=raw_macs.total / nq,
-        queries_per_second=nq / norm_secs if norm_secs > 0 else math.inf,
-        queries_per_second_unnormalised=nq / raw_secs if raw_secs > 0 else math.inf)
+
+    def timed(score):  # (MACs per query, queries/s)
+        macs = MacCounter()
+        tick = time.perf_counter()
+        for ctx, w in zip(contexts, words):
+            score(params, ctx, int(w), macs)
+        secs = time.perf_counter() - tick
+        return macs.total / nq, nq / secs if secs > 0 else math.inf
+
+    (norm_macs, norm_qps), (raw_macs, raw_qps) = timed(log_prob), timed(unnormalised_log_score)
+    return BenchmarkReport(nq, norm_macs, raw_macs, norm_qps, raw_qps)

@@ -13,26 +13,28 @@ scores become probabilities:
 * ``tree_factored``   product of two-way softmaxes along a tree path
 * unnormalised        raw ``phi`` used directly (NCE-trained models)
 
+Each normalized regime is one :class:`OutputLayer`, and every scoring path
+runs on batches: a single query is a batch of one.
+
 ``<s>`` is excluded from the prediction support everywhere: it gets
 probability exactly 0 and is never a legal target.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .corpus import BOS_ID
-from .errors import DataError
+from .errors import DataError, ModelFormatError
 from .partitioning import VocabularyTree, WordClassing
 
 REGIME_STANDARD = "standard"
 REGIME_CLASS = "class_factored"
 REGIME_TREE = "tree_factored"
-REGIMES = (REGIME_STANDARD, REGIME_CLASS, REGIME_TREE)
 
 _PROB_FLOOR = 1e-10  # keeps log-space initializers finite
 
@@ -58,6 +60,14 @@ class MacCounter:
         self.projection = self.output = self.output_rows = 0
 
 
+def count_output(macs: MacCounter, pairs: int, dim: int, train: bool = False) -> None:
+    """Tally ``pairs`` scores; training also pays for both gradients through them."""
+    if macs is not None:
+        macs.output += (3 if train else 1) * pairs * dim
+        if train:
+            macs.output_rows += pairs
+
+
 @dataclass
 class ModelConfig:
     """Architecture hyper-parameters plus the structures a regime needs."""
@@ -75,7 +85,7 @@ class ModelConfig:
             raise DataError("order must be >= 2")
         if self.dim < 1:
             raise DataError("dim must be >= 1")
-        if self.regime not in REGIMES:
+        if self.regime not in OUTPUT_LAYERS:
             raise DataError(f"unknown regime {self.regime!r}")
 
     @property
@@ -86,47 +96,14 @@ class ModelConfig:
         """Check structural consistency (called by init / IO paths)."""
         if self.vocab_size < 3:
             raise DataError("vocabulary must hold at least the three specials")
-        if self.regime == REGIME_CLASS:
-            if self.classing is None:
-                raise DataError("class_factored regime needs a WordClassing")
-            if len(self.classing.class_of) != self.vocab_size:
-                raise DataError("classing does not cover the vocabulary")
-        if self.regime == REGIME_TREE:
-            if self.tree is None:
-                raise DataError("tree_factored regime needs a VocabularyTree")
-            expect = np.array([w for w in range(self.vocab_size) if w != BOS_ID])
-            if not np.array_equal(self.tree.words, expect):
-                raise DataError("tree leaves must cover the vocabulary minus <s>")
         self.layout()
 
-    def layout(self) -> "_Layout":
+    def layout(self) -> "OutputLayer":
+        """The regime's output layer, built (and checked) on first use."""
         cached = getattr(self, "_layout", None)
         if cached is None:
-            cached = _Layout(self)
-            self._layout = cached
+            cached = self._layout = OUTPUT_LAYERS[self.regime](self)
         return cached
-
-
-class _Layout:
-    """Precomputed index structures shared by the scoring paths."""
-
-    __slots__ = ("support", "support_pos", "members_eff", "class_valid", "pos_in_class")
-
-    def __init__(self, config: ModelConfig):
-        V = config.vocab_size
-        self.support = np.array([w for w in range(V) if w != BOS_ID], dtype=np.int64)
-        self.support_pos = np.full(V, -1, dtype=np.int64)
-        self.support_pos[self.support] = np.arange(len(self.support))
-        self.members_eff = None
-        self.class_valid = None
-        self.pos_in_class = None
-        if config.regime == REGIME_CLASS and config.classing is not None:
-            members = config.classing.members
-            self.members_eff = [m[m != BOS_ID].astype(np.int64) for m in members]
-            self.class_valid = np.array([len(m) > 0 for m in self.members_eff])
-            self.pos_in_class = np.full(V, -1, dtype=np.int64)
-            for mem in self.members_eff:
-                self.pos_in_class[mem] = np.arange(len(mem))
 
 
 @dataclass
@@ -155,13 +132,12 @@ class ModelParameters:
         for Cj in self.C:
             if Cj.shape != want:
                 raise DataError("context transform shape mismatch")
-        if cfg.regime == REGIME_STANDARD:
+        rows = cfg.layout().rows
+        if rows == 0:
             if self.S is not None or self.t is not None:
                 raise DataError("standard regime carries no extra score rows")
-        else:
-            rows = _score_rows(cfg)
-            if self.S is None or self.t is None or self.S.shape != (rows, D) or self.t.shape != (rows,):
-                raise DataError("class/node score shape mismatch")
+        elif self.S is None or self.t is None or self.S.shape != (rows, D) or self.t.shape != (rows,):
+            raise DataError("class/node score shape mismatch")
 
     @property
     def dtype(self):
@@ -190,14 +166,6 @@ class ModelParameters:
             None if self.t is None else self.t.astype(dtype))
 
 
-def _score_rows(config: ModelConfig) -> int:
-    if config.regime == REGIME_CLASS:
-        return config.classing.num_classes
-    if config.regime == REGIME_TREE:
-        return config.tree.num_nodes - 1  # every node but the root
-    return 0
-
-
 def _floored_log(p) -> np.ndarray:
     return np.log(np.maximum(p, _PROB_FLOOR))
 
@@ -213,6 +181,7 @@ def init_parameters(config: ModelConfig, seed: int = 0, unigram=None,
     The draw order (Q, R, then S) is fixed, so a seed pins every array.
     """
     config.validate()
+    layer = config.layout()
     rng = np.random.default_rng(seed)
     V, D = config.vocab_size, config.dim
     Q = rng.normal(0.0, 0.1, (V, D)).astype(dtype)
@@ -235,54 +204,54 @@ def init_parameters(config: ModelConfig, seed: int = 0, unigram=None,
         C = [(np.eye(D) * scale).astype(dtype) for _ in range(config.context_size)]
 
     S = t = None
-    if config.regime != REGIME_STANDARD:
-        rows = _score_rows(config)
-        S = rng.normal(0.0, 0.1, (rows, D)).astype(dtype)
-        if config.regime == REGIME_CLASS:
-            if probs is not None:
-                layout = config.layout()
-                mass = np.array([probs[m].sum() if len(m) else 0.0
-                                 for m in layout.members_eff])
-                t = _floored_log(mass)
-            else:
-                t = np.zeros(rows)
-        else:
-            t = _floored_log(_subtree_mass(config.tree, probs, V))[:rows]
-        t = t.astype(dtype)
+    if layer.rows:  # t draws nothing, so the draw order stays Q, R, S
+        t = layer.start_values(probs).astype(dtype)
+        S = rng.normal(0.0, 0.1, (layer.rows, D)).astype(dtype)
     return ModelParameters(config, Q, R, b, C, S, t)
 
 
-def _subtree_mass(tree: VocabularyTree, probs, vocab_size: int) -> np.ndarray:
-    """Prior mass under each node; uniform over leaves when probs is None."""
-    mass = np.zeros(tree.num_nodes)
-    leaves = np.nonzero(tree.leaf_word >= 0)[0]
-    if probs is None:
-        mass[leaves] = 1.0 / len(leaves)
-    else:
-        mass[leaves] = probs[tree.leaf_word[leaves]]
-    depth = np.zeros(tree.num_nodes, dtype=np.int64)
-    for node in range(tree.num_nodes):
-        d, m = 0, node
-        while tree.parent[m] != -1:
-            d += 1
-            m = tree.parent[m]
-        depth[node] = d
-    for node in np.argsort(-depth, kind="stable"):
-        par = tree.parent[node]
-        if par != -1:
-            mass[par] += mass[node]
-    return mass
-
-
 # ---------------------------------------------------------------------------
-# log-sum-exp helpers (max-subtracted, -inf safe)
+# row-sparse gradients and softmax helpers
 
 
-def _lse(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(float(np.sum(np.exp(x - m))))
+@dataclass
+class RowGrad:
+    """Gradient of one row table: ``values[i]`` (and ``bias[i]``) belong to
+    row ``rows[i]``. Rows are unique, so writing them back is exact."""
+
+    rows: np.ndarray
+    values: np.ndarray
+    bias: Optional[np.ndarray] = None
+
+    @classmethod
+    def empty(cls, dim, dtype) -> "RowGrad":
+        return cls(np.zeros(0, dtype=np.int64), np.zeros((0, dim), dtype=dtype),
+                   np.zeros(0, dtype=dtype))
+
+    @classmethod
+    def segment_sum(cls, rows, values, bias=None) -> "RowGrad":
+        """Sum the entries that share a row id.
+
+        A stable sort groups equal ids in input order and ``np.add.reduceat``
+        adds each group, so the sums are bitwise reproducible.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        starts = np.flatnonzero(first)
+        return cls(rows[starts], np.add.reduceat(values[order], starts, axis=0),
+                   None if bias is None else np.add.reduceat(bias[order], starts))
+
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.values).all()
+                    and (self.bias is None or np.isfinite(self.bias).all()))
+
+
+def _scores(P, M, bias) -> np.ndarray:
+    """Scores of every row of ``M`` (with ``bias``) against every row of P, as float64."""
+    return (P @ M.T + bias).astype(np.float64)
 
 
 def _lse_rows(X: np.ndarray) -> np.ndarray:
@@ -292,27 +261,264 @@ def _lse_rows(X: np.ndarray) -> np.ndarray:
     return np.where(m == -np.inf, -np.inf, out)
 
 
+def _softmax_backward(params, P, scores, M, rows, pos, macs):
+    """(loglik, (rows, row values, bias values), float64 gP) of one softmax
+    whose ``scores`` against P are over ``rows`` of M, targets at ``pos``."""
+    lz = _lse_rows(scores)
+    at = np.arange(len(P))
+    d = -np.exp(scores - lz[:, None])
+    d[at, pos] += 1.0
+    dd = d.astype(params.dtype)
+    count_output(macs, scores.size, params.config.dim, train=True)
+    return (float(np.sum(scores[at, pos] - lz)), (rows, dd.T @ P, dd.sum(axis=0)),
+            d @ M[rows].astype(np.float64))
+
+
 # ---------------------------------------------------------------------------
-# projection
+# output layers
 
 
-def project_context(params: ModelParameters, context, macs: MacCounter = None) -> np.ndarray:
-    """Prediction vector p = relu(sum_j C_j q_{h_j}) for one context.
+class OutputLayer:
+    """How one regime turns projected contexts ``P`` (m, D) into probabilities.
 
-    ``context`` holds the n-1 context ids, most recent first. Cost is
-    (n-1) * D MACs with diagonal transforms, (n-1) * D^2 with full ones.
+    A layer owns its ``rows`` extra score rows ``S``/``t`` and their
+    ``start_values(probs)``, its section of the model file, and its passes:
+    ``log_probs`` (float64 (m,)), ``backward`` (log-likelihood, float64 gP,
+    and the R and S :class:`RowGrad` or None), ``distribution`` (float64
+    (m, V)) and ``ml_rows``, the (table, row ids) pairs ``backward`` reads.
+    Targets are prediction targets, never ``<s>``. The base class has no
+    score rows and no structure section.
     """
-    cfg = params.config
-    if len(context) != cfg.context_size:
-        raise DataError("context length must be order - 1")
-    acc = np.zeros(cfg.dim, dtype=params.dtype)
-    for j, h in enumerate(context):
-        q = params.Q[h]
-        acc += params.C[j] * q if cfg.diagonal else params.C[j] @ q
-    if macs is not None:
-        per = cfg.dim if cfg.diagonal else cfg.dim * cfg.dim
-        macs.projection += cfg.context_size * per
-    return np.maximum(acc, 0)
+
+    rows = 0
+
+    def __init__(self, config: ModelConfig):
+        V = config.vocab_size
+        self.vocab_size, self.dim = V, config.dim
+        self.support = np.flatnonzero(np.arange(V) != BOS_ID)
+        self.support_pos = np.full(V, -1, dtype=np.int64)
+        self.support_pos[self.support] = np.arange(len(self.support))
+
+    def structure_bytes(self) -> bytes:
+        return b""
+
+    @staticmethod
+    def read_structure(read, vocab_size: int) -> dict:
+        """ModelConfig keywords read from the structure section by ``read(n)``."""
+        return {}
+
+
+class StandardLayer(OutputLayer):
+    """Softmax over the whole support."""
+
+    def log_probs(self, params, P, targets, macs=None):
+        scores = _scores(P, params.R[self.support], params.b[self.support])
+        count_output(macs, scores.size, self.dim)
+        return scores[np.arange(len(P)), self.support_pos[targets]] - _lse_rows(scores)
+
+    def backward(self, params, P, targets, macs=None):
+        sup = self.support
+        loglik, R, gP = _softmax_backward(
+            params, P, _scores(P, params.R[sup], params.b[sup]), params.R, sup,
+            self.support_pos[targets], macs)
+        return loglik, gP, RowGrad(*R), None
+
+    def distribution(self, params, P, macs=None):
+        scores = _scores(P, params.R[self.support], params.b[self.support])
+        count_output(macs, scores.size, self.dim)
+        out = np.zeros((len(P), self.vocab_size))
+        out[:, self.support] = np.exp(scores - _lse_rows(scores)[:, None])
+        return out
+
+    def ml_rows(self, targets):
+        return [("R", self.support)]
+
+
+class ClassLayer(OutputLayer):
+    """P(class | h) over the K class rows of S, times a softmax over the
+    target's class members. A class holding only ``<s>`` gets no mass."""
+
+    def __init__(self, config: ModelConfig):
+        super().__init__(config)
+        classing = config.classing
+        if classing is None:
+            raise DataError("class_factored regime needs a WordClassing")
+        if len(classing.class_of) != config.vocab_size:
+            raise DataError("classing does not cover the vocabulary")
+        self.class_of = classing.class_of
+        self.rows = classing.num_classes
+        self.members_eff = [m[m != BOS_ID].astype(np.int64) for m in classing.members]
+        self.class_valid = np.array([len(m) > 0 for m in self.members_eff])
+        self.pos_in_class = np.full(config.vocab_size, -1, dtype=np.int64)
+        for mem in self.members_eff:
+            self.pos_in_class[mem] = np.arange(len(mem))
+
+    def start_values(self, probs):
+        if probs is None:
+            return np.zeros(self.rows)
+        return _floored_log(np.array([probs[m].sum() if len(m) else 0.0
+                                      for m in self.members_eff]))
+
+    def structure_bytes(self) -> bytes:
+        return (struct.pack("<I", self.rows)
+                + np.ascontiguousarray(self.class_of, dtype="<i4").tobytes())
+
+    @staticmethod
+    def read_structure(read, vocab_size):
+        (K,) = struct.unpack("<I", read(4))  # WordClassing rejects K > |V|
+        class_of = np.frombuffer(read(4 * vocab_size), dtype="<i4")
+        return {"classing": WordClassing(class_of.copy(), K)}
+
+    def _class_scores(self, params, P):
+        psi = _scores(P, params.S, params.t)
+        psi[:, ~self.class_valid] = -np.inf
+        return psi
+
+    def _word_blocks(self, params, P, targets):
+        """(batch rows, members, member scores, target positions) per target class."""
+        cls = self.class_of[targets]
+        for c in np.unique(cls):
+            idx = np.flatnonzero(cls == c)
+            mem = self.members_eff[c]
+            yield (idx, mem, _scores(P[idx], params.R[mem], params.b[mem]),
+                   self.pos_in_class[targets[idx]])
+
+    def log_probs(self, params, P, targets, macs=None):
+        out = np.zeros(len(P))
+        if self.rows > 1:
+            psi = self._class_scores(params, P)
+            count_output(macs, psi.size, self.dim)
+            out = psi[np.arange(len(P)), self.class_of[targets]] - _lse_rows(psi)
+        for idx, _, word, pos in self._word_blocks(params, P, targets):
+            count_output(macs, word.size, self.dim)
+            out[idx] = out[idx] + word[np.arange(len(idx)), pos] - _lse_rows(word)
+        return out
+
+    def backward(self, params, P, targets, macs=None):
+        loglik, gP, S = 0.0, np.zeros(P.shape), None
+        if self.rows > 1:
+            loglik, S, gP = _softmax_backward(
+                params, P, self._class_scores(params, P), params.S,
+                np.arange(self.rows), self.class_of[targets], macs)
+            S = RowGrad(*S)
+        parts = []
+        for idx, mem, word, pos in self._word_blocks(params, P, targets):
+            ll, part, g = _softmax_backward(params, P[idx], word, params.R, mem, pos, macs)
+            loglik += ll
+            parts.append(part)
+            gP[idx] += g
+        R = RowGrad(*(np.concatenate(x) for x in zip(*parts)))  # classes are disjoint
+        return loglik, gP, R, S
+
+    def distribution(self, params, P, macs=None):
+        psi = self._class_scores(params, P)
+        count_output(macs, psi.size, self.dim)
+        class_lp = psi - _lse_rows(psi)[:, None]
+        out = np.zeros((len(P), self.vocab_size))
+        for c, mem in enumerate(self.members_eff):
+            if len(mem):
+                word = _scores(P, params.R[mem], params.b[mem])
+                count_output(macs, word.size, self.dim)
+                out[:, mem] = np.exp(class_lp[:, c, None] + (word - _lse_rows(word)[:, None]))
+        return out
+
+    def ml_rows(self, targets):
+        classes = np.unique(self.class_of[targets])
+        return [("R", np.concatenate([self.members_eff[c] for c in classes])),
+                ("S", np.arange(self.rows))]
+
+
+class TreeLayer(OutputLayer):
+    """Two-way softmaxes, node against sibling, down the word's tree path;
+    S holds one row per node but the root. With the tree's padded path
+    arrays a batch is a gather and an einsum per side, with no loop over
+    target words; padding is masked out of every sum and MAC tally."""
+
+    def __init__(self, config: ModelConfig):
+        super().__init__(config)
+        tree = config.tree
+        if tree is None:
+            raise DataError("tree_factored regime needs a VocabularyTree")
+        if not np.array_equal(tree.words, self.support):
+            raise DataError("tree leaves must cover the vocabulary minus <s>")
+        self.tree = tree
+        self.rows = tree.num_nodes - 1  # every node but the root
+
+    def start_values(self, probs):
+        """Log prior mass under each node; uniform over the leaves when probs is None."""
+        tree = self.tree
+        leaves = tree.leaf_word >= 0
+        mass = np.zeros(tree.num_nodes)
+        mass[leaves] = 1.0 / leaves.sum() if probs is None else probs[tree.leaf_word[leaves]]
+        for d in range(tree.max_depth - 1, -1, -1):  # deepest internal nodes first
+            level = np.flatnonzero((tree.node_depth == d) & ~leaves)
+            mass[level] = mass[tree.left[level]] + mass[tree.right[level]]
+        return _floored_log(mass)[:self.rows]
+
+    def structure_bytes(self) -> bytes:
+        tree = self.tree
+        nodes = np.stack([tree.parent, tree.left, tree.right, tree.leaf_word], axis=1)
+        return (struct.pack("<II", tree.num_nodes, tree.root)
+                + np.ascontiguousarray(nodes, dtype="<i4").tobytes())
+
+    @staticmethod
+    def read_structure(read, vocab_size):
+        num_nodes, root = struct.unpack("<II", read(8))
+        nodes = np.frombuffer(read(16 * num_nodes), dtype="<i4").reshape(num_nodes, 4)
+        if root != num_nodes - 1:
+            raise ModelFormatError("tree root must be the last node")
+        if (nodes[:, 3] >= vocab_size).any():
+            raise ModelFormatError("tree leaf word out of range")
+        return {"tree": VocabularyTree(*(nodes[:, i].copy() for i in range(4)))}
+
+    def _forward(self, params, P, targets):
+        """Path node and sibling ids (m, max_depth), the padding mask, and the
+        float64 node and sibling scores, gathering one side's S rows at a time."""
+        nodes, sibs, mask = (a[targets] for a in self.tree.paths)
+        on, off = ((np.einsum("mkd,md->mk", params.S[ids], P) + params.t[ids])
+                   .astype(np.float64) for ids in (nodes, sibs))
+        return nodes, sibs, mask, on, off
+
+    def log_probs(self, params, P, targets, macs=None):
+        _, _, mask, on, off = self._forward(params, P, targets)
+        count_output(macs, 2 * int(mask.sum()), self.dim)
+        return np.where(mask, on - np.logaddexp(on, off), 0.0).sum(axis=1)
+
+    def backward(self, params, P, targets, macs=None):
+        nodes, sibs, mask, on, off = self._forward(params, P, targets)
+        count_output(macs, 2 * int(mask.sum()), self.dim, train=True)
+        lz = np.logaddexp(on, off)
+        p_off = np.where(mask, np.exp(off - lz), 0.0)  # d loglik / d node score
+        gP = np.einsum("mk,mkd->md", p_off, params.S[nodes].astype(np.float64)
+                       - params.S[sibs].astype(np.float64))
+        i, k = np.nonzero(mask)
+        d = p_off[i, k].astype(params.dtype)
+        g = d[:, None] * P[i]
+        S = RowGrad.segment_sum(np.concatenate([nodes[i, k], sibs[i, k]]),  # paths share nodes
+                                np.concatenate([g, -g]), np.concatenate([d, -d]))
+        return float(np.sum(np.where(mask, on - lz, 0.0))), gP, None, S
+
+    def distribution(self, params, P, macs=None):
+        nodes, sibs, mask = self.tree.paths
+        node = _scores(P, params.S, params.t)
+        count_output(macs, node.size, self.dim)
+        on, off = node[:, nodes], node[:, sibs]
+        logp = np.where(mask, on - np.logaddexp(on, off), 0.0).sum(axis=2)
+        out = np.zeros((len(P), self.vocab_size))
+        out[:, self.support] = np.exp(logp[:, self.support])
+        return out
+
+    def ml_rows(self, targets):
+        nodes, sibs, mask = (a[targets] for a in self.tree.paths)
+        return [("S", np.concatenate([nodes[mask], sibs[mask]]))]
+
+
+OUTPUT_LAYERS = {REGIME_STANDARD: StandardLayer, REGIME_CLASS: ClassLayer,
+                 REGIME_TREE: TreeLayer}
+
+
+# ---------------------------------------------------------------------------
+# projection and scoring: batches, and single queries as batches of one
 
 
 def project_batch(params: ModelParameters, contexts: np.ndarray, macs: MacCounter = None):
@@ -334,203 +540,64 @@ def project_batch(params: ModelParameters, contexts: np.ndarray, macs: MacCounte
     return np.maximum(acc, 0), active
 
 
+def log_probs_batch(params: ModelParameters, contexts: np.ndarray, targets: np.ndarray,
+                    macs: MacCounter = None) -> np.ndarray:
+    """log P(target_i | context_i) for a batch, as float64 (m,).
+
+    ``<s>`` targets get -inf and cost nothing.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    valid = targets != BOS_ID
+    out = np.full(len(targets), -np.inf)
+    P, _ = project_batch(params, np.asarray(contexts)[valid], macs)
+    out[valid] = params.config.layout().log_probs(params, P, targets[valid], macs)
+    return out
+
+
+def unnormalised_scores_batch(params: ModelParameters, contexts: np.ndarray,
+                              targets: np.ndarray, macs: MacCounter = None) -> np.ndarray:
+    """Raw scores phi(target_i, context_i) for a batch, as float64 (m,)."""
+    targets = np.asarray(targets, dtype=np.int64)
+    P, _ = project_batch(params, contexts, macs)
+    count_output(macs, len(targets), params.config.dim)
+    return (np.einsum("md,md->m", P, params.R[targets]) + params.b[targets]).astype(np.float64)
+
+
+def _one(params: ModelParameters, context) -> np.ndarray:
+    """One context as a (1, n-1) batch."""
+    context = np.asarray(context, dtype=np.int64).reshape(1, -1)
+    if context.shape[1] != params.config.context_size:
+        raise DataError("context length must be order - 1")
+    return context
+
+
+def project_context(params: ModelParameters, context, macs: MacCounter = None) -> np.ndarray:
+    """Prediction vector p = relu(sum_j C_j q_{h_j}) for one context.
+
+    ``context`` holds the n-1 context ids, most recent first. Cost is
+    (n-1) * D MACs with diagonal transforms, (n-1) * D^2 with full ones.
+    """
+    return project_batch(params, _one(params, context), macs)[0][0]
+
+
 def score_word(params: ModelParameters, p: np.ndarray, w: int, macs: MacCounter = None) -> float:
     """phi(w, h) = r_w . p + b_w given a projected context."""
-    if macs is not None:
-        macs.output += params.config.dim
+    count_output(macs, 1, params.config.dim)
     return float(params.R[w] @ p + params.b[w])
 
 
 def unnormalised_log_score(params: ModelParameters, context, w: int,
                            macs: MacCounter = None) -> float:
     """Raw score phi(w, h); NCE training drives exp(phi) toward P(w | h)."""
-    p = project_context(params, context, macs)
-    return score_word(params, p, w, macs)
-
-
-# ---------------------------------------------------------------------------
-# per-regime log-probabilities
-
-
-def _require(params, regime):
-    if params.config.regime != regime:
-        raise DataError(f"model regime is {params.config.regime!r}, not {regime!r}")
-
-
-def log_prob_standard(params: ModelParameters, context, w: int,
-                      macs: MacCounter = None) -> float:
-    """log P(w | h) under the full-support softmax."""
-    _require(params, REGIME_STANDARD)
-    if w == BOS_ID:
-        return -math.inf
-    layout = params.config.layout()
-    p = project_context(params, context, macs)
-    scores = (params.R[layout.support] @ p + params.b[layout.support]).astype(np.float64)
-    if macs is not None:
-        macs.output += len(layout.support) * params.config.dim
-    return float(scores[layout.support_pos[w]] - _lse(scores))
-
-
-def _class_log_scores(params, p, layout):
-    psi = (params.S @ p + params.t).astype(np.float64)
-    return np.where(layout.class_valid, psi, -np.inf)
-
-
-def log_prob_class_factored(params: ModelParameters, context, w: int,
-                            macs: MacCounter = None) -> float:
-    """log P(w | h) = log P(class(w) | h) + log P(w | class(w), h)."""
-    _require(params, REGIME_CLASS)
-    if w == BOS_ID:
-        return -math.inf
-    cfg = params.config
-    layout = cfg.layout()
-    p = project_context(params, context, macs)
-    c = int(cfg.classing.class_of[w])
-    mem = layout.members_eff[c]
-
-    class_lp = 0.0
-    if cfg.classing.num_classes > 1:
-        psi = _class_log_scores(params, p, layout)
-        class_lp = float(psi[c] - _lse(psi))
-        if macs is not None:
-            macs.output += cfg.classing.num_classes * cfg.dim
-    word = (params.R[mem] @ p + params.b[mem]).astype(np.float64)
-    word_lp = float(word[layout.pos_in_class[w]] - _lse(word))
-    if macs is not None:
-        macs.output += len(mem) * cfg.dim
-    return class_lp + word_lp
-
-
-def log_prob_tree_factored(params: ModelParameters, context, w: int,
-                           macs: MacCounter = None) -> float:
-    """log P(w | h) as a product of sibling softmaxes along the tree path."""
-    _require(params, REGIME_TREE)
-    if w == BOS_ID:
-        return -math.inf
-    cfg = params.config
-    p = project_context(params, context, macs)
-    nodes, sibs = cfg.tree.path(w)
-    on = (params.S[nodes] @ p + params.t[nodes]).astype(np.float64)
-    off = (params.S[sibs] @ p + params.t[sibs]).astype(np.float64)
-    if macs is not None:
-        macs.output += 2 * len(nodes) * cfg.dim
-    return float(np.sum(on - np.logaddexp(on, off)))
-
-
-_LOG_PROB = {}
+    return float(unnormalised_scores_batch(params, _one(params, context), [w], macs)[0])
 
 
 def log_prob(params: ModelParameters, context, w: int, macs: MacCounter = None) -> float:
-    """Regime-dispatching normalized log-probability."""
-    fn = _LOG_PROB[params.config.regime]
-    return fn(params, context, w, macs)
-
-
-_LOG_PROB[REGIME_STANDARD] = log_prob_standard
-_LOG_PROB[REGIME_CLASS] = log_prob_class_factored
-_LOG_PROB[REGIME_TREE] = log_prob_tree_factored
+    """Normalized log P(w | h) under the model's regime (-inf for ``<s>``)."""
+    return float(log_probs_batch(params, _one(params, context), [w], macs)[0])
 
 
 def full_distribution(params: ModelParameters, context, macs: MacCounter = None) -> np.ndarray:
     """P(. | h) over the whole vocabulary (float64; ``<s>`` gets exactly 0)."""
-    cfg = params.config
-    layout = cfg.layout()
-    p = project_context(params, context, macs)
-    out = np.zeros(cfg.vocab_size)
-
-    if cfg.regime == REGIME_STANDARD:
-        scores = (params.R[layout.support] @ p + params.b[layout.support]).astype(np.float64)
-        if macs is not None:
-            macs.output += len(layout.support) * cfg.dim
-        out[layout.support] = np.exp(scores - _lse(scores))
-        return out
-
-    if cfg.regime == REGIME_CLASS:
-        psi = _class_log_scores(params, p, layout)
-        logZ = _lse(psi)
-        if macs is not None:
-            macs.output += cfg.classing.num_classes * cfg.dim
-        for c, mem in enumerate(layout.members_eff):
-            if not len(mem):
-                continue
-            word = (params.R[mem] @ p + params.b[mem]).astype(np.float64)
-            if macs is not None:
-                macs.output += len(mem) * cfg.dim
-            out[mem] = np.exp((psi[c] - logZ) + (word - _lse(word)))
-        return out
-
-    tree = cfg.tree
-    logmass = np.zeros(tree.num_nodes)
-    queue = [tree.root]
-    while queue:
-        node = queue.pop()
-        l, r = int(tree.left[node]), int(tree.right[node])
-        if l < 0:
-            continue
-        a = float(params.S[l] @ p + params.t[l])
-        c = float(params.S[r] @ p + params.t[r])
-        if macs is not None:
-            macs.output += 2 * cfg.dim
-        z = np.logaddexp(a, c)
-        logmass[l] = logmass[node] + a - z
-        logmass[r] = logmass[node] + c - z
-        queue += [l, r]
-    leaves = np.nonzero(tree.leaf_word >= 0)[0]
-    out[tree.leaf_word[leaves]] = np.exp(logmass[leaves])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# batched scoring (evaluation and validation use this)
-
-
-def log_probs_batch(params: ModelParameters, contexts: np.ndarray, targets: np.ndarray,
-                    macs: MacCounter = None) -> np.ndarray:
-    """log P(target_i | context_i) for a batch, as float64 (m,)."""
-    cfg = params.config
-    layout = cfg.layout()
-    targets = np.asarray(targets, dtype=np.int64)
-    P, _ = project_batch(params, contexts, macs)
-    m = len(targets)
-    out = np.full(m, -np.inf)
-    valid = targets != BOS_ID
-
-    if cfg.regime == REGIME_STANDARD:
-        scores = (P @ params.R[layout.support].T + params.b[layout.support]).astype(np.float64)
-        if macs is not None:
-            macs.output += m * len(layout.support) * cfg.dim
-        lz = _lse_rows(scores)
-        rows = np.nonzero(valid)[0]
-        out[rows] = scores[rows, layout.support_pos[targets[rows]]] - lz[rows]
-        return out
-
-    if cfg.regime == REGIME_CLASS:
-        K = cfg.classing.num_classes
-        cls = cfg.classing.class_of[targets]
-        class_term = np.zeros(m)
-        if K > 1:
-            psi = (P @ params.S.T + params.t).astype(np.float64)
-            psi[:, ~layout.class_valid] = -np.inf
-            if macs is not None:
-                macs.output += m * K * cfg.dim
-            lz = _lse_rows(psi)
-            class_term = psi[np.arange(m), cls] - lz
-        for c in np.unique(cls[valid]):
-            idx = np.nonzero(valid & (cls == c))[0]
-            mem = layout.members_eff[c]
-            word = (P[idx] @ params.R[mem].T + params.b[mem]).astype(np.float64)
-            if macs is not None:
-                macs.output += len(idx) * len(mem) * cfg.dim
-            pos = layout.pos_in_class[targets[idx]]
-            out[idx] = class_term[idx] + word[np.arange(len(idx)), pos] - _lse_rows(word)
-        return out
-
-    for w in np.unique(targets[valid]):
-        idx = np.nonzero(targets == w)[0]
-        nodes, sibs = cfg.tree.path(int(w))
-        on = (P[idx] @ params.S[nodes].T + params.t[nodes]).astype(np.float64)
-        off = (P[idx] @ params.S[sibs].T + params.t[sibs]).astype(np.float64)
-        if macs is not None:
-            macs.output += len(idx) * 2 * len(nodes) * cfg.dim
-        out[idx] = np.sum(on - np.logaddexp(on, off), axis=1)
-    return out
+    P, _ = project_batch(params, _one(params, context), macs)
+    return params.config.layout().distribution(params, P, macs)[0]

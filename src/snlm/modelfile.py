@@ -17,15 +17,16 @@ float32 models round-trip bit for bit.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
 
 from .corpus import Vocabulary
 from .errors import ModelFormatError
-from .model import (REGIME_CLASS, REGIME_STANDARD, REGIME_TREE, ModelConfig,
-                    ModelParameters)
-from .partitioning import VocabularyTree, WordClassing
+from .model import (OUTPUT_LAYERS, REGIME_CLASS, REGIME_STANDARD, REGIME_TREE,
+                    ModelConfig, ModelParameters)
 
 MAGIC = b"SNLM"
 VERSION = 1
@@ -60,20 +61,9 @@ def save_model(path, params: ModelParameters, vocab: Vocabulary) -> dict:
         fh.write(counts)
         sizes["vocab"] = n + len(counts)
 
-        if cfg.regime == REGIME_CLASS:
-            blob = struct.pack("<I", cfg.classing.num_classes)
-            blob += np.ascontiguousarray(cfg.classing.class_of, dtype="<i4").tobytes()
-            fh.write(blob)
-            sizes["structure"] = len(blob)
-        elif cfg.regime == REGIME_TREE:
-            tree = cfg.tree
-            blob = struct.pack("<II", tree.num_nodes, tree.root)
-            nodes = np.stack([tree.parent, tree.left, tree.right, tree.leaf_word], axis=1)
-            blob += np.ascontiguousarray(nodes, dtype="<i4").tobytes()
-            fh.write(blob)
-            sizes["structure"] = len(blob)
-        else:
-            sizes["structure"] = 0
+        blob = cfg.layout().structure_bytes()
+        fh.write(blob)
+        sizes["structure"] = len(blob)
 
         n = 0
         for _, arr in params.arrays():
@@ -84,19 +74,28 @@ def save_model(path, params: ModelParameters, vocab: Vocabulary) -> dict:
     return sizes
 
 
-def _read_exact(fh, n: int) -> bytes:
-    raw = fh.read(n)
-    if len(raw) != n:
-        raise ModelFormatError("truncated model file")
-    return raw
-
-
 def load_model(path):
-    """Read a model file back into (ModelParameters, Vocabulary)."""
+    """Read a model file back into (ModelParameters, Vocabulary).
+
+    Every length field is checked against the bytes the file has left before
+    anything is read or allocated.
+    """
     with open(path, "rb") as fh:
-        header = _read_exact(fh, _HEADER.size)
+        left = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            nonlocal left
+            if n > left:
+                raise ModelFormatError("truncated model file")
+            left -= n
+            return fh.read(n)
+
+        def block(shape) -> np.ndarray:
+            raw = read(4 * math.prod(shape))
+            return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+
         magic, version, order, dim, regime_code, diagonal, vocab_size = \
-            _HEADER.unpack(header)
+            _HEADER.unpack(read(_HEADER.size))
         if magic != MAGIC:
             raise ModelFormatError("not a model file (bad magic)")
         if version != VERSION:
@@ -104,52 +103,36 @@ def load_model(path):
         if regime_code not in _CODE_REGIME:
             raise ModelFormatError(f"unknown regime code {regime_code}")
         regime = _CODE_REGIME[regime_code]
+        if 12 * vocab_size > left:  # a length and a count per token
+            raise ModelFormatError(f"vocabulary of {vocab_size} tokens overruns the file")
 
         tokens = []
         for _ in range(vocab_size):
-            (tlen,) = struct.unpack("<I", _read_exact(fh, 4))
-            tokens.append(_read_exact(fh, tlen).decode("utf-8"))
-        counts = np.frombuffer(_read_exact(fh, 8 * vocab_size), dtype="<i8")
+            (tlen,) = struct.unpack("<I", read(4))
+            try:
+                tokens.append(read(tlen).decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ModelFormatError(f"vocabulary token {len(tokens)}: {exc}") from None
+        counts = np.frombuffer(read(8 * vocab_size), dtype="<i8")
         vocab = Vocabulary(tokens, counts.astype(np.int64))
 
-        classing = tree = None
-        if regime == REGIME_CLASS:
-            (K,) = struct.unpack("<I", _read_exact(fh, 4))
-            class_of = np.frombuffer(_read_exact(fh, 4 * vocab_size), dtype="<i4")
-            classing = WordClassing(class_of.copy(), K)
-        elif regime == REGIME_TREE:
-            num_nodes, root = struct.unpack("<II", _read_exact(fh, 8))
-            flat = np.frombuffer(_read_exact(fh, 16 * num_nodes), dtype="<i4")
-            nodes = flat.reshape(num_nodes, 4)
-            if root != num_nodes - 1:
-                raise ModelFormatError("tree root must be the last node")
-            tree = VocabularyTree(nodes[:, 0].copy(), nodes[:, 1].copy(),
-                                  nodes[:, 2].copy(), nodes[:, 3].copy())
-
+        structure = OUTPUT_LAYERS[regime].read_structure(read, vocab_size)
         config = ModelConfig(order=order, dim=dim, regime=regime,
                              diagonal=bool(diagonal), vocab_size=vocab_size,
-                             classing=classing, tree=tree)
+                             **structure)
         config.validate()
 
         V, D = vocab_size, dim
-        def block(shape):
-            n = int(np.prod(shape))
-            raw = _read_exact(fh, 4 * n)
-            return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-
         Q = block((V, D))
         R = block((V, D))
         b = block((V,))
-        cshape = (D,) if diagonal else (D, D)
-        C = [block(cshape) for _ in range(order - 1)]
+        C = [block((D,) if diagonal else (D, D)) for _ in range(order - 1)]
         S = t = None
-        if regime == REGIME_CLASS:
-            S = block((classing.num_classes, D))
-            t = block((classing.num_classes,))
-        elif regime == REGIME_TREE:
-            S = block((tree.num_nodes - 1, D))
-            t = block((tree.num_nodes - 1,))
-        if fh.read(1):
+        rows = config.layout().rows
+        if rows:
+            S = block((rows, D))
+            t = block((rows,))
+        if left:
             raise ModelFormatError("trailing bytes after the parameter payload")
 
     params = ModelParameters(config, Q, R, b, C, S, t)

@@ -7,6 +7,7 @@ are words (:class:`VocabularyTree`).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -346,9 +347,7 @@ class VocabularyTree:
         self.right = np.asarray(self.right, dtype=np.int32)
         self.leaf_word = np.asarray(self.leaf_word, dtype=np.int32)
         self.validate()
-        self._leaf_of = {int(self.leaf_word[i]): i
-                         for i in range(len(self.leaf_word)) if self.leaf_word[i] >= 0}
-        self._paths = {}
+        self.node_depth = self._node_depth()
 
     @property
     def num_nodes(self) -> int:
@@ -379,39 +378,66 @@ class VocabularyTree:
             raise DataError("leaf/internal node count mismatch")
         if (self.left[leaves] != -1).any() or (self.right[leaves] != -1).any():
             raise DataError("leaves cannot have children")
+        for links in (self.parent, self.left, self.right):
+            if ((links < -1) | (links >= n)).any():
+                raise DataError("node id out of range")
         if (self.left[internal] < 0).any() or (self.right[internal] < 0).any():
             raise DataError("internal nodes need two children")
-        for m in np.nonzero(internal)[0]:
-            for child in (self.left[m], self.right[m]):
-                if self.parent[child] != m:
-                    raise DataError("parent/child links disagree")
+        if (self.left[internal] == self.right[internal]).any():
+            raise DataError("an internal node's two children must differ")
+        inner = np.flatnonzero(internal)
+        for child in (self.left[inner], self.right[inner]):
+            if (self.parent[child] != inner).any():
+                raise DataError("parent/child links disagree")
         words = self.leaf_word[leaves]
         if len(np.unique(words)) != len(words):
             raise DataError("word labels two leaves")
 
-    def leaf_of(self, word: int) -> int:
-        return self._leaf_of[int(word)]
+    def _node_depth(self) -> np.ndarray:
+        """Depth of every node, found one level at a time from the root."""
+        depth = np.full(self.num_nodes, -1, dtype=np.int64)
+        level, d = np.array([self.root]), 0
+        while len(level):  # children differ and name their parent: no revisits
+            depth[level] = d
+            level = level[self.left[level] >= 0]
+            level = np.concatenate([self.left[level], self.right[level]])
+            d += 1
+        if (depth < 0).any():
+            raise DataError("tree has nodes the root does not reach")
+        return depth
+
+    @functools.cached_property
+    def paths(self):
+        """Padded (word id, max_depth) arrays (nodes, siblings, mask), built
+        on first use one level at a time from the leaves up. Row w holds word
+        w's path from just below the root down to its leaf; padding is node 0
+        under a False mask, and ids that label no leaf get an all-False row."""
+        cur = np.flatnonzero(self.leaf_word >= 0)
+        words, pos = self.leaf_word[cur], self.node_depth[cur] - 1
+        nodes = np.zeros((words.max() + 1, self.max_depth), dtype=np.int32)
+        mask = np.zeros(nodes.shape, dtype=bool)
+        while len(cur):
+            nodes[words, pos] = cur
+            mask[words, pos] = True
+            up = pos > 0
+            cur, words, pos = self.parent[cur[up]], words[up], pos[up] - 1
+        inner = np.flatnonzero(self.leaf_word < 0)
+        sibling = np.zeros(self.num_nodes, dtype=np.int32)
+        sibling[self.left[inner]], sibling[self.right[inner]] = self.right[inner], self.left[inner]
+        return nodes, sibling[nodes], mask
+
+    @property
+    def max_depth(self) -> int:
+        return int(self.node_depth.max())
+
+    def depth(self, word: int) -> int:
+        return int(self.paths[2][word].sum())
 
     def path(self, word: int):
         """(nodes, siblings) from just below the root down to word's leaf."""
-        w = int(word)
-        hit = self._paths.get(w)
-        if hit is not None:
-            return hit
-        node = self.leaf_of(w)
-        nodes = []
-        while self.parent[node] != -1:
-            nodes.append(node)
-            node = self.parent[node]
-        nodes.reverse()
-        nodes = np.asarray(nodes, dtype=np.int64)
-        par = self.parent[nodes]
-        sibs = np.where(self.left[par] == nodes, self.right[par], self.left[par]).astype(np.int64)
-        self._paths[w] = (nodes, sibs)
-        return nodes, sibs
-
-    def depth(self, word: int) -> int:
-        return len(self.path(word)[0])
+        nodes, sibs, _ = self.paths
+        d = self.depth(word)
+        return nodes[word, :d], sibs[word, :d]
 
     def save(self, path, vocab: Vocabulary) -> None:
         """Preorder, one node per line: ``node_id parent_id [leaf:token]``."""

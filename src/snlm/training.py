@@ -46,8 +46,8 @@ import numpy as np
 
 from .corpus import BOS_ID
 from .errors import DataError, TrainingDivergedError
-from .model import (REGIME_CLASS, REGIME_STANDARD, REGIME_TREE, MacCounter,
-                    ModelParameters, project_batch)
+from .model import (REGIME_CLASS, REGIME_TREE, MacCounter, ModelParameters,
+                    RowGrad, count_output, log_probs_batch, project_batch)
 
 ALGORITHMS = ("ml_sgd", "nce")
 
@@ -195,41 +195,6 @@ class ClassNoiseSampler:
 # gradients
 
 
-@dataclass
-class RowGrad:
-    """Gradient of one row table: ``values[i]`` (and ``bias[i]``) belong to
-    row ``rows[i]``. Rows are unique, so writing them back is exact."""
-
-    rows: np.ndarray
-    values: np.ndarray
-    bias: Optional[np.ndarray] = None
-
-    @classmethod
-    def empty(cls, dim, dtype) -> "RowGrad":
-        return cls(np.zeros(0, dtype=np.int64), np.zeros((0, dim), dtype=dtype),
-                   np.zeros(0, dtype=dtype))
-
-    @classmethod
-    def segment_sum(cls, rows, values, bias=None) -> "RowGrad":
-        """Sum the entries that share a row id.
-
-        A stable sort groups equal ids in input order and ``np.add.reduceat``
-        adds each group, so the sums are bitwise reproducible.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        starts = np.flatnonzero(first)
-        return cls(rows[starts], np.add.reduceat(values[order], starts, axis=0),
-                   None if bias is None else np.add.reduceat(bias[order], starts))
-
-    def finite(self) -> bool:
-        return bool(np.isfinite(self.values).all()
-                    and (self.bias is None or np.isfinite(self.bias).all()))
-
-
 def _row_tables(params: ModelParameters) -> dict:
     """The row tables by name, each a (matrix, bias or None) pair sharing row ids."""
     out = {"Q": (params.Q, None), "R": (params.R, params.b)}
@@ -306,21 +271,6 @@ def _log_one_minus_sigmoid(x):
     return -np.logaddexp(0.0, x)
 
 
-def _softmax_rows(scores):
-    m = scores.max(axis=1, keepdims=True)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(scores - safe)
-    z = e.sum(axis=1, keepdims=True)
-    return e / z, (safe[:, 0] + np.log(z[:, 0]))
-
-
-def _count_output(macs, pairs, dim):
-    # forward scores + output-row gradient + projection gradient
-    if macs is not None:
-        macs.output += 3 * pairs * dim
-        macs.output_rows += pairs
-
-
 def _project_for_grad(params, contexts, macs):
     P, active = project_batch(params, contexts, macs)
     if macs is not None:  # backward transform/embedding passes
@@ -354,11 +304,6 @@ def _backprop_projection(params, contexts, P, active, gP, l2, R=None, S=None) ->
     return Gradients(Q, R, C, S, l2)
 
 
-def _concat_rows(parts) -> tuple:
-    """(rows, values, bias) triples joined into three arrays."""
-    return tuple(np.concatenate(x) for x in zip(*parts))
-
-
 def _check_targets(targets):
     if (np.asarray(targets) == BOS_ID).any():
         raise DataError("<s> cannot be a prediction target")
@@ -366,22 +311,8 @@ def _check_targets(targets):
 
 def ml_objective(params: ModelParameters, contexts, targets, l2: float = 0.0) -> float:
     """Batch log-likelihood minus the L2 penalty (finite-difference anchor)."""
-    from .model import log_probs_batch
     lp = log_probs_batch(params, contexts, targets)
     return float(lp.sum()) - 0.5 * l2 * len(targets) * squared_norm(params)
-
-
-def _ml_rows(cfg, targets):
-    """(table name, row ids) pairs that ``ml_gradient`` reads for ``targets``."""
-    layout = cfg.layout()
-    if cfg.regime == REGIME_STANDARD:
-        return [("R", layout.support)]
-    if cfg.regime == REGIME_CLASS:
-        classes = np.unique(cfg.classing.class_of[targets])
-        return [("R", np.concatenate([layout.members_eff[c] for c in classes])),
-                ("S", np.arange(cfg.classing.num_classes))]
-    return [("S", np.concatenate([np.concatenate(cfg.tree.path(int(w)))
-                                  for w in np.unique(targets)]))]
 
 
 def ml_gradient(params: ModelParameters, contexts, targets, l2: float = 0.0,
@@ -393,79 +324,12 @@ def ml_gradient(params: ModelParameters, contexts, targets, l2: float = 0.0,
     (standard), every row of S plus the target classes' rows of R (class), or
     the target paths' nodes and siblings in S (tree).
     """
-    cfg = params.config
-    layout = cfg.layout()
     targets = np.asarray(targets, dtype=np.int64)
     _check_targets(targets)
     P, active = _project_for_grad(params, contexts, macs)
-    m, D = len(targets), cfg.dim
-    gP = np.zeros_like(P, dtype=np.float64)
-    loglik = 0.0
-    R = S = None
-
-    if cfg.regime == REGIME_STANDARD:
-        sup = layout.support
-        scores = (P @ params.R[sup].T + params.b[sup]).astype(np.float64)
-        probs, lz = _softmax_rows(scores)
-        pos = layout.support_pos[targets]
-        loglik = float(np.sum(scores[np.arange(m), pos] - lz))
-        d = -probs
-        d[np.arange(m), pos] += 1.0
-        dd = d.astype(params.dtype)
-        R = RowGrad(sup, dd.T @ P, dd.sum(axis=0))
-        gP = d @ params.R[sup].astype(np.float64)
-        _count_output(macs, m * len(sup), D)
-
-    elif cfg.regime == REGIME_CLASS:
-        K = cfg.classing.num_classes
-        cls = cfg.classing.class_of[targets].astype(np.int64)
-        if K > 1:
-            psi = (P @ params.S.T + params.t).astype(np.float64)
-            psi[:, ~layout.class_valid] = -np.inf
-            cprobs, clz = _softmax_rows(psi)
-            loglik += float(np.sum(psi[np.arange(m), cls] - clz))
-            d = -cprobs
-            d[np.arange(m), cls] += 1.0
-            dd = d.astype(params.dtype)
-            S = RowGrad(np.arange(K), dd.T @ P, dd.sum(axis=0))
-            gP += d @ params.S.astype(np.float64)
-            _count_output(macs, m * K, D)
-        parts = []
-        for c in np.unique(cls):
-            idx = np.nonzero(cls == c)[0]
-            mem = layout.members_eff[c]
-            word = (P[idx] @ params.R[mem].T + params.b[mem]).astype(np.float64)
-            wprobs, wlz = _softmax_rows(word)
-            pos = layout.pos_in_class[targets[idx]]
-            loglik += float(np.sum(word[np.arange(len(idx)), pos] - wlz))
-            d = -wprobs
-            d[np.arange(len(idx)), pos] += 1.0
-            dd = d.astype(params.dtype)
-            parts.append((mem, dd.T @ P[idx], dd.sum(axis=0)))
-            gP[idx] += d @ params.R[mem].astype(np.float64)
-            _count_output(macs, len(idx) * len(mem), D)
-        R = RowGrad(*_concat_rows(parts))  # classes are disjoint
-
-    else:  # tree
-        parts = []
-        for w in np.unique(targets):
-            idx = np.nonzero(targets == w)[0]
-            nodes, sibs = cfg.tree.path(int(w))
-            on = (P[idx] @ params.S[nodes].T + params.t[nodes]).astype(np.float64)
-            off = (P[idx] @ params.S[sibs].T + params.t[sibs]).astype(np.float64)
-            lz = np.logaddexp(on, off)
-            loglik += float(np.sum(on - lz))
-            p_off = np.exp(off - lz)
-            d_on = p_off.astype(params.dtype)
-            d_off = (-p_off).astype(params.dtype)
-            parts.append((nodes, d_on.T @ P[idx], d_on.sum(axis=0)))
-            parts.append((sibs, d_off.T @ P[idx], d_off.sum(axis=0)))
-            gP[idx] += p_off @ params.S[nodes].astype(np.float64) \
-                - p_off @ params.S[sibs].astype(np.float64)
-            _count_output(macs, len(idx) * 2 * len(nodes), D)
-        S = RowGrad.segment_sum(*_concat_rows(parts))  # paths share ancestors
-
-    return _backprop_projection(params, contexts, P, active, gP, l2 * m, R=R, S=S), loglik
+    loglik, gP, R, S = params.config.layout().backward(params, P, targets, macs)
+    return _backprop_projection(params, contexts, P, active, gP, l2 * len(targets),
+                                R=R, S=S), loglik
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +366,49 @@ def _nce_backward(params, M, P, ids, d):
     return rows, np.einsum("mw,mwd->md", d, M[ids].astype(np.float64))
 
 
+def _nce(params, contexts, blocks, l2, macs, grad):
+    """(objective without the L2 term, Gradients when ``grad`` else None)
+    over blocks (table name, batch rows, ids, log P_n of ids), where each
+    row of ``ids`` is an observed row of the table, then its k noise rows."""
+    P, active = (_project_for_grad(params, contexts, macs) if grad
+                 else project_batch(params, contexts))
+    tables, gP = _row_tables(params), np.zeros(P.shape)
+    value, rowgrads = 0.0, {}
+    for name, rows, ids, log_pn in blocks:
+        M, bias = tables[name]
+        scores = _scores_for(params, M, bias, P[rows], ids).astype(np.float64)
+        v, d = _nce_terms(scores, log_pn, ids.shape[1] - 1)
+        value += v
+        if grad:
+            rowgrads[name], g = _nce_backward(params, M, P[rows], ids, d)
+            gP[rows] += g
+            count_output(macs, ids.size, params.config.dim, train=True)
+    if not grad:
+        return value, None
+    return value, _backprop_projection(params, contexts, P, active, gP, l2 * len(P),
+                                       R=rowgrads.get("R"), S=rowgrads.get("S"))
+
+
+def _noise_ids(observed, noise, what):
+    noise = np.asarray(noise, dtype=np.int64)
+    if noise.ndim != 2 or noise.shape[0] != len(observed) or noise.shape[1] < 1:
+        raise DataError(f"{what} must be (batch, k) with k >= 1")
+    return np.concatenate([observed[:, None], noise], axis=1)
+
+
+def _flat_blocks(targets, noise, noise_dist):
+    targets = np.asarray(targets, dtype=np.int64)
+    _check_targets(targets)
+    log_pn = noise_dist.log_probs if hasattr(noise_dist, "log_probs") else np.asarray(noise_dist)
+    ids = _noise_ids(targets, noise, "noise")
+    return [("R", slice(None), ids, log_pn[ids])]
+
+
 def nce_objective(params: ModelParameters, contexts, targets, noise,
                   noise_dist, l2: float = 0.0) -> float:
     """NCE objective for fixed noise draws (finite-difference anchor)."""
-    targets = np.asarray(targets, dtype=np.int64)
-    noise = np.asarray(noise, dtype=np.int64)
-    log_pn = noise_dist.log_probs if hasattr(noise_dist, "log_probs") else np.asarray(noise_dist)
-    P, _ = project_batch(params, contexts)
-    ids = np.concatenate([targets[:, None], noise], axis=1)
-    scores = _scores_for(params, params.R, params.b, P, ids).astype(np.float64)
-    value, _ = _nce_terms(scores, log_pn[ids], noise.shape[1])
+    value, _ = _nce(params, contexts, _flat_blocks(targets, noise, noise_dist),
+                    0.0, None, grad=False)
     return value - 0.5 * l2 * len(targets) * squared_norm(params)
 
 
@@ -525,29 +422,37 @@ def nce_gradient(params: ModelParameters, contexts, targets, noise,
     noise rows of R. Returns (Gradients, objective value without the L2
     term).
     """
+    value, grads = _nce(params, contexts, _flat_blocks(targets, noise, noise_dist),
+                        l2, macs, grad=True)
+    return grads, value
+
+
+def _class_blocks(params, targets, class_noise, word_noise, noise):
     cfg = params.config
+    if cfg.regime != REGIME_CLASS:
+        raise DataError("class-factored NCE needs a class_factored model")
+    layer = cfg.layout()
     targets = np.asarray(targets, dtype=np.int64)
     _check_targets(targets)
-    noise = np.asarray(noise, dtype=np.int64)
-    if noise.ndim != 2 or noise.shape[0] != len(targets) or noise.shape[1] < 1:
-        raise DataError("noise must be (batch, k) with k >= 1")
-    log_pn = noise_dist.log_probs if hasattr(noise_dist, "log_probs") else np.asarray(noise_dist)
-    P, active = _project_for_grad(params, contexts, macs)
-
-    ids = np.concatenate([targets[:, None], noise], axis=1)
-    scores = _scores_for(params, params.R, params.b, P, ids).astype(np.float64)
-    value, d = _nce_terms(scores, log_pn[ids], noise.shape[1])
-    R, gP = _nce_backward(params, params.R, P, ids, d)
-    _count_output(macs, ids.size, cfg.dim)
-    return _backprop_projection(params, contexts, P, active, gP, l2 * len(targets), R=R), value
+    cls = layer.class_of[targets].astype(np.int64)
+    blocks = []
+    if layer.rows > 1:
+        ids = _noise_ids(cls, class_noise, "class noise")
+        blocks.append(("S", slice(None), ids, noise.log_class_probs[ids]))
+    sizes = np.array([len(mem) for mem in layer.members_eff])
+    rows = np.flatnonzero(sizes[cls] > 1)
+    if len(rows):
+        ids = _noise_ids(targets, word_noise, "word noise")[rows]
+        blocks.append(("R", rows, ids, noise.log_within_probs[ids]))
+    return blocks
 
 
 def nce_class_objective(params: ModelParameters, contexts, targets,
                         class_noise, word_noise, noise: ClassNoiseSampler,
                         l2: float = 0.0) -> float:
     """Class-factored NCE objective for fixed draws (finite-difference anchor)."""
-    value, _ = _nce_class_core(params, contexts, targets, class_noise, word_noise,
-                               noise, 0.0, None, grad=False)
+    blocks = _class_blocks(params, targets, class_noise, word_noise, noise)
+    value, _ = _nce(params, contexts, blocks, 0.0, None, grad=False)
     return value - 0.5 * l2 * len(targets) * squared_norm(params)
 
 
@@ -563,64 +468,9 @@ def nce_gradient_class_factored(params: ModelParameters, contexts, targets,
     rows of S and the target and word-noise rows of R.
     Returns (Gradients, objective value without the L2 term).
     """
-    value, grads = _nce_class_core(params, contexts, targets, class_noise,
-                                   word_noise, noise, l2, macs, grad=True)
+    blocks = _class_blocks(params, targets, class_noise, word_noise, noise)
+    value, grads = _nce(params, contexts, blocks, l2, macs, grad=True)
     return grads, value
-
-
-def _nce_class_core(params, contexts, targets, class_noise, word_noise, noise,
-                    l2, macs, grad):
-    cfg = params.config
-    if cfg.regime != REGIME_CLASS:
-        raise DataError("class-factored NCE needs a class_factored model")
-    layout = cfg.layout()
-    targets = np.asarray(targets, dtype=np.int64)
-    _check_targets(targets)
-    m, D = len(targets), cfg.dim
-    K = cfg.classing.num_classes
-    cls = cfg.classing.class_of[targets].astype(np.int64)
-
-    if grad:
-        P, active = _project_for_grad(params, contexts, macs)
-    else:
-        P, active = project_batch(params, contexts)
-    gP = np.zeros_like(P, dtype=np.float64)
-    value = 0.0
-    R = S = None
-
-    if K > 1:
-        class_noise = np.asarray(class_noise, dtype=np.int64)
-        if class_noise.shape[0] != m or class_noise.shape[1] < 1:
-            raise DataError("class noise must be (batch, k)")
-        k = class_noise.shape[1]
-        ids = np.concatenate([cls[:, None], class_noise], axis=1)
-        scores = _scores_for(params, params.S, params.t, P, ids).astype(np.float64)
-        v, d = _nce_terms(scores, noise.log_class_probs[ids], k)
-        value += v
-        if grad:
-            S, g = _nce_backward(params, params.S, P, ids, d)
-            gP += g
-            _count_output(macs, ids.size, D)
-
-    sizes = np.array([len(mem) for mem in layout.members_eff])
-    rows = np.nonzero(sizes[cls] > 1)[0]
-    if len(rows):
-        word_noise = np.asarray(word_noise, dtype=np.int64)
-        if word_noise.shape[0] != m or word_noise.shape[1] < 1:
-            raise DataError("word noise must be (batch, k)")
-        k = word_noise.shape[1]
-        ids = np.concatenate([targets[rows, None], word_noise[rows]], axis=1)
-        scores = _scores_for(params, params.R, params.b, P[rows], ids).astype(np.float64)
-        v, d = _nce_terms(scores, noise.log_within_probs[ids], k)
-        value += v
-        if grad:
-            R, g = _nce_backward(params, params.R, P[rows], ids, d)
-            gP[rows] += g
-            _count_output(macs, ids.size, D)
-
-    if not grad:
-        return value, None
-    return value, _backprop_projection(params, contexts, P, active, gP, l2 * m, R=R, S=S)
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +637,7 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
                 ctx_b, tgt_b = tr_ctx[sel], tr_tgt[sel]
                 sgd.catch_up("Q", ctx_b)
                 if config.algorithm == "ml_sgd":
-                    for name, rows in _ml_rows(cfg, tgt_b):
+                    for name, rows in cfg.layout().ml_rows(tgt_b):
                         sgd.catch_up(name, rows)
                     grads, _ = ml_gradient(params, ctx_b, tgt_b, l2=l2, macs=macs)
                 elif cfg.regime == REGIME_CLASS:

@@ -1,4 +1,6 @@
 """End-to-end checks of the command-line interface."""
+import math
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,32 @@ class TestTrainAndEvaluate:
                                         "--algorithm", algo, "--lr", "0.05")
             params, _ = load_model(model)
             assert params.config.regime.startswith(regime)
+
+
+class TestLiteralSentenceStart:
+    """A literal <s> in text is read as <unk>; it is never a target."""
+
+    def test_train_ppl_and_score_accept_it(self, tmp_path, capsys, corpus):
+        train, heldout = corpus
+        marked = tmp_path / "marked.txt"
+        marked.write_text(train.read_text() + "red <s> cat\n<s>\n")
+        model = tmp_path / "model.bin"
+        code, _, stderr = run(capsys, "train", marked, "--model", model,
+                              "--order", "3", "--dim", "8", "--epochs", "1",
+                              "--seed", "7")
+        assert code == 0, stderr
+        held = tmp_path / "held.txt"
+        held.write_text("<s> dog runs\n" + heldout.read_text())
+        code, stdout, stderr = run(capsys, "ppl", model, held)
+        assert code == 0, stderr
+        fields = dict(line.split("\t") for line in stdout.strip().splitlines())
+        assert math.isfinite(float(fields["perplexity"]))
+        assert int(fields["oov"]) >= 1
+        nbest = tmp_path / "hyps.nbest"
+        nbest.write_text("0 ||| <s> cat runs ||| 0\n")
+        code, stdout, stderr = run(capsys, "score", model, nbest)
+        assert code == 0, stderr
+        assert math.isfinite(float(stdout.strip().split(" ||| ")[-1]))
 
 
 class TestExitCodes:

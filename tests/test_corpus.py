@@ -133,6 +133,13 @@ class TestExtractInstances:
         assert inst[0].target == UNK_ID
         assert inst[1].context[0] == UNK_ID
 
+    def test_literal_sentence_start_becomes_unk(self):
+        vocab = build_vocabulary([["a", BOS_TOKEN, "b"]])
+        inst = extract_instances(["a", BOS_TOKEN, "b"], vocab, n=2)
+        assert [i.target for i in inst] == [vocab.id_of("a"), UNK_ID,
+                                           vocab.id_of("b"), EOS_ID]
+        assert inst[2].context == (UNK_ID,)
+
     def test_arrays_shape_and_dtype(self):
         vocab = build_vocabulary([["a", "b"]])
         ctx, tgt = instance_arrays([["a", "b"], ["b"]], vocab, n=3)

@@ -237,6 +237,35 @@ class TestMemoryEstimate:
         assert est.megabytes == 80 / 1e6
 
 
+class TestSentenceBatches:
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
+    def test_sentence_is_the_sum_of_its_token_queries(self, regime):
+        vocab = make_vocab(list("abcdefg"), counts=[13, 8, 5, 3, 2, 1, 1])
+        D = 6
+        params = make_params(vocab, regime, order=3, dim=D, seed=150,
+                             num_classes=3, dtype=np.float32)
+        sentence = ["a", "g", "b", "zzz", "a", "c", "f", "e"]
+        insts = extract_instances(sentence, vocab, 3)
+        for unnormalised, single in ((False, log_prob), (True, unnormalised_log_score)):
+            batch_macs, single_macs = MacCounter(), MacCounter()
+            got = score_sentence(params, sentence, vocab, unnormalised, batch_macs)
+            parts = [single(params, i.context, i.target, single_macs) for i in insts]
+            assert abs(got - sum(parts)) <= 1e-5 * len(parts)
+            assert batch_macs == single_macs
+
+    def test_tree_sentence_macs_count_true_depths(self):
+        vocab = make_vocab(list("abcdefg"), counts=[64, 32, 16, 8, 4, 2, 1])
+        D = 4
+        params = make_params(vocab, REGIME_TREE, order=3, dim=D, seed=151)
+        tree = params.config.tree
+        sentence = list("agbfa")
+        targets = [i.target for i in extract_instances(sentence, vocab, 3)]
+        assert len({tree.depth(t) for t in targets}) > 1
+        macs = MacCounter()
+        score_sentence(params, sentence, vocab, macs=macs)
+        assert macs.output == sum(2 * tree.depth(t) * D for t in targets)
+
+
 class TestQueryBenchmark:
     def test_standard_macs_are_analytic(self):
         vocab = make_vocab(list("abcdef"), counts=[6, 5, 4, 3, 2, 1])

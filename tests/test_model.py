@@ -23,8 +23,6 @@ from snlm.model import (
     full_distribution,
     init_parameters,
     log_prob,
-    log_prob_class_factored,
-    log_prob_standard,
     log_probs_batch,
     project_batch,
     project_context,
@@ -140,7 +138,7 @@ class TestStandardRegime:
         phi_unk = score_word(params, p, 0)
         phi_eos = score_word(params, p, 2)
         want = 1.0 / (1.0 + math.exp(phi_eos - phi_unk))
-        got = math.exp(log_prob_standard(params, ctx, 0))
+        got = math.exp(log_prob(params, ctx, 0))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_bias_shift_leaves_distribution(self):
@@ -156,7 +154,7 @@ class TestStandardRegime:
         vocab = make_vocab(list("ab"))
         params = make_params(vocab, seed=14)
         ctx = np.array([3, 4])
-        assert log_prob_standard(params, ctx, BOS_ID) == -math.inf
+        assert log_prob(params, ctx, BOS_ID) == -math.inf
         assert full_distribution(params, ctx)[BOS_ID] == 0.0
 
 
@@ -174,7 +172,7 @@ class TestClassFactoredRegime:
         for w in range(len(vocab)):
             if w == BOS_ID:
                 continue
-            assert log_prob_class_factored(cls, ctx, w) == log_prob_standard(std, ctx, w)
+            assert log_prob(cls, ctx, w) == log_prob(std, ctx, w)
 
     def test_singleton_class_costs_only_the_class_term(self):
         vocab = make_vocab(list("abc"))
@@ -311,6 +309,26 @@ class TestBatchLogProbs:
         got = log_probs_batch(params, np.array([[3, 4]], dtype=np.int32),
                               np.array([BOS_ID], dtype=np.int32))
         assert got[0] == -math.inf
+
+
+class TestPaddedTreePaths:
+    def test_mixed_depth_batch_matches_enumeration(self):
+        # skewed counts give leaves at many depths; padding must not leak
+        vocab = make_vocab(list("abcdefg"), counts=[64, 32, 16, 8, 4, 2, 1])
+        rng = np.random.default_rng(70)
+        for diagonal in (True, False):
+            params = make_params(vocab, REGIME_TREE, order=3, dim=4,
+                                 diagonal=diagonal, seed=71)
+            tree = params.config.tree
+            words = np.array([w for w in range(len(vocab)) if w != BOS_ID] * 2)
+            words = rng.permutation(words)
+            assert len({tree.depth(w) for w in words}) >= 5
+            assert min(tree.depth(w) for w in words) < tree.max_depth
+            contexts = rng.integers(0, len(vocab), size=(len(words), 2))
+            got = log_probs_batch(params, contexts, words)
+            want = [math.log(enumerate_log_probs(params, c)[w])
+                    for c, w in zip(contexts, words)]
+            np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 class TestOutputMacCosts:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_params, make_vocab
-from snlm.errors import ModelFormatError
+from snlm.errors import ModelFormatError, SnlmError
 from snlm.evaluation import memory_estimate, perplexity
 from snlm.model import REGIME_CLASS, REGIME_STANDARD, REGIME_TREE
 from snlm.modelfile import MAGIC, load_model, payload_nbytes, save_model
@@ -152,3 +152,56 @@ class TestFormatErrors:
     def test_magic_is_four_bytes(self):
         assert MAGIC == b"SNLM"
         assert len(MAGIC) == 4
+
+
+class TestCorruptFiles:
+    """A damaged file loads or raises an SnlmError: no other exception, and
+    no allocation sized by a length field the file cannot back."""
+
+    @pytest.fixture(params=[REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
+    def raw(self, request, tmp_path):
+        params, vocab = small_model(request.param, seed=140)
+        path = tmp_path / "model.bin"
+        save_model(path, params, vocab)
+        return path.read_bytes()
+
+    def test_every_truncation_point_raises(self, raw, tmp_path):
+        path = tmp_path / "cut.bin"
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(SnlmError):
+                load_model(path)
+
+    def test_seeded_bit_flips_load_or_raise(self, raw, tmp_path):
+        path = tmp_path / "flipped.bin"
+        rng = np.random.default_rng(141)
+        for bit in rng.choice(8 * min(400, len(raw)), size=800, replace=False):
+            damaged = bytearray(raw)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(damaged)
+            try:
+                load_model(path)
+            except SnlmError:
+                pass
+
+    def test_undecodable_token_is_a_format_error(self, tmp_path):
+        path = tmp_path / "model.bin"
+        params, vocab = small_model(REGIME_STANDARD, seed=142)
+        save_model(path, params, vocab)
+        raw = bytearray(path.read_bytes())
+        raw[26 + 4] = 0xFF  # first byte of the first token, after its length
+        path.write_bytes(raw)
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_huge_length_fields_are_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "model.bin"
+        params, vocab = small_model(REGIME_TREE, seed=143)
+        save_model(path, params, vocab)
+        raw = path.read_bytes()
+        for offset, fmt in ((18, "<Q"), (26, "<I")):  # vocab_size, first token length
+            damaged = bytearray(raw)
+            damaged[offset:offset + struct.calcsize(fmt)] = struct.pack(fmt, 2 ** 31)
+            path.write_bytes(damaged)
+            with pytest.raises(ModelFormatError):
+                load_model(path)
