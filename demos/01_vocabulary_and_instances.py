@@ -40,6 +40,6 @@ print(f"full corpus: {len(targets)} instances, context array {contexts.shape}")
 unigram = unigram_distribution(vocab, smoothing=0.5)
 print()
 print("smoothed unigram over the prediction support (start marker excluded):")
-for i in np.argsort(-unigram.probs)[:4]:
-    print(f"  {vocab.token_of(int(i)):6s} {unigram.probs[i]:.3f}")
-assert unigram.probs[BOS_ID] == 0.0
+for i in np.argsort(-unigram)[:4]:
+    print(f"  {vocab.token_of(int(i)):6s} {unigram[i]:.3f}")
+assert unigram[BOS_ID] == 0.0

@@ -8,9 +8,9 @@ perplexity/n-best evaluation, memory accounting and a binary model format.
 """
 
 from .corpus import (BOS_ID, BOS_TOKEN, EOS_ID, EOS_TOKEN, UNK_ID, UNK_TOKEN,
-                     TrainingInstance, UnigramDistribution, Vocabulary,
-                     build_vocabulary, extract_instances, instance_arrays,
-                     read_sentences, unigram_distribution)
+                     TrainingInstance, Vocabulary, build_vocabulary,
+                     extract_instances, instance_arrays, read_sentences,
+                     unigram_distribution, unigram_from_counts)
 from .errors import (DataError, ModelFormatError, SnlmError,
                      TrainingDivergedError)
 from .evaluation import (BenchmarkReport, EvaluationReport, MemoryEstimate,

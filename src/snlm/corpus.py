@@ -210,51 +210,37 @@ def instance_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, n: in
             np.asarray(tgt, dtype=np.int32))
 
 
-class UnigramDistribution:
-    """Fixed categorical distribution over word ids (float64, sums to 1)."""
+def unigram_from_counts(counts, smoothing: float = 0.0, exclude=()) -> np.ndarray:
+    """Relative frequencies with add-``smoothing`` over the non-excluded ids.
 
-    def __init__(self, probs):
-        probs = np.asarray(probs, dtype=np.float64)
-        if probs.ndim != 1 or len(probs) == 0:
-            raise DataError("probs must be a non-empty vector")
-        if (probs < 0).any() or not np.isfinite(probs).all():
-            raise DataError("probs must be finite and non-negative")
-        total = probs.sum()
-        if total <= 0:
-            raise DataError("zero total probability mass")
-        self.probs = probs / total
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    @classmethod
-    def from_counts(cls, counts, smoothing: float = 0.0, exclude=()) -> "UnigramDistribution":
-        """Relative frequencies with add-``smoothing`` over the non-excluded ids.
-
-        Excluded ids get probability exactly 0 and contribute nothing to the
-        normalizer. With ``smoothing > 0`` every non-excluded word becomes
-        sampleable, including zero-count ones.
-        """
-        counts = np.asarray(counts, dtype=np.float64)
-        if smoothing < 0:
-            raise DataError("smoothing must be >= 0")
-        mask = np.ones(len(counts), dtype=bool)
-        for i in exclude:
-            mask[i] = False
-        support = counts[mask] + smoothing
-        total = support.sum()
-        if total <= 0:
-            raise DataError("zero total count and no smoothing")
-        probs = np.zeros(len(counts))
-        probs[mask] = support / total
-        return cls(probs)
+    Returns a float64 vector summing to 1. Excluded ids get probability
+    exactly 0 and contribute nothing to the normalizer. With
+    ``smoothing > 0`` every non-excluded word becomes sampleable, including
+    zero-count ones.
+    """
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim != 1 or len(counts) == 0:
+        raise DataError("counts must be a non-empty vector")
+    if (counts < 0).any() or not np.isfinite(counts).all():
+        raise DataError("counts must be finite and non-negative")
+    if smoothing < 0:
+        raise DataError("smoothing must be >= 0")
+    mask = np.ones(len(counts), dtype=bool)
+    mask[list(exclude)] = False
+    support = counts[mask] + smoothing
+    total = support.sum()
+    if total <= 0:
+        raise DataError("zero total count and no smoothing")
+    probs = np.zeros(len(counts))
+    probs[mask] = support / total
+    return probs
 
 
-def unigram_distribution(vocab: Vocabulary, smoothing: float = 0.0) -> UnigramDistribution:
+def unigram_distribution(vocab: Vocabulary, smoothing: float = 0.0) -> np.ndarray:
     """Unigram distribution over the vocabulary, ``<s>`` excluded.
 
     Note the vocabulary counts give corpus occurrences; ``</s>`` therefore
     carries zero mass here. Distributions over prediction targets should be
-    built from instance targets via ``UnigramDistribution.from_counts``.
+    built from instance targets (``training.empirical_unigram``).
     """
-    return UnigramDistribution.from_counts(vocab.counts, smoothing, exclude=(BOS_ID,))
+    return unigram_from_counts(vocab.counts, smoothing, exclude=(BOS_ID,))

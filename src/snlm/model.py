@@ -189,7 +189,7 @@ def init_parameters(config: ModelConfig, seed: int = 0, unigram=None,
 
     probs = None
     if unigram is not None:
-        probs = np.asarray(getattr(unigram, "probs", unigram), dtype=np.float64)
+        probs = np.asarray(unigram, dtype=np.float64)
         if probs.shape != (V,):
             raise DataError("unigram size mismatch")
         b = _floored_log(probs)

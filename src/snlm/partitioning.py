@@ -3,14 +3,18 @@
 Class-factored models need a partition of the word ids into classes
 (:class:`WordClassing`); tree-factored models need a binary tree whose leaves
 are words (:class:`VocabularyTree`).
+
+Exchange clustering (:func:`brown_clustering`) keeps its state in arrays:
+each word's bigram neighbours in compressed rows and the class-bigram counts
+T. A word's gain for every candidate class is one vectorised expression over
+the classes it neighbours (Martin, Liermann & Ney 1998).
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +73,13 @@ class WordClassing:
                     raise DataError(f"{path}:{lineno}: expected 'word<TAB>class'")
                 if parts[0] not in vocab:
                     raise DataError(f"{path}:{lineno}: unknown word {parts[0]!r}")
-                class_of[vocab.id_of(parts[0])] = int(parts[1])
+                try:
+                    c = int(parts[1])
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: bad class id {parts[1]!r}") from None
+                if not 0 <= c < len(vocab):  # K <= |V| classes
+                    raise DataError(f"{path}:{lineno}: class id {c} out of range")
+                class_of[vocab.id_of(parts[0])] = c
         if (class_of < 0).any():
             missing = vocab.token_of(int(np.argmin(class_of)))
             raise DataError(f"{path}: no class for {missing!r}")
@@ -86,10 +96,10 @@ def frequency_binning(unigram, num_classes: int) -> WordClassing:
 
     Parameters
     ----------
-    unigram : UnigramDistribution or non-negative weight vector
+    unigram : non-negative weight vector
     num_classes : number of bins K
     """
-    probs = np.asarray(getattr(unigram, "probs", unigram), dtype=np.float64)
+    probs = np.asarray(unigram, dtype=np.float64)
     n = len(probs)
     if not 1 <= num_classes <= n:
         raise DataError("need 1 <= num_classes <= vocabulary size")
@@ -101,19 +111,13 @@ def frequency_binning(unigram, num_classes: int) -> WordClassing:
 
     order = np.lexsort((np.arange(n), -probs))  # count desc, id asc
     class_of = np.empty(n, dtype=np.int32)
-    binno = 0
-    cum = 0.0
-    filled = 0  # words already assigned
+    binno, cum = 0, 0.0
     for rank, w in enumerate(order):
         class_of[w] = binno
         cum += probs[w]
-        filled += 1
-        if binno == num_classes - 1:
-            continue
-        remaining_words = n - filled
-        remaining_bins = num_classes - binno - 1
-        threshold = total * (binno + 1) / num_classes
-        if cum >= threshold - 1e-9 * total or remaining_words == remaining_bins:
+        # close at the bin's mass share, or when each word left needs its own bin
+        if binno < num_classes - 1 and (cum >= total * (binno + 1) / num_classes - 1e-9 * total
+                                        or n - rank == num_classes - binno):
             binno += 1
     return WordClassing(class_of, num_classes)
 
@@ -122,8 +126,40 @@ def frequency_binning(unigram, num_classes: int) -> WordClassing:
 # exchange clustering on class-bigram likelihood
 
 
-def _xlogx(x: float) -> float:
-    return x * math.log(x) if x > 0 else 0.0
+def _xlogx(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    return x * np.log(x, out=np.zeros_like(x), where=x > 0)
+
+
+def _dxlogx(x: np.ndarray, d) -> np.ndarray:
+    """Change of x ln x when x grows by d."""
+    return _xlogx(x + d) - _xlogx(x)
+
+
+def _word_bigrams(sentences, vocab: Vocabulary):
+    """Distinct word bigrams (left ids, right ids, counts) of the sentence
+    streams framed ``<s> w1..wL </s>``."""
+    left, right = [], []
+    for sent in sentences:
+        ids = [BOS_ID, *map(vocab.lookup, sent), EOS_ID]
+        left += ids[:-1]
+        right += ids[1:]
+    V = len(vocab)
+    pairs, count = np.unique(np.array(left, dtype=np.int64) * V
+                             + np.array(right, dtype=np.int64), return_counts=True)
+    return pairs // V, pairs % V, count.astype(np.float64)
+
+
+def _class_bigrams(bigrams, class_of, num_classes: int):
+    """Class-bigram counts T[c, c'] from class c to class c', with T's row
+    sums N_l (left-position totals) and column sums N_gen (generated-token
+    totals: every token but ``<s>``), the sums counted from the bigrams."""
+    left, right, count = bigrams
+    cl, cr = class_of[left], class_of[right]
+    T = np.zeros((num_classes, num_classes))
+    np.add.at(T, (cl, cr), count)
+    return (T, np.bincount(cl, weights=count, minlength=num_classes),
+            np.bincount(cr, weights=count, minlength=num_classes))
 
 
 def class_bigram_objective(sentences, vocab: Vocabulary, classing: WordClassing) -> float:
@@ -136,120 +172,24 @@ def class_bigram_objective(sentences, vocab: Vocabulary, classing: WordClassing)
     N(c,c') counts class bigrams, N_l left-position totals, N_gen
     generated-token totals (everything except ``<s>``).
     """
-    cls = classing.class_of
-    K = classing.num_classes
-    T = np.zeros((K, K))
-    gen = np.zeros(K)
-    for sent in sentences:
-        ids = [BOS_ID] + [vocab.lookup(t) for t in sent] + [EOS_ID]
-        for a, b in zip(ids, ids[1:]):
-            T[cls[a], cls[b]] += 1
-            gen[cls[b]] += 1
-    left = T.sum(axis=1)
-    f = sum(_xlogx(v) for v in T.flat)
-    f -= sum(_xlogx(v) for v in left)
-    f -= sum(_xlogx(v) for v in gen)
-    return f
+    T, Nl, Ng = _class_bigrams(_word_bigrams(sentences, vocab), classing.class_of,
+                               classing.num_classes)
+    return float(_xlogx(T).sum() - _xlogx(Nl).sum() - _xlogx(Ng).sum())
 
 
-class _ExchangeState:
-    """Mutable class-bigram statistics for the exchange sweep."""
-
-    def __init__(self, streams, num_words, class_of, num_classes):
-        self.assign = np.asarray(class_of, dtype=np.int32).copy()
-        self.K = num_classes
-        # word-level stats
-        self.right = [dict() for _ in range(num_words)]  # w -> {v: N(w,v)}, v != w
-        self.left = [dict() for _ in range(num_words)]   # w -> {v: N(v,w)}, v != w
-        self.self_big = np.zeros(num_words)              # N(w,w)
-        self.gen_w = np.zeros(num_words)                 # occurrences as generated token
-        self.row_w = np.zeros(num_words)                 # total N(w, .)
-        for ids in streams:
-            for a, b in zip(ids, ids[1:]):
-                self.gen_w[b] += 1
-                self.row_w[a] += 1
-                if a == b:
-                    self.self_big[a] += 1
-                else:
-                    self.right[a][b] = self.right[a].get(b, 0.0) + 1
-                    self.left[b][a] = self.left[b].get(a, 0.0) + 1
-        # class-level stats
-        K = self.K
-        self.T = np.zeros((K, K))
-        for w in range(num_words):
-            cw = self.assign[w]
-            self.T[cw, cw] += self.self_big[w]
-            for v, c in self.right[w].items():
-                self.T[cw, self.assign[v]] += c
-        self.Nl = self.T.sum(axis=1)
-        self.Ng = np.bincount(self.assign, weights=self.gen_w, minlength=K)
-        self.sizes = np.bincount(self.assign, minlength=K)
-
-    def _neighbor_class_counts(self, w):
-        """Right/left bigram mass of w grouped by the class of the neighbor."""
-        r = {}
-        for v, c in self.right[w].items():
-            cv = self.assign[v]
-            r[cv] = r.get(cv, 0.0) + c
-        l = {}
-        for v, c in self.left[w].items():
-            cv = self.assign[v]
-            l[cv] = l.get(cv, 0.0) + c
-        return r, l
-
-    def move_delta(self, w, b, r, l):
-        """Objective change from moving w to class b (r, l precomputed)."""
-        a = self.assign[w]
-        if a == b:
-            return 0.0
-        s = self.self_big[w]
-        cell = {}
-
-        def bump(i, j, d):
-            if d:
-                cell[(i, j)] = cell.get((i, j), 0.0) + d
-
-        for c, cnt in r.items():
-            bump(a, c, -cnt)
-            bump(b, c, cnt)
-        for c, cnt in l.items():
-            bump(c, a, -cnt)
-            bump(c, b, cnt)
-        bump(a, a, -s)
-        bump(b, b, s)
-
-        delta = 0.0
-        for (i, j), d in cell.items():
-            old = self.T[i, j]
-            delta += _xlogx(old + d) - _xlogx(old)
-        rw = self.row_w[w]
-        delta -= _xlogx(self.Nl[a] - rw) - _xlogx(self.Nl[a])
-        delta -= _xlogx(self.Nl[b] + rw) - _xlogx(self.Nl[b])
-        g = self.gen_w[w]
-        delta -= _xlogx(self.Ng[a] - g) - _xlogx(self.Ng[a])
-        delta -= _xlogx(self.Ng[b] + g) - _xlogx(self.Ng[b])
-        return delta
-
-    def apply_move(self, w, b, r, l):
-        a = self.assign[w]
-        s = self.self_big[w]
-        for c, cnt in r.items():
-            self.T[a, c] -= cnt
-            self.T[b, c] += cnt
-        for c, cnt in l.items():
-            self.T[c, a] -= cnt
-            self.T[c, b] += cnt
-        self.T[a, a] -= s
-        self.T[b, b] += s
-        rw = self.row_w[w]
-        self.Nl[a] -= rw
-        self.Nl[b] += rw
-        g = self.gen_w[w]
-        self.Ng[a] -= g
-        self.Ng[b] += g
-        self.sizes[a] -= 1
-        self.sizes[b] += 1
-        self.assign[w] = b
+def _insertion_gains(T, Nl, Ng, U, r, l, s, K):
+    """Objective gain of adding a word, taken out of every class, to each
+    class b < K. r[j] and l[j] count its bigrams to and from the other words
+    of class U[j], s its bigrams with itself. Only the cells T[b, U],
+    T[U, b], T[b, b], N_l[b] and N_gen[b] change."""
+    rows, cols = T[:K, U], T[U, :K].T
+    gain_r, gain_l = _dxlogx(rows, r), _dxlogx(cols, l)
+    own = np.flatnonzero(U < K)
+    gain_r[U[own], own] = gain_l[U[own], own] = 0.0  # (b, b) is counted once below
+    self_add = np.full(K, s, dtype=np.float64)
+    self_add[U[own]] += r[own] + l[own]
+    return (gain_r.sum(axis=1) + gain_l.sum(axis=1) + _dxlogx(T.diagonal()[:K], self_add)
+            - _dxlogx(Nl[:K], r.sum() + s) - _dxlogx(Ng[:K], l.sum() + s))
 
 
 def brown_clustering(sentences, vocab: Vocabulary, num_classes: int,
@@ -270,57 +210,68 @@ def brown_clustering(sentences, vocab: Vocabulary, num_classes: int,
     words : optional set of word ids to cluster; all other ids are frozen in
         singleton classes appended after the ``num_classes`` exchange classes.
     """
-    sentences = list(sentences)
-    streams = [[BOS_ID] + [vocab.lookup(t) for t in s] + [EOS_ID] for s in sentences]
     V = len(vocab)
-
+    bigrams = left, right, count = _word_bigrams(sentences, vocab)
     if words is None:
-        movable = list(range(V))
+        movable = np.arange(V)
     else:
-        movable = sorted(set(int(w) for w in words))
-        for w in movable:
-            if not 0 <= w < V:
-                raise DataError(f"word id {w} out of range")
+        movable = np.array(sorted(set(int(w) for w in words)), dtype=np.int64)
+        bad = movable[(movable < 0) | (movable >= V)]
+        if len(bad):
+            raise DataError(f"word id {bad[0]} out of range")
     if not 1 <= num_classes <= len(movable):
         raise DataError("need 1 <= num_classes <= number of clustered words")
 
-    gen_counts = np.zeros(V)
-    for ids in streams:
-        for w in ids[1:]:
-            gen_counts[w] += 1
-
     # frequency rank over the movable words only (count desc, id asc)
-    ranked = sorted(movable, key=lambda w: (-gen_counts[w], w))
-    class_of = np.empty(V, dtype=np.int32)
-    for rank, w in enumerate(ranked):
-        class_of[w] = rank if rank < num_classes else rank % num_classes
-    movable_set = set(movable)
-    frozen = [w for w in range(V) if w not in movable_set]
-    for i, w in enumerate(frozen):
-        class_of[w] = num_classes + i
+    gen_w = np.bincount(right, weights=count, minlength=V)
+    ranked = movable[np.lexsort((movable, -gen_w[movable]))]
+    class_of = np.empty(V, dtype=np.int64)
+    class_of[ranked] = np.arange(len(ranked)) % num_classes
+    frozen = np.setdiff1d(np.arange(V), movable)
+    class_of[frozen] = num_classes + np.arange(len(frozen))
     total_classes = num_classes + len(frozen)
 
-    state = _ExchangeState(streams, V, class_of, total_classes)
+    # word-neighbour CSR: word w's neighbours are nbr[offset[w]:offset[w + 1]],
+    # right neighbours (side 0) and left neighbours (side 1), self-loops apart
+    loop = left == right
+    self_w = np.bincount(left[loop], weights=count[loop], minlength=V)
+    src, dst, n = left[~loop], right[~loop], count[~loop]
+    owner = np.concatenate([src, dst])
+    order = np.argsort(owner, kind="stable")
+    nbr, nbr_count = np.concatenate([dst, src])[order], np.concatenate([n, n])[order]
+    side = (order >= len(src)).astype(np.int64)
+    offset = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=V))])
+
+    T, Nl, Ng = _class_bigrams(bigrams, class_of, total_classes)
+    sizes = np.bincount(class_of, minlength=total_classes)
+
+    def shift(c, U, r, l, s, sign):
+        T[c, U] += sign * r
+        T[U, c] += sign * l
+        T[c, c] += sign * s
+        Nl[c] += sign * (r.sum() + s)
+        Ng[c] += sign * (l.sum() + s)
+        sizes[c] += sign
+
     for _ in range(max_iterations):
-        moved = 0
-        for w in ranked:
-            a = state.assign[w]
-            if state.sizes[a] == 1:
+        before = class_of.copy()
+        for w in ranked.tolist():
+            a = int(class_of[w])
+            if sizes[a] == 1:
                 continue  # would empty its class
-            r, l = state._neighbor_class_counts(w)
-            best_b, best_delta = a, 0.0
-            for b in range(num_classes):
-                if b == a:
-                    continue
-                d = state.move_delta(w, b, r, l)
-                if d > best_delta + 1e-9:
-                    best_b, best_delta = b, d
-            if best_b != a:
-                state.apply_move(w, best_b, r, l)
-                moved += 1
-        if moved == 0:
+            lo, hi = offset[w], offset[w + 1]
+            U, inv = np.unique(class_of[nbr[lo:hi]], return_inverse=True)
+            r, l = np.bincount(inv + side[lo:hi] * len(U), weights=nbr_count[lo:hi],
+                               minlength=2 * len(U)).reshape(2, -1)
+            shift(a, U, r, l, self_w[w], -1)
+            gain = _insertion_gains(T, Nl, Ng, U, r, l, self_w[w], num_classes)
+            b = int(np.argmax(gain))
+            b = b if gain[b] > gain[a] + 1e-9 else a  # ties keep the current class
+            shift(b, U, r, l, self_w[w], +1)
+            class_of[w] = b
+        if np.array_equal(class_of, before):
             break
-    return WordClassing(state.assign, total_classes)
+    return WordClassing(class_of, total_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +427,7 @@ class VocabularyTree:
                     if tok not in vocab:
                         raise DataError(f"{path}:{lineno}: unknown word {tok!r}")
                     word = vocab.id_of(tok)
-                rows.append((node, par, word))
+                rows.append((lineno, node, par, word))
         if not rows:
             raise DataError(f"{path}: empty tree file")
         n = len(rows)
@@ -484,9 +435,11 @@ class VocabularyTree:
         left = np.full(n, -1, dtype=np.int32)
         right = np.full(n, -1, dtype=np.int32)
         leaf_word = np.full(n, -1, dtype=np.int32)
-        for node, par, word in rows:
+        for lineno, node, par, word in rows:
             if not 0 <= node < n:
-                raise DataError(f"{path}: node id {node} out of range")
+                raise DataError(f"{path}:{lineno}: node id {node} out of range")
+            if not -1 <= par < n:
+                raise DataError(f"{path}:{lineno}: parent id {par} out of range")
             parent[node] = par
             leaf_word[node] = word
             if par >= 0:
@@ -496,7 +449,7 @@ class VocabularyTree:
                 elif right[par] < 0:
                     right[par] = node
                 else:
-                    raise DataError(f"{path}: node {par} has three children")
+                    raise DataError(f"{path}:{lineno}: node {par} has three children")
         return cls(parent, left, right, leaf_word)
 
 
@@ -526,21 +479,16 @@ def huffman_tree(counts) -> VocabularyTree:
     right = np.full(total, -1, dtype=np.int32)
     leaf_word = np.full(total, -1, dtype=np.int32)
 
-    heap = []
-    for i, w in enumerate(words):
-        weight = max(int(counts[w]), 1)
-        leaf_word[i] = w
-        heap.append((weight, i))
+    leaf_word[:L] = words
+    heap = [(max(int(counts[w]), 1), i) for i, w in enumerate(words)]
     heapq.heapify(heap)
 
     nxt = L
     while len(heap) > 1:
         w1, n1 = heapq.heappop(heap)
         w2, n2 = heapq.heappop(heap)
-        parent[n1] = nxt
-        parent[n2] = nxt
-        left[nxt] = n1
-        right[nxt] = n2
+        parent[[n1, n2]] = nxt
+        left[nxt], right[nxt] = n1, n2
         heapq.heappush(heap, (w1 + w2, nxt))
         nxt += 1
     return VocabularyTree(parent, left, right, leaf_word)

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .corpus import BOS_ID
+from .corpus import BOS_ID, unigram_from_counts
 from .errors import DataError, TrainingDivergedError
 from .model import (REGIME_CLASS, REGIME_TREE, MacCounter, ModelParameters,
                     RowGrad, count_output, log_probs_batch, project_batch)
@@ -78,11 +78,8 @@ class TrainingConfig:
 
 def empirical_unigram(targets, vocab_size: int) -> np.ndarray:
     """Relative frequency of prediction targets (includes </s> mass)."""
-    counts = np.bincount(np.asarray(targets, dtype=np.int64), minlength=vocab_size)
-    total = counts.sum()
-    if total == 0:
-        raise DataError("no targets")
-    return counts.astype(np.float64) / total
+    return unigram_from_counts(np.bincount(np.asarray(targets, dtype=np.int64),
+                                           minlength=vocab_size))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,49 @@ class TestClassesCommand:
         assert code == 2
         assert "brown clustering needs --corpus" in stderr
 
+    def test_brown(self, tmp_path, capsys, corpus):
+        train, _ = corpus
+        vocab_path = tmp_path / "vocab.tsv"
+        run(capsys, "vocab", train, "-o", vocab_path)
+        out = tmp_path / "classes.tsv"
+        code, stdout, stderr = run(capsys, "classes", "--vocab", vocab_path,
+                                   "--method", "brown", "--corpus", train,
+                                   "--num-classes", "3", "-o", out)
+        assert code == 0, stderr
+        assert "3 classes" in stdout
+        classing = WordClassing.load(out, Vocabulary.load(vocab_path))
+        assert classing.num_classes == 3
+        assert all(len(m) > 0 for m in classing.members)
+
+
+class TestBadPartitionFiles:
+    """A corrupt --classes-file or --tree-file exits 2 naming its line."""
+
+    def train_with(self, tmp_path, capsys, corpus, flag, text):
+        train, _ = corpus
+        path = tmp_path / "partition.txt"
+        path.write_text(text)
+        regime = "class" if flag == "--classes-file" else "tree"
+        code, _, stderr = run(capsys, "train", train, "--model", tmp_path / "m.bin",
+                              "--regime", regime, "--dim", "4", "--epochs", "1",
+                              flag, path)
+        return code, stderr, path
+
+    @pytest.mark.parametrize("class_id", ["x", "1.5", "99999999999", "-3"])
+    def test_bad_class_id(self, tmp_path, capsys, corpus, class_id):
+        code, stderr, path = self.train_with(
+            tmp_path, capsys, corpus, "--classes-file", f"cat\t0\ndog\t{class_id}\n")
+        assert code == 2
+        assert f"{path}:2:" in stderr
+
+    @pytest.mark.parametrize("line", ["1 9 leaf:dog", "1 99999999999 leaf:dog",
+                                      "7 2 leaf:dog", "1 -2 leaf:dog"])
+    def test_bad_tree_node(self, tmp_path, capsys, corpus, line):
+        code, stderr, path = self.train_with(
+            tmp_path, capsys, corpus, "--tree-file", f"2 -1\n0 2 leaf:cat\n{line}\n")
+        assert code == 2
+        assert f"{path}:3:" in stderr
+
 
 class TestTrainAndEvaluate:
     def train_model(self, tmp_path, capsys, corpus, *extra):

@@ -11,13 +11,13 @@ from snlm.corpus import (
     EOS_TOKEN,
     UNK_ID,
     UNK_TOKEN,
-    UnigramDistribution,
     Vocabulary,
     build_vocabulary,
     extract_instances,
     instance_arrays,
     read_sentences,
     unigram_distribution,
+    unigram_from_counts,
 )
 from snlm.errors import DataError
 
@@ -155,8 +155,8 @@ class TestExtractInstances:
 class TestUnigram:
     def test_smoothed_example(self):
         # counts (2, 0) with smoothing 1 renormalise to (0.75, 0.25)
-        dist = UnigramDistribution.from_counts(np.array([2.0, 0.0]), smoothing=1.0)
-        np.testing.assert_allclose(dist.probs, [0.75, 0.25], atol=1e-12)
+        probs = unigram_from_counts(np.array([2.0, 0.0]), smoothing=1.0)
+        np.testing.assert_allclose(probs, [0.75, 0.25], atol=1e-12)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(11)
@@ -165,21 +165,29 @@ class TestUnigram:
             for eps in (0.0, 0.5, 1.0):
                 if eps == 0.0 and counts.sum() == 0:
                     continue
-                dist = UnigramDistribution.from_counts(counts.astype(float), smoothing=eps)
-                assert abs(dist.probs.sum() - 1.0) < 1e-9
+                probs = unigram_from_counts(counts.astype(float), smoothing=eps)
+                assert probs.dtype == np.float64
+                assert abs(probs.sum() - 1.0) < 1e-9
 
     def test_excluded_ids_have_exactly_zero_mass(self):
-        dist = UnigramDistribution.from_counts(
+        probs = unigram_from_counts(
             np.array([3.0, 1.0, 2.0]), smoothing=1.0, exclude=(1,))
-        assert dist.probs[1] == 0.0
-        assert abs(dist.probs.sum() - 1.0) < 1e-12
+        assert probs[1] == 0.0
+        assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_vocab_unigram_masks_sentence_start(self):
         vocab = build_vocabulary([["a", "b", "a"]])
-        dist = unigram_distribution(vocab, smoothing=1.0)
-        assert dist.probs[BOS_ID] == 0.0
-        assert dist.probs[vocab.id_of("a")] > dist.probs[vocab.id_of("b")]
+        probs = unigram_distribution(vocab, smoothing=1.0)
+        assert probs[BOS_ID] == 0.0
+        assert probs[vocab.id_of("a")] > probs[vocab.id_of("b")]
 
     def test_all_zero_without_smoothing_rejected(self):
         with pytest.raises(DataError):
-            UnigramDistribution.from_counts(np.zeros(4), smoothing=0.0)
+            unigram_from_counts(np.zeros(4), smoothing=0.0)
+
+    def test_bad_counts_rejected(self):
+        for counts in ([], [[1.0, 2.0]], [1.0, -1.0], [1.0, np.inf], [1.0, np.nan]):
+            with pytest.raises(DataError):
+                unigram_from_counts(np.array(counts, dtype=float), smoothing=1.0)
+        with pytest.raises(DataError):
+            unigram_from_counts(np.ones(3), smoothing=-0.5)

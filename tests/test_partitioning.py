@@ -128,7 +128,63 @@ class TestClassBigramObjective:
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def _exchange_oracle(sentences, vocab, num_classes, sweeps, words=None):
+    """Greedy exchange sweeps that score every candidate move by recomputing
+    the whole objective with ``_objective_oracle``."""
+    V = len(vocab)
+    movable = sorted(words) if words is not None else list(range(V))
+    gen = collections.Counter(vocab.lookup(t) for sent in sentences for t in sent)
+    gen[EOS_ID] += len(sentences)
+    ranked = sorted(movable, key=lambda w: (-gen[w], w))
+    assign = np.empty(V, dtype=np.int64)
+    assign[ranked] = np.arange(len(ranked)) % num_classes
+    frozen = [w for w in range(V) if w not in movable]
+    assign[frozen] = num_classes + np.arange(len(frozen))
+    total = num_classes + len(frozen)
+
+    def objective(trial):
+        return _objective_oracle(sentences, vocab, WordClassing(trial, total))
+
+    for _ in range(sweeps):
+        moved = False
+        for w in ranked:
+            a = assign[w]
+            if (assign == a).sum() == 1:
+                continue
+            scores = []
+            for b in range(num_classes):
+                trial = assign.copy()
+                trial[w] = b
+                scores.append(objective(trial))
+            best = int(np.argmax(scores))
+            if scores[best] > scores[a] + 1e-9:
+                assign[w] = best
+                moved = True
+        if not moved:
+            break
+    return assign
+
+
+def _random_corpus(seed):
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(14)]
+    weights = 1.0 / np.arange(1, 15)
+    return [list(rng.choice(words, size=rng.integers(1, 8), p=weights / weights.sum()))
+            for _ in range(30)]
+
+
 class TestBrownClustering:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("sweeps", [1, 2])
+    def test_matches_recomputing_oracle(self, seed, sweeps):
+        sentences = _random_corpus(seed)
+        vocab = build_vocabulary(sentences)
+        subset = set(range(2, len(vocab), 2))
+        for words, k in ((None, 4), (subset, 3)):
+            got = brown_clustering(sentences, vocab, k, max_iterations=sweeps, words=words)
+            want = _exchange_oracle(sentences, vocab, k, sweeps, words)
+            np.testing.assert_array_equal(got.class_of, want)
+
     def test_recovers_interchangeable_pairs(self):
         sentences = template_corpus(400, seed=1)
         vocab = build_vocabulary(sentences)
