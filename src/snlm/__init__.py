@@ -27,10 +27,9 @@ from .modelfile import load_model, payload_nbytes, save_model
 from .partitioning import (VocabularyTree, WordClassing, brown_clustering,
                            class_bigram_objective, frequency_binning,
                            huffman_tree)
-from .training import (AliasSampler, ClassNoiseSampler, EpochStats, Gradients,
-                       NoiseSampler, TrainingConfig, TrainingResult,
-                       empirical_unigram, ml_gradient, ml_objective,
-                       nce_class_objective, nce_gradient,
+from .training import (EpochStats, Gradients, NoiseTable, TrainingConfig,
+                       TrainingResult, empirical_unigram, ml_gradient,
+                       ml_objective, nce_class_objective, nce_gradient,
                        nce_gradient_class_factored, nce_objective,
                        squared_norm, train)
 

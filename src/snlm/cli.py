@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ppl", help="corpus perplexity")
     p.add_argument("model")
     p.add_argument("corpus")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_ppl)
 
     p = sub.add_parser("score", help="rescore an n-best list")
@@ -214,7 +213,7 @@ def cmd_train(args) -> int:
 def cmd_ppl(args) -> int:
     params, vocab = load_model(args.model)
     sentences = list(read_sentences(args.corpus))
-    report = perplexity(params, sentences, vocab, threads=args.threads)
+    report = perplexity(params, sentences, vocab)
     print(f"tokens\t{report.token_count}")
     print(f"oov\t{report.oov_count}")
     print(f"log_prob\t{report.total_log_prob:.4f}")

@@ -135,7 +135,8 @@ def build_vocabulary(corpus, min_count: int = 1, max_size=None) -> Vocabulary:
     max_size : keep at most this many non-special tokens, most frequent first
 
     The dropped occurrence mass is accumulated on ``<unk>`` so that the sum
-    of all counts equals the corpus token count.
+    of all counts equals the corpus token count. A literal ``<s>`` in the
+    text counts as ``<unk>``, as :func:`token_ids` reads it.
     """
     if min_count < 1:
         raise DataError("min_count must be >= 1")
@@ -158,11 +159,18 @@ def build_vocabulary(corpus, min_count: int = 1, max_size=None) -> Vocabulary:
         dropped.extend(kept[max_size:])
         kept = kept[:max_size]
 
-    unk = special_counts[UNK_TOKEN] + sum(c for _, c in dropped)
+    unk = special_counts[UNK_TOKEN] + special_counts[BOS_TOKEN]
+    unk += sum(c for _, c in dropped)
     tokens = list(SPECIAL_TOKENS) + [t for t, _ in kept]
-    counts = [unk, special_counts[BOS_TOKEN], special_counts[EOS_TOKEN]]
+    counts = [unk, 0, special_counts[EOS_TOKEN]]
     counts += [c for _, c in kept]
     return Vocabulary(tokens, counts)
+
+
+def token_ids(sentence: Sequence[str], vocab: Vocabulary) -> list:
+    """Ids of a sentence's tokens. OOV tokens map to ``<unk>``, and so does a
+    literal ``<s>``: the start marker only pads contexts."""
+    return [UNK_ID if t == BOS_TOKEN else vocab.lookup(t) for t in sentence]
 
 
 class TrainingInstance(NamedTuple):
@@ -177,12 +185,12 @@ def extract_instances(sentence: Sequence[str], vocab: Vocabulary, n: int) -> lis
 
     A sentence of L tokens produces L+1 instances (each token plus ``</s>``).
     Context positions hold the n-1 preceding ids, most recent first, padded
-    with ``<s>`` beyond the sentence start. OOV tokens map to ``<unk>``, and
-    so does a literal ``<s>`` in the text, which is never a target.
+    with ``<s>`` beyond the sentence start. Tokens are read by
+    :func:`token_ids`, so ``<s>`` is never a target.
     """
     if n < 2:
         raise DataError("model order must be >= 2")
-    ids = [UNK_ID if t == BOS_TOKEN else vocab.lookup(t) for t in sentence]
+    ids = token_ids(sentence, vocab)
     out = []
     for i in range(len(ids) + 1):
         target = ids[i] if i < len(ids) else EOS_ID

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,14 +56,12 @@ class EvaluationReport:
 
 
 def perplexity(params: ModelParameters, sentences, vocab: Vocabulary,
-               macs: MacCounter = None, threads: int = 1) -> EvaluationReport:
+               macs: MacCounter = None) -> EvaluationReport:
     """Corpus perplexity ``exp(-mean log P)`` (natural log).
 
     Every prediction event is scored: each token plus one ``</s>`` per
     sentence. ``<unk>`` targets are scored like ordinary words and tallied in
-    ``oov_count``. With ``threads > 1`` sentences are sharded across a thread
-    pool; the fsum reduction keeps the result identical to a single-threaded
-    run.
+    ``oov_count``.
     """
     sentences = [list(s) for s in sentences]
     if not sentences:
@@ -73,25 +70,9 @@ def perplexity(params: ModelParameters, sentences, vocab: Vocabulary,
     macs = macs if macs is not None else MacCounter()
 
     tick = time.perf_counter()
-    if threads <= 1:
-        ctx, tgt = instance_arrays(sentences, vocab, n)
-        total, count = perplexity_from_instances(params, ctx, tgt, macs)
-        oov = int((tgt == UNK_ID).sum())
-    else:
-        shards = [sentences[i::threads] for i in range(threads)]
-        shards = [s for s in shards if s]
-        counters = [MacCounter() for _ in shards]
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            arrays = list(pool.map(lambda s: instance_arrays(s, vocab, n), shards))
-            parts = list(pool.map(
-                lambda a: perplexity_from_instances(params, a[0][0], a[0][1], a[1]),
-                zip(arrays, counters)))
-        total = math.fsum(p[0] for p in parts)
-        count = sum(p[1] for p in parts)
-        oov = int(sum((tgt == UNK_ID).sum() for _, tgt in arrays))
-        for c in counters:
-            macs.projection += c.projection
-            macs.output += c.output
+    ctx, tgt = instance_arrays(sentences, vocab, n)
+    total, count = perplexity_from_instances(params, ctx, tgt, macs)
+    oov = int((tgt == UNK_ID).sum())
     seconds = time.perf_counter() - tick
 
     return EvaluationReport(

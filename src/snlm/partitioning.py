@@ -5,9 +5,10 @@ Class-factored models need a partition of the word ids into classes
 are words (:class:`VocabularyTree`).
 
 Exchange clustering (:func:`brown_clustering`) keeps its state in arrays:
-each word's bigram neighbours in compressed rows and the class-bigram counts
-T. A word's gain for every candidate class is one vectorised expression over
-the classes it neighbours (Martin, Liermann & Ney 1998).
+each word's bigram neighbours in compressed rows and the rows and columns of
+the class-bigram counts T that belong to the exchange classes. A word's gain
+for every candidate class is one vectorised expression over the classes it
+neighbours (Martin, Liermann & Ney 1998).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, Vocabulary
+from .corpus import BOS_ID, EOS_ID, Vocabulary, token_ids
 from .errors import DataError
 
 
@@ -141,7 +142,7 @@ def _word_bigrams(sentences, vocab: Vocabulary):
     streams framed ``<s> w1..wL </s>``."""
     left, right = [], []
     for sent in sentences:
-        ids = [BOS_ID, *map(vocab.lookup, sent), EOS_ID]
+        ids = [BOS_ID, *token_ids(sent, vocab), EOS_ID]
         left += ids[:-1]
         right += ids[1:]
     V = len(vocab)
@@ -151,15 +152,18 @@ def _word_bigrams(sentences, vocab: Vocabulary):
 
 
 def _class_bigrams(bigrams, class_of, num_classes: int):
-    """Class-bigram counts T[c, c'] from class c to class c', with T's row
-    sums N_l (left-position totals) and column sums N_gen (generated-token
-    totals: every token but ``<s>``), the sums counted from the bigrams."""
+    """Class-bigram counts over the class pairs that occur, as (left classes,
+    right classes, counts), with their sums N_l per left class (left-position
+    totals) and N_gen per right class (generated-token totals: every token
+    but ``<s>``)."""
     left, right, count = bigrams
-    cl, cr = class_of[left], class_of[right]
-    T = np.zeros((num_classes, num_classes))
-    np.add.at(T, (cl, cr), count)
-    return (T, np.bincount(cl, weights=count, minlength=num_classes),
-            np.bincount(cr, weights=count, minlength=num_classes))
+    class_of = np.asarray(class_of, dtype=np.int64)
+    pairs, inv = np.unique(class_of[left] * num_classes + class_of[right],
+                           return_inverse=True)
+    n = np.bincount(inv, weights=count)
+    cl, cr = pairs // num_classes, pairs % num_classes
+    return ((cl, cr, n), np.bincount(cl, weights=n, minlength=num_classes),
+            np.bincount(cr, weights=n, minlength=num_classes))
 
 
 def class_bigram_objective(sentences, vocab: Vocabulary, classing: WordClassing) -> float:
@@ -172,23 +176,24 @@ def class_bigram_objective(sentences, vocab: Vocabulary, classing: WordClassing)
     N(c,c') counts class bigrams, N_l left-position totals, N_gen
     generated-token totals (everything except ``<s>``).
     """
-    T, Nl, Ng = _class_bigrams(_word_bigrams(sentences, vocab), classing.class_of,
-                               classing.num_classes)
-    return float(_xlogx(T).sum() - _xlogx(Nl).sum() - _xlogx(Ng).sum())
+    (_, _, n), Nl, Ng = _class_bigrams(_word_bigrams(sentences, vocab),
+                                       classing.class_of, classing.num_classes)
+    return float(_xlogx(n).sum() - _xlogx(Nl).sum() - _xlogx(Ng).sum())
 
 
-def _insertion_gains(T, Nl, Ng, U, r, l, s, K):
+def _insertion_gains(rows, cols, diag, Nl, Ng, U, r, l, s):
     """Objective gain of adding a word, taken out of every class, to each
-    class b < K. r[j] and l[j] count its bigrams to and from the other words
-    of class U[j], s its bigrams with itself. Only the cells T[b, U],
-    T[U, b], T[b, b], N_l[b] and N_gen[b] change."""
-    rows, cols = T[:K, U], T[U, :K].T
+    exchange class b < K, where rows[b, j] = T[b, U[j]], cols[b, j] =
+    T[U[j], b] and diag[b] = T[b, b]. r[j] and l[j] count its bigrams to and
+    from the other words of class U[j], s its bigrams with itself. Only the
+    cells T[b, U], T[U, b], T[b, b], N_l[b] and N_gen[b] change."""
+    K = len(diag)
     gain_r, gain_l = _dxlogx(rows, r), _dxlogx(cols, l)
     own = np.flatnonzero(U < K)
     gain_r[U[own], own] = gain_l[U[own], own] = 0.0  # (b, b) is counted once below
     self_add = np.full(K, s, dtype=np.float64)
     self_add[U[own]] += r[own] + l[own]
-    return (gain_r.sum(axis=1) + gain_l.sum(axis=1) + _dxlogx(T.diagonal()[:K], self_add)
+    return (gain_r.sum(axis=1) + gain_l.sum(axis=1) + _dxlogx(diag, self_add)
             - _dxlogx(Nl[:K], r.sum() + s) - _dxlogx(Ng[:K], l.sum() + s))
 
 
@@ -242,13 +247,23 @@ def brown_clustering(sentences, vocab: Vocabulary, num_classes: int,
     side = (order >= len(src)).astype(np.int64)
     offset = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=V))])
 
-    T, Nl, Ng = _class_bigrams(bigrams, class_of, total_classes)
+    # A move changes only the K exchange classes' rows and columns of T, so
+    # only those are kept: Tx = T[:K] and Tin = T[:, :K], O(K * classes)
+    # memory rather than O(classes^2). Each shift writes their shared block
+    # T[:K, :K] in one of them and copies it into the other.
+    (cl, cr, n), Nl, Ng = _class_bigrams(bigrams, class_of, total_classes)
+    K = num_classes
+    Tx, Tin = np.zeros((K, total_classes)), np.zeros((total_classes, K))
+    Tx[cl[cl < K], cr[cl < K]] = n[cl < K]
+    Tin[cl[cr < K], cr[cr < K]] = n[cr < K]
     sizes = np.bincount(class_of, minlength=total_classes)
 
     def shift(c, U, r, l, s, sign):
-        T[c, U] += sign * r
-        T[U, c] += sign * l
-        T[c, c] += sign * s
+        Tx[c, U] += sign * r
+        Tin[c] = Tx[c, :K]  # row c of the block is current in Tx
+        Tin[U, c] += sign * l
+        Tin[c, c] += sign * s
+        Tx[:, c] = Tin[:K, c]  # column c of the block is current in Tin
         Nl[c] += sign * (r.sum() + s)
         Ng[c] += sign * (l.sum() + s)
         sizes[c] += sign
@@ -264,7 +279,8 @@ def brown_clustering(sentences, vocab: Vocabulary, num_classes: int,
             r, l = np.bincount(inv + side[lo:hi] * len(U), weights=nbr_count[lo:hi],
                                minlength=2 * len(U)).reshape(2, -1)
             shift(a, U, r, l, self_w[w], -1)
-            gain = _insertion_gains(T, Nl, Ng, U, r, l, self_w[w], num_classes)
+            gain = _insertion_gains(Tx[:, U], Tin[U].T, Tx.diagonal(), Nl, Ng,
+                                    U, r, l, self_w[w])
             b = int(np.argmax(gain))
             b = b if gain[b] > gain[a] + 1e-9 else a  # ties keep the current class
             shift(b, U, r, l, self_w[w], +1)

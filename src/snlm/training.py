@@ -32,7 +32,9 @@ discriminated against k samples from a fixed noise distribution P_n::
 
 with the model's normalizer fixed to 1. The class-factored variant runs one
 discrimination at the class level (noise = class unigram) and one within the
-target's class (noise = within-class unigram).
+target's class (noise = within-class unigram). ``NoiseTable`` holds either
+noise distribution and draws from it; the gradient functions take only its
+log P_n vectors.
 """
 
 from __future__ import annotations
@@ -86,106 +88,57 @@ def empirical_unigram(targets, vocab_size: int) -> np.ndarray:
 # sampling
 
 
-class AliasSampler:
-    """Walker alias tables: O(n) setup, O(1) categorical draws."""
+class NoiseTable:
+    """A noise distribution P_n as one Walker alias table, grouped.
 
-    def __init__(self, probs):
-        probs = np.asarray(probs, dtype=np.float64)
-        total = probs.sum()
-        if total <= 0 or (probs < 0).any():
-            raise DataError("need non-negative probs with positive mass")
-        n = len(probs)
-        q = probs * (n / total)
-        J = np.zeros(n, dtype=np.int64)
-        small = [i for i in range(n) if q[i] < 1.0]
-        large = [i for i in range(n) if q[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            J[s] = l
-            q[l] = q[l] - (1.0 - q[s])
-            (small if q[l] < 1.0 else large).append(l)
-        for i in small + large:  # numerical leftovers
-            q[i] = 1.0
-        self.q = q
-        self.J = J
-
-    def draw(self, rng, shape):
-        idx = rng.integers(0, len(self.q), size=shape)
-        keep = rng.random(shape) < self.q[idx]
-        return np.where(keep, idx, self.J[idx])
-
-
-class NoiseSampler:
-    """A fixed categorical distribution plus alias tables and a shared rng."""
-
-    def __init__(self, probs, rng):
-        probs = np.asarray(probs, dtype=np.float64)
-        self.probs = probs / probs.sum()
-        with np.errstate(divide="ignore"):
-            self.log_probs = np.where(self.probs > 0, np.log(self.probs), -np.inf)
-        self._alias = AliasSampler(self.probs)
-        self.rng = rng
-
-    def sample(self, shape) -> np.ndarray:
-        return self._alias.draw(self.rng, shape)
-
-
-class ClassNoiseSampler:
-    """Class-level and within-class noise for class-factored NCE.
-
-    The within-class alias tables of all classes sit in one flat table: class
-    c owns the slots ``offset[c] : offset[c] + size[c]``, so a batch of
-    within-class draws is one vectorized alias draw.
+    Item i belongs to group ``group_of[i]`` (all to group 0 by default), and
+    group g owns the slots ``offset[g] : offset[g] + size[g]`` of one flat
+    table, so a batch of draws, each from its own group, is one vectorized
+    alias draw. Groups without mass get no slots. ``mass`` is each group's
+    total P_n and ``log_probs`` is log P_n(item | its group), -inf where P_n
+    is 0.
     """
 
-    def __init__(self, probs, classing, rng):
+    def __init__(self, probs, rng, group_of=None):
         probs = np.asarray(probs, dtype=np.float64)
-        self.classing = classing
-        class_mass = np.bincount(classing.class_of, weights=probs,
-                                 minlength=classing.num_classes)
-        self.class_sampler = NoiseSampler(class_mass, rng)
-        with np.errstate(divide="ignore"):
-            log_mass = np.where(class_mass > 0, np.log(class_mass), -np.inf)
-            log_word = np.where(probs > 0, np.log(probs), -np.inf)
-        self.log_class_probs = log_mass - math.log(class_mass.sum())
-        # log P_n(w | class(w)); -inf for zero-probability words. The shared
-        # scale of probs cancels in the ratio.
-        with np.errstate(invalid="ignore"):
-            ratio = log_word - log_mass[classing.class_of]
-        self.log_within_probs = np.where(probs > 0, ratio, -np.inf)
-        # classes without noise mass get no slots
-        self._size = np.zeros(classing.num_classes, dtype=np.int64)
-        self._offset = np.zeros(classing.num_classes, dtype=np.int64)
-        q, alias, words = [], [], []
-        filled = 0
-        for c, mem in enumerate(classing.members):
-            if class_mass[c] > 0:
-                table = AliasSampler(probs[mem])
-                self._offset[c], self._size[c] = filled, len(mem)
-                q.append(table.q)
-                alias.append(table.J + filled)
-                words.append(mem)
-                filled += len(mem)
-        self._q = np.concatenate(q)
-        self._alias = np.concatenate(alias)
-        self._words = np.concatenate(words).astype(np.int64)
+        if (probs < 0).any() or not probs.sum() > 0:
+            raise DataError("need non-negative probs with positive mass")
+        group_of = np.zeros(len(probs), dtype=np.int64) if group_of is None \
+            else np.asarray(group_of, dtype=np.int64)
+        self.mass = np.bincount(group_of, weights=probs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.log(probs) - np.log(self.mass[group_of])
+        self.log_probs = np.where(probs > 0, ratio, -np.inf)
+        order = np.argsort(group_of, kind="stable")
+        self.items = order[self.mass[group_of[order]] > 0]
+        self.size = np.bincount(group_of[self.items], minlength=len(self.mass))
+        self.offset = np.cumsum(self.size) - self.size
+        self.q, self.alias = np.empty(len(self.items)), np.arange(len(self.items))
+        for lo, n in zip(self.offset[self.size > 0], self.size[self.size > 0]):
+            # Walker's construction of one group's slots, through views
+            q, alias = self.q[lo:lo + n], self.alias[lo:lo + n]
+            p = probs[self.items[lo:lo + n]]
+            q[:] = p * (n / p.sum())
+            small = [i for i in range(n) if q[i] < 1.0]
+            large = [i for i in range(n) if q[i] >= 1.0]
+            while small and large:
+                s, l = small.pop(), large.pop()
+                alias[s] = lo + l
+                q[l] = q[l] - (1.0 - q[s])
+                (small if q[l] < 1.0 else large).append(l)
+            q[small + large] = 1.0  # numerical leftovers
         self.rng = rng
 
-    def sample_classes(self, m, k) -> np.ndarray:
-        return self.class_sampler.sample((m, k))
-
-    def sample_words(self, target_classes, k) -> np.ndarray:
-        """k within-class draws for each target class, as an (m, k) id matrix."""
-        target_classes = np.asarray(target_classes, dtype=np.int64)
-        size = self._size[target_classes]
+    def draw(self, groups, k) -> np.ndarray:
+        """k draws from each entry's group, as an (m, k) id matrix."""
+        groups = np.asarray(groups, dtype=np.int64)
+        size = self.size[groups]
         if (size == 0).any():
-            raise DataError(f"class {target_classes[size == 0][0]} has no noise mass")
-        m = len(target_classes)
-        slot = self._offset[target_classes, None] \
-            + self.rng.integers(0, size[:, None], size=(m, k))
-        keep = self.rng.random((m, k)) < self._q[slot]
-        return self._words[np.where(keep, slot, self._alias[slot])]
+            raise DataError(f"group {groups[size == 0][0]} has no noise mass")
+        m = len(groups)
+        slot = self.offset[groups, None] + self.rng.integers(0, size[:, None], size=(m, k))
+        keep = self.rng.random((m, k)) < self.q[slot]
+        return self.items[np.where(keep, slot, self.alias[slot])]
 
 
 # ---------------------------------------------------------------------------
@@ -393,38 +346,37 @@ def _noise_ids(observed, noise, what):
     return np.concatenate([observed[:, None], noise], axis=1)
 
 
-def _flat_blocks(targets, noise, noise_dist):
+def _flat_blocks(targets, noise, log_pn):
     targets = np.asarray(targets, dtype=np.int64)
     _check_targets(targets)
-    log_pn = noise_dist.log_probs if hasattr(noise_dist, "log_probs") else np.asarray(noise_dist)
     ids = _noise_ids(targets, noise, "noise")
-    return [("R", slice(None), ids, log_pn[ids])]
+    return [("R", slice(None), ids, np.asarray(log_pn)[ids])]
 
 
 def nce_objective(params: ModelParameters, contexts, targets, noise,
-                  noise_dist, l2: float = 0.0) -> float:
+                  log_pn, l2: float = 0.0) -> float:
     """NCE objective for fixed noise draws (finite-difference anchor)."""
-    value, _ = _nce(params, contexts, _flat_blocks(targets, noise, noise_dist),
+    value, _ = _nce(params, contexts, _flat_blocks(targets, noise, log_pn),
                     0.0, None, grad=False)
     return value - 0.5 * l2 * len(targets) * squared_norm(params)
 
 
 def nce_gradient(params: ModelParameters, contexts, targets, noise,
-                 noise_dist, l2: float = 0.0, macs: MacCounter = None):
+                 log_pn, l2: float = 0.0, macs: MacCounter = None):
     """NCE gradients against fixed noise draws.
 
-    ``noise`` is an (m, k) id matrix; ``noise_dist`` supplies log P_n. Works
-    for any regime's R/b parameters but is meant for standard/unnormalised
-    models. The gradient holds the context rows of Q and the target and
-    noise rows of R. Returns (Gradients, objective value without the L2
-    term).
+    ``noise`` is an (m, k) id matrix and ``log_pn`` the vector of log P_n
+    over word ids. Works for any regime's R/b parameters but is meant for
+    standard/unnormalised models. The gradient holds the context rows of Q
+    and the target and noise rows of R. Returns (Gradients, objective value
+    without the L2 term).
     """
-    value, grads = _nce(params, contexts, _flat_blocks(targets, noise, noise_dist),
+    value, grads = _nce(params, contexts, _flat_blocks(targets, noise, log_pn),
                         l2, macs, grad=True)
     return grads, value
 
 
-def _class_blocks(params, targets, class_noise, word_noise, noise):
+def _class_blocks(params, targets, class_noise, word_noise, log_pn):
     cfg = params.config
     if cfg.regime != REGIME_CLASS:
         raise DataError("class-factored NCE needs a class_factored model")
@@ -432,32 +384,34 @@ def _class_blocks(params, targets, class_noise, word_noise, noise):
     targets = np.asarray(targets, dtype=np.int64)
     _check_targets(targets)
     cls = layer.class_of[targets].astype(np.int64)
+    log_class, log_word = map(np.asarray, log_pn)
     blocks = []
     if layer.rows > 1:
         ids = _noise_ids(cls, class_noise, "class noise")
-        blocks.append(("S", slice(None), ids, noise.log_class_probs[ids]))
+        blocks.append(("S", slice(None), ids, log_class[ids]))
     sizes = np.array([len(mem) for mem in layer.members_eff])
     rows = np.flatnonzero(sizes[cls] > 1)
     if len(rows):
         ids = _noise_ids(targets, word_noise, "word noise")[rows]
-        blocks.append(("R", rows, ids, noise.log_within_probs[ids]))
+        blocks.append(("R", rows, ids, log_word[ids]))
     return blocks
 
 
 def nce_class_objective(params: ModelParameters, contexts, targets,
-                        class_noise, word_noise, noise: ClassNoiseSampler,
-                        l2: float = 0.0) -> float:
+                        class_noise, word_noise, log_pn, l2: float = 0.0) -> float:
     """Class-factored NCE objective for fixed draws (finite-difference anchor)."""
-    blocks = _class_blocks(params, targets, class_noise, word_noise, noise)
+    blocks = _class_blocks(params, targets, class_noise, word_noise, log_pn)
     value, _ = _nce(params, contexts, blocks, 0.0, None, grad=False)
     return value - 0.5 * l2 * len(targets) * squared_norm(params)
 
 
 def nce_gradient_class_factored(params: ModelParameters, contexts, targets,
-                                class_noise, word_noise, noise: ClassNoiseSampler,
+                                class_noise, word_noise, log_pn,
                                 l2: float = 0.0, macs: MacCounter = None):
     """Two-level NCE: discriminate the class, then the word within its class.
 
+    ``log_pn`` is the pair (log P_n(class), log P_n(word | its class)) of
+    vectors over class and word ids.
     The class-level term is skipped when the partition has a single class;
     the word-level term is skipped for targets whose class has a single
     effective member (its conditional is the point mass either way). The
@@ -465,7 +419,7 @@ def nce_gradient_class_factored(params: ModelParameters, contexts, targets,
     rows of S and the target and word-noise rows of R.
     Returns (Gradients, objective value without the L2 term).
     """
-    blocks = _class_blocks(params, targets, class_noise, word_noise, noise)
+    blocks = _class_blocks(params, targets, class_noise, word_noise, log_pn)
     value, grads = _nce(params, contexts, blocks, l2, macs, grad=True)
     return grads, value
 
@@ -602,13 +556,15 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
     ev_ctx, ev_tgt = (contexts[valid_idx], targets[valid_idx]) if n_valid \
         else (tr_ctx, tr_tgt)
 
-    sampler = None
     if config.algorithm == "nce":
+        # class NCE draws a class, then a word within it, from one shared rng
         probs = empirical_unigram(tr_tgt, cfg.vocab_size)
         if cfg.regime == REGIME_CLASS:
-            sampler = ClassNoiseSampler(probs, cfg.classing, noise_rng)
+            word_table = NoiseTable(probs, noise_rng, cfg.classing.class_of)
+            class_table = NoiseTable(word_table.mass, noise_rng)
+            log_pn = (class_table.log_probs, word_table.log_probs)
         else:
-            sampler = NoiseSampler(probs, noise_rng)
+            word_table = NoiseTable(probs, noise_rng)
 
     initial_ppl = _ppl(params, ev_ctx, ev_tgt)
     lr = config.learning_rate
@@ -639,18 +595,18 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
                     grads, _ = ml_gradient(params, ctx_b, tgt_b, l2=l2, macs=macs)
                 elif cfg.regime == REGIME_CLASS:
                     cls_b = cfg.classing.class_of[tgt_b].astype(np.int64)
-                    cnoise = sampler.sample_classes(len(sel), k) \
+                    cnoise = class_table.draw(np.zeros(len(sel), np.int64), k) \
                         if cfg.classing.num_classes > 1 else np.empty((len(sel), 0), np.int64)
-                    wnoise = sampler.sample_words(cls_b, k)
+                    wnoise = word_table.draw(cls_b, k)
                     sgd.catch_up("S", cls_b, cnoise)
                     sgd.catch_up("R", tgt_b, wnoise)
                     grads, _ = nce_gradient_class_factored(
-                        params, ctx_b, tgt_b, cnoise, wnoise, sampler, l2=l2, macs=macs)
+                        params, ctx_b, tgt_b, cnoise, wnoise, log_pn, l2=l2, macs=macs)
                 else:
-                    noise = sampler.sample((len(sel), k))
+                    noise = word_table.draw(np.zeros(len(sel), np.int64), k)
                     sgd.catch_up("R", tgt_b, noise)
-                    grads, _ = nce_gradient(params, ctx_b, tgt_b, noise, sampler,
-                                            l2=l2, macs=macs)
+                    grads, _ = nce_gradient(params, ctx_b, tgt_b, noise,
+                                            word_table.log_probs, l2=l2, macs=macs)
                 if not grads.finite():
                     raise TrainingDivergedError(
                         f"non-finite gradient in epoch {epoch}; lower the learning rate")

@@ -38,7 +38,7 @@ from snlm.partitioning import (
 )
 from snlm.synthetic import markov_corpus, template_corpus
 from snlm.training import (
-    ClassNoiseSampler,
+    NoiseTable,
     TrainingConfig,
     empirical_unigram,
     ml_gradient,
@@ -120,10 +120,13 @@ def test_criterion_02_analytic_gradients_match_finite_differences():
     def class_nce_case():
         params = make_params(vocab, REGIME_CLASS, order=3, dim=7, seed=33,
                              scale=0.6, num_classes=3)
-        sampler = ClassNoiseSampler(probs, params.config.classing,
-                                    np.random.default_rng(5))
-        class_noise = params.config.classing.class_of[word_noise]
-        args = (contexts, targets, class_noise, word_noise, sampler)
+        class_of = params.config.classing.class_of
+        rng = np.random.default_rng(5)
+        words = NoiseTable(probs, rng, class_of)
+        classes = NoiseTable(words.mass, rng)
+        class_noise = class_of[word_noise]
+        args = (contexts, targets, class_noise, word_noise,
+                (classes.log_probs, words.log_probs))
         fn = lambda ps: float(nce_gradient_class_factored(ps, *args, l2=0.0)[1])
         grads, _ = nce_gradient_class_factored(params, *args, l2=0.0)
         return params, fn, grads

@@ -50,6 +50,10 @@ class TestParserDefaults:
         assert main(["train", "c.txt", "--model", "m.bin", "--threads", "2"]) == 1
         assert "--threads" in capsys.readouterr().err
 
+    def test_ppl_takes_no_threads_flag(self, capsys):
+        assert main(["ppl", "m.bin", "c.txt", "--threads", "2"]) == 1
+        assert "--threads" in capsys.readouterr().err
+
     def test_diagonal_flag_parses_booleans(self):
         parser = build_parser()
         on = parser.parse_args(["train", "c", "--model", "m",
@@ -195,15 +199,6 @@ class TestTrainAndEvaluate:
         assert float(fields["perplexity"]) == round(want.perplexity, 4)
         assert int(fields["tokens"]) == want.token_count
 
-    def test_threaded_ppl_identical(self, tmp_path, capsys, corpus):
-        _, heldout = corpus
-        model, _ = self.train_model(tmp_path, capsys, corpus)
-        _, out1, _ = run(capsys, "ppl", model, heldout)
-        _, out3, _ = run(capsys, "ppl", model, heldout, "--threads", "3")
-        keep = lambda s: [l for l in s.splitlines()
-                          if not l.startswith("queries_per_sec")]
-        assert keep(out1) == keep(out3)
-
     def test_same_seed_reproduces_the_model_file(self, tmp_path, capsys, corpus):
         model_a, _ = self.train_model(tmp_path, capsys, corpus)
         saved = model_a.read_bytes()
@@ -300,6 +295,22 @@ class TestLiteralSentenceStart:
         code, stdout, stderr = run(capsys, "score", model, nbest)
         assert code == 0, stderr
         assert math.isfinite(float(stdout.strip().split(" ||| ")[-1]))
+
+    def test_vocab_and_brown_classes_read_it_as_unk(self, tmp_path, capsys, corpus):
+        text = corpus[0].read_text()
+        outputs = []
+        for name, extra in (("marked", "red <s> cat\n<s>\n"),
+                            ("unk", "red <unk> cat\n<unk>\n")):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text + extra)
+            vocab_path, out = tmp_path / f"{name}.vocab", tmp_path / f"{name}.classes"
+            assert run(capsys, "vocab", path, "-o", vocab_path)[0] == 0
+            code, _, stderr = run(capsys, "classes", "--vocab", vocab_path,
+                                  "--method", "brown", "--corpus", path,
+                                  "--num-classes", "3", "-o", out)
+            assert code == 0, stderr
+            outputs.append((vocab_path.read_text(), out.read_text()))
+        assert outputs[0] == outputs[1]
 
 
 class TestExitCodes:

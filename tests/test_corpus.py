@@ -42,6 +42,11 @@ class TestVocabulary:
         assert vocab.counts[UNK_ID] == 0
         assert vocab.counts.sum() == 5
 
+    def test_literal_sentence_start_counts_as_unk(self):
+        vocab = build_vocabulary([["x", BOS_TOKEN, "y"], ["y", "x"]])
+        assert vocab.tokens[3:] == ["x", "y"]
+        np.testing.assert_array_equal(vocab.counts, [1, 0, 0, 2, 2])
+
     def test_content_sorted_by_count_then_token(self):
         rng = np.random.default_rng(7)
         words = [f"w{i:02d}" for i in range(20)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config, make_params, make_vocab, zero_params
-from snlm.corpus import BOS_ID, EOS_ID, UNK_ID, build_vocabulary, extract_instances
+from snlm.corpus import BOS_ID, EOS_ID, UNK_ID, extract_instances
 from snlm.errors import DataError
 from snlm.evaluation import (
     MemoryEstimate,
@@ -28,7 +28,6 @@ from snlm.model import (
     unnormalised_log_score,
 )
 from snlm.partitioning import WordClassing
-from snlm.synthetic import markov_corpus
 
 
 class TestPerplexity:
@@ -81,17 +80,6 @@ class TestPerplexity:
         rev = perplexity(params, sentences[::-1], vocab)
         assert fwd.total_log_prob == rev.total_log_prob
         assert fwd.perplexity == rev.perplexity
-
-    def test_thread_sharding_changes_nothing(self):
-        sentences = markov_corpus(400, vocab_size=12, seed=13)
-        vocab = build_vocabulary(sentences)
-        params = make_params(vocab, REGIME_CLASS, order=3, dim=5, seed=112,
-                             num_classes=3)
-        one = perplexity(params, sentences, vocab, threads=1)
-        many = perplexity(params, sentences, vocab, threads=3)
-        assert one.total_log_prob == many.total_log_prob
-        assert one.token_count == many.token_count
-        assert one.oov_count == many.oov_count
 
     def test_never_below_one(self):
         vocab = make_vocab(list("ab"))

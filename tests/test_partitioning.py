@@ -2,6 +2,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from snlm.partitioning import (
     frequency_binning,
     huffman_tree,
 )
-from snlm.synthetic import template_corpus
+from snlm.synthetic import markov_corpus, template_corpus
 
 from conftest import min_wpl
 
@@ -242,6 +243,33 @@ class TestBrownClustering:
         a = brown_clustering(sentences, vocab, 3)
         b = brown_clustering(sentences, vocab, 3)
         np.testing.assert_array_equal(a.class_of, b.class_of)
+
+    def test_frozen_classes_cost_no_square_memory(self):
+        sentences = markov_corpus(8_000, vocab_size=1_000, branching=10, seed=1)
+        vocab = build_vocabulary(sentences)
+        tracemalloc.start()
+        try:
+            cl = brown_clustering(sentences, vocab, 3, max_iterations=1,
+                                  words=range(3, 33))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cl.num_classes == len(vocab) - 27
+        # a dense classes x classes float64 count matrix alone is 4x this bound
+        assert peak < cl.num_classes ** 2 * 8 / 4
+
+    def test_literal_sentence_start_reads_as_unk(self):
+        base = template_corpus(80, seed=9)
+        marked = [s[:1] + ["<s>"] + s[1:] for s in base]
+        unk = [s[:1] + ["<unk>"] + s[1:] for s in base]
+        vocab, want_vocab = build_vocabulary(marked), build_vocabulary(unk)
+        assert vocab.tokens == want_vocab.tokens
+        np.testing.assert_array_equal(vocab.counts, want_vocab.counts)
+        got = brown_clustering(marked, vocab, 3)
+        want = brown_clustering(unk, want_vocab, 3)
+        np.testing.assert_array_equal(got.class_of, want.class_of)
+        assert class_bigram_objective(marked, vocab, got) \
+            == class_bigram_objective(unk, want_vocab, want)
 
 
 def _wpl(tree, counts):

@@ -21,10 +21,8 @@ from snlm.model import (
 from snlm.partitioning import WordClassing
 from snlm.synthetic import cyclic_corpus, markov_corpus
 from snlm.training import (
-    AliasSampler,
-    ClassNoiseSampler,
     Gradients,
-    NoiseSampler,
+    NoiseTable,
     TrainingConfig,
     empirical_unigram,
     ml_gradient,
@@ -53,63 +51,80 @@ class TestEmpiricalUnigram:
             empirical_unigram(np.array([], dtype=int), 4)
 
 
-class TestAliasSampler:
+class TestNoiseTable:
+    def setup_method(self):
+        self.probs = np.array([0.1, 0.0, 0.2, 0.4, 0.2, 0.1])
+        self.class_of = np.array([0, 1, 0, 2, 2, 0])
+
     def test_frequencies_match_probabilities(self):
         scipy_stats = pytest.importorskip("scipy.stats")
         probs = np.array([0.5, 0.25, 0.125, 0.0625, 0.0625])
-        sampler = AliasSampler(probs)
-        rng = np.random.default_rng(123)
-        draws = sampler.draw(rng, 40000)
+        table = NoiseTable(probs, np.random.default_rng(123))
+        draws = table.draw(np.zeros(4000, dtype=np.int64), 10).ravel()
         observed = np.bincount(draws, minlength=5)
         result = scipy_stats.chisquare(observed, probs * len(draws))
         assert result.pvalue > 1e-3
 
+    def test_frequencies_match_each_group(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        table = NoiseTable(self.probs, np.random.default_rng(124), self.class_of)
+        for c, members in ((0, [0, 2, 5]), (2, [3, 4])):
+            draws = table.draw(np.full(4000, c), 10).ravel()
+            observed = np.bincount(draws, minlength=6)[members]
+            want = self.probs[members] / self.probs[members].sum()
+            assert observed.sum() == len(draws)
+            result = scipy_stats.chisquare(observed, want * len(draws))
+            assert result.pvalue > 1e-3
+
     def test_zero_probability_never_drawn(self):
-        probs = np.array([0.4, 0.0, 0.6, 0.0])
-        sampler = AliasSampler(probs)
-        rng = np.random.default_rng(7)
-        draws = sampler.draw(rng, 20000)
+        table = NoiseTable(np.array([0.4, 0.0, 0.6, 0.0]), np.random.default_rng(7))
+        draws = table.draw(np.zeros(2000, dtype=np.int64), 10)
         assert set(np.unique(draws)) <= {0, 2}
+        grouped = NoiseTable(self.probs, np.random.default_rng(8),
+                             np.array([0, 0, 0, 1, 1, 1]))
+        draws = grouped.draw(np.tile([0, 1], 1000), 10)
+        assert 1 not in draws
 
     def test_same_seed_same_stream(self):
-        sampler = AliasSampler(np.array([0.3, 0.7]))
-        a = sampler.draw(np.random.default_rng(5), (100,))
-        b = sampler.draw(np.random.default_rng(5), (100,))
-        np.testing.assert_array_equal(a, b)
+        draws = [NoiseTable(self.probs, np.random.default_rng(5), self.class_of)
+                 .draw(np.array([0, 2, 0, 0, 2]), 20) for _ in range(2)]
+        np.testing.assert_array_equal(*draws)
 
     def test_rejects_zero_mass(self):
         with pytest.raises(DataError):
-            AliasSampler(np.zeros(3))
+            NoiseTable(np.zeros(3), np.random.default_rng(0))
+        with pytest.raises(DataError):
+            NoiseTable(np.zeros(3), np.random.default_rng(0), np.array([0, 1, 1]))
 
+    def test_empty_group_draw_rejected(self):
+        table = NoiseTable(self.probs, np.random.default_rng(2), self.class_of)
+        with pytest.raises(DataError):
+            table.draw(np.array([0, 1]), k=2)
 
-class TestClassNoiseSampler:
-    def setup_method(self):
-        self.probs = np.array([0.1, 0.0, 0.2, 0.4, 0.2, 0.1])
-        self.classing = WordClassing(np.array([0, 1, 0, 2, 2, 0]), 3)
-
-    def test_within_class_conditionals(self):
-        sampler = ClassNoiseSampler(self.probs, self.classing,
-                                    np.random.default_rng(0))
-        # class masses 0.4, 0.0, 0.6
-        np.testing.assert_allclose(np.exp(sampler.log_class_probs),
-                                   [0.4, 0.0, 0.6], atol=1e-12)
-        np.testing.assert_allclose(np.exp(sampler.log_within_probs),
+    def test_log_probs_are_within_group_conditionals(self):
+        table = NoiseTable(self.probs, np.random.default_rng(0), self.class_of)
+        np.testing.assert_allclose(table.mass, [0.4, 0.0, 0.6], atol=1e-12)
+        np.testing.assert_allclose(np.exp(table.log_probs),
                                    [0.25, 0.0, 0.5, 2 / 3, 1 / 3, 0.25],
                                    atol=1e-12)
+        assert table.log_probs[1] == -np.inf
+        flat = NoiseTable(self.probs * 3, np.random.default_rng(0))
+        np.testing.assert_allclose(np.exp(flat.log_probs), self.probs, atol=1e-12)
 
-    def test_word_draws_stay_in_the_target_class(self):
-        sampler = ClassNoiseSampler(self.probs, self.classing,
-                                    np.random.default_rng(1))
-        target_classes = np.array([0, 2, 2, 0, 0])
-        words = sampler.sample_words(target_classes, k=20)
-        for row, c in zip(words, target_classes):
-            assert (self.classing.class_of[row] == c).all()
+    def test_word_draws_stay_in_their_group(self):
+        table = NoiseTable(self.probs, np.random.default_rng(1), self.class_of)
+        groups = np.array([0, 2, 2, 0, 0])
+        words = table.draw(groups, k=20)
+        assert words.shape == (5, 20)
+        for row, c in zip(words, groups):
+            assert (self.class_of[row] == c).all()
 
-    def test_empty_class_draw_rejected(self):
-        sampler = ClassNoiseSampler(self.probs, self.classing,
-                                    np.random.default_rng(2))
-        with pytest.raises(DataError):
-            sampler.sample_words(np.array([1]), k=2)
+
+def class_noise(probs, classing, seed):
+    """(class table, word table) for class NCE, sharing one rng."""
+    rng = np.random.default_rng(seed)
+    words = NoiseTable(probs, rng, classing.class_of)
+    return NoiseTable(words.mass, rng), words
 
 
 def tiny_instances(vocab, order, seed, m=6):
@@ -213,13 +228,13 @@ class TestNceGradient:
         for w in range(len(vocab)):
             if probs[w] > 0:
                 params.b[w] = math.log(k * probs[w])
-        sampler = NoiseSampler(probs, np.random.default_rng(81))
-        noise = sampler.sample((5, k))
-        value = nce_objective(params, contexts, targets, noise, sampler)
+        table = NoiseTable(probs, np.random.default_rng(81))
+        noise = table.draw(np.zeros(5, dtype=np.int64), k)
+        value = nce_objective(params, contexts, targets, noise, table.log_probs)
         want = (5 + 5 * k) * math.log(0.5)
         np.testing.assert_allclose(value, want, rtol=1e-12)
         # the observed column pushes up, the noise columns push down
-        grads, _ = nce_gradient(params, contexts, targets, noise, sampler)
+        grads, _ = nce_gradient(params, contexts, targets, noise, table.log_probs)
         grads = grads.dense(params)
         for i, w in enumerate(targets):
             contribution = 0.5 - 0.5 * np.count_nonzero(noise[i] == w)
@@ -232,13 +247,13 @@ class TestNceGradient:
                                  diagonal=diagonal, seed=82, scale=0.4)
             contexts, targets = tiny_instances(vocab, 3, 83, m=5)
             probs = empirical_unigram(targets, len(vocab))
-            sampler = NoiseSampler(probs, np.random.default_rng(84))
-            noise = sampler.sample((5, 2))
-            grads, _ = nce_gradient(params, contexts, targets, noise, sampler,
-                                    l2=1e-3)
+            table = NoiseTable(probs, np.random.default_rng(84))
+            noise = table.draw(np.zeros(5, dtype=np.int64), 2)
+            grads, _ = nce_gradient(params, contexts, targets, noise,
+                                    table.log_probs, l2=1e-3)
             want = numeric_gradient(
-                lambda q: nce_objective(q, contexts, targets, noise, sampler,
-                                        l2=1e-3), params)
+                lambda q: nce_objective(q, contexts, targets, noise,
+                                        table.log_probs, l2=1e-3), params)
             np.testing.assert_allclose(grad_vector(grads, params), want,
                                        rtol=2e-5, atol=1e-7)
 
@@ -284,10 +299,11 @@ class TestNceGradient:
             params = make_params(vocab, seed=87, dim=6)
             contexts, targets = tiny_instances(vocab, 3, 88, m=8)
             probs = empirical_unigram(targets, len(vocab))
-            sampler = NoiseSampler(probs, np.random.default_rng(89))
+            table = NoiseTable(probs, np.random.default_rng(89))
             macs = MacCounter()
-            nce_gradient(params, contexts, targets, sampler.sample((8, k)),
-                         sampler, macs=macs)
+            nce_gradient(params, contexts, targets,
+                         table.draw(np.zeros(8, dtype=np.int64), k),
+                         table.log_probs, macs=macs)
             costs[n_words] = (macs.output, macs.output_rows)
         assert costs[10] == costs[100]
         assert costs[100][1] == 8 * (1 + k)
@@ -321,16 +337,16 @@ class TestClassFactoredNce:
         contexts, targets = tiny_instances(vocab, 3, 94, m=5)
         probs = empirical_unigram(targets, len(vocab)) * 0.5 \
             + empirical_unigram(np.arange(2, len(vocab)), len(vocab)) * 0.5
-        sampler = ClassNoiseSampler(probs, params.config.classing,
-                                    np.random.default_rng(95))
-        cnoise = sampler.sample_classes(5, 2)
+        classes, words = class_noise(probs, params.config.classing, 95)
+        log_pn = (classes.log_probs, words.log_probs)
+        cnoise = classes.draw(np.zeros(5, dtype=np.int64), 2)
         cls = params.config.classing.class_of[targets].astype(np.int64)
-        wnoise = sampler.sample_words(cls, 2)
+        wnoise = words.draw(cls, 2)
         grads, _ = nce_gradient_class_factored(params, contexts, targets,
-                                               cnoise, wnoise, sampler, l2=1e-3)
+                                               cnoise, wnoise, log_pn, l2=1e-3)
         want = numeric_gradient(
             lambda q: nce_class_objective(q, contexts, targets, cnoise,
-                                          wnoise, sampler, l2=1e-3), params)
+                                          wnoise, log_pn, l2=1e-3), params)
         np.testing.assert_allclose(grad_vector(grads, params), want, rtol=2e-5, atol=1e-7)
 
     def test_single_class_partition_equals_flat_nce(self):
@@ -344,14 +360,13 @@ class TestClassFactoredNce:
             std.C[j][...] = cls.C[j]
         contexts, targets = tiny_instances(vocab, 3, 97, m=6)
         probs = empirical_unigram(targets, len(vocab))
-        sampler = ClassNoiseSampler(probs, cls.config.classing,
-                                    np.random.default_rng(98))
-        wnoise = sampler.sample_words(np.zeros(6, dtype=np.int64), 3)
+        classes, words = class_noise(probs, cls.config.classing, 98)
+        wnoise = words.draw(np.zeros(6, dtype=np.int64), 3)
         cnoise = np.empty((6, 0), dtype=np.int64)
-        got, value_cls = nce_gradient_class_factored(cls, contexts, targets,
-                                                     cnoise, wnoise, sampler)
+        got, value_cls = nce_gradient_class_factored(
+            cls, contexts, targets, cnoise, wnoise, (classes.log_probs, words.log_probs))
         want, value_std = nce_gradient(std, contexts, targets, wnoise,
-                                       sampler.log_within_probs)
+                                       words.log_probs)
         got, want = got.dense(cls), want.dense(std)
         np.testing.assert_allclose(value_cls, value_std, rtol=1e-12)
         np.testing.assert_allclose(got.R, want.R, rtol=1e-9, atol=1e-12)
@@ -372,14 +387,13 @@ class TestClassFactoredNce:
             std.C[j][...] = cls.C[j]
         contexts, targets = tiny_instances(vocab, 3, 100, m=6)
         probs = empirical_unigram(targets, V)
-        sampler = ClassNoiseSampler(probs, cls.config.classing,
-                                    np.random.default_rng(101))
-        cnoise = sampler.sample_classes(6, 3)
+        classes, words = class_noise(probs, cls.config.classing, 101)
+        cnoise = classes.draw(np.zeros(6, dtype=np.int64), 3)
         wnoise = np.repeat(targets[:, None], 2, axis=1).astype(np.int64)
-        got, value_cls = nce_gradient_class_factored(cls, contexts, targets,
-                                                     cnoise, wnoise, sampler)
+        got, value_cls = nce_gradient_class_factored(
+            cls, contexts, targets, cnoise, wnoise, (classes.log_probs, words.log_probs))
         want, value_std = nce_gradient(std, contexts, targets, cnoise,
-                                       sampler.log_class_probs)
+                                       classes.log_probs)
         got, want = got.dense(cls), want.dense(std)
         np.testing.assert_allclose(value_cls, value_std, rtol=1e-12)
         np.testing.assert_allclose(got.S, want.R, rtol=1e-9, atol=1e-12)
