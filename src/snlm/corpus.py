@@ -135,8 +135,8 @@ def build_vocabulary(corpus, min_count: int = 1, max_size=None) -> Vocabulary:
     max_size : keep at most this many non-special tokens, most frequent first
 
     The dropped occurrence mass is accumulated on ``<unk>`` so that the sum
-    of all counts equals the corpus token count. A literal ``<s>`` in the
-    text counts as ``<unk>``, as :func:`token_ids` reads it.
+    of all counts equals the corpus token count. A literal ``<s>`` or
+    ``</s>`` in the text counts as ``<unk>``, as :func:`token_ids` reads it.
     """
     if min_count < 1:
         raise DataError("min_count must be >= 1")
@@ -159,18 +159,19 @@ def build_vocabulary(corpus, min_count: int = 1, max_size=None) -> Vocabulary:
         dropped.extend(kept[max_size:])
         kept = kept[:max_size]
 
-    unk = special_counts[UNK_TOKEN] + special_counts[BOS_TOKEN]
-    unk += sum(c for _, c in dropped)
+    unk = sum(special_counts.values()) + sum(c for _, c in dropped)
     tokens = list(SPECIAL_TOKENS) + [t for t, _ in kept]
-    counts = [unk, 0, special_counts[EOS_TOKEN]]
+    counts = [unk, 0, 0]
     counts += [c for _, c in kept]
     return Vocabulary(tokens, counts)
 
 
 def token_ids(sentence: Sequence[str], vocab: Vocabulary) -> list:
     """Ids of a sentence's tokens. OOV tokens map to ``<unk>``, and so does a
-    literal ``<s>``: the start marker only pads contexts."""
-    return [UNK_ID if t == BOS_TOKEN else vocab.lookup(t) for t in sentence]
+    literal ``<s>`` or ``</s>``: the markers only frame sentences."""
+    get = vocab._ids.get
+    return [UNK_ID if (i := get(t, UNK_ID)) in (BOS_ID, EOS_ID) else i
+            for t in sentence]
 
 
 class TrainingInstance(NamedTuple):
@@ -181,41 +182,39 @@ class TrainingInstance(NamedTuple):
 
 
 def extract_instances(sentence: Sequence[str], vocab: Vocabulary, n: int) -> list:
-    """n-gram prediction instances for one sentence.
-
-    A sentence of L tokens produces L+1 instances (each token plus ``</s>``).
-    Context positions hold the n-1 preceding ids, most recent first, padded
-    with ``<s>`` beyond the sentence start. Tokens are read by
-    :func:`token_ids`, so ``<s>`` is never a target.
-    """
-    if n < 2:
-        raise DataError("model order must be >= 2")
-    ids = token_ids(sentence, vocab)
-    out = []
-    for i in range(len(ids) + 1):
-        target = ids[i] if i < len(ids) else EOS_ID
-        ctx = tuple(ids[i - j] if i - j >= 0 else BOS_ID for j in range(1, n))
-        out.append(TrainingInstance(ctx, target))
-    return out
+    """The prediction instances of one sentence, as :func:`instance_arrays`
+    builds them, one :class:`TrainingInstance` each."""
+    contexts, targets = instance_arrays([sentence], vocab, n)
+    return [TrainingInstance(tuple(c), t)
+            for c, t in zip(contexts.tolist(), targets.tolist())]
 
 
 def instance_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, n: int):
-    """Stack instances for many sentences into (contexts, targets) arrays.
+    """n-gram prediction instances of many sentences as (contexts, targets).
+
+    A sentence of L tokens yields L+1 instances (each token plus ``</s>``).
+    Each is a window of width n over one id stream in which every sentence
+    is ``<s>`` * (n-1), its :func:`token_ids`, ``</s>``; windows ending on a
+    ``<s>`` (the padding) are dropped, so ``<s>`` is never a target.
 
     Returns
     -------
     contexts : int32 array of shape (N, n-1), most recent position first
     targets : int32 array of shape (N,)
     """
-    ctx_rows, tgt = [], []
+    if n < 2:
+        raise DataError("model order must be >= 2")
+    pad, stream = [BOS_ID] * (n - 1), []
     for sent in sentences:
-        for inst in extract_instances(sent, vocab, n):
-            ctx_rows.append(inst.context)
-            tgt.append(inst.target)
-    if not tgt:
+        stream += pad
+        stream += token_ids(sent, vocab)
+        stream.append(EOS_ID)
+    if not stream:
         raise DataError("empty corpus")
-    return (np.asarray(ctx_rows, dtype=np.int32),
-            np.asarray(tgt, dtype=np.int32))
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.array(stream, dtype=np.int32), n)
+    windows = windows[windows[:, -1] != BOS_ID]
+    return np.ascontiguousarray(windows[:, -2::-1]), windows[:, -1].copy()
 
 
 def unigram_from_counts(counts, smoothing: float = 0.0, exclude=()) -> np.ndarray:

@@ -15,7 +15,29 @@ from .model import (MacCounter, ModelConfig, ModelParameters, log_prob,
                     log_probs_batch, unnormalised_log_score,
                     unnormalised_scores_batch)
 
-_EVAL_BATCH = 512
+_SCRATCH_BYTES = 8 << 20   # bound on a scoring batch's largest temporary
+_NBEST_GROUP_TOKENS = 1 << 16  # n-best tokens gathered into one scoring call
+
+
+def _batch_width(params: ModelParameters) -> int:
+    """Rows per scoring batch: as many as keep the output layer's largest
+    per-query temporary within ``_SCRATCH_BYTES`` together, at least one."""
+    return max(1, _SCRATCH_BYTES // params.config.layout().row_bytes())
+
+
+def score_instances(params: ModelParameters, contexts, targets,
+                    unnormalised: bool = False, macs: MacCounter = None) -> np.ndarray:
+    """Per-instance scores, float64: log-probabilities, or raw ``phi`` scores
+    when ``unnormalised``, computed in batches of the layer's width."""
+    contexts = np.asarray(contexts, dtype=np.int32)
+    targets = np.asarray(targets, dtype=np.int64)
+    score = unnormalised_scores_batch if unnormalised else log_probs_batch
+    width = _batch_width(params)
+    out = np.empty(len(targets))
+    for lo in range(0, len(targets), width):
+        out[lo:lo + width] = score(params, contexts[lo:lo + width],
+                                   targets[lo:lo + width], macs)
+    return out
 
 
 def perplexity_from_instances(params: ModelParameters, contexts, targets,
@@ -25,16 +47,10 @@ def perplexity_from_instances(params: ModelParameters, contexts, targets,
     The per-instance log-probabilities are reduced with ``math.fsum``, so the
     total is independent of instance order.
     """
-    contexts = np.asarray(contexts, dtype=np.int32)
-    targets = np.asarray(targets, dtype=np.int64)
     if len(targets) == 0:
         raise DataError("no instances to score")
-    pieces = []
-    for lo in range(0, len(targets), _EVAL_BATCH):
-        lp = log_probs_batch(params, contexts[lo:lo + _EVAL_BATCH],
-                             targets[lo:lo + _EVAL_BATCH], macs)
-        pieces.extend(lp.tolist())
-    return math.fsum(pieces), len(targets)
+    lp = score_instances(params, contexts, targets, macs=macs)
+    return math.fsum(lp.tolist()), len(lp)
 
 
 def perplexity_of(total: float, count: int) -> float:
@@ -90,8 +106,7 @@ def score_sentence(params: ModelParameters, sentence, vocab: Vocabulary,
     ``phi`` scores, the fast path for NCE-trained models.
     """
     contexts, targets = instance_arrays([sentence], vocab, params.config.order)
-    score = unnormalised_scores_batch if unnormalised else log_probs_batch
-    return float(score(params, contexts, targets, macs).sum())
+    return float(score_instances(params, contexts, targets, unnormalised, macs).sum())
 
 
 class NBestEntry(NamedTuple):
@@ -121,8 +136,12 @@ def score_nbest(params: ModelParameters, lines, vocab: Vocabulary,
     entries in input order, errors as (line_no, reason) pairs for malformed
     lines, which are skipped without stopping the run. Scores depend only on
     each hypothesis, never on neighboring lines.
+
+    Hypotheses are scored in groups of about ``_NBEST_GROUP_TOKENS``
+    tokens: one instance array and one batched scoring pass per group, split
+    back into per-hypothesis sums.
     """
-    entries, errors = [], []
+    entries, errors, group, tokens = [], [], [], 0
     for line_no, raw in enumerate(lines, 1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -131,10 +150,25 @@ def score_nbest(params: ModelParameters, lines, vocab: Vocabulary,
         if parsed is None:
             errors.append((line_no, "expected 'sent_id ||| hypothesis ||| ...'"))
             continue
-        sent_id, hypothesis, rest = parsed
-        score = score_sentence(params, hypothesis.split(), vocab, unnormalised)
-        entries.append(NBestEntry(line_no, sent_id, hypothesis, rest, score))
+        words = parsed[1].split()
+        group.append((line_no, *parsed, words))
+        tokens += len(words) + 1
+        if tokens >= _NBEST_GROUP_TOKENS:
+            entries += _score_hypotheses(params, group, vocab, unnormalised)
+            group, tokens = [], 0
+    if group:
+        entries += _score_hypotheses(params, group, vocab, unnormalised)
     return entries, errors
+
+
+def _score_hypotheses(params, group, vocab, unnormalised):
+    """NBestEntry per (line_no, sent_id, hypothesis, rest, words) of a group."""
+    sentences = [g[-1] for g in group]
+    contexts, targets = instance_arrays(sentences, vocab, params.config.order)
+    scores = score_instances(params, contexts, targets, unnormalised)
+    starts = np.cumsum([0] + [len(s) + 1 for s in sentences[:-1]])
+    return [NBestEntry(*g[:4], score)
+            for g, score in zip(group, np.add.reduceat(scores, starts).tolist())]
 
 
 # ---------------------------------------------------------------------------

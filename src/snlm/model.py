@@ -232,8 +232,9 @@ class RowGrad:
     def segment_sum(cls, rows, values, bias=None) -> "RowGrad":
         """Sum the entries that share a row id.
 
-        A stable sort groups equal ids in input order and ``np.add.reduceat``
-        adds each group, so the sums are bitwise reproducible.
+        A stable sort groups equal ids in input order. A row met once is
+        copied through; ``np.add.reduceat`` adds the groups of the rows met
+        more than once, in that order, so the sums are bitwise reproducible.
         """
         rows = np.asarray(rows, dtype=np.int64)
         order = np.argsort(rows, kind="stable")
@@ -241,8 +242,18 @@ class RowGrad:
         first = np.ones(len(rows), dtype=bool)
         first[1:] = rows[1:] != rows[:-1]
         starts = np.flatnonzero(first)
-        return cls(rows[starts], np.add.reduceat(values[order], starts, axis=0),
-                   None if bias is None else np.add.reduceat(bias[order], starts))
+        sizes = np.diff(starts, append=len(rows))
+        repeated = sizes > 1
+
+        def summed(x):
+            out = x[order[starts]]
+            if repeated.any():
+                grouped = order[np.repeat(repeated, sizes)]
+                ends = np.cumsum(sizes[repeated])
+                out[repeated] = np.add.reduceat(x[grouped], ends - sizes[repeated], axis=0)
+            return out
+
+        return cls(rows[starts], summed(values), None if bias is None else summed(bias))
 
     def finite(self) -> bool:
         return bool(np.isfinite(self.values).all()
@@ -286,8 +297,10 @@ class OutputLayer:
     ``log_probs`` (float64 (m,)), ``backward`` (log-likelihood, float64 gP,
     and the R and S :class:`RowGrad` or None), ``distribution`` (float64
     (m, V)) and ``ml_rows``, the (table, row ids) pairs ``backward`` reads.
-    Targets are prediction targets, never ``<s>``. The base class has no
-    score rows and no structure section.
+    ``row_bytes`` is the size of the largest temporary ``log_probs`` makes
+    per query, from which evaluation sizes its batches. Targets are
+    prediction targets, never ``<s>``. The base class has no score rows and
+    no structure section.
     """
 
     rows = 0
@@ -310,6 +323,9 @@ class OutputLayer:
 
 class StandardLayer(OutputLayer):
     """Softmax over the whole support."""
+
+    def row_bytes(self) -> int:
+        return 8 * len(self.support)  # float64 scores over the support
 
     def log_probs(self, params, P, targets, macs=None):
         scores = _scores(P, params.R[self.support], params.b[self.support])
@@ -352,6 +368,9 @@ class ClassLayer(OutputLayer):
         self.pos_in_class = np.full(config.vocab_size, -1, dtype=np.int64)
         for mem in self.members_eff:
             self.pos_in_class[mem] = np.arange(len(mem))
+
+    def row_bytes(self) -> int:  # float64 class scores, then the largest class's
+        return 8 * (self.rows + max(len(m) for m in self.members_eff))
 
     def start_values(self, probs):
         if probs is None:
@@ -443,6 +462,9 @@ class TreeLayer(OutputLayer):
             raise DataError("tree leaves must cover the vocabulary minus <s>")
         self.tree = tree
         self.rows = tree.num_nodes - 1  # every node but the root
+
+    def row_bytes(self) -> int:  # the float32 node and sibling row gathers
+        return 8 * self.tree.max_depth * self.dim
 
     def start_values(self, probs):
         """Log prior mass under each node; uniform over the leaves when probs is None."""

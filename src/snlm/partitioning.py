@@ -129,12 +129,17 @@ def frequency_binning(unigram, num_classes: int) -> WordClassing:
 
 def _xlogx(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    return x * np.log(x, out=np.zeros_like(x), where=x > 0)
+    return x * np.log(x, out=np.zeros(x.shape), where=x > 0)
 
 
 def _dxlogx(x: np.ndarray, d) -> np.ndarray:
-    """Change of x ln x when x grows by d."""
-    return _xlogx(x + d) - _xlogx(x)
+    """Change of x ln x when x grows by d (d broadcast to x's shape), from
+    one ``_xlogx`` over both ends stacked."""
+    both = np.empty((2, *np.shape(x)))
+    np.add(x, d, out=both[0])
+    both[1] = x
+    grown, now = _xlogx(both)
+    return grown - now
 
 
 def _word_bigrams(sentences, vocab: Vocabulary):

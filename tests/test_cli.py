@@ -313,6 +313,38 @@ class TestLiteralSentenceStart:
         assert outputs[0] == outputs[1]
 
 
+class TestLiteralSentenceEnd:
+    """A literal </s> in text is read as <unk>, never as the sentence end."""
+
+    def test_train_ppl_and_score_read_it_as_unk(self, tmp_path, capsys, corpus):
+        train, heldout = corpus
+        outputs = []
+        for marker in ("</s>", "<unk>"):
+            text = tmp_path / f"train-{len(outputs)}.txt"
+            text.write_text(train.read_text() + f"red {marker} cat\n{marker}\n")
+            model = tmp_path / f"model-{len(outputs)}.bin"
+            code, _, stderr = run(capsys, "train", text, "--model", model,
+                                  "--order", "3", "--dim", "8", "--epochs", "1",
+                                  "--seed", "7")
+            assert code == 0, stderr
+            held = tmp_path / f"held-{len(outputs)}.txt"
+            held.write_text(f"{marker} dog runs\n" + heldout.read_text())
+            code, ppl, stderr = run(capsys, "ppl", model, held)
+            assert code == 0, stderr
+            fields = dict(line.split("\t") for line in ppl.strip().splitlines())
+            assert math.isfinite(float(fields["perplexity"]))
+            assert int(fields["oov"]) >= 1
+            del fields["queries_per_sec"]  # a timing
+            nbest = tmp_path / f"hyps-{len(outputs)}.nbest"
+            nbest.write_text(f"0 ||| cat {marker} runs ||| 0\n1 ||| {marker}\n")
+            code, scored, stderr = run(capsys, "score", model, nbest)
+            assert code == 0, stderr
+            scores = [float(line.split(" ||| ")[-1]) for line in scored.splitlines()]
+            assert all(math.isfinite(x) for x in scores)
+            outputs.append((model.read_bytes(), fields, scores))
+        assert outputs[0] == outputs[1]
+
+
 class TestExitCodes:
     def test_usage_errors_return_one(self, capsys):
         assert main(["definitely-not-a-command"]) == 1

@@ -47,6 +47,11 @@ class TestVocabulary:
         assert vocab.tokens[3:] == ["x", "y"]
         np.testing.assert_array_equal(vocab.counts, [1, 0, 0, 2, 2])
 
+    def test_literal_sentence_end_counts_as_unk(self):
+        vocab = build_vocabulary([["a", EOS_TOKEN, "b"], [EOS_TOKEN, BOS_TOKEN]])
+        assert vocab.tokens[3:] == ["a", "b"]
+        np.testing.assert_array_equal(vocab.counts, [3, 0, 0, 1, 1])
+
     def test_content_sorted_by_count_then_token(self):
         rng = np.random.default_rng(7)
         words = [f"w{i:02d}" for i in range(20)]
@@ -145,6 +150,13 @@ class TestExtractInstances:
                                            vocab.id_of("b"), EOS_ID]
         assert inst[2].context == (UNK_ID,)
 
+    def test_literal_sentence_end_becomes_unk(self):
+        vocab = build_vocabulary([["a", EOS_TOKEN, "b"]])
+        inst = extract_instances(["a", EOS_TOKEN, "b"], vocab, n=2)
+        assert [i.target for i in inst] == [vocab.id_of("a"), UNK_ID,
+                                           vocab.id_of("b"), EOS_ID]
+        assert inst[2].context == (UNK_ID,)
+
     def test_arrays_shape_and_dtype(self):
         vocab = build_vocabulary([["a", "b"]])
         ctx, tgt = instance_arrays([["a", "b"], ["b"]], vocab, n=3)
@@ -155,6 +167,43 @@ class TestExtractInstances:
         vocab = build_vocabulary([["a"]])
         with pytest.raises(DataError):
             extract_instances(["a"], vocab, n=1)
+        with pytest.raises(DataError):
+            instance_arrays([["a"]], vocab, n=1)
+
+    def test_no_sentences_rejected(self):
+        vocab = build_vocabulary([["a"]])
+        with pytest.raises(DataError):
+            instance_arrays([], vocab, n=3)
+
+
+def _instances_by_loop(sentences, vocab, n):
+    """Per-token instances: each target with its n-1 predecessors, most
+    recent first, <s> before the sentence start; markers in text read <unk>."""
+    contexts, targets = [], []
+    for sent in sentences:
+        ids = [UNK_ID if t in (BOS_TOKEN, EOS_TOKEN) else vocab.lookup(t) for t in sent]
+        for i in range(len(ids) + 1):
+            targets.append(ids[i] if i < len(ids) else EOS_ID)
+            contexts.append([ids[i - j] if i - j >= 0 else BOS_ID for j in range(1, n)])
+    return contexts, targets
+
+
+class TestInstanceArrays:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_a_per_token_loop(self, n):
+        rng = np.random.default_rng(40 + n)
+        words = ["a", "b", "c", "d", "oov", BOS_TOKEN, EOS_TOKEN, UNK_TOKEN]
+        vocab = build_vocabulary([["a", "b", "c", "d", "a", "b"]])
+        for _ in range(10):
+            sentences = [list(rng.choice(words, size=rng.integers(0, 9)))
+                         for _ in range(rng.integers(1, 6))]
+            sentences.insert(int(rng.integers(len(sentences) + 1)), [])
+            ctx, tgt = instance_arrays(sentences, vocab, n)
+            want_ctx, want_tgt = _instances_by_loop(sentences, vocab, n)
+            assert ctx.dtype == np.int32 and tgt.dtype == np.int32
+            assert ctx.shape == (len(want_tgt), n - 1)
+            assert ctx.tolist() == want_ctx
+            assert tgt.tolist() == want_tgt
 
 
 class TestUnigram:

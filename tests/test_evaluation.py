@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import make_config, make_params, make_vocab, zero_params
-from snlm.corpus import BOS_ID, EOS_ID, UNK_ID, extract_instances
+from snlm import evaluation
+from snlm.corpus import BOS_ID, EOS_ID, UNK_ID, extract_instances, instance_arrays
 from snlm.errors import DataError
 from snlm.evaluation import (
     MemoryEstimate,
@@ -14,6 +15,7 @@ from snlm.evaluation import (
     perplexity,
     perplexity_from_instances,
     query_benchmark,
+    score_instances,
     score_nbest,
     score_sentence,
 )
@@ -174,6 +176,93 @@ class TestScoreNbest:
         assert parse_nbest_line("no separators at all") is None
         parsed = parse_nbest_line("3 ||| a b c")
         assert parsed == ("3", "a b c", "")
+
+
+class TestBatchedNbest:
+    LINES = [
+        "1 ||| a b c ||| x=1\n",
+        "busted line without separators\n",
+        "\n",
+        "1 |||  ||| empty\n",
+        "   \n",
+        "2 ||| qq a zz b ||| oov\n",
+        " ||| a b ||| blank id\n",
+        "2 ||| <s> a </s> c\n",
+        "3 ||| d e f g a b c d ||| long\n",
+        "3 ||| g\n",
+    ]
+
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
+    @pytest.mark.parametrize("group_tokens", [1, 7, 1 << 16])
+    def test_matches_per_line_scores(self, regime, group_tokens, monkeypatch):
+        monkeypatch.setattr(evaluation, "_NBEST_GROUP_TOKENS", group_tokens)
+        vocab = make_vocab(list("abcdefg"), counts=[13, 8, 5, 3, 2, 1, 1])
+        params = make_params(vocab, regime, order=3, dim=6, seed=160,
+                             num_classes=3, dtype=np.float32)
+        for unnormalised in (False, True):
+            entries, errors = score_nbest(params, self.LINES, vocab, unnormalised)
+            assert [e.line_no for e in entries] == [1, 4, 6, 8, 9, 10]
+            assert [e.sent_id for e in entries] == ["1", "1", "2", "2", "3", "3"]
+            assert [e.rest for e in entries] == ["x=1", "empty", "oov", "", "long", ""]
+            assert errors == [(2, "expected 'sent_id ||| hypothesis ||| ...'"),
+                              (7, "expected 'sent_id ||| hypothesis ||| ...'")]
+            for e in entries:
+                words = e.hypothesis.split()
+                want = score_sentence(params, words, vocab, unnormalised)
+                assert abs(e.score - want) <= 1e-5 * (len(words) + 1)
+
+
+class TestBatchWidth:
+    def sentences(self):
+        rng = np.random.default_rng(170)
+        words = list("abcdefg") + ["zzz"]
+        return [list(rng.choice(words, size=rng.integers(0, 12))) for _ in range(30)]
+
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
+    def test_width_one_matches_the_layer_width(self, regime, monkeypatch):
+        vocab = make_vocab(list("abcdefg"), counts=[13, 8, 5, 3, 2, 1, 1])
+        params = make_params(vocab, regime, order=3, dim=6, seed=171,
+                             num_classes=3, dtype=np.float32)
+        ctx, tgt = instance_arrays(self.sentences(), vocab, 3)
+        layer_width = evaluation._batch_width(params)
+        assert layer_width > len(tgt)
+        for unnormalised in (False, True):
+            wide_macs = MacCounter()
+            wide = score_instances(params, ctx, tgt, unnormalised, wide_macs)
+            for budget in (1, 7 * params.config.layout().row_bytes()):
+                monkeypatch.setattr(evaluation, "_SCRATCH_BYTES", budget)
+                macs = MacCounter()
+                narrow = score_instances(params, ctx, tgt, unnormalised, macs)
+                assert np.abs(narrow - wide).max() <= 1e-5
+                assert macs == wide_macs
+                monkeypatch.undo()
+        total, count = perplexity_from_instances(params, ctx, tgt)
+        assert (total, count) == (math.fsum(score_instances(params, ctx, tgt).tolist()),
+                                  len(tgt))
+
+    def test_row_bytes_per_layer(self):
+        vocab = make_vocab(list("abcdefg"), counts=[13, 8, 5, 3, 2, 1, 1])
+        D = 6
+        std = make_config(vocab, REGIME_STANDARD, dim=D).layout()
+        assert std.row_bytes() == 8 * (len(vocab) - 1)
+        cls = make_config(vocab, REGIME_CLASS, dim=D, num_classes=3).layout()
+        assert cls.row_bytes() == 8 * (3 + max(len(m) for m in cls.members_eff))
+        tree_cfg = make_config(vocab, REGIME_TREE, dim=D)
+        assert tree_cfg.layout().row_bytes() == 8 * tree_cfg.tree.max_depth * D
+
+    def test_rows_over_budget_still_score_one_at_a_time(self, monkeypatch):
+        vocab = make_vocab(list("abc"))
+        params = make_params(vocab, REGIME_STANDARD, seed=172)
+        row = params.config.layout().row_bytes()
+        assert evaluation._batch_width(params) == evaluation._SCRATCH_BYTES // row
+        monkeypatch.setattr(evaluation, "_SCRATCH_BYTES", row - 1)
+        assert evaluation._batch_width(params) == 1
+        monkeypatch.setattr(evaluation, "_SCRATCH_BYTES", 0)
+        assert evaluation._batch_width(params) == 1
+        got = score_sentence(params, ["a", "b", "c"], vocab)
+        want = sum(log_prob(params, np.asarray(i.context), i.target)
+                   for i in extract_instances(["a", "b", "c"], vocab, 3))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 class TestMemoryEstimate:

@@ -20,6 +20,7 @@ from snlm.model import (
     REGIME_CLASS,
     REGIME_STANDARD,
     REGIME_TREE,
+    RowGrad,
     full_distribution,
     init_parameters,
     log_prob,
@@ -374,6 +375,27 @@ class TestOutputMacCosts:
         costs["unnormalised"] = macs.output
         assert (costs["unnormalised"] < costs[REGIME_TREE]
                 < costs[REGIME_CLASS] < costs[REGIME_STANDARD])
+
+
+class TestRowGrad:
+    def test_segment_sum_equals_one_reduceat_over_all_groups(self):
+        rng = np.random.default_rng(190)
+        for trial in range(40):
+            m = int(rng.integers(1, 300))
+            rows = rng.integers(0, int(rng.integers(1, 2 * m + 2)), size=m)
+            values = rng.normal(size=(m, 7)).astype(np.float32)
+            bias = rng.normal(size=m).astype(np.float32)
+            order = np.argsort(rows, kind="stable")
+            ids, starts = np.unique(rows[order], return_index=True)
+            got = RowGrad.segment_sum(rows, values, bias if trial % 2 else None)
+            np.testing.assert_array_equal(got.rows, ids)
+            assert got.values.dtype == np.float32
+            assert np.array_equal(got.values,
+                                  np.add.reduceat(values[order], starts, axis=0))
+            if trial % 2:
+                assert np.array_equal(got.bias, np.add.reduceat(bias[order], starts))
+            else:
+                assert got.bias is None
 
 
 class TestInitParameters:

@@ -1,0 +1,131 @@
+"""Before/after benchmark pairs: the parent commit against the working tree.
+
+Usage::
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --out BENCH_6.json \\
+        --pairs 10 --workloads rescore-nbest-norm --first-seed 311
+
+For each workload and each pair i, ``perfbench/run.py --trace 0`` runs once
+on an export of the parent commit (``git archive`` into a temporary
+directory) and once on the working tree, both at seed ``first_seed + i``
+and with the run length from ``BENCHMARK.json``. Which side runs first
+alternates from pair to pair, so that drift of the machine's speed falls on
+both sides alike.
+
+The output JSON holds, per workload and per end-to-end metric of
+``BENCHMARK.json``, each side's median and quartiles and every run's value,
+the number of pairs in which the change is better, the ratio of the medians,
+and each side's failed and attempted operation counts. It is rewritten after
+every pair, so an interrupted run keeps the pairs it finished.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def export_commit(commit: str, dest: Path) -> str:
+    """Write the files of ``commit`` under ``dest``; returns its full hash."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{commit}^{{commit}}"],
+                         cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+    archive = dest / "parent.tar"
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                       check=True, stdout=fh)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest / "tree", filter="data")
+    archive.unlink()
+    return sha
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The JSON result line of one end-to-end run in the checkout ``tree``."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines or not lines[-1].startswith("{"):
+        raise RuntimeError(f"{workload} seed {seed} in {tree} failed:\n"
+                           f"{proc.stdout}\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def summary(values: list) -> dict:
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def report(runs: dict, metrics: list) -> dict:
+    """Per-metric comparison of the paired runs of one workload."""
+    out = {}
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+        side = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in runs}
+        better = sum((c > p) if higher else (c < p)
+                     for p, c in zip(side["parent"], side["change"]))
+        parent, change = summary(side["parent"]), summary(side["change"])
+        out[name] = {"unit": metric["unit"], "better": metric["better"],
+                     "bound": metric["bound"], "parent": parent, "change": change,
+                     "change_to_parent": change["median"] / parent["median"],
+                     "pairs_change_better": better}
+    for s in runs:
+        out[f"{s}_operations"] = {"attempted": sum(r["attempted"] for r in runs[s]),
+                                  "failed": sum(r["failed"] for r in runs[s])}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="commit to compare against")
+    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workloads", default="all",
+                        help="comma-separated names, or 'all'")
+    parser.add_argument("--first-seed", type=int, default=1)
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = ([w["name"] for w in bench["workloads"]] if args.workloads == "all"
+             else args.workloads.split(","))
+    out_path = Path(args.out).resolve()
+    result = json.loads(out_path.read_text()) if out_path.exists() else {}
+    with tempfile.TemporaryDirectory() as tmp:
+        sha = export_commit(args.parent, Path(tmp))
+        head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
+                              capture_output=True, text=True).stdout.strip()
+        result.update({"parent": sha, "change": f"working tree on {head}",
+                       "seconds": bench["run_seconds"]})
+        result.setdefault("workloads", {})
+        trees = {"parent": Path(tmp) / "tree", "change": ROOT}
+        for name in names:
+            runs = {"parent": [], "change": []}
+            for i in range(args.pairs):
+                seed = args.first_seed + i
+                sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in sides:
+                    runs[side].append(run_once(trees[side], name, seed,
+                                               bench["run_seconds"]))
+                result["workloads"][name] = {
+                    "seeds": [args.first_seed, seed],
+                    **report(runs, bench["end_to_end"])}
+                out_path.write_text(json.dumps(result, indent=1) + "\n")
+                items = result["workloads"][name]["items_per_s"]
+                print(f"{name} pair {i + 1}/{args.pairs}: items_per_s parent "
+                      f"{items['parent']['median']:.4g}, change "
+                      f"{items['change']['median']:.4g}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
