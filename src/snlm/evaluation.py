@@ -19,10 +19,13 @@ _SCRATCH_BYTES = 8 << 20   # bound on a scoring batch's largest temporary
 _NBEST_GROUP_TOKENS = 1 << 16  # n-best tokens gathered into one scoring call
 
 
-def _batch_width(params: ModelParameters) -> int:
-    """Rows per scoring batch: as many as keep the output layer's largest
-    per-query temporary within ``_SCRATCH_BYTES`` together, at least one."""
-    return max(1, _SCRATCH_BYTES // params.config.layout().row_bytes())
+def _batch_width(params: ModelParameters, unnormalised: bool = False) -> int:
+    """Rows per scoring batch: as many as keep the largest per-query
+    temporary within ``_SCRATCH_BYTES`` together, at least one. That is the
+    output layer's, or for raw scores the projection and gathered R rows."""
+    row = (2 * params.dtype.itemsize * params.config.dim if unnormalised
+           else params.config.layout().row_bytes())
+    return max(1, _SCRATCH_BYTES // row)
 
 
 def score_instances(params: ModelParameters, contexts, targets,
@@ -32,7 +35,7 @@ def score_instances(params: ModelParameters, contexts, targets,
     contexts = np.asarray(contexts, dtype=np.int32)
     targets = np.asarray(targets, dtype=np.int64)
     score = unnormalised_scores_batch if unnormalised else log_probs_batch
-    width = _batch_width(params)
+    width = _batch_width(params, unnormalised)
     out = np.empty(len(targets))
     for lo in range(0, len(targets), width):
         out[lo:lo + width] = score(params, contexts[lo:lo + width],
@@ -138,8 +141,8 @@ def score_nbest(params: ModelParameters, lines, vocab: Vocabulary,
     each hypothesis, never on neighboring lines.
 
     Hypotheses are scored in groups of about ``_NBEST_GROUP_TOKENS``
-    tokens: one instance array and one batched scoring pass per group, split
-    back into per-hypothesis sums.
+    tokens: one instance array per group, one batched scoring pass over its
+    distinct queries, split back into per-hypothesis sums.
     """
     entries, errors, group, tokens = [], [], [], 0
     for line_no, raw in enumerate(lines, 1):
@@ -161,11 +164,31 @@ def score_nbest(params: ModelParameters, lines, vocab: Vocabulary,
     return entries, errors
 
 
+def _distinct_rows(a: np.ndarray):
+    """(distinct rows in lexicographic order, inverse) of a 2-D array, so
+    that ``a == rows[inverse]``: ``np.unique(a, axis=0, return_inverse=True)``
+    by a column lexsort and a comparison of adjacent sorted rows."""
+    order = np.lexsort(a.T[::-1])  # the last key is the primary one
+    ordered = a[order]
+    first = np.ones(len(a), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 def _score_hypotheses(params, group, vocab, unnormalised):
-    """NBestEntry per (line_no, sent_id, hypothesis, rest, words) of a group."""
+    """NBestEntry per (line_no, sent_id, hypothesis, rest, words) of a group.
+
+    Hypotheses of one source share most of their n-grams, so each distinct
+    (context, target) query is scored once and its score copied to every
+    instance that asks it.
+    """
     sentences = [g[-1] for g in group]
     contexts, targets = instance_arrays(sentences, vocab, params.config.order)
-    scores = score_instances(params, contexts, targets, unnormalised)
+    queries, inverse = _distinct_rows(np.column_stack([contexts, targets]))
+    scores = score_instances(params, queries[:, :-1], queries[:, -1],
+                             unnormalised)[inverse]
     starts = np.cumsum([0] + [len(s) + 1 for s in sentences[:-1]])
     return [NBestEntry(*g[:4], score)
             for g, score in zip(group, np.add.reduceat(scores, starts).tolist())]

@@ -265,10 +265,12 @@ def _scores(P, M, bias) -> np.ndarray:
     return (P @ M.T + bias).astype(np.float64)
 
 
-def _lse_rows(X: np.ndarray) -> np.ndarray:
+def _lse_rows(X: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Row-wise log-sum-exp; ``overwrite`` lets it use X as its scratch."""
     m = X.max(axis=1)
     safe = np.where(np.isfinite(m), m, 0.0)
-    out = safe + np.log(np.exp(X - safe[:, None]).sum(axis=1))
+    E = np.subtract(X, safe[:, None], out=X if overwrite else None)
+    out = safe + np.log(np.exp(E, out=E).sum(axis=1))
     return np.where(m == -np.inf, -np.inf, out)
 
 
@@ -330,7 +332,8 @@ class StandardLayer(OutputLayer):
     def log_probs(self, params, P, targets, macs=None):
         scores = _scores(P, params.R[self.support], params.b[self.support])
         count_output(macs, scores.size, self.dim)
-        return scores[np.arange(len(P)), self.support_pos[targets]] - _lse_rows(scores)
+        picked = scores[np.arange(len(P)), self.support_pos[targets]]
+        return picked - _lse_rows(scores, overwrite=True)
 
     def backward(self, params, P, targets, macs=None):
         sup = self.support
@@ -352,7 +355,9 @@ class StandardLayer(OutputLayer):
 
 class ClassLayer(OutputLayer):
     """P(class | h) over the K class rows of S, times a softmax over the
-    target's class members. A class holding only ``<s>`` gets no mass."""
+    target's class members. A class holding only ``<s>`` gets no mass.
+    ``members_eff`` are each class's members but ``<s>``, ``class_sizes``
+    their counts."""
 
     def __init__(self, config: ModelConfig):
         super().__init__(config)
@@ -364,13 +369,14 @@ class ClassLayer(OutputLayer):
         self.class_of = classing.class_of
         self.rows = classing.num_classes
         self.members_eff = [m[m != BOS_ID].astype(np.int64) for m in classing.members]
-        self.class_valid = np.array([len(m) > 0 for m in self.members_eff])
+        self.class_sizes = np.array([len(m) for m in self.members_eff], dtype=np.int64)
+        self.class_valid = self.class_sizes > 0
         self.pos_in_class = np.full(config.vocab_size, -1, dtype=np.int64)
         for mem in self.members_eff:
             self.pos_in_class[mem] = np.arange(len(mem))
 
     def row_bytes(self) -> int:  # float64 class scores, then the largest class's
-        return 8 * (self.rows + max(len(m) for m in self.members_eff))
+        return 8 * (self.rows + int(self.class_sizes.max()))
 
     def start_values(self, probs):
         if probs is None:
@@ -554,12 +560,16 @@ def project_batch(params: ModelParameters, contexts: np.ndarray, macs: MacCounte
     acc = np.zeros((m, cfg.dim), dtype=params.dtype)
     for j in range(cfg.context_size):
         q = params.Q[contexts[:, j]]
-        acc += q * params.C[j] if cfg.diagonal else q @ params.C[j].T
+        if cfg.diagonal:
+            q *= params.C[j]  # q is a fresh gather, so it can hold the product
+            acc += q
+        else:
+            acc += q @ params.C[j].T
     if macs is not None:
         per = cfg.dim if cfg.diagonal else cfg.dim * cfg.dim
         macs.projection += m * cfg.context_size * per
     active = acc > 0
-    return np.maximum(acc, 0), active
+    return np.maximum(acc, 0, out=acc), active
 
 
 def log_probs_batch(params: ModelParameters, contexts: np.ndarray, targets: np.ndarray,

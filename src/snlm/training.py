@@ -389,8 +389,7 @@ def _class_blocks(params, targets, class_noise, word_noise, log_pn):
     if layer.rows > 1:
         ids = _noise_ids(cls, class_noise, "class noise")
         blocks.append(("S", slice(None), ids, log_class[ids]))
-    sizes = np.array([len(mem) for mem in layer.members_eff])
-    rows = np.flatnonzero(sizes[cls] > 1)
+    rows = np.flatnonzero(layer.class_sizes[cls] > 1)
     if len(rows):
         ids = _noise_ids(targets, word_noise, "word noise")[rows]
         blocks.append(("R", rows, ids, log_word[ids]))

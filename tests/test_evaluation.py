@@ -212,6 +212,76 @@ class TestBatchedNbest:
                 assert abs(e.score - want) <= 1e-5 * (len(words) + 1)
 
 
+class TestDistinctQueries:
+    @staticmethod
+    def assert_matches_unique(a):
+        rows, inverse = evaluation._distinct_rows(a)
+        want_rows, want_inverse = np.unique(a, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
+        np.testing.assert_array_equal(rows[inverse], a)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_rows_match_np_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(2, 400)), int(rng.integers(1, 6)))
+        high = int(rng.choice([2, 5, 1 << 20]))
+        self.assert_matches_unique(
+            rng.integers(-high, high, size=shape).astype(np.int32))
+
+    def test_edge_cases_match_np_unique(self):
+        rng = np.random.default_rng(180)
+        self.assert_matches_unique(np.zeros((0, 4), dtype=np.int32))
+        self.assert_matches_unique(np.array([[3, -1, 7]], dtype=np.int32))
+        self.assert_matches_unique(np.full((25, 3), 9, dtype=np.int32))
+        distinct = rng.permutation(np.arange(60, dtype=np.int32)).reshape(20, 3)
+        self.assert_matches_unique(distinct)
+        assert len(evaluation._distinct_rows(distinct)[0]) == 20
+
+    @staticmethod
+    def nbest(rng, words, sources=4, hyps=40):
+        lines = []
+        for sid in range(sources):
+            src = list(rng.choice(words, size=rng.integers(3, 9)))
+            for _ in range(hyps):
+                hyp = list(src)
+                edits = min(len(hyp), int(rng.integers(1, 4)))
+                for pos in rng.choice(len(hyp), size=edits, replace=False):
+                    hyp[pos] = words[rng.integers(len(words))]
+                lines.append(f"{sid} ||| {' '.join(hyp)} ||| 0")
+        return lines
+
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
+    def test_each_distinct_query_is_scored_once(self, regime, monkeypatch):
+        words = list("abcdefg") + ["zzz"]
+        vocab = make_vocab(list("abcdefg"), counts=[13, 8, 5, 3, 2, 1, 1])
+        params = make_params(vocab, regime, order=3, dim=6, seed=181,
+                             num_classes=3, dtype=np.float32)
+        lines = self.nbest(np.random.default_rng(182), words)
+        hyps = [parse_nbest_line(line)[1].split() for line in lines]
+        ctx, tgt = instance_arrays(hyps, vocab, 3)
+        distinct = {(*c, t) for c, t in zip(ctx.tolist(), tgt.tolist())}
+        assert len(distinct) < len(tgt) / 2  # the lists are duplicate-heavy
+
+        scored = []
+
+        def recording(params, contexts, targets, *args, **kwargs):
+            scored.append(len(targets))
+            return score_instances(params, contexts, targets, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "score_instances", recording)
+        for unnormalised in (False, True):
+            scored.clear()
+            entries, errors = score_nbest(params, lines, vocab, unnormalised)
+            assert errors == [] and len(entries) == len(lines)
+            assert scored == [len(distinct)]
+            for e, hyp in zip(entries, hyps):
+                want = score_sentence(params, hyp, vocab, unnormalised)
+                assert abs(e.score - want) <= 1e-5 * (len(hyp) + 1)
+            again, _ = score_nbest(params, lines, vocab, unnormalised)
+            assert [e.score for e in again] == [e.score for e in entries]
+
+
 class TestBatchWidth:
     def sentences(self):
         rng = np.random.default_rng(170)
@@ -249,6 +319,13 @@ class TestBatchWidth:
         assert cls.row_bytes() == 8 * (3 + max(len(m) for m in cls.members_eff))
         tree_cfg = make_config(vocab, REGIME_TREE, dim=D)
         assert tree_cfg.layout().row_bytes() == 8 * tree_cfg.tree.max_depth * D
+
+    def test_unnormalised_batches_are_wider_on_a_standard_model(self):
+        vocab = make_vocab([f"w{i}" for i in range(40)])
+        params = make_params(vocab, REGIME_STANDARD, dim=6, seed=173, dtype=np.float32)
+        raw = evaluation._batch_width(params, unnormalised=True)
+        assert raw == evaluation._SCRATCH_BYTES // (2 * 4 * 6)
+        assert raw > evaluation._batch_width(params)
 
     def test_rows_over_budget_still_score_one_at_a_time(self, monkeypatch):
         vocab = make_vocab(list("abc"))
