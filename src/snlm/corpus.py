@@ -52,7 +52,7 @@ class Vocabulary:
             raise DataError("negative token count")
         self.tokens = tokens
         self.counts = counts
-        self._ids = {tok: i for i, tok in enumerate(tokens)}
+        self._ids = dict(zip(tokens, range(len(tokens))))
         if len(self._ids) != len(tokens):
             raise DataError("duplicate token in vocabulary")
 

@@ -330,9 +330,10 @@ class StandardLayer(OutputLayer):
         return 8 * len(self.support)  # float64 scores over the support
 
     def log_probs(self, params, P, targets, macs=None):
-        scores = _scores(P, params.R[self.support], params.b[self.support])
-        count_output(macs, scores.size, self.dim)
-        picked = scores[np.arange(len(P)), self.support_pos[targets]]
+        scores = _scores(P, params.R, params.b)  # all of R: no per-batch gather
+        scores[:, BOS_ID] = -np.inf
+        count_output(macs, len(P) * len(self.support), self.dim)
+        picked = scores[np.arange(len(P)), targets]
         return picked - _lse_rows(scores, overwrite=True)
 
     def backward(self, params, P, targets, macs=None):

@@ -22,6 +22,10 @@ import numpy as np
 from .corpus import BOS_ID, EOS_ID, Vocabulary, token_ids
 from .errors import DataError
 
+# Deepest tree accepted. huffman_tree lifts zero counts to 1, so by the
+# Fibonacci bound it reaches this depth only past 10^13 corpus tokens.
+MAX_TREE_DEPTH = 64
+
 
 @dataclass
 class WordClassing:
@@ -361,15 +365,22 @@ class VocabularyTree:
         for child in (self.left[inner], self.right[inner]):
             if (self.parent[child] != inner).any():
                 raise DataError("parent/child links disagree")
-        words = self.leaf_word[leaves]
-        if len(np.unique(words)) != len(words):
+        words = np.sort(self.leaf_word[leaves])  # sorting beats np.unique's hashing
+        if (words[1:] == words[:-1]).any():
             raise DataError("word labels two leaves")
 
     def _node_depth(self) -> np.ndarray:
-        """Depth of every node, found one level at a time from the root."""
+        """Depth of every node, found one level at a time from the root.
+
+        A tree deeper than ``MAX_TREE_DEPTH`` is rejected as soon as the walk
+        passes that level: its padded paths would take words x depth entries.
+        """
         depth = np.full(self.num_nodes, -1, dtype=np.int64)
         level, d = np.array([self.root]), 0
         while len(level):  # children differ and name their parent: no revisits
+            if d > MAX_TREE_DEPTH:
+                raise DataError(f"tree is deeper than {MAX_TREE_DEPTH} levels "
+                                f"(a node at depth {d})")
             depth[level] = d
             level = level[self.left[level] >= 0]
             level = np.concatenate([self.left[level], self.right[level]])
@@ -471,7 +482,10 @@ class VocabularyTree:
                     right[par] = node
                 else:
                     raise DataError(f"{path}:{lineno}: node {par} has three children")
-        return cls(parent, left, right, leaf_word)
+        try:
+            return cls(parent, left, right, leaf_word)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def huffman_tree(counts) -> VocabularyTree:

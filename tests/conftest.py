@@ -197,3 +197,19 @@ def min_wpl(weights):
                + min_wpl(tuple(sorted(side_b))) + total)
         best = min(best, val)
     return best
+
+
+def caterpillar(words):
+    """(parent, left, right, leaf_word) of the deepest strict binary tree
+    over ``words``: leaves 0..L-1, and internal node L + i joins the node
+    before it with leaf i + 1, so the first two leaves sit at depth L - 1."""
+    L = len(words)
+    n = 2 * L - 1
+    parent, left, right = (np.full(n, -1, dtype=np.int32) for _ in range(3))
+    leaf_word = np.full(n, -1, dtype=np.int32)
+    leaf_word[:L] = words
+    for i in range(L - 1):
+        node, below = L + i, (0 if i == 0 else L + i - 1)
+        left[node], right[node] = below, i + 1
+        parent[[below, i + 1]] = node
+    return parent, left, right, leaf_word

@@ -8,7 +8,9 @@ from snlm.cli import build_parser, main
 from snlm.corpus import Vocabulary
 from snlm.evaluation import perplexity
 from snlm.modelfile import load_model
-from snlm.partitioning import VocabularyTree, WordClassing
+from snlm.partitioning import MAX_TREE_DEPTH, VocabularyTree, WordClassing
+
+from conftest import caterpillar
 
 
 @pytest.fixture
@@ -162,6 +164,21 @@ class TestBadPartitionFiles:
             tmp_path, capsys, corpus, "--tree-file", f"2 -1\n0 2 leaf:cat\n{line}\n")
         assert code == 2
         assert f"{path}:3:" in stderr
+
+    def test_caterpillar_tree_is_too_deep(self, tmp_path, capsys):
+        train = tmp_path / "wide.txt"
+        words = [f"w{i}" for i in range(2 * MAX_TREE_DEPTH)]
+        train.write_text("\n".join(" ".join(words[i:i + 8])
+                                   for i in range(0, len(words), 8)) + "\n")
+        tokens = ["<unk>", "</s>"] + words  # every token but <s>
+        parent, _, _, leaf_word = caterpillar(range(len(tokens)))
+        text = "".join(f"{node} {par}" + (f" leaf:{tokens[w]}" if w >= 0 else "") + "\n"
+                       for node, (par, w) in enumerate(zip(parent, leaf_word)))
+        code, stderr, path = self.train_with(tmp_path, capsys, (train, None),
+                                             "--tree-file", text)
+        assert code == 2
+        assert str(path) in stderr
+        assert f"deeper than {MAX_TREE_DEPTH}" in stderr
 
 
 class TestTrainAndEvaluate:

@@ -1,14 +1,51 @@
 """Binary model serialization."""
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_params, make_vocab
+from conftest import caterpillar, make_params, make_vocab
+from snlm.corpus import Vocabulary
 from snlm.errors import ModelFormatError, SnlmError
 from snlm.evaluation import memory_estimate, perplexity
 from snlm.model import REGIME_CLASS, REGIME_STANDARD, REGIME_TREE
-from snlm.modelfile import MAGIC, load_model, payload_nbytes, save_model
+from snlm.modelfile import _HEADER, MAGIC, load_model, payload_nbytes, save_model
+
+FIRST_TOKEN = _HEADER.size + 8  # the v2 vocabulary block, after its u64 length
+
+
+def save_v1(path, params, vocab):
+    """Write ``params`` in the version 1 layout: a u32 length before each
+    token's UTF-8 bytes, and no vocabulary block length in the header."""
+    cfg = params.config
+    code = {REGIME_STANDARD: 0, REGIME_CLASS: 1, REGIME_TREE: 2}[cfg.regime]
+    parts = [struct.pack("<4sIIIBBQ", b"SNLM", 1, cfg.order, cfg.dim, code,
+                         int(cfg.diagonal), cfg.vocab_size)]
+    for tok in vocab.tokens:
+        raw = tok.encode("utf-8")
+        parts += [struct.pack("<I", len(raw)), raw]
+    parts.append(np.asarray(vocab.counts, dtype="<i8").tobytes())
+    parts.append(cfg.layout().structure_bytes())
+    parts += [np.asarray(a, dtype="<f4").tobytes() for _, a in params.arrays()]
+    path.write_bytes(b"".join(parts))
+
+
+def assert_same_model(a, b):
+    (pa, va), (pb, vb) = a, b
+    assert va.tokens == vb.tokens
+    np.testing.assert_array_equal(va.counts, vb.counts)
+    for (name, x), (_, y) in zip(pa.arrays(), pb.arrays()):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y, err_msg=name)
+    ca, cb = pa.config, pb.config
+    assert ((ca.order, ca.dim, ca.regime, ca.diagonal, ca.vocab_size)
+            == (cb.order, cb.dim, cb.regime, cb.diagonal, cb.vocab_size))
+    if ca.classing is not None:
+        np.testing.assert_array_equal(ca.classing.class_of, cb.classing.class_of)
+    if ca.tree is not None:
+        for field in ("parent", "left", "right", "leaf_word"):
+            np.testing.assert_array_equal(getattr(ca.tree, field), getattr(cb.tree, field))
 
 
 def small_model(regime, seed=130):
@@ -74,6 +111,13 @@ class TestRoundTrip:
         after = perplexity(loaded, sentences, vocab2)
         assert before.total_log_prob == after.total_log_prob
 
+    def test_unicode_tokens_survive(self, tmp_path):
+        vocab = make_vocab(["naïve", "日本", "x\u00a0y", "a\rb"])
+        params = make_params(vocab, REGIME_STANDARD, seed=144, dtype=np.float32)
+        path = tmp_path / "model.bin"
+        save_model(path, params, vocab)
+        assert load_model(path)[1].tokens == vocab.tokens
+
     def test_float64_models_are_stored_as_float32(self, tmp_path):
         vocab = make_vocab(list("ab"))
         params = make_params(vocab, REGIME_STANDARD, seed=133,
@@ -82,6 +126,53 @@ class TestRoundTrip:
         save_model(path, params, vocab)
         loaded, _ = load_model(path)
         np.testing.assert_array_equal(loaded.Q, params.Q.astype(np.float32))
+
+
+class TestVersions:
+    def test_files_are_written_as_version_2(self, tmp_path):
+        params, vocab = small_model(REGIME_CLASS)
+        path = tmp_path / "model.bin"
+        save_model(path, params, vocab)
+        assert struct.unpack_from("<I", path.read_bytes(), 4) == (2,)
+
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS,
+                                        REGIME_TREE])
+    def test_version_1_loads_like_its_version_2_twin(self, tmp_path, regime):
+        params, vocab = small_model(regime, seed=145)
+        v1, v2 = tmp_path / "v1.bin", tmp_path / "v2.bin"
+        save_v1(v1, params, vocab)
+        save_model(v2, params, vocab)
+        assert v1.read_bytes() != v2.read_bytes()
+        from_v1 = load_model(v1)
+        assert_same_model(from_v1, load_model(v2))
+        assert_same_model(from_v1, (params, vocab))
+
+    def test_every_version_1_truncation_point_raises(self, tmp_path):
+        params, vocab = small_model(REGIME_CLASS, seed=146)
+        path = tmp_path / "v1.bin"
+        save_v1(path, params, vocab)
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(SnlmError):
+                load_model(path)
+
+    def test_token_with_a_newline_is_rejected(self, tmp_path):
+        vocab = Vocabulary(["<unk>", "<s>", "</s>", "a\nb"], [0, 0, 0, 1])
+        params = make_params(vocab, REGIME_STANDARD, seed=147, dtype=np.float32)
+        with pytest.raises(ModelFormatError, match="newline"):
+            save_model(tmp_path / "model.bin", params, vocab)
+
+    def test_block_token_count_must_match_the_header(self, tmp_path):
+        params, vocab = small_model(REGIME_STANDARD, seed=148)
+        path = tmp_path / "model.bin"
+        save_model(path, params, vocab)
+        raw = bytearray(path.read_bytes())
+        sep = raw.index(b"\n", FIRST_TOKEN)
+        raw[sep] = ord("x")  # two tokens become one
+        path.write_bytes(raw)
+        with pytest.raises(ModelFormatError, match="tokens"):
+            load_model(path)
 
 
 class TestSectionSizes:
@@ -189,7 +280,7 @@ class TestCorruptFiles:
         params, vocab = small_model(REGIME_STANDARD, seed=142)
         save_model(path, params, vocab)
         raw = bytearray(path.read_bytes())
-        raw[26 + 4] = 0xFF  # first byte of the first token, after its length
+        raw[FIRST_TOKEN] = 0xFF  # first byte of the first token
         path.write_bytes(raw)
         with pytest.raises(ModelFormatError):
             load_model(path)
@@ -199,9 +290,32 @@ class TestCorruptFiles:
         params, vocab = small_model(REGIME_TREE, seed=143)
         save_model(path, params, vocab)
         raw = path.read_bytes()
-        for offset, fmt in ((18, "<Q"), (26, "<I")):  # vocab_size, first token length
+        # vocab_size, the last header field, then the vocabulary block's length
+        for offset, fmt in ((_HEADER.size - 8, "<Q"), (_HEADER.size, "<Q")):
             damaged = bytearray(raw)
             damaged[offset:offset + struct.calcsize(fmt)] = struct.pack(fmt, 2 ** 31)
             path.write_bytes(damaged)
             with pytest.raises(ModelFormatError):
                 load_model(path)
+
+    def test_caterpillar_tree_is_rejected_before_padding_its_paths(self, tmp_path):
+        vocab = make_vocab([f"w{i}" for i in range(6000)])
+        params = make_params(vocab, REGIME_TREE, order=2, dim=2, seed=149,
+                             dtype=np.float32)
+        path = tmp_path / "model.bin"
+        sizes = save_model(path, params, vocab)
+        words = params.config.tree.leaf_word[:params.config.tree.num_leaves]
+        nodes = np.stack(caterpillar(words), axis=1)
+        start = sizes["header"] + sizes["vocab"] + 8  # past num_nodes and root
+        raw = bytearray(path.read_bytes())
+        raw[start:start + nodes.size * 4] = nodes.astype("<i4").tobytes()
+        path.write_bytes(raw)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SnlmError, match="deeper than"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        V = len(vocab)
+        assert peak < V * V / 16  # padded paths take 9 bytes per word per level

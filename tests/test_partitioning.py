@@ -10,6 +10,7 @@ import pytest
 from snlm.corpus import BOS_ID, EOS_ID, build_vocabulary
 from snlm.errors import DataError
 from snlm.partitioning import (
+    MAX_TREE_DEPTH,
     VocabularyTree,
     WordClassing,
     brown_clustering,
@@ -19,7 +20,7 @@ from snlm.partitioning import (
 )
 from snlm.synthetic import markov_corpus, template_corpus
 
-from conftest import min_wpl
+from conftest import caterpillar, min_wpl
 
 
 class TestWordClassing:
@@ -363,12 +364,25 @@ class TestVocabularyTree:
         np.testing.assert_array_equal(again.right, tree.right)
         np.testing.assert_array_equal(again.leaf_word, tree.leaf_word)
 
+    def test_depth_is_bounded(self):
+        deepest = VocabularyTree(*caterpillar(range(MAX_TREE_DEPTH + 1)))
+        assert deepest.max_depth == MAX_TREE_DEPTH
+        with pytest.raises(DataError, match=f"deeper than {MAX_TREE_DEPTH}"):
+            VocabularyTree(*caterpillar(range(MAX_TREE_DEPTH + 2)))
+
     def test_rejects_orphan_non_root(self):
         with pytest.raises(DataError):
             VocabularyTree(parent=np.array([-1, 2, -1]),
                            left=np.array([-1, -1, 0]),
                            right=np.array([-1, -1, 1]),
                            leaf_word=np.array([7, 8, -1]))
+
+    def test_rejects_a_word_on_two_leaves(self):
+        with pytest.raises(DataError, match="two leaves"):
+            VocabularyTree(parent=np.array([2, 2, -1]),
+                           left=np.array([-1, -1, 0]),
+                           right=np.array([-1, -1, 1]),
+                           leaf_word=np.array([5, 5, -1]))
 
     def test_rejects_even_node_count(self):
         with pytest.raises(DataError):
