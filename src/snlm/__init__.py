@@ -20,8 +20,8 @@ from .evaluation import (BenchmarkReport, EvaluationReport, MemoryEstimate,
 from .model import (REGIME_CLASS, REGIME_STANDARD, REGIME_TREE, MacCounter,
                     ModelConfig, ModelParameters, OutputLayer,
                     full_distribution, init_parameters, log_prob,
-                    log_probs_batch, project_batch, project_context,
-                    score_word, unnormalised_log_score,
+                    log_probs_batch, parameter_shapes, project_batch,
+                    project_context, score_word, unnormalised_log_score,
                     unnormalised_scores_batch)
 from .modelfile import load_model, payload_nbytes, save_model
 from .partitioning import (VocabularyTree, WordClassing, brown_clustering,

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from .corpus import (BOS_ID, EOS_ID, Vocabulary, build_vocabulary,
-                     instance_arrays, read_sentences, unigram_distribution)
+                     instance_arrays, read_lines, read_sentences,
+                     unigram_distribution)
 from .errors import SnlmError
 from .evaluation import (memory_estimate, perplexity, query_benchmark,
                          score_nbest)
@@ -133,7 +134,9 @@ def _default_num_classes(vocab_size: int) -> int:
 
 def cmd_classes(args) -> int:
     vocab = Vocabulary.load(args.vocab)
-    K = args.num_classes or _default_num_classes(len(vocab))
+    K = args.num_classes
+    if K is None:
+        K = _default_num_classes(len(vocab))
 
     if args.method == "huffman":
         counts = vocab.counts.copy()
@@ -225,9 +228,8 @@ def cmd_ppl(args) -> int:
 
 def cmd_score(args) -> int:
     params, vocab = load_model(args.model)
-    with open(args.nbest, encoding="utf-8") as fh:
-        entries, errors = score_nbest(params, fh, vocab,
-                                      unnormalised=args.unnormalised)
+    lines = (line for _, line in read_lines(args.nbest))
+    entries, errors = score_nbest(params, lines, vocab, unnormalised=args.unnormalised)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         for e in entries:
@@ -275,6 +277,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.queries < 1:
+        raise SnlmError("--queries must be >= 1")
     params, vocab = load_model(args.model)
     rng = np.random.default_rng(args.seed)
     contexts = rng.choice(params.config.layout().support,

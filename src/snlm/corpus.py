@@ -93,20 +93,39 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         tokens, counts = [], []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: expected 'token<TAB>count'")
-                try:
-                    counts.append(int(parts[1]))
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad count {parts[1]!r}") from None
-                tokens.append(parts[0])
+        for lineno, line in read_lines(path):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DataError(f"{path}:{lineno}: expected 'token<TAB>count'")
+            try:
+                counts.append(int(parts[1]))
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad count {parts[1]!r}") from None
+            tokens.append(parts[0])
         return cls(tokens, counts)
+
+
+def read_lines(path) -> Iterator[tuple]:
+    """Yield (line number, text) for every line of a UTF-8 text file, blank
+    ones included, each without its ``\\n`` or ``\\r\\n`` ending.
+
+    Lines are split on ``\\n`` in the raw bytes and decoded one at a time, so
+    a line that is not UTF-8 raises a :class:`DataError` naming
+    ``path:line``; a file that cannot be opened raises one too.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: not UTF-8 text ({exc})") from None
+            yield lineno, line.removesuffix("\n").removesuffix("\r")
 
 
 def read_sentences(path) -> Iterator[list]:
@@ -114,15 +133,10 @@ def read_sentences(path) -> Iterator[list]:
 
     Blank lines are skipped.
     """
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read corpus {path}: {exc}") from exc
-    with fh:
-        for line in fh:
-            toks = line.split()
-            if toks:
-                yield toks
+    for _, line in read_lines(path):
+        toks = line.split()
+        if toks:
+            yield toks
 
 
 def build_vocabulary(corpus, min_count: int = 1, max_size=None) -> Vocabulary:

@@ -12,7 +12,7 @@ import numpy as np
 from .corpus import UNK_ID, Vocabulary, instance_arrays
 from .errors import DataError
 from .model import (MacCounter, ModelConfig, ModelParameters, log_prob,
-                    log_probs_batch, unnormalised_log_score,
+                    log_probs_batch, parameter_shapes, unnormalised_log_score,
                     unnormalised_scores_batch)
 
 _SCRATCH_BYTES = 8 << 20   # bound on a scoring batch's largest temporary
@@ -230,16 +230,15 @@ def memory_estimate(config: ModelConfig, vocab: Vocabulary = None) -> MemoryEsti
     """Parameter count and payload size implied by a configuration.
 
     Works from the config alone; pass the vocabulary to also account for its
-    string bytes (UTF-8). The payload estimate always matches the serialized
-    parameter section exactly.
+    string bytes (UTF-8). The counts sum :func:`parameter_shapes`, so the
+    payload estimate always matches the serialized parameter section exactly.
     """
-    V, D = config.vocab_size, config.dim
-    if V < 1:
+    if config.vocab_size < 1:
         raise DataError("vocab_size must be set")
-    ctx = config.context_size * (D if config.diagonal else D * D)
-    structure = config.layout().rows * (D + 1)
+    n = {name: math.prod(shape) for name, shape in parameter_shapes(config)}
+    ctx = sum(size for name, size in n.items() if name.startswith("C"))
     strings = sum(len(t.encode("utf-8")) for t in vocab.tokens) if vocab else 0
-    return MemoryEstimate(2 * V * D, V, ctx, structure, strings)
+    return MemoryEstimate(n["Q"] + n["R"], n["b"], ctx, n["S"] + n["t"], strings)
 
 
 # ---------------------------------------------------------------------------

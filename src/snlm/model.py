@@ -56,9 +56,6 @@ class MacCounter:
     def total(self) -> int:
         return self.projection + self.output
 
-    def reset(self) -> None:
-        self.projection = self.output = self.output_rows = 0
-
 
 def count_output(macs: MacCounter, pairs: int, dim: int, train: bool = False) -> None:
     """Tally ``pairs`` scores; training also pays for both gradients through them."""
@@ -106,64 +103,61 @@ class ModelConfig:
         return cached
 
 
+def parameter_shapes(config: ModelConfig) -> list:
+    """Every parameter array's (name, shape), in model-file order.
+
+    ``Q, R: (V, D); b: (V,); C0..: order-1 transforms (D,) or (D, D);
+    S, t: the output layer's class or node score rows``, of which the
+    standard regime has none, so its S and t are empty.
+    """
+    V, D, rows = config.vocab_size, config.dim, config.layout().rows
+    C = (D,) if config.diagonal else (D, D)
+    return ([("Q", (V, D)), ("R", (V, D)), ("b", (V,))]
+            + [(f"C{j}", C) for j in range(config.context_size)]
+            + [("S", (rows, D)), ("t", (rows,))])
+
+
 @dataclass
 class ModelParameters:
-    """All trainable arrays. Shapes
-    ``Q, R: (V, D); b: (V,); C: order-1 transforms (D,) or (D, D);
-    S, t: class or tree score rows, None under the standard regime.``
-    """
+    """All trainable arrays, shaped as :func:`parameter_shapes` lists them."""
 
     config: ModelConfig
     Q: np.ndarray
     R: np.ndarray
     b: np.ndarray
     C: list
-    S: Optional[np.ndarray] = None
-    t: Optional[np.ndarray] = None
+    S: np.ndarray
+    t: np.ndarray
 
     def __post_init__(self):
-        cfg = self.config
-        V, D = cfg.vocab_size, cfg.dim
-        if self.Q.shape != (V, D) or self.R.shape != (V, D) or self.b.shape != (V,):
-            raise DataError("embedding/bias shape mismatch")
-        if len(self.C) != cfg.context_size:
+        if len(self.C) != self.config.context_size:
             raise DataError("one context transform per position required")
-        want = (D,) if cfg.diagonal else (D, D)
-        for Cj in self.C:
-            if Cj.shape != want:
-                raise DataError("context transform shape mismatch")
-        rows = cfg.layout().rows
-        if rows == 0:
-            if self.S is not None or self.t is not None:
-                raise DataError("standard regime carries no extra score rows")
-        elif self.S is None or self.t is None or self.S.shape != (rows, D) or self.t.shape != (rows,):
-            raise DataError("class/node score shape mismatch")
+        for (name, shape), a in zip(parameter_shapes(self.config), self._flat()):
+            if getattr(a, "shape", None) != shape:
+                raise DataError(f"parameter {name} must be shaped {shape}, "
+                                f"not {getattr(a, 'shape', None)}")
+
+    def _flat(self) -> list:
+        return [self.Q, self.R, self.b, *self.C, self.S, self.t]
 
     @property
     def dtype(self):
         return self.Q.dtype
 
     def arrays(self):
-        """(name, array) pairs in serialization order."""
-        out = [("Q", self.Q), ("R", self.R), ("b", self.b)]
-        out += [(f"C{j}", Cj) for j, Cj in enumerate(self.C)]
-        if self.S is not None:
-            out += [("S", self.S), ("t", self.t)]
-        return out
+        """(name, array) pairs in serialization order; empty arrays are left out."""
+        names = [name for name, _ in parameter_shapes(self.config)]
+        return [(n, a) for n, a in zip(names, self._flat()) if a.size]
+
+    def _map(self, f) -> "ModelParameters":
+        return ModelParameters(self.config, f(self.Q), f(self.R), f(self.b),
+                               [f(Cj) for Cj in self.C], f(self.S), f(self.t))
 
     def copy(self) -> "ModelParameters":
-        return ModelParameters(
-            self.config, self.Q.copy(), self.R.copy(), self.b.copy(),
-            [Cj.copy() for Cj in self.C],
-            None if self.S is None else self.S.copy(),
-            None if self.t is None else self.t.copy())
+        return self._map(np.ndarray.copy)
 
     def astype(self, dtype) -> "ModelParameters":
-        return ModelParameters(
-            self.config, self.Q.astype(dtype), self.R.astype(dtype),
-            self.b.astype(dtype), [Cj.astype(dtype) for Cj in self.C],
-            None if self.S is None else self.S.astype(dtype),
-            None if self.t is None else self.t.astype(dtype))
+        return self._map(lambda a: a.astype(dtype))
 
 
 def _floored_log(p) -> np.ndarray:
@@ -203,10 +197,8 @@ def init_parameters(config: ModelConfig, seed: int = 0, unigram=None,
     else:
         C = [(np.eye(D) * scale).astype(dtype) for _ in range(config.context_size)]
 
-    S = t = None
-    if layer.rows:  # t draws nothing, so the draw order stays Q, R, S
-        t = layer.start_values(probs).astype(dtype)
-        S = rng.normal(0.0, 0.1, (layer.rows, D)).astype(dtype)
+    t = layer.start_values(probs).astype(dtype)  # draws nothing: the order stays Q, R, S
+    S = rng.normal(0.0, 0.1, (layer.rows, D)).astype(dtype)
     return ModelParameters(config, Q, R, b, C, S, t)
 
 
@@ -297,12 +289,12 @@ class OutputLayer:
     A layer owns its ``rows`` extra score rows ``S``/``t`` and their
     ``start_values(probs)``, its section of the model file, and its passes:
     ``log_probs`` (float64 (m,)), ``backward`` (log-likelihood, float64 gP,
-    and the R and S :class:`RowGrad` or None), ``distribution`` (float64
-    (m, V)) and ``ml_rows``, the (table, row ids) pairs ``backward`` reads.
-    ``row_bytes`` is the size of the largest temporary ``log_probs`` makes
-    per query, from which evaluation sizes its batches. Targets are
-    prediction targets, never ``<s>``. The base class has no score rows and
-    no structure section.
+    and a :class:`RowGrad` for each of ``"R"`` and ``"S"`` that it reads),
+    ``distribution`` (float64 (m, V)) and ``ml_rows``, the (table, row ids)
+    pairs ``backward`` reads. ``row_bytes`` is the size of the largest
+    temporary ``log_probs`` makes per query, from which evaluation sizes its
+    batches. Targets are prediction targets, never ``<s>``. The base class
+    has no score rows and no structure section.
     """
 
     rows = 0
@@ -313,6 +305,9 @@ class OutputLayer:
         self.support = np.flatnonzero(np.arange(V) != BOS_ID)
         self.support_pos = np.full(V, -1, dtype=np.int64)
         self.support_pos[self.support] = np.arange(len(self.support))
+
+    def start_values(self, probs):
+        return np.zeros(self.rows)
 
     def structure_bytes(self) -> bytes:
         return b""
@@ -341,7 +336,7 @@ class StandardLayer(OutputLayer):
         loglik, R, gP = _softmax_backward(
             params, P, _scores(P, params.R[sup], params.b[sup]), params.R, sup,
             self.support_pos[targets], macs)
-        return loglik, gP, RowGrad(*R), None
+        return loglik, gP, {"R": RowGrad(*R)}
 
     def distribution(self, params, P, macs=None):
         scores = _scores(P, params.R[self.support], params.b[self.support])
@@ -381,7 +376,7 @@ class ClassLayer(OutputLayer):
 
     def start_values(self, probs):
         if probs is None:
-            return np.zeros(self.rows)
+            return super().start_values(probs)
         return _floored_log(np.array([probs[m].sum() if len(m) else 0.0
                                       for m in self.members_eff]))
 
@@ -421,20 +416,21 @@ class ClassLayer(OutputLayer):
         return out
 
     def backward(self, params, P, targets, macs=None):
-        loglik, gP, S = 0.0, np.zeros(P.shape), None
+        loglik, gP, grads = 0.0, np.zeros(P.shape), {}
         if self.rows > 1:
             loglik, S, gP = _softmax_backward(
                 params, P, self._class_scores(params, P), params.S,
                 np.arange(self.rows), self.class_of[targets], macs)
-            S = RowGrad(*S)
+            grads["S"] = RowGrad(*S)
         parts = []
         for idx, mem, word, pos in self._word_blocks(params, P, targets):
             ll, part, g = _softmax_backward(params, P[idx], word, params.R, mem, pos, macs)
             loglik += ll
             parts.append(part)
             gP[idx] += g
-        R = RowGrad(*(np.concatenate(x) for x in zip(*parts)))  # classes are disjoint
-        return loglik, gP, R, S
+        # the classes are disjoint, so their rows are unique
+        grads["R"] = RowGrad(*(np.concatenate(x) for x in zip(*parts)))
+        return loglik, gP, grads
 
     def distribution(self, params, P, macs=None):
         psi = self._class_scores(params, P)
@@ -525,7 +521,7 @@ class TreeLayer(OutputLayer):
         g = d[:, None] * P[i]
         S = RowGrad.segment_sum(np.concatenate([nodes[i, k], sibs[i, k]]),  # paths share nodes
                                 np.concatenate([g, -g]), np.concatenate([d, -d]))
-        return float(np.sum(np.where(mask, on - lz, 0.0))), gP, None, S
+        return float(np.sum(np.where(mask, on - lz, 0.0))), gP, {"S": S}
 
     def distribution(self, params, P, macs=None):
         nodes, sibs, mask = self.tree.paths

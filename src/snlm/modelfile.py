@@ -11,7 +11,9 @@ little-endian)::
                tree:  num_nodes u32, root u32,
                       [parent, left, right, leaf_word] x num_nodes (i32)
                standard: empty
-    payload    parameter arrays as float32, fixed order (Q, R, b, C_j.., S, t)
+    payload    parameter arrays as float32, in the order and shapes
+               :func:`snlm.model.parameter_shapes` lists (Q, R, b, C_j..,
+               S, t); S and t are empty under the standard regime
 
 Version 1 files are still read. Their header ends at vocab_size, and each
 token is stored as [len u32, utf8 bytes] in place of the joined block; the
@@ -35,7 +37,7 @@ import numpy as np
 from .corpus import Vocabulary
 from .errors import ModelFormatError
 from .model import (OUTPUT_LAYERS, REGIME_CLASS, REGIME_STANDARD, REGIME_TREE,
-                    ModelConfig, ModelParameters)
+                    ModelConfig, ModelParameters, parameter_shapes)
 
 MAGIC = b"SNLM"
 VERSION = 2
@@ -134,21 +136,10 @@ def load_model(path):
                              **structure)
         config.validate()
 
-        V, D = vocab_size, dim
-        Q = block((V, D))
-        R = block((V, D))
-        b = block((V,))
-        C = [block((D,) if diagonal else (D, D)) for _ in range(order - 1)]
-        S = t = None
-        rows = config.layout().rows
-        if rows:
-            S = block((rows, D))
-            t = block((rows,))
+        Q, R, b, *C, S, t = [block(shape) for _, shape in parameter_shapes(config)]
         if left:
             raise ModelFormatError("trailing bytes after the parameter payload")
-
-    params = ModelParameters(config, Q, R, b, C, S, t)
-    return params, vocab
+    return ModelParameters(config, Q, R, b, C, S, t), vocab
 
 
 def _read_v1_tokens(read, vocab_size: int, left: int) -> list:

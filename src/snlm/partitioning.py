@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, Vocabulary, token_ids
+from .corpus import BOS_ID, EOS_ID, Vocabulary, read_lines, token_ids
 from .errors import DataError
 
 # Deepest tree accepted. huffman_tree lifts zero counts to 1, so by the
@@ -68,23 +68,21 @@ class WordClassing:
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "WordClassing":
         class_of = np.full(len(vocab), -1, dtype=np.int32)
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: expected 'word<TAB>class'")
-                if parts[0] not in vocab:
-                    raise DataError(f"{path}:{lineno}: unknown word {parts[0]!r}")
-                try:
-                    c = int(parts[1])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad class id {parts[1]!r}") from None
-                if not 0 <= c < len(vocab):  # K <= |V| classes
-                    raise DataError(f"{path}:{lineno}: class id {c} out of range")
-                class_of[vocab.id_of(parts[0])] = c
+        for lineno, line in read_lines(path):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DataError(f"{path}:{lineno}: expected 'word<TAB>class'")
+            if parts[0] not in vocab:
+                raise DataError(f"{path}:{lineno}: unknown word {parts[0]!r}")
+            try:
+                c = int(parts[1])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad class id {parts[1]!r}") from None
+            if not 0 <= c < len(vocab):  # K <= |V| classes
+                raise DataError(f"{path}:{lineno}: class id {c} out of range")
+            class_of[vocab.id_of(parts[0])] = c
         if (class_of < 0).any():
             missing = vocab.token_of(int(np.argmin(class_of)))
             raise DataError(f"{path}: no class for {missing!r}")
@@ -224,6 +222,8 @@ def brown_clustering(sentences, vocab: Vocabulary, num_classes: int,
     words : optional set of word ids to cluster; all other ids are frozen in
         singleton classes appended after the ``num_classes`` exchange classes.
     """
+    if max_iterations < 0:
+        raise DataError("max_iterations must be >= 0")
     V = len(vocab)
     bigrams = left, right, count = _word_bigrams(sentences, vocab)
     if words is None:
@@ -440,26 +440,25 @@ class VocabularyTree:
     @classmethod
     def load(cls, path, vocab: Vocabulary) -> "VocabularyTree":
         rows = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) not in (2, 3):
-                    raise DataError(f"{path}:{lineno}: expected 'node parent [leaf:token]'")
-                try:
-                    node, par = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise DataError(f"{path}:{lineno}: bad node ids") from None
-                word = -1
-                if len(parts) == 3:
-                    if not parts[2].startswith("leaf:"):
-                        raise DataError(f"{path}:{lineno}: expected leaf:token")
-                    tok = parts[2][len("leaf:"):]
-                    if tok not in vocab:
-                        raise DataError(f"{path}:{lineno}: unknown word {tok!r}")
-                    word = vocab.id_of(tok)
-                rows.append((lineno, node, par, word))
+        for lineno, line in read_lines(path):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) not in (2, 3):
+                raise DataError(f"{path}:{lineno}: expected 'node parent [leaf:token]'")
+            try:
+                node, par = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: bad node ids") from None
+            word = -1
+            if len(parts) == 3:
+                if not parts[2].startswith("leaf:"):
+                    raise DataError(f"{path}:{lineno}: expected leaf:token")
+                tok = parts[2][len("leaf:"):]
+                if tok not in vocab:
+                    raise DataError(f"{path}:{lineno}: unknown word {tok!r}")
+                word = vocab.id_of(tok)
+            rows.append((lineno, node, par, word))
         if not rows:
             raise DataError(f"{path}: empty tree file")
         n = len(rows)

@@ -42,12 +42,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .corpus import BOS_ID, unigram_from_counts
 from .errors import DataError, TrainingDivergedError
+from .evaluation import perplexity_from_instances, perplexity_of
 from .model import (REGIME_CLASS, REGIME_TREE, MacCounter, ModelParameters,
                     RowGrad, count_output, log_probs_batch, project_batch)
 
@@ -147,35 +147,29 @@ class NoiseTable:
 
 def _row_tables(params: ModelParameters) -> dict:
     """The row tables by name, each a (matrix, bias or None) pair sharing row ids."""
-    out = {"Q": (params.Q, None), "R": (params.R, params.b)}
-    if params.S is not None:
-        out["S"] = (params.S, params.t)
-    return out
+    return {"Q": (params.Q, None), "R": (params.R, params.b), "S": (params.S, params.t)}
 
 
 @dataclass
 class Gradients:
     """Row-sparse gradient of a penalized batch objective.
 
-    ``Q``, ``R`` (with the bias ``b``) and ``S`` (with ``t``; None under the
-    standard regime) hold the data term on the rows the batch reads; the
-    context transforms ``C`` are dense. The penalty's gradient ``-l2 * theta``
-    covers every parameter and is not stored: ``l2`` is its coefficient,
-    already scaled by the batch size, and ``train`` applies it as lazy decay.
+    ``Q``, ``R`` (with the bias ``b``) and ``S`` (with ``t``) hold the data
+    term on the rows the batch reads; the context transforms ``C`` are dense.
+    The penalty's gradient ``-l2 * theta`` covers every parameter and is not
+    stored: ``l2`` is its coefficient, already scaled by the batch size, and
+    ``train`` applies it as lazy decay.
     """
 
     Q: RowGrad
     R: RowGrad
     C: list
-    S: Optional[RowGrad] = None
+    S: RowGrad
     l2: float = 0.0
 
     def tables(self):
         """(name, RowGrad) pairs, named as in ``_row_tables``."""
-        out = [("Q", self.Q), ("R", self.R)]
-        if self.S is not None:
-            out.append(("S", self.S))
-        return out
+        return [("Q", self.Q), ("R", self.R), ("S", self.S)]
 
     def finite(self) -> bool:
         """True when every stored row and every transform gradient is finite."""
@@ -230,10 +224,11 @@ def _project_for_grad(params, contexts, macs):
     return P, active
 
 
-def _backprop_projection(params, contexts, P, active, gP, l2, R=None, S=None) -> Gradients:
+def _backprop_projection(params, contexts, P, active, gP, l2, rowgrads) -> Gradients:
     """Push the output-side gradient gP through the rectifier into C and Q.
 
-    Tables the output layer did not touch get no rows.
+    ``rowgrads`` maps "R" and "S" to their :class:`RowGrad`; a table the
+    output layer did not touch gets no rows.
     """
     cfg = params.config
     gA = (gP * active).astype(params.dtype, copy=False)
@@ -247,11 +242,8 @@ def _backprop_projection(params, contexts, P, active, gP, l2, R=None, S=None) ->
             C.append(gA.T @ Qj)
             parts.append(gA @ params.C[j])
     Q = RowGrad.segment_sum(np.asarray(contexts).T.ravel(), np.concatenate(parts))
-    if R is None:
-        R = RowGrad.empty(cfg.dim, params.dtype)
-    if S is None and params.S is not None:
-        S = RowGrad.empty(cfg.dim, params.dtype)
-    return Gradients(Q, R, C, S, l2)
+    empty = RowGrad.empty(cfg.dim, params.dtype)
+    return Gradients(Q, rowgrads.get("R", empty), C, rowgrads.get("S", empty), l2)
 
 
 def _check_targets(targets):
@@ -277,9 +269,9 @@ def ml_gradient(params: ModelParameters, contexts, targets, l2: float = 0.0,
     targets = np.asarray(targets, dtype=np.int64)
     _check_targets(targets)
     P, active = _project_for_grad(params, contexts, macs)
-    loglik, gP, R, S = params.config.layout().backward(params, P, targets, macs)
+    loglik, gP, rowgrads = params.config.layout().backward(params, P, targets, macs)
     return _backprop_projection(params, contexts, P, active, gP, l2 * len(targets),
-                                R=R, S=S), loglik
+                                rowgrads), loglik
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +328,7 @@ def _nce(params, contexts, blocks, l2, macs, grad):
     if not grad:
         return value, None
     return value, _backprop_projection(params, contexts, P, active, gP, l2 * len(P),
-                                       R=rowgrads.get("R"), S=rowgrads.get("S"))
+                                       rowgrads)
 
 
 def _noise_ids(observed, noise, what):
@@ -507,7 +499,6 @@ class TrainingResult:
 
 
 def _ppl(params, contexts, targets) -> float:
-    from .evaluation import perplexity_from_instances, perplexity_of
     return perplexity_of(*perplexity_from_instances(params, contexts, targets))
 
 

@@ -362,6 +362,95 @@ class TestLiteralSentenceEnd:
         assert outputs[0] == outputs[1]
 
 
+class TestUndecodableText:
+    """A line that is not UTF-8 exits 2 naming path:line, with no traceback.
+
+    The bad line sits past the start of the file, so a line number counted
+    from decoded chunks rather than from the bytes would be wrong.
+    """
+
+    BAD = b"red \xff cat\n"
+
+    @pytest.fixture
+    def model(self, tmp_path, capsys, corpus):
+        model = tmp_path / "model.bin"
+        code, _, stderr = run(capsys, "train", corpus[0], "--model", model,
+                              "--order", "3", "--dim", "4", "--epochs", "1")
+        assert code == 0, stderr
+        return model
+
+    def bad_file(self, tmp_path, good, tail=b""):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(good.encode("utf-8") + self.BAD + tail)
+        return path, good.count("\n") + 1
+
+    def check(self, capsys, path, line, *argv):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2
+        assert f"{path}:{line}: not UTF-8" in stderr
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("command", ["vocab", "train", "ppl"])
+    def test_corpus(self, tmp_path, capsys, corpus, model, command):
+        text = corpus[0].read_text()
+        path, line = self.bad_file(tmp_path, text, text.encode("utf-8"))
+        argv = {"vocab": ["vocab", path, "-o", tmp_path / "v.tsv"],
+                "train": ["train", path, "--model", tmp_path / "m.bin", "--dim", "4"],
+                "ppl": ["ppl", model, path]}[command]
+        self.check(capsys, path, line, *argv)
+
+    def test_nbest_counts_blank_lines(self, tmp_path, capsys, model):
+        path, line = self.bad_file(tmp_path, "1 ||| red cat\n\n\n1 ||| dog\n\n")
+        self.check(capsys, path, line, "score", model, path)
+        assert line == 6
+
+    def test_classes_vocab(self, tmp_path, capsys):
+        path, line = self.bad_file(tmp_path, "<unk>\t0\n<s>\t0\n</s>\t0\nred\t5\n")
+        self.check(capsys, path, line, "classes", "--vocab", path,
+                   "-o", tmp_path / "c.tsv")
+
+    @pytest.mark.parametrize("flag, good", [("--classes-file", "cat\t0\ndog\t1\n"),
+                                            ("--tree-file", "2 -1\n0 2 leaf:cat\n")])
+    def test_partition_file(self, tmp_path, capsys, corpus, flag, good):
+        path, line = self.bad_file(tmp_path, good)
+        regime = "class" if flag == "--classes-file" else "tree"
+        self.check(capsys, path, line, "train", corpus[0], "--model", tmp_path / "m.bin",
+                   "--regime", regime, "--dim", "4", "--epochs", "1", flag, path)
+
+
+class TestBadCounts:
+    """Counts out of range on the command line exit 2 with a message."""
+
+    def check(self, capsys, *argv, message):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 2
+        assert message in stderr
+        assert "Traceback" not in stderr
+
+    def test_bench_negative_queries(self, tmp_path, capsys, corpus):
+        model = tmp_path / "model.bin"
+        assert run(capsys, "train", corpus[0], "--model", model, "--order", "3",
+                   "--dim", "4", "--epochs", "1")[0] == 0
+        self.check(capsys, "bench", model, "--queries", "-5",
+                   message="--queries must be >= 1")
+
+    def test_zero_classes(self, tmp_path, capsys, corpus):
+        vocab, out = tmp_path / "vocab.tsv", tmp_path / "classes.tsv"
+        assert run(capsys, "vocab", corpus[0], "-o", vocab)[0] == 0
+        self.check(capsys, "classes", "--vocab", vocab, "--num-classes", "0",
+                   "-o", out, message="num_classes")
+        assert not out.exists()
+
+    def test_negative_max_iterations(self, tmp_path, capsys, corpus):
+        vocab, out = tmp_path / "vocab.tsv", tmp_path / "classes.tsv"
+        assert run(capsys, "vocab", corpus[0], "-o", vocab)[0] == 0
+        self.check(capsys, "classes", "--vocab", vocab, "--method", "brown",
+                   "--corpus", corpus[0], "--num-classes", "3",
+                   "--max-iterations", "-1", "-o", out,
+                   message="max_iterations must be >= 0")
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_usage_errors_return_one(self, capsys):
         assert main(["definitely-not-a-command"]) == 1

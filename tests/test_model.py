@@ -17,6 +17,7 @@ from snlm.errors import DataError
 from snlm.model import (
     MacCounter,
     ModelConfig,
+    ModelParameters,
     REGIME_CLASS,
     REGIME_STANDARD,
     REGIME_TREE,
@@ -429,6 +430,46 @@ class TestInitParameters:
         vocab = make_vocab(list("ab"))
         params = init_parameters(make_config(vocab), seed=0)
         assert all(a.dtype == np.float32 for _, a in params.arrays())
+
+
+REGIMES = (REGIME_STANDARD, REGIME_CLASS, REGIME_TREE)
+
+
+class TestParameterShapes:
+    @staticmethod
+    def fields(params):
+        return dict(Q=params.Q, R=params.R, b=params.b, C=params.C, S=params.S, t=params.t)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_every_wrong_shape_is_rejected(self, regime, diagonal):
+        vocab = make_vocab(list("abcde"))
+        params = make_params(vocab, regime, order=4, dim=3, diagonal=diagonal)
+        V, D, rows = len(vocab), 3, params.config.layout().rows
+        good = self.fields(params)
+        ModelParameters(params.config, **good)  # the unchanged arrays are accepted
+        other_C = np.zeros((D, D) if diagonal else D)
+        bad = [("Q", np.zeros((V + 1, D))), ("Q", np.zeros((V, D + 1))),
+               ("R", np.zeros((V, D - 1))), ("b", np.zeros(V - 1)), ("b", np.zeros((V, 1))),
+               ("C", params.C + [params.C[0]]), ("C", params.C[:-1]),
+               ("C", params.C[:-1] + [other_C]),
+               ("S", np.zeros((rows + 1, D))), ("t", np.zeros(rows + 1))]
+        if regime != REGIME_STANDARD:  # a standard model's S of rows + 1 is (1, D)
+            bad += [("S", None), ("t", None)]
+        for name, value in bad:
+            with pytest.raises(DataError):
+                ModelParameters(params.config, **{**good, name: value})
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_arrays_follow_parameter_shapes(self, regime, diagonal):
+        from snlm.model import parameter_shapes
+        vocab = make_vocab(list("abcde"))
+        params = make_params(vocab, regime, order=4, dim=3, diagonal=diagonal)
+        shapes = parameter_shapes(params.config)
+        assert [name for name, _ in shapes] == ["Q", "R", "b", "C0", "C1", "C2", "S", "t"]
+        assert [(n, a.shape) for n, a in params.arrays()] == \
+            [(n, shape) for n, shape in shapes if math.prod(shape)]
 
 
 class TestConfigValidation:
