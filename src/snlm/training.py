@@ -53,6 +53,10 @@ from .model import (REGIME_CLASS, REGIME_TREE, MacCounter, ModelParameters,
 
 ALGORITHMS = ("ml_sgd", "nce")
 
+# Each epoch's training-set perplexity is taken over at most this many
+# training instances (the first of the seeded split); validation is scored whole.
+TRAIN_PPL_INSTANCES = 4096
+
 
 @dataclass
 class TrainingConfig:
@@ -68,10 +72,12 @@ class TrainingConfig:
     def validate(self):
         if self.algorithm not in ALGORITHMS:
             raise DataError(f"unknown algorithm {self.algorithm!r}")
-        if self.learning_rate <= 0 or self.minibatch_size < 1 or self.epochs < 0:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise DataError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.minibatch_size < 1 or self.epochs < 0:
             raise DataError("bad optimizer settings")
-        if self.l2_strength < 0:
-            raise DataError("l2_strength must be >= 0")
+        if not (math.isfinite(self.l2_strength) and self.l2_strength >= 0):
+            raise DataError(f"l2_strength must be finite and >= 0, got {self.l2_strength}")
         if self.algorithm == "nce" and self.noise_samples < 1:
             raise DataError("NCE needs noise_samples >= 1")
         if not 0 <= self.validation_fraction < 1:
@@ -114,19 +120,23 @@ class NoiseTable:
         self.size = np.bincount(group_of[self.items], minlength=len(self.mass))
         self.offset = np.cumsum(self.size) - self.size
         self.q, self.alias = np.empty(len(self.items)), np.arange(len(self.items))
-        for lo, n in zip(self.offset[self.size > 0], self.size[self.size > 0]):
-            # Walker's construction of one group's slots, through views
-            q, alias = self.q[lo:lo + n], self.alias[lo:lo + n]
+        for lo, n in zip(self.offset[self.size > 0].tolist(),
+                         self.size[self.size > 0].tolist()):
+            # Walker's construction of one group's slots, on Python lists and
+            # floats (the same IEEE doubles as numpy scalars, at less cost)
             p = probs[self.items[lo:lo + n]]
-            q[:] = p * (n / p.sum())
-            small = [i for i in range(n) if q[i] < 1.0]
-            large = [i for i in range(n) if q[i] >= 1.0]
+            scaled = p * (n / p.sum())
+            q, alias = scaled.tolist(), list(range(lo, lo + n))
+            small = np.flatnonzero(scaled < 1.0).tolist()
+            large = np.flatnonzero(scaled >= 1.0).tolist()
             while small and large:
                 s, l = small.pop(), large.pop()
                 alias[s] = lo + l
                 q[l] = q[l] - (1.0 - q[s])
                 (small if q[l] < 1.0 else large).append(l)
-            q[small + large] = 1.0  # numerical leftovers
+            for i in small + large:
+                q[i] = 1.0  # numerical leftovers
+            self.q[lo:lo + n], self.alias[lo:lo + n] = q, alias
         self.rng = rng
 
     def draw(self, groups, k) -> np.ndarray:
@@ -308,6 +318,23 @@ def _nce_backward(params, M, P, ids, d):
     return rows, np.einsum("mw,mwd->md", d, M[ids].astype(np.float64))
 
 
+def _class_nce_backward(params, M, P, ids, d):
+    """``_nce_backward`` for the class-level block, as small matmuls.
+
+    The block's distinct rows ``u`` are classes, so there are at most K of
+    them whatever the batch size. The weights ``d`` are summed per batch row
+    and class into a dense (m, |u|) ``A``; then the row values are ``A.T @ P``
+    and the pull on P is ``A @ M[u]``, O(m·K·D) like the class softmax. The
+    word-level block keeps ``_nce_backward``: its distinct rows grow with m.
+    """
+    m = len(ids)
+    u, inv = np.unique(ids, return_inverse=True)
+    A = np.bincount((np.arange(m)[:, None] * len(u) + inv.reshape(ids.shape)).ravel(),
+                    weights=d.ravel(), minlength=m * len(u)).reshape(m, len(u))
+    rows = RowGrad(u, (A.T @ P).astype(params.dtype), A.sum(axis=0).astype(params.dtype))
+    return rows, A @ M[u].astype(np.float64)
+
+
 def _nce(params, contexts, blocks, l2, macs, grad):
     """(objective without the L2 term, Gradients when ``grad`` else None)
     over blocks (table name, batch rows, ids, log P_n of ids), where each
@@ -322,7 +349,8 @@ def _nce(params, contexts, blocks, l2, macs, grad):
         v, d = _nce_terms(scores, log_pn, ids.shape[1] - 1)
         value += v
         if grad:
-            rowgrads[name], g = _nce_backward(params, M, P[rows], ids, d)
+            backward = _class_nce_backward if name == "S" else _nce_backward
+            rowgrads[name], g = backward(params, M, P[rows], ids, d)
             gP[rows] += g
             count_output(macs, ids.size, params.config.dim, train=True)
     if not grad:
@@ -476,7 +504,9 @@ class _SparseSGD:
 @dataclass
 class EpochStats:
     """One epoch's record; ``seconds`` is its minibatch steps plus its
-    perplexity passes."""
+    perplexity passes. ``train_ppl`` is over at most ``TRAIN_PPL_INSTANCES``
+    training instances, the first of the seeded split; ``valid_ppl`` is over
+    the whole validation split."""
 
     epoch: int
     train_ppl: float
@@ -512,9 +542,13 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
     defers the L2 decay of the others (see the module docstring); all rows
     are brought up to date before each epoch's perplexity passes and before
     ``train`` returns or raises. A seeded instance-level split holds out
-    ``validation_fraction`` of the data. After each epoch the learning rate
-    halves if validation perplexity worsened; training aborts if it exceeds
-    10x its pre-training value or a gradient goes non-finite. Identical
+    ``validation_fraction`` of the data. After each epoch the training
+    perplexity is taken over at most ``TRAIN_PPL_INSTANCES`` (4,096) training
+    instances, the first of the split, and the validation perplexity over
+    every held-out instance (the whole training split when none is held
+    out). The learning rate halves if validation perplexity worsened;
+    training aborts if it exceeds 10x its pre-training value or a gradient
+    goes non-finite. Identical
     inputs, config and seed reproduce the parameters bit for bit. ``macs``
     (or the counter in the result) tallies gradient-pass MACs only;
     validation passes are not counted.
@@ -606,7 +640,8 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
             train_seconds = time.perf_counter() - tick
 
             tick = time.perf_counter()
-            train_ppl = _ppl(params, tr_ctx, tr_tgt)
+            train_ppl = _ppl(params, tr_ctx[:TRAIN_PPL_INSTANCES],
+                             tr_tgt[:TRAIN_PPL_INSTANCES])
             valid_ppl = _ppl(params, ev_ctx, ev_tgt)
             stats = EpochStats(epoch, train_ppl, valid_ppl, lr, train_seconds,
                                time.perf_counter() - tick)

@@ -434,6 +434,16 @@ class TestBadCounts:
         self.check(capsys, "bench", model, "--queries", "-5",
                    message="--queries must be >= 1")
 
+    @pytest.mark.parametrize("flag,field", [("--lr", "learning_rate"),
+                                            ("--l2", "l2_strength")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_optimizer_settings(self, tmp_path, capsys, corpus, flag,
+                                           field, value):
+        model = tmp_path / "model.bin"
+        self.check(capsys, "train", corpus[0], "--model", model, "--order", "3",
+                   "--dim", "4", "--epochs", "1", flag, value, message=field)
+        assert not model.exists()
+
     def test_zero_classes(self, tmp_path, capsys, corpus):
         vocab, out = tmp_path / "vocab.tsv", tmp_path / "classes.tsv"
         assert run(capsys, "vocab", corpus[0], "-o", vocab)[0] == 0

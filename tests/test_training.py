@@ -1,4 +1,5 @@
 """Gradients, noise sampling and the SGD loop."""
+import hashlib
 import io
 import math
 
@@ -9,6 +10,7 @@ from conftest import make_config, make_params, make_vocab, numeric_gradient, zer
 from snlm import training
 from snlm.corpus import BOS_ID, build_vocabulary, instance_arrays
 from snlm.errors import DataError, TrainingDivergedError
+from snlm.evaluation import perplexity_from_instances, perplexity_of
 from snlm.model import (
     MacCounter,
     REGIME_CLASS,
@@ -16,6 +18,7 @@ from snlm.model import (
     REGIME_TREE,
     init_parameters,
     log_probs_batch,
+    project_batch,
     project_context,
 )
 from snlm.partitioning import WordClassing
@@ -118,6 +121,41 @@ class TestNoiseTable:
         assert words.shape == (5, 20)
         for row, c in zip(words, groups):
             assert (self.class_of[row] == c).all()
+
+    def test_slots_enumerate_to_the_exact_conditionals(self):
+        """A draw picks a slot of its group uniformly, then keeps the slot's
+        item with probability q or takes its alias: summing both outcomes
+        over every slot must give P_n(item | group)."""
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n, groups = int(rng.integers(1, 60)), int(rng.integers(1, 8))
+            group_of = rng.integers(0, groups, size=n)
+            probs = rng.random(n) * (rng.random(n) < 0.8)  # zero-mass items
+            probs[group_of == seed % groups] = 0.0         # a zero-mass group
+            if not probs.sum() > 0:
+                probs[-1] = 1.0
+            table = NoiseTable(probs, rng, group_of)
+            got = np.zeros(n)
+            for lo, size in zip(table.offset, table.size):
+                for s in range(lo, lo + size):
+                    assert lo <= table.alias[s] < lo + size
+                    got[table.items[s]] += table.q[s] / size
+                    got[table.items[table.alias[s]]] += (1.0 - table.q[s]) / size
+            mass = np.bincount(group_of, weights=probs)[group_of]
+            want = np.divide(probs, mass, out=np.zeros(n), where=mass > 0)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=seed)
+            assert (table.size[np.bincount(group_of, weights=probs) == 0] == 0).all()
+
+    def test_draws_are_pinned(self):
+        """The draws of one fixed table and seed, as first recorded. Training
+        outcomes (acceptance criterion 04 among them) depend on the exact
+        draws, so a change to them must show here first."""
+        probs = np.random.default_rng(2014).random(40)
+        probs[[3, 17, 29]] = 0.0
+        table = NoiseTable(probs, np.random.default_rng(7412), np.arange(40) % 6)
+        draws = table.draw(np.arange(300) % 6, 12).astype(np.int64)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == \
+            "11a97f8e3b5f4cb31698c24fb681a45e1fadbadc86ff801e94e259a1c423218d"
 
 
 def class_noise(probs, classing, seed):
@@ -403,6 +441,48 @@ class TestClassFactoredNce:
         np.testing.assert_array_equal(got.R, 0.0)
         np.testing.assert_array_equal(got.b, 0.0)
 
+    @pytest.mark.parametrize("m", [1, 64, 1000])
+    def test_class_level_rows_match_a_segment_sum_reference(self, monkeypatch, m):
+        """The class-level block's S rows, t values and pull on P against the
+        per-entry outer product and a segment sum, in float64."""
+        vocab = make_vocab([f"w{i}" for i in range(30)], counts=list(range(30, 0, -1)))
+        params = make_params(vocab, REGIME_CLASS, order=3, dim=5, seed=130,
+                             num_classes=6, scale=0.3, dtype=np.float32)
+        contexts, targets = tiny_instances(vocab, 3, 131, m=m)
+        k = 4
+        classes, words = class_noise(empirical_unigram(targets, len(vocab)),
+                                     params.config.classing, 132)
+        log_pn = (classes.log_probs, words.log_probs)
+        cls = params.config.classing.class_of[targets].astype(np.int64)
+        cnoise = classes.draw(np.zeros(m, dtype=np.int64), k)
+        cnoise[0, 0] = cls[0]              # the target class is also a noise draw
+        cnoise[-1, 1:] = cnoise[-1, 1]     # one noise class drawn k - 1 times
+        pulls = []
+
+        def spy(*args, _real=training._class_nce_backward):
+            rows, pull = _real(*args)
+            pulls.append(pull)
+            return rows, pull
+        monkeypatch.setattr(training, "_class_nce_backward", spy)
+        grads, _ = nce_gradient_class_factored(params, contexts, targets, cnoise,
+                                               words.draw(cls, k), log_pn)
+
+        P = project_batch(params, contexts)[0].astype(np.float64)
+        S, t = params.S.astype(np.float64), params.t.astype(np.float64)
+        ids = np.concatenate([cls[:, None], cnoise], axis=1)
+        delta = np.einsum("mwd,md->mw", S[ids], P) + t[ids] - (math.log(k) + log_pn[0][ids])
+        d = -1.0 / (1.0 + np.exp(-delta))
+        d[:, 0] += 1.0
+        values, bias = np.zeros_like(S), np.zeros_like(t)
+        np.add.at(values, ids.ravel(), (d[:, :, None] * P[:, None, :]).reshape(-1, S.shape[1]))
+        np.add.at(bias, ids.ravel(), d.ravel())
+        rows = np.unique(ids)
+        np.testing.assert_array_equal(grads.S.rows, rows)
+        for got, want in ((grads.S.values, values[rows]), (grads.S.bias, bias[rows]),
+                          (pulls[0], np.einsum("mw,mwd->md", d, S[ids]))):
+            np.testing.assert_allclose(got, want, rtol=1e-5,
+                                       atol=1e-5 * np.abs(want).max())
+
     def test_requires_class_model(self):
         vocab = make_vocab(list("ab"))
         params = make_params(vocab, REGIME_STANDARD, seed=102)
@@ -492,6 +572,44 @@ class TestTrainLoop:
             train(params, np.array([[3, 4]], dtype=np.int32),
                   np.array([3], dtype=np.int32),
                   TrainingConfig(algorithm="nce", validation_fraction=0.0))
+
+    def test_train_ppl_scores_the_first_training_instances(self, monkeypatch):
+        sentences = markov_corpus(5000, vocab_size=40, seed=21)
+        vocab = build_vocabulary(sentences)
+        contexts, targets = instance_arrays(sentences, vocab, n=3)
+        config = TrainingConfig(minibatch_size=256, epochs=1, rng_seed=22)
+        start = make_params(vocab, REGIME_CLASS, order=3, dim=4, seed=23,
+                            num_classes=5, scale=0.1, dtype=np.float32)
+        # the seeded split train() makes: its first spawned generator's permutation
+        N = len(targets)
+        perm = np.random.default_rng(np.random.SeedSequence(22).spawn(3)[0]).permutation(N)
+        train_idx = perm[int(round(N * config.validation_fraction)):]
+        first = train_idx[:training.TRAIN_PPL_INSTANCES]
+        assert len(train_idx) > len(first) == 4096
+
+        sampled = start.copy()
+        stats = train(sampled, contexts, targets, config).epochs[0]
+        assert stats.train_ppl == perplexity_of(*perplexity_from_instances(
+            sampled, contexts[first], targets[first]))
+
+        monkeypatch.setattr(training, "TRAIN_PPL_INSTANCES", N)
+        full = start.copy()
+        full_stats = train(full, contexts, targets, config).epochs[0]
+        for (name, a), (_, b) in zip(sampled.arrays(), full.arrays()):
+            assert a.tobytes() == b.tobytes(), name
+        assert full_stats.train_ppl == perplexity_of(*perplexity_from_instances(
+            full, contexts[train_idx], targets[train_idx]))
+        assert full_stats.train_ppl != stats.train_ppl
+        assert full_stats.valid_ppl == stats.valid_ppl
+
+    @pytest.mark.parametrize("field", ["learning_rate", "l2_strength"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_optimizer_settings_rejected(self, monkeypatch, field, value):
+        params, contexts, targets = sparse_step_setup(REGIME_CLASS)
+        calls = record_gradient_calls(monkeypatch)
+        with pytest.raises(DataError, match=field):
+            train(params, contexts, targets, TrainingConfig(**{field: value}))
+        assert calls == []
 
     def test_epoch_seconds_split_into_training_and_evaluation(self):
         sentences = markov_corpus(300, vocab_size=8, seed=9)
