@@ -30,6 +30,12 @@ from .training import TrainingConfig, empirical_unigram, train
 _REGIME_NAMES = {"standard": REGIME_STANDARD, "class": REGIME_CLASS,
                  "tree": REGIME_TREE}
 
+# the TrainingConfig field each ``train`` flag sets
+_TRAINING_FLAGS = {"algorithm": "--algorithm", "learning_rate": "--lr",
+                   "minibatch_size": "--batch", "epochs": "--epochs",
+                   "l2_strength": "--l2", "noise_samples": "--k",
+                   "rng_seed": "--seed", "validation_fraction": "--valid-fraction"}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant whose usage failures exit 1 instead of 2."""
@@ -163,6 +169,14 @@ def cmd_classes(args) -> int:
 
 
 def cmd_train(args) -> int:
+    tconf = TrainingConfig(**{field: getattr(args, flag[2:].replace("-", "_"))
+                              for field, flag in _TRAINING_FLAGS.items()})
+    tconf.validate(_TRAINING_FLAGS)  # before any work, so a bad flag costs nothing
+    regime = _REGIME_NAMES[args.regime]
+    if regime == REGIME_TREE and tconf.algorithm == "nce":
+        raise SnlmError("--regime tree needs --algorithm ml_sgd: "
+                        "NCE applies to standard or class models")
+
     sentences = list(read_sentences(args.corpus))
     if args.vocab:
         vocab = Vocabulary.load(args.vocab)
@@ -172,7 +186,6 @@ def cmd_train(args) -> int:
     contexts, targets = instance_arrays(sentences, vocab, args.order)
     target_probs = empirical_unigram(targets, len(vocab))
 
-    regime = _REGIME_NAMES[args.regime]
     classing = tree = None
     if regime == REGIME_CLASS:
         if args.classes_file:
@@ -192,11 +205,6 @@ def cmd_train(args) -> int:
                          diagonal=args.diagonal, vocab_size=len(vocab),
                          classing=classing, tree=tree)
     params = init_parameters(config, seed=args.seed, unigram=target_probs)
-    tconf = TrainingConfig(algorithm=args.algorithm, learning_rate=args.lr,
-                           minibatch_size=args.batch, epochs=args.epochs,
-                           l2_strength=args.l2, noise_samples=args.k,
-                           rng_seed=args.seed,
-                           validation_fraction=args.valid_fraction)
 
     print(f"{len(targets)} instances, |V|={len(vocab)}, regime={args.regime}, "
           f"algorithm={args.algorithm}")

@@ -30,16 +30,23 @@ def _batch_width(params: ModelParameters, unnormalised: bool = False) -> int:
 
 def score_instances(params: ModelParameters, contexts, targets,
                     unnormalised: bool = False, macs: MacCounter = None) -> np.ndarray:
-    """Per-instance scores, float64: log-probabilities, or raw ``phi`` scores
-    when ``unnormalised``, computed in batches of the layer's width."""
+    """Per-instance scores in input order, float64: log-probabilities, or raw
+    ``phi`` scores when ``unnormalised``, computed in batches of the layer's
+    width. Normalised scoring takes the queries in the output layer's
+    ``scoring_order`` before the batches are cut."""
     contexts = np.asarray(contexts, dtype=np.int32)
     targets = np.asarray(targets, dtype=np.int64)
     score = unnormalised_scores_batch if unnormalised else log_probs_batch
+    order = None if unnormalised else params.config.layout().scoring_order(targets)
+    if order is not None:
+        contexts, targets = contexts[order], targets[order]
     width = _batch_width(params, unnormalised)
     out = np.empty(len(targets))
     for lo in range(0, len(targets), width):
         out[lo:lo + width] = score(params, contexts[lo:lo + width],
                                    targets[lo:lo + width], macs)
+    if order is not None:
+        out[order] = out.copy()
     return out
 
 

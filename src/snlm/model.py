@@ -293,8 +293,9 @@ class OutputLayer:
     ``distribution`` (float64 (m, V)) and ``ml_rows``, the (table, row ids)
     pairs ``backward`` reads. ``row_bytes`` is the size of the largest
     temporary ``log_probs`` makes per query, from which evaluation sizes its
-    batches. Targets are prediction targets, never ``<s>``. The base class
-    has no score rows and no structure section.
+    batches, and ``scoring_order(targets)`` the order in which normalised
+    scoring hands it queries. Targets are prediction targets, never ``<s>``.
+    The base class has no score rows, no structure section and no order.
     """
 
     rows = 0
@@ -308,6 +309,11 @@ class OutputLayer:
 
     def start_values(self, probs):
         return np.zeros(self.rows)
+
+    def scoring_order(self, targets):
+        """A permutation of the queries that groups what ``log_probs`` shares
+        across them, or None where their order costs nothing."""
+        return None
 
     def structure_bytes(self) -> bytes:
         return b""
@@ -379,6 +385,11 @@ class ClassLayer(OutputLayer):
             return super().start_values(probs)
         return _floored_log(np.array([probs[m].sum() if len(m) else 0.0
                                       for m in self.members_eff]))
+
+    def scoring_order(self, targets):
+        """Target-class order, stable: ``log_probs`` runs one word block per
+        distinct target class in a batch, so sorted batches run fewer."""
+        return np.argsort(self.class_of[targets], kind="stable")
 
     def structure_bytes(self) -> bytes:
         return (struct.pack("<I", self.rows)

@@ -69,19 +69,27 @@ class TrainingConfig:
     rng_seed: int = 1
     validation_fraction: float = 0.05
 
-    def validate(self):
+    def validate(self, flags: dict = None):
+        """Raise DataError on the first bad setting. The message names the
+        field, and its command-line flag where ``flags`` maps it to one."""
+        def bad(field, rule):
+            flag = f" ({flags[field]})" if flags and field in flags else ""
+            raise DataError(f"{field}{flag} must be {rule}, got {getattr(self, field)!r}")
+
         if self.algorithm not in ALGORITHMS:
-            raise DataError(f"unknown algorithm {self.algorithm!r}")
+            bad("algorithm", f"one of {', '.join(ALGORITHMS)}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise DataError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.minibatch_size < 1 or self.epochs < 0:
-            raise DataError("bad optimizer settings")
+            bad("learning_rate", "finite and > 0")
+        if self.minibatch_size < 1:
+            bad("minibatch_size", ">= 1")
+        if self.epochs < 0:
+            bad("epochs", ">= 0")
         if not (math.isfinite(self.l2_strength) and self.l2_strength >= 0):
-            raise DataError(f"l2_strength must be finite and >= 0, got {self.l2_strength}")
+            bad("l2_strength", "finite and >= 0")
         if self.algorithm == "nce" and self.noise_samples < 1:
-            raise DataError("NCE needs noise_samples >= 1")
+            bad("noise_samples", ">= 1 for NCE")
         if not 0 <= self.validation_fraction < 1:
-            raise DataError("validation_fraction must be in [0, 1)")
+            bad("validation_fraction", "in [0, 1)")
 
 
 def empirical_unigram(targets, vocab_size: int) -> np.ndarray:

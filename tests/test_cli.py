@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from snlm import cli
 from snlm.cli import build_parser, main
 from snlm.corpus import Vocabulary
 from snlm.evaluation import perplexity
@@ -144,10 +145,11 @@ class TestBadPartitionFiles:
         train, _ = corpus
         path = tmp_path / "partition.txt"
         path.write_text(text)
-        regime = "class" if flag == "--classes-file" else "tree"
+        regime, algorithm = (("class", "nce") if flag == "--classes-file"
+                             else ("tree", "ml_sgd"))
         code, _, stderr = run(capsys, "train", train, "--model", tmp_path / "m.bin",
-                              "--regime", regime, "--dim", "4", "--epochs", "1",
-                              flag, path)
+                              "--regime", regime, "--algorithm", algorithm,
+                              "--dim", "4", "--epochs", "1", flag, path)
         return code, stderr, path
 
     @pytest.mark.parametrize("class_id", ["x", "1.5", "99999999999", "-3"])
@@ -413,9 +415,11 @@ class TestUndecodableText:
                                             ("--tree-file", "2 -1\n0 2 leaf:cat\n")])
     def test_partition_file(self, tmp_path, capsys, corpus, flag, good):
         path, line = self.bad_file(tmp_path, good)
-        regime = "class" if flag == "--classes-file" else "tree"
+        regime, algorithm = (("class", "nce") if flag == "--classes-file"
+                             else ("tree", "ml_sgd"))
         self.check(capsys, path, line, "train", corpus[0], "--model", tmp_path / "m.bin",
-                   "--regime", regime, "--dim", "4", "--epochs", "1", flag, path)
+                   "--regime", regime, "--algorithm", algorithm, "--dim", "4",
+                   "--epochs", "1", flag, path)
 
 
 class TestBadCounts:
@@ -442,6 +446,27 @@ class TestBadCounts:
         model = tmp_path / "model.bin"
         self.check(capsys, "train", corpus[0], "--model", model, "--order", "3",
                    "--dim", "4", "--epochs", "1", flag, value, message=field)
+        assert not model.exists()
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["--regime", "tree"], "--algorithm ml_sgd"),
+        (["--batch", "0"], "--batch"),
+        (["--epochs", "-1"], "--epochs"),
+        (["--k", "-3"], "--k"),
+        (["--valid-fraction", "1"], "--valid-fraction"),
+    ])
+    def test_training_settings_checked_before_reading(self, tmp_path, capsys,
+                                                      flag, argv, monkeypatch):
+        def unread(path):
+            raise AssertionError(f"read {path} before checking the settings")
+
+        monkeypatch.setattr(cli, "read_sentences", unread)
+        model = tmp_path / "model.bin"
+        code, stdout, stderr = run(capsys, "train", tmp_path / "absent.txt",
+                                   "--model", model, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert flag in stderr and "Traceback" not in stderr
         assert not model.exists()
 
     def test_zero_classes(self, tmp_path, capsys, corpus):

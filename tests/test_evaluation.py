@@ -27,7 +27,9 @@ from snlm.model import (
     REGIME_TREE,
     full_distribution,
     log_prob,
+    log_probs_batch,
     unnormalised_log_score,
+    unnormalised_scores_batch,
 )
 from snlm.partitioning import WordClassing
 
@@ -340,6 +342,76 @@ class TestBatchWidth:
         want = sum(log_prob(params, np.asarray(i.context), i.target)
                    for i in extract_instances(["a", "b", "c"], vocab, 3))
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+class TestScoringOrder:
+    """Normalised scoring runs in the layer's order and returns input order."""
+
+    @staticmethod
+    def alternating(vocab, reps=7):
+        """Instances whose targets cycle through the support, so that every
+        neighbour has another class (``make_config`` deals words round-robin)."""
+        rng = np.random.default_rng(190)
+        support = np.array([w for w in range(len(vocab)) if w != BOS_ID])
+        targets = np.tile(support, reps)
+        contexts = rng.choice(support, size=(len(targets), 2))
+        return contexts, targets
+
+    def test_class_scores_in_class_order_and_returns_input_order(self, monkeypatch):
+        vocab = make_vocab([f"w{i}" for i in range(13)])
+        params = make_params(vocab, REGIME_CLASS, order=3, dim=6, seed=191,
+                             num_classes=4, dtype=np.float32)
+        class_of = params.config.classing.class_of
+        ctx, tgt = self.alternating(vocab)
+        assert (np.diff(class_of[tgt]) != 0).all()
+
+        alone_macs = MacCounter()
+        alone = np.array([log_probs_batch(params, ctx[i:i + 1], tgt[i:i + 1], alone_macs)[0]
+                          for i in range(len(tgt))])
+        batches = []
+
+        def recording(params, contexts, targets, macs=None):
+            batches.append(class_of[targets])
+            return log_probs_batch(params, contexts, targets, macs)
+
+        monkeypatch.setattr(evaluation, "log_probs_batch", recording)
+        monkeypatch.setattr(evaluation, "_SCRATCH_BYTES",
+                            10 * params.config.layout().row_bytes())
+        macs = MacCounter()
+        got = score_instances(params, ctx, tgt, macs=macs)
+        assert np.abs(got - alone).max() <= 1e-6
+        assert macs == alone_macs
+        assert len(batches) == math.ceil(len(tgt) / 10)
+        for classes in batches:
+            assert (np.diff(classes) >= 0).all()
+        assert (np.diff(np.concatenate(batches)) >= 0).all()
+
+    def test_unnormalised_scores_keep_input_order(self, monkeypatch):
+        vocab = make_vocab([f"w{i}" for i in range(13)])
+        params = make_params(vocab, REGIME_CLASS, order=3, dim=6, seed=192,
+                             num_classes=4, dtype=np.float32)
+        ctx, tgt = self.alternating(vocab)
+        seen = []
+
+        def recording(params, contexts, targets, macs=None):
+            seen.append(np.array(targets))
+            return unnormalised_scores_batch(params, contexts, targets, macs)
+
+        monkeypatch.setattr(evaluation, "unnormalised_scores_batch", recording)
+        score_instances(params, ctx, tgt, unnormalised=True)
+        np.testing.assert_array_equal(np.concatenate(seen), tgt)
+
+    def test_only_the_class_layer_orders_queries(self):
+        vocab = make_vocab([f"w{i}" for i in range(13)])
+        _, tgt = self.alternating(vocab, reps=3)
+        for regime in (REGIME_STANDARD, REGIME_TREE):
+            assert make_config(vocab, regime).layout().scoring_order(tgt) is None
+        layer = make_config(vocab, REGIME_CLASS, num_classes=4).layout()
+        order = layer.scoring_order(tgt)
+        np.testing.assert_array_equal(np.sort(order), np.arange(len(tgt)))
+        key = layer.class_of[tgt][order]
+        assert (np.diff(key) >= 0).all()
+        assert (np.diff(order)[np.diff(key) == 0] > 0).all()  # stable
 
 
 class TestMemoryEstimate:
