@@ -172,6 +172,9 @@ def cmd_train(args) -> int:
     tconf = TrainingConfig(**{field: getattr(args, flag[2:].replace("-", "_"))
                               for field, flag in _TRAINING_FLAGS.items()})
     tconf.validate(_TRAINING_FLAGS)  # before any work, so a bad flag costs nothing
+    for flag, value, least in (("--order", args.order, 2), ("--dim", args.dim, 1)):
+        if value < least:
+            raise SnlmError(f"{flag} must be >= {least}, got {value}")
     regime = _REGIME_NAMES[args.regime]
     if regime == REGIME_TREE and tconf.algorithm == "nce":
         raise SnlmError("--regime tree needs --algorithm ml_sgd: "

@@ -20,11 +20,15 @@ _NBEST_GROUP_TOKENS = 1 << 16  # n-best tokens gathered into one scoring call
 
 
 def _batch_width(params: ModelParameters, unnormalised: bool = False) -> int:
-    """Rows per scoring batch: as many as keep the largest per-query
-    temporary within ``_SCRATCH_BYTES`` together, at least one. That is the
-    output layer's, or for raw scores the projection and gathered R rows."""
-    row = (2 * params.dtype.itemsize * params.config.dim if unnormalised
-           else params.config.layout().row_bytes())
+    """Rows per scoring batch: as many as keep what the queries hold within
+    ``_SCRATCH_BYTES`` together, at least one. Each query holds its
+    projection and one gathered (D,) row, of R for raw scores or of the
+    projection in the class layer; normalised scoring adds the output
+    layer's ``row_bytes``. All of it is in the parameters' dtype."""
+    itemsize = params.dtype.itemsize
+    row = 2 * itemsize * params.config.dim
+    if not unnormalised:
+        row += params.config.layout().row_bytes(itemsize)
     return max(1, _SCRATCH_BYTES // row)
 
 

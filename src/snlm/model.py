@@ -252,17 +252,26 @@ class RowGrad:
                     and (self.bias is None or np.isfinite(self.bias).all()))
 
 
+def _block(P, M, bias) -> np.ndarray:
+    """Scores of every row of ``M`` (with ``bias``) against every row of P,
+    in P's dtype, with the bias added in place."""
+    X = P @ M.T
+    X += bias
+    return X
+
+
 def _scores(P, M, bias) -> np.ndarray:
-    """Scores of every row of ``M`` (with ``bias``) against every row of P, as float64."""
-    return (P @ M.T + bias).astype(np.float64)
+    """:func:`_block` as float64, for ``backward`` and ``distribution``."""
+    return _block(P, M, bias).astype(np.float64)
 
 
 def _lse_rows(X: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Row-wise log-sum-exp; ``overwrite`` lets it use X as its scratch."""
+    """Row-wise log-sum-exp as float64 (m,). The shift, ``exp`` and row sums
+    work in X's dtype; ``overwrite`` lets them use X as their scratch."""
     m = X.max(axis=1)
-    safe = np.where(np.isfinite(m), m, 0.0)
+    safe = np.where(np.isfinite(m), m, 0)
     E = np.subtract(X, safe[:, None], out=X if overwrite else None)
-    out = safe + np.log(np.exp(E, out=E).sum(axis=1))
+    out = safe + np.log(np.exp(E, out=E).sum(axis=1), dtype=np.float64)
     return np.where(m == -np.inf, -np.inf, out)
 
 
@@ -291,11 +300,13 @@ class OutputLayer:
     ``log_probs`` (float64 (m,)), ``backward`` (log-likelihood, float64 gP,
     and a :class:`RowGrad` for each of ``"R"`` and ``"S"`` that it reads),
     ``distribution`` (float64 (m, V)) and ``ml_rows``, the (table, row ids)
-    pairs ``backward`` reads. ``row_bytes`` is the size of the largest
-    temporary ``log_probs`` makes per query, from which evaluation sizes its
-    batches, and ``scoring_order(targets)`` the order in which normalised
-    scoring hands it queries. Targets are prediction targets, never ``<s>``.
-    The base class has no score rows, no structure section and no order.
+    pairs ``backward`` reads. ``row_bytes(itemsize)`` is the size of the
+    temporaries ``log_probs`` makes per query from parameters of ``itemsize``
+    bytes (4, float32, by default): its score rows work in the parameters'
+    dtype. Evaluation sizes its batches from it. ``scoring_order(targets)``
+    is the order in which normalised scoring hands it queries. Targets are
+    prediction targets, never ``<s>``. The base class has no score rows, no
+    structure section and no order.
     """
 
     rows = 0
@@ -327,11 +338,11 @@ class OutputLayer:
 class StandardLayer(OutputLayer):
     """Softmax over the whole support."""
 
-    def row_bytes(self) -> int:
-        return 8 * len(self.support)  # float64 scores over the support
+    def row_bytes(self, itemsize=4) -> int:
+        return itemsize * self.vocab_size  # one score row, <s> included
 
     def log_probs(self, params, P, targets, macs=None):
-        scores = _scores(P, params.R, params.b)  # all of R: no per-batch gather
+        scores = _block(P, params.R, params.b)  # all of R: no per-batch gather
         scores[:, BOS_ID] = -np.inf
         count_output(macs, len(P) * len(self.support), self.dim)
         picked = scores[np.arange(len(P)), targets]
@@ -377,8 +388,8 @@ class ClassLayer(OutputLayer):
         for mem in self.members_eff:
             self.pos_in_class[mem] = np.arange(len(mem))
 
-    def row_bytes(self) -> int:  # float64 class scores, then the largest class's
-        return 8 * (self.rows + int(self.class_sizes.max()))
+    def row_bytes(self, itemsize=4) -> int:  # class scores, then the largest class's
+        return itemsize * (self.rows + int(self.class_sizes.max()))
 
     def start_values(self, probs):
         if probs is None:
@@ -402,17 +413,19 @@ class ClassLayer(OutputLayer):
         return {"classing": WordClassing(class_of.copy(), K)}
 
     def _class_scores(self, params, P):
-        psi = _scores(P, params.S, params.t)
+        """Class scores in the parameters' dtype, -inf for the empty classes."""
+        psi = _block(P, params.S, params.t)
         psi[:, ~self.class_valid] = -np.inf
         return psi
 
     def _word_blocks(self, params, P, targets):
-        """(batch rows, members, member scores, target positions) per target class."""
+        """(batch rows, members, member scores in the parameters' dtype,
+        target positions) per target class."""
         cls = self.class_of[targets]
         for c in np.unique(cls):
             idx = np.flatnonzero(cls == c)
             mem = self.members_eff[c]
-            yield (idx, mem, _scores(P[idx], params.R[mem], params.b[mem]),
+            yield (idx, mem, _block(P[idx], params.R[mem], params.b[mem]),
                    self.pos_in_class[targets[idx]])
 
     def log_probs(self, params, P, targets, macs=None):
@@ -420,22 +433,24 @@ class ClassLayer(OutputLayer):
         if self.rows > 1:
             psi = self._class_scores(params, P)
             count_output(macs, psi.size, self.dim)
-            out = psi[np.arange(len(P)), self.class_of[targets]] - _lse_rows(psi)
+            picked = psi[np.arange(len(P)), self.class_of[targets]]
+            out = picked - _lse_rows(psi, overwrite=True)
         for idx, _, word, pos in self._word_blocks(params, P, targets):
             count_output(macs, word.size, self.dim)
-            out[idx] = out[idx] + word[np.arange(len(idx)), pos] - _lse_rows(word)
+            out[idx] += word[np.arange(len(idx)), pos] - _lse_rows(word, overwrite=True)
         return out
 
     def backward(self, params, P, targets, macs=None):
         loglik, gP, grads = 0.0, np.zeros(P.shape), {}
         if self.rows > 1:
             loglik, S, gP = _softmax_backward(
-                params, P, self._class_scores(params, P), params.S,
+                params, P, self._class_scores(params, P).astype(np.float64), params.S,
                 np.arange(self.rows), self.class_of[targets], macs)
             grads["S"] = RowGrad(*S)
         parts = []
         for idx, mem, word, pos in self._word_blocks(params, P, targets):
-            ll, part, g = _softmax_backward(params, P[idx], word, params.R, mem, pos, macs)
+            ll, part, g = _softmax_backward(params, P[idx], word.astype(np.float64),
+                                            params.R, mem, pos, macs)
             loglik += ll
             parts.append(part)
             gP[idx] += g
@@ -444,7 +459,7 @@ class ClassLayer(OutputLayer):
         return loglik, gP, grads
 
     def distribution(self, params, P, macs=None):
-        psi = self._class_scores(params, P)
+        psi = self._class_scores(params, P).astype(np.float64)
         count_output(macs, psi.size, self.dim)
         class_lp = psi - _lse_rows(psi)[:, None]
         out = np.zeros((len(P), self.vocab_size))
@@ -477,8 +492,8 @@ class TreeLayer(OutputLayer):
         self.tree = tree
         self.rows = tree.num_nodes - 1  # every node but the root
 
-    def row_bytes(self) -> int:  # the float32 node and sibling row gathers
-        return 8 * self.tree.max_depth * self.dim
+    def row_bytes(self, itemsize=4) -> int:  # the node and sibling row gathers
+        return 2 * itemsize * self.tree.max_depth * self.dim
 
     def start_values(self, probs):
         """Log prior mass under each node; uniform over the leaves when probs is None."""
@@ -589,7 +604,7 @@ def log_probs_batch(params: ModelParameters, contexts: np.ndarray, targets: np.n
     targets = np.asarray(targets, dtype=np.int64)
     valid = targets != BOS_ID
     out = np.full(len(targets), -np.inf)
-    P, _ = project_batch(params, np.asarray(contexts)[valid], macs)
+    P = project_batch(params, np.asarray(contexts)[valid], macs)[0]  # mask freed: no gradient
     out[valid] = params.config.layout().log_probs(params, P, targets[valid], macs)
     return out
 

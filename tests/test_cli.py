@@ -454,6 +454,8 @@ class TestBadCounts:
         (["--epochs", "-1"], "--epochs"),
         (["--k", "-3"], "--k"),
         (["--valid-fraction", "1"], "--valid-fraction"),
+        (["--order", "1"], "--order"),
+        (["--dim", "0"], "--dim"),
     ])
     def test_training_settings_checked_before_reading(self, tmp_path, capsys,
                                                       flag, argv, monkeypatch):

@@ -1,5 +1,6 @@
 """Perplexity, n-best rescoring, memory accounting and the query benchmark."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from snlm.model import (
     unnormalised_log_score,
     unnormalised_scores_batch,
 )
-from snlm.partitioning import WordClassing
+from snlm.partitioning import WordClassing, frequency_binning
 
 
 class TestPerplexity:
@@ -284,6 +285,12 @@ class TestDistinctQueries:
             assert [e.score for e in again] == [e.score for e in entries]
 
 
+def query_bytes(params):
+    """The bytes per query that ``_batch_width`` divides its budget by."""
+    itemsize = params.dtype.itemsize
+    return 2 * itemsize * params.config.dim + params.config.layout().row_bytes(itemsize)
+
+
 class TestBatchWidth:
     def sentences(self):
         rng = np.random.default_rng(170)
@@ -316,11 +323,38 @@ class TestBatchWidth:
         vocab = make_vocab(list("abcdefg"), counts=[13, 8, 5, 3, 2, 1, 1])
         D = 6
         std = make_config(vocab, REGIME_STANDARD, dim=D).layout()
-        assert std.row_bytes() == 8 * (len(vocab) - 1)
+        assert std.row_bytes() == 4 * len(vocab)  # one float32 score row
+        assert std.row_bytes(8) == 8 * len(vocab)
         cls = make_config(vocab, REGIME_CLASS, dim=D, num_classes=3).layout()
-        assert cls.row_bytes() == 8 * (3 + max(len(m) for m in cls.members_eff))
+        assert cls.row_bytes() == 4 * (3 + max(len(m) for m in cls.members_eff))
         tree_cfg = make_config(vocab, REGIME_TREE, dim=D)
         assert tree_cfg.layout().row_bytes() == 8 * tree_cfg.tree.max_depth * D
+
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS])
+    def test_one_batch_holds_what_its_width_was_sized_for(self, regime):
+        """One float32 batch at the width ``_batch_width`` gives peaks within
+        the budget. Classes are binned by frequency as ``snlm train`` does,
+        and every class query targets the largest class, its dearest case."""
+        words = [f"w{i}" for i in range(12_000)]
+        vocab = make_vocab(words, counts=[len(words) // (i + 1) + 1
+                                          for i in range(len(words))])
+        class_of = frequency_binning(vocab.counts, math.ceil(math.sqrt(len(vocab)))).class_of
+        params = make_params(vocab, regime, dim=100, seed=174, dtype=np.float32,
+                             class_of=class_of)
+        layer = params.config.layout()
+        pool = (layer.members_eff[np.argmax(layer.class_sizes)] if regime == REGIME_CLASS
+                else layer.support)
+        width = evaluation._batch_width(params)
+        rng = np.random.default_rng(175)
+        contexts = rng.integers(0, len(vocab), size=(width, 2)).astype(np.int32)
+        targets = rng.choice(pool, size=width)
+        tracemalloc.start()
+        try:
+            log_probs_batch(params, contexts, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.8 * evaluation._SCRATCH_BYTES < peak <= 1.1 * evaluation._SCRATCH_BYTES
 
     def test_unnormalised_batches_are_wider_on_a_standard_model(self):
         vocab = make_vocab([f"w{i}" for i in range(40)])
@@ -332,7 +366,7 @@ class TestBatchWidth:
     def test_rows_over_budget_still_score_one_at_a_time(self, monkeypatch):
         vocab = make_vocab(list("abc"))
         params = make_params(vocab, REGIME_STANDARD, seed=172)
-        row = params.config.layout().row_bytes()
+        row = query_bytes(params)
         assert evaluation._batch_width(params) == evaluation._SCRATCH_BYTES // row
         monkeypatch.setattr(evaluation, "_SCRATCH_BYTES", row - 1)
         assert evaluation._batch_width(params) == 1
@@ -375,8 +409,7 @@ class TestScoringOrder:
             return log_probs_batch(params, contexts, targets, macs)
 
         monkeypatch.setattr(evaluation, "log_probs_batch", recording)
-        monkeypatch.setattr(evaluation, "_SCRATCH_BYTES",
-                            10 * params.config.layout().row_bytes())
+        monkeypatch.setattr(evaluation, "_SCRATCH_BYTES", 10 * query_bytes(params))
         macs = MacCounter()
         got = score_instances(params, ctx, tgt, macs=macs)
         assert np.abs(got - alone).max() <= 1e-6

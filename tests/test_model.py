@@ -22,6 +22,8 @@ from snlm.model import (
     REGIME_STANDARD,
     REGIME_TREE,
     RowGrad,
+    _lse_rows,
+    _scores,
     full_distribution,
     init_parameters,
     log_prob,
@@ -304,6 +306,59 @@ class TestBatchLogProbs:
             want = [log_prob(params, contexts[i], int(targets[i]))
                     for i in range(12)]
             np.testing.assert_allclose(got, want, rtol=1e-10)
+
+    @staticmethod
+    def mixed_classes(vocab):
+        """<s> alone in class 0, the next four words alone in classes 1-4,
+        the rest dealt over classes 5-7."""
+        class_of = np.zeros(len(vocab), dtype=int)
+        others = [w for w in range(len(vocab)) if w != BOS_ID]
+        for pos, w in enumerate(others):
+            class_of[w] = 1 + pos if pos < 4 else 5 + pos % 3
+        return class_of
+
+    @staticmethod
+    def every_target(vocab, seed, reps=5):
+        """(contexts, targets): each word but <s> as a target ``reps`` times."""
+        rng = np.random.default_rng(seed)
+        support = np.array([w for w in range(len(vocab)) if w != BOS_ID])
+        targets = np.tile(support, reps)
+        return rng.integers(0, len(vocab), size=(len(targets), 2)).astype(np.int32), targets
+
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS])
+    def test_float32_scores_match_the_float64_parameters(self, regime):
+        vocab = make_vocab([f"w{i}" for i in range(40)])
+        params = make_params(vocab, regime, dim=16, seed=53, dtype=np.float32,
+                             class_of=self.mixed_classes(vocab))
+        ctx, tgt = self.every_target(vocab, seed=53)
+        got = log_probs_batch(params, ctx, tgt)
+        want = log_probs_batch(params.astype(np.float64), ctx, tgt)
+        assert got.dtype == np.float64 and np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 2e-6
+
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS])
+    def test_float64_scores_match_a_softmax_reference(self, regime):
+        vocab = make_vocab([f"w{i}" for i in range(40)])
+        params = make_params(vocab, regime, dim=16, seed=54,
+                             class_of=self.mixed_classes(vocab))
+        ctx, tgt = self.every_target(vocab, seed=54)
+        P, _ = project_batch(params, ctx)
+        at = np.arange(len(tgt))
+        if regime == REGIME_STANDARD:
+            scores = _scores(P, params.R, params.b)
+            scores[:, BOS_ID] = -np.inf
+            want = scores[at, tgt] - _lse_rows(scores)
+        else:
+            layer = params.config.layout()
+            psi = _scores(P, params.S, params.t)
+            psi[:, ~layer.class_valid] = -np.inf
+            want = psi[at, layer.class_of[tgt]] - _lse_rows(psi)
+            for i, w in enumerate(tgt):
+                mem = layer.members_eff[layer.class_of[w]]
+                word = _scores(P[i:i + 1], params.R[mem], params.b[mem])
+                want[i] += word[0, layer.pos_in_class[w]] - _lse_rows(word)[0]
+        np.testing.assert_allclose(log_probs_batch(params, ctx, tgt), want,
+                                   rtol=0, atol=1e-12)
 
     def test_sentence_start_target_is_impossible(self):
         vocab = make_vocab(list("ab"))
