@@ -24,7 +24,7 @@ from .model import (REGIME_CLASS, REGIME_STANDARD, REGIME_TREE, ModelConfig,
                     init_parameters)
 from .modelfile import load_model, payload_nbytes, save_model
 from .partitioning import (VocabularyTree, WordClassing, brown_clustering,
-                           frequency_binning, huffman_tree)
+                           class_bigram_objective, frequency_binning, huffman_tree)
 from .training import TrainingConfig, empirical_unigram, train
 
 _REGIME_NAMES = {"standard": REGIME_STANDARD, "class": REGIME_CLASS,
@@ -165,6 +165,9 @@ def cmd_classes(args) -> int:
         classing = frequency_binning(unigram_distribution(vocab), K)
     classing.save(args.output, vocab)
     print(f"{classing.num_classes} classes over {len(vocab)} words -> {args.output}")
+    if args.method == "brown":
+        objective = class_bigram_objective(sentences, vocab, classing)
+        print(f"class-bigram objective {objective:.6f} nats")
     return 0
 
 

@@ -6,9 +6,12 @@ are words (:class:`VocabularyTree`).
 
 Exchange clustering (:func:`brown_clustering`) keeps its state in arrays:
 each word's bigram neighbours in compressed rows and the rows and columns of
-the class-bigram counts T that belong to the exchange classes. A word's gain
-for every candidate class is one vectorised expression over the classes it
-neighbours (Martin, Liermann & Ney 1998).
+the class-bigram counts T that belong to the exchange classes (Martin,
+Liermann & Ney 1998). A visited word costs a few dozen numpy calls: its
+neighbours are grouped by class with one sort and one ``searchsorted``, and
+its gain for every candidate class comes from one ``x ln x`` over every cell
+a move changes, gathered once as they are and once with the word's counts
+added.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ class WordClassing:
         if present[0] < 0 or present[-1] >= self.num_classes:
             raise DataError("class id out of range")
         if len(present) != self.num_classes:
-            raise DataError("every class must be non-empty")
+            empty = int(np.setdiff1d(np.arange(self.num_classes), present)[0])
+            raise DataError(f"every class must be non-empty; class {empty} has no words")
         self._members = None
 
     @property
@@ -82,11 +86,17 @@ class WordClassing:
                 raise DataError(f"{path}:{lineno}: bad class id {parts[1]!r}") from None
             if not 0 <= c < len(vocab):  # K <= |V| classes
                 raise DataError(f"{path}:{lineno}: class id {c} out of range")
-            class_of[vocab.id_of(parts[0])] = c
+            w = vocab.id_of(parts[0])
+            if class_of[w] >= 0:
+                raise DataError(f"{path}:{lineno}: word {parts[0]!r} is listed twice")
+            class_of[w] = c
         if (class_of < 0).any():
             missing = vocab.token_of(int(np.argmin(class_of)))
             raise DataError(f"{path}: no class for {missing!r}")
-        return cls(class_of, int(class_of.max()) + 1)
+        try:
+            return cls(class_of, int(class_of.max()) + 1)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def frequency_binning(unigram, num_classes: int) -> WordClassing:
@@ -134,16 +144,6 @@ def _xlogx(x) -> np.ndarray:
     return x * np.log(x, out=np.zeros(x.shape), where=x > 0)
 
 
-def _dxlogx(x: np.ndarray, d) -> np.ndarray:
-    """Change of x ln x when x grows by d (d broadcast to x's shape), from
-    one ``_xlogx`` over both ends stacked."""
-    both = np.empty((2, *np.shape(x)))
-    np.add(x, d, out=both[0])
-    both[1] = x
-    grown, now = _xlogx(both)
-    return grown - now
-
-
 def _word_bigrams(sentences, vocab: Vocabulary):
     """Distinct word bigrams (left ids, right ids, counts) of the sentence
     streams framed ``<s> w1..wL </s>``."""
@@ -186,22 +186,6 @@ def class_bigram_objective(sentences, vocab: Vocabulary, classing: WordClassing)
     (_, _, n), Nl, Ng = _class_bigrams(_word_bigrams(sentences, vocab),
                                        classing.class_of, classing.num_classes)
     return float(_xlogx(n).sum() - _xlogx(Nl).sum() - _xlogx(Ng).sum())
-
-
-def _insertion_gains(rows, cols, diag, Nl, Ng, U, r, l, s):
-    """Objective gain of adding a word, taken out of every class, to each
-    exchange class b < K, where rows[b, j] = T[b, U[j]], cols[b, j] =
-    T[U[j], b] and diag[b] = T[b, b]. r[j] and l[j] count its bigrams to and
-    from the other words of class U[j], s its bigrams with itself. Only the
-    cells T[b, U], T[U, b], T[b, b], N_l[b] and N_gen[b] change."""
-    K = len(diag)
-    gain_r, gain_l = _dxlogx(rows, r), _dxlogx(cols, l)
-    own = np.flatnonzero(U < K)
-    gain_r[U[own], own] = gain_l[U[own], own] = 0.0  # (b, b) is counted once below
-    self_add = np.full(K, s, dtype=np.float64)
-    self_add[U[own]] += r[own] + l[own]
-    return (gain_r.sum(axis=1) + gain_l.sum(axis=1) + _dxlogx(diag, self_add)
-            - _dxlogx(Nl[:K], r.sum() + s) - _dxlogx(Ng[:K], l.sum() + s))
 
 
 def brown_clustering(sentences, vocab: Vocabulary, num_classes: int,
@@ -257,24 +241,38 @@ def brown_clustering(sentences, vocab: Vocabulary, num_classes: int,
     offset = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=V))])
 
     # A move changes only the K exchange classes' rows and columns of T, so
-    # only those are kept: Tx = T[:K] and Tin = T[:, :K], O(K * classes)
-    # memory rather than O(classes^2). Each shift writes their shared block
-    # T[:K, :K] in one of them and copies it into the other.
+    # only those are kept, O(K * classes) memory rather than O(classes^2):
+    # rows[b] = T[b, :] and cols[b] = T[:, b] for b < K. Each shift writes
+    # their shared block T[:K, :K] in one of them and copies it into the
+    # other. ends holds each exchange class's other cells a move changes:
+    # T[b, b], N_l[b] and N_gen[b].
     (cl, cr, n), Nl, Ng = _class_bigrams(bigrams, class_of, total_classes)
     K = num_classes
-    Tx, Tin = np.zeros((K, total_classes)), np.zeros((total_classes, K))
-    Tx[cl[cl < K], cr[cl < K]] = n[cl < K]
-    Tin[cl[cr < K], cr[cr < K]] = n[cr < K]
-    sizes = np.bincount(class_of, minlength=total_classes)
+    rows_cols = np.zeros((2, K, total_classes))
+    rows, cols = rows_cols
+    rows[cl[cl < K], cr[cl < K]] = n[cl < K]
+    cols[cr[cr < K], cl[cr < K]] = n[cr < K]
+    ends = np.stack([rows.diagonal(), Nl[:K], Ng[:K]])
+    sizes = np.bincount(class_of, minlength=total_classes).tolist()
+    # N_l and N_gen move by the word's left-position and generated totals:
+    # its counts r and l summed, plus its self-loops
+    left_w = np.bincount(left, weights=count, minlength=V).tolist()
+    gen_l, self_l, bounds = gen_w.tolist(), self_w.tolist(), offset.tolist()
 
-    def shift(c, U, r, l, s, sign):
-        Tx[c, U] += sign * r
-        Tin[c] = Tx[c, :K]  # row c of the block is current in Tx
-        Tin[U, c] += sign * l
-        Tin[c, c] += sign * s
-        Tx[:, c] = Tin[:K, c]  # column c of the block is current in Tin
-        Nl[c] += sign * (r.sum() + s)
-        Ng[c] += sign * (l.sum() + s)
+    def shift(c, U, r, l, w, sign):
+        """Add word w's counts to exchange class c (sign +1) or take them
+        out (sign -1)."""
+        op = np.add if sign > 0 else np.subtract
+        row = rows[c]
+        row[U] = op(row[U], r)
+        cols[:, c] = row[:K]  # row c of the block is current in rows
+        col = cols[c]
+        col[U] = op(col[U], l)
+        col[c] += sign * self_l[w]
+        rows[:, c] = col[:K]  # column c of the block is current in cols
+        ends[0, c] = col[c]
+        ends[1, c] += sign * left_w[w]
+        ends[2, c] += sign * gen_l[w]
         sizes[c] += sign
 
     for _ in range(max_iterations):
@@ -283,16 +281,51 @@ def brown_clustering(sentences, vocab: Vocabulary, num_classes: int,
             a = int(class_of[w])
             if sizes[a] == 1:
                 continue  # would empty its class
-            lo, hi = offset[w], offset[w + 1]
-            U, inv = np.unique(class_of[nbr[lo:hi]], return_inverse=True)
-            r, l = np.bincount(inv + side[lo:hi] * len(U), weights=nbr_count[lo:hi],
-                               minlength=2 * len(U)).reshape(2, -1)
-            shift(a, U, r, l, self_w[w], -1)
-            gain = _insertion_gains(Tx[:, U], Tin[U].T, Tx.diagonal(), Nl, Ng,
-                                    U, r, l, self_w[w])
-            b = int(np.argmax(gain))
+            # the classes U of the word's neighbours, ascending, and its
+            # bigram counts r to and l from each of them, in input order
+            lo, hi = bounds[w], bounds[w + 1]
+            nbr_class = class_of[nbr[lo:hi]]
+            srt = np.sort(nbr_class)
+            first = np.empty(len(srt), dtype=bool)  # empty for a word seen nowhere
+            first[:1] = True
+            np.not_equal(srt[1:], srt[:-1], out=first[1:])
+            U = srt[first]
+            m = len(U)
+            d = np.bincount(np.searchsorted(U, nbr_class) + side[lo:hi] * m,
+                            weights=nbr_count[lo:hi], minlength=2 * m + 3)
+            rl = d[:2 * m].reshape(2, m)
+            r, l = rl
+            shift(a, U, r, l, w, -1)
+
+            # Gain of inserting the word, now in no class, into each exchange
+            # class b: the change of x ln x over every cell that alters,
+            # T[b, U] and T[U, b] in grid, T[b, b], N_l[b] and N_gen[b] in
+            # rest. X[1] holds the cells as they are, X[0] the cells plus the
+            # word's counts. The cells (b, b) of T[b, U] and T[U, b] are
+            # zeroed in both; the diagonal counts them once.
+            X = np.empty((2, 2 * K * m + 3 * K))
+            grid = X[:, :2 * K * m].reshape(2, 2, K, m)
+            rest = X[:, 2 * K * m:].reshape(2, 3, K)
+            # mode "clip" writes into grid unbuffered; U is always in range
+            np.take(rows_cols, U, axis=2, out=grid[1], mode="clip")
+            rest[1] = ends
+            np.add(grid[1], rl[:, None], out=grid[0])
+            d[2 * m:] = self_l[w], left_w[w], gen_l[w]
+            np.add(rest[1], d[2 * m:, None], out=rest[0])
+            k = int(np.searchsorted(U, K))  # U[:k] are exchange classes
+            rest[0, 0, U[:k]] += r[:k] + l[:k]
+            grid[:, :, U[:k], np.arange(k)] = 0.0
+            # counts are whole numbers, so x ln x is 0 at both 0 and 1:
+            # lifting 0 to 1 stands in for a masked log
+            F = np.log(np.maximum(X, 1.0))
+            F *= X
+            delta = F[0] - F[1]
+            by_part = delta[:2 * K * m].reshape(2 * K, m).sum(axis=1)
+            d_ends = delta[2 * K * m:].reshape(3, K)
+            gain = by_part[:K] + by_part[K:] + d_ends[0] - d_ends[1] - d_ends[2]
+            b = int(gain.argmax())
             b = b if gain[b] > gain[a] + 1e-9 else a  # ties keep the current class
-            shift(b, U, r, l, self_w[w], +1)
+            shift(b, U, r, l, w, +1)
             class_of[w] = b
         if np.array_equal(class_of, before):
             break

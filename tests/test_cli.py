@@ -6,10 +6,11 @@ import pytest
 
 from snlm import cli
 from snlm.cli import build_parser, main
-from snlm.corpus import Vocabulary
+from snlm.corpus import Vocabulary, build_vocabulary, read_sentences
 from snlm.evaluation import perplexity
 from snlm.modelfile import load_model
-from snlm.partitioning import MAX_TREE_DEPTH, VocabularyTree, WordClassing
+from snlm.partitioning import (MAX_TREE_DEPTH, VocabularyTree, WordClassing,
+                               class_bigram_objective)
 
 from conftest import caterpillar
 
@@ -132,10 +133,15 @@ class TestClassesCommand:
                                    "--method", "brown", "--corpus", train,
                                    "--num-classes", "3", "-o", out)
         assert code == 0, stderr
-        assert "3 classes" in stdout
-        classing = WordClassing.load(out, Vocabulary.load(vocab_path))
+        summary, objective = stdout.splitlines()[-2:]
+        assert "3 classes" in summary
+        vocab = Vocabulary.load(vocab_path)
+        classing = WordClassing.load(out, vocab)
         assert classing.num_classes == 3
         assert all(len(m) > 0 for m in classing.members)
+        want = class_bigram_objective(list(read_sentences(train)), vocab, classing)
+        assert objective.startswith("class-bigram objective ") and objective.endswith(" nats")
+        assert float(objective.split()[2]) == pytest.approx(want, rel=1e-6)
 
 
 class TestBadPartitionFiles:
@@ -158,6 +164,14 @@ class TestBadPartitionFiles:
             tmp_path, capsys, corpus, "--classes-file", f"cat\t0\ndog\t{class_id}\n")
         assert code == 2
         assert f"{path}:2:" in stderr
+
+    def test_class_id_gap_names_the_file(self, tmp_path, capsys, corpus):
+        train, _ = corpus
+        tokens = build_vocabulary(read_sentences(train)).tokens
+        text = "".join(f"{t}\t{5 if t == 'dog' else 0}\n" for t in tokens)  # ids {0, 5}
+        code, stderr, path = self.train_with(tmp_path, capsys, corpus, "--classes-file", text)
+        assert code == 2
+        assert f"{path}: every class must be non-empty; class 1 has no words" in stderr
 
     @pytest.mark.parametrize("line", ["1 9 leaf:dog", "1 99999999999 leaf:dog",
                                       "7 2 leaf:dog", "1 -2 leaf:dog"])

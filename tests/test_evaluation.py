@@ -310,6 +310,7 @@ class TestBatchWidth:
             wide = score_instances(params, ctx, tgt, unnormalised, wide_macs)
             for budget in (1, 7 * params.config.layout().row_bytes()):
                 monkeypatch.setattr(evaluation, "_SCRATCH_BYTES", budget)
+                monkeypatch.setattr(evaluation, "_RAW_SCRATCH_BYTES", budget)
                 macs = MacCounter()
                 narrow = score_instances(params, ctx, tgt, unnormalised, macs)
                 assert np.abs(narrow - wide).max() <= 1e-5
@@ -357,11 +358,19 @@ class TestBatchWidth:
         assert 0.8 * evaluation._SCRATCH_BYTES < peak <= 1.1 * evaluation._SCRATCH_BYTES
 
     def test_unnormalised_batches_are_wider_on_a_standard_model(self):
-        vocab = make_vocab([f"w{i}" for i in range(40)])
+        vocab = make_vocab([f"w{i}" for i in range(400)])
         params = make_params(vocab, REGIME_STANDARD, dim=6, seed=173, dtype=np.float32)
         raw = evaluation._batch_width(params, unnormalised=True)
-        assert raw == evaluation._SCRATCH_BYTES // (2 * 4 * 6)
+        assert raw == evaluation._RAW_SCRATCH_BYTES // (2 * 4 * 6)
         assert raw > evaluation._batch_width(params)
+
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
+    def test_unnormalised_width_keeps_a_batch_in_l2(self, regime):
+        """Raw scores take 1 MiB batches of (D,) float32 rows, two per query:
+        1,310 rows at D 100 whatever the output layer."""
+        vocab = make_vocab([f"w{i}" for i in range(40)])
+        params = make_params(vocab, regime, dim=100, seed=176, dtype=np.float32)
+        assert evaluation._batch_width(params, unnormalised=True) == 1_310
 
     def test_rows_over_budget_still_score_one_at_a_time(self, monkeypatch):
         vocab = make_vocab(list("abc"))

@@ -1,7 +1,9 @@
 """Frequency binning, exchange clustering and Huffman trees."""
 import collections
+import hashlib
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,7 +32,7 @@ class TestWordClassing:
         assert got == [[0, 2], [1, 4], [3]]
 
     def test_rejects_empty_class(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="class 1 has no words"):
             WordClassing(np.array([0, 0, 2]), 3)
 
     def test_rejects_out_of_range(self):
@@ -45,6 +47,15 @@ class TestWordClassing:
         again = WordClassing.load(path, vocab)
         np.testing.assert_array_equal(again.class_of, cl.class_of)
         assert again.num_classes == 2
+
+    def test_load_rejects_a_word_listed_twice(self, tmp_path):
+        vocab = build_vocabulary([["a", "b"]])
+        path = tmp_path / "classes.tsv"
+        lines = [f"{t}\t{i % 2}" for i, t in enumerate(vocab.tokens)]
+        path.write_text("\n".join(lines[:3] + [f"{vocab.tokens[1]}\t0"] + lines[3:]) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:4: word '{vocab.tokens[1]}' "
+                                                      "is listed twice")):
+            WordClassing.load(path, vocab)
 
     def test_load_rejects_missing_word(self, tmp_path):
         vocab = build_vocabulary([["a", "b"]])
@@ -186,6 +197,22 @@ class TestBrownClustering:
             got = brown_clustering(sentences, vocab, k, max_iterations=sweeps, words=words)
             want = _exchange_oracle(sentences, vocab, k, sweeps, words)
             np.testing.assert_array_equal(got.class_of, want)
+
+    def test_classes_are_pinned(self):
+        """sha256 of class_of as int64 bytes, recorded from the per-cell-group
+        implementation: bitwise equality at a size the oracle cannot reach."""
+        sentences = markov_corpus(20_000, vocab_size=2000, branching=10, seed=301)
+        vocab = build_vocabulary(sentences)
+        cases = [
+            (45, 1, None, "b37f141a62aac2aef6de5b1f5f5931bb35eb5329712714d569cd857c897659f9"),
+            (45, 2, None, "9df87543801399169c20eae2bfd7e5c1b7a1ec344c2dcdf4f6955ec8b414a18b"),
+            (20, 1, set(range(3, 203)),
+             "a294843fc8564bbe808d6a5d9f77a8108472f41eaa5bbdb32605b2834928efd5"),
+        ]
+        for k, sweeps, words, digest in cases:
+            cl = brown_clustering(sentences, vocab, k, max_iterations=sweeps, words=words)
+            got = hashlib.sha256(np.asarray(cl.class_of, dtype=np.int64).tobytes())
+            assert got.hexdigest() == digest, (k, sweeps, words is not None)
 
     def test_recovers_interchangeable_pairs(self):
         sentences = template_corpus(400, seed=1)
