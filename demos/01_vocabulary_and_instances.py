@@ -7,7 +7,7 @@ train on (most recent context word first, sentence framed by markers).
 import numpy as np
 
 from snlm import (BOS_ID, BOS_TOKEN, EOS_TOKEN, UNK_TOKEN, build_vocabulary,
-                  extract_instances, instance_arrays, unigram_distribution)
+                  instance_arrays, unigram_distribution)
 
 sentences = [
     "the cat sat on the mat".split(),
@@ -29,17 +29,17 @@ print("  'saw' ->", vocab.token_of(vocab.lookup("saw")))
 print()
 print(f"trigram instances for {sentences[2]!r}")
 print(f"  (sentence is framed as {BOS_TOKEN} ... {EOS_TOKEN})")
-for inst in extract_instances(sentences[2], vocab, n=3):
-    ctx = ", ".join(vocab.token_of(h) for h in inst.context)
-    print(f"  target {vocab.token_of(inst.target):6s}  context [{ctx}]")
+for context, target in zip(*instance_arrays([sentences[2]], vocab, n=3)):
+    ctx = ", ".join(vocab.token_of(h) for h in context)
+    print(f"  target {vocab.token_of(target):6s}  context [{ctx}]")
 
 contexts, targets = instance_arrays(sentences, vocab, n=3)
 print()
 print(f"full corpus: {len(targets)} instances, context array {contexts.shape}")
 
-unigram = unigram_distribution(vocab, smoothing=0.5)
+unigram = unigram_distribution(vocab)
 print()
-print("smoothed unigram over the prediction support (start marker excluded):")
+print("unigram over the prediction support (start marker excluded):")
 for i in np.argsort(-unigram)[:4]:
     print(f"  {vocab.token_of(int(i)):6s} {unigram[i]:.3f}")
 assert unigram[BOS_ID] == 0.0

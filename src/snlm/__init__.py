@@ -8,9 +8,8 @@ perplexity/n-best evaluation, memory accounting and a binary model format.
 """
 
 from .corpus import (BOS_ID, BOS_TOKEN, EOS_ID, EOS_TOKEN, UNK_ID, UNK_TOKEN,
-                     TrainingInstance, Vocabulary, build_vocabulary,
-                     extract_instances, instance_arrays, read_sentences,
-                     unigram_distribution, unigram_from_counts)
+                     Vocabulary, build_vocabulary, instance_arrays,
+                     read_sentences, unigram_distribution, unigram_from_counts)
 from .errors import (DataError, ModelFormatError, SnlmError,
                      TrainingDivergedError)
 from .evaluation import (BenchmarkReport, EvaluationReport, MemoryEstimate,
@@ -21,7 +20,7 @@ from .model import (REGIME_CLASS, REGIME_STANDARD, REGIME_TREE, MacCounter,
                     ModelConfig, ModelParameters, OutputLayer,
                     full_distribution, init_parameters, log_prob,
                     log_probs_batch, parameter_shapes, project_batch,
-                    project_context, score_word, unnormalised_log_score,
+                    project_context, unnormalised_log_score,
                     unnormalised_scores_batch)
 from .modelfile import load_model, payload_nbytes, save_model
 from .partitioning import (VocabularyTree, WordClassing, brown_clustering,

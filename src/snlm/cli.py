@@ -16,13 +16,13 @@ import numpy as np
 
 from .corpus import (BOS_ID, EOS_ID, Vocabulary, build_vocabulary,
                      instance_arrays, read_lines, read_sentences,
-                     unigram_distribution)
+                     unigram_from_counts)
 from .errors import SnlmError
 from .evaluation import (memory_estimate, perplexity, query_benchmark,
                          score_nbest)
 from .model import (REGIME_CLASS, REGIME_STANDARD, REGIME_TREE, ModelConfig,
                     init_parameters)
-from .modelfile import load_model, payload_nbytes, save_model
+from .modelfile import load_model, save_model
 from .partitioning import (VocabularyTree, WordClassing, brown_clustering,
                            class_bigram_objective, frequency_binning, huffman_tree)
 from .training import TrainingConfig, empirical_unigram, train
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--num-classes", type=int, default=None,
                    help="default: ceil(sqrt(|V|))")
-    p.add_argument("--corpus", help="required for brown; refines huffman counts")
+    p.add_argument("--corpus", help="required for brown; refines binning and huffman counts")
     p.add_argument("--max-iterations", type=int, default=20)
     p.set_defaults(func=cmd_classes)
 
@@ -144,10 +144,12 @@ def cmd_classes(args) -> int:
     if K is None:
         K = _default_num_classes(len(vocab))
 
+    # the target counts snlm train partitions by, where </s> ends each sentence
+    counts = vocab.counts.copy()
+    if args.corpus and args.method != "brown":
+        counts[EOS_ID] = sum(1 for _ in read_sentences(args.corpus))
+
     if args.method == "huffman":
-        counts = vocab.counts.copy()
-        if args.corpus:
-            counts[EOS_ID] = sum(1 for _ in read_sentences(args.corpus))
         support = {w: int(counts[w]) for w in range(len(vocab)) if w != BOS_ID}
         tree = huffman_tree(support)
         tree.save(args.output, vocab)
@@ -162,7 +164,7 @@ def cmd_classes(args) -> int:
         classing = brown_clustering(sentences, vocab, K,
                                     max_iterations=args.max_iterations)
     else:
-        classing = frequency_binning(unigram_distribution(vocab), K)
+        classing = frequency_binning(unigram_from_counts(counts, exclude=(BOS_ID,)), K)
     classing.save(args.output, vocab)
     print(f"{classing.num_classes} classes over {len(vocab)} words -> {args.output}")
     if args.method == "brown":
@@ -266,9 +268,6 @@ def cmd_info(args) -> int:
     params, vocab = load_model(args.model)
     cfg = params.config
     est = memory_estimate(cfg, vocab)
-    if est.payload_bytes != payload_nbytes(params):
-        raise SnlmError(f"{args.model}: payload holds {payload_nbytes(params)} bytes, "
-                        f"the model's shapes call for {est.payload_bytes}")
     print(f"order\t{cfg.order}")
     print(f"dim\t{cfg.dim}")
     print(f"regime\t{cfg.regime}")
@@ -291,8 +290,9 @@ def cmd_info(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.queries < 1:
-        raise SnlmError("--queries must be >= 1")
+    for flag, value, least in (("--queries", args.queries, 1), ("--seed", args.seed, 0)):
+        if value < least:
+            raise SnlmError(f"{flag} must be >= {least}, got {value}")
     params, vocab = load_model(args.model)
     rng = np.random.default_rng(args.seed)
     contexts = rng.choice(params.config.layout().support,

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import collections
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,14 +74,14 @@ class Vocabulary:
         return self.tokens[idx]
 
     @classmethod
-    def from_counts(cls, counts: dict, unk_count: int = 0) -> "Vocabulary":
+    def from_counts(cls, counts: dict) -> "Vocabulary":
         """Build a vocabulary from a token -> count mapping (test/demo helper).
 
         Tokens are ordered by (count desc, token asc) after the specials.
         """
         items = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         tokens = list(SPECIAL_TOKENS) + [t for t, _ in items]
-        cnts = [unk_count, 0, 0] + [c for _, c in items]
+        cnts = [0, 0, 0] + [c for _, c in items]
         return cls(tokens, cnts)
 
     def save(self, path) -> None:
@@ -188,21 +188,6 @@ def token_ids(sentence: Sequence[str], vocab: Vocabulary) -> list:
             for t in sentence]
 
 
-class TrainingInstance(NamedTuple):
-    """One prediction event: target word id given most-recent-first context."""
-
-    context: tuple
-    target: int
-
-
-def extract_instances(sentence: Sequence[str], vocab: Vocabulary, n: int) -> list:
-    """The prediction instances of one sentence, as :func:`instance_arrays`
-    builds them, one :class:`TrainingInstance` each."""
-    contexts, targets = instance_arrays([sentence], vocab, n)
-    return [TrainingInstance(tuple(c), t)
-            for c, t in zip(contexts.tolist(), targets.tolist())]
-
-
 def instance_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, n: int):
     """n-gram prediction instances of many sentences as (contexts, targets).
 
@@ -231,37 +216,33 @@ def instance_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, n: in
     return np.ascontiguousarray(windows[:, -2::-1]), windows[:, -1].copy()
 
 
-def unigram_from_counts(counts, smoothing: float = 0.0, exclude=()) -> np.ndarray:
-    """Relative frequencies with add-``smoothing`` over the non-excluded ids.
+def unigram_from_counts(counts, exclude=()) -> np.ndarray:
+    """Relative frequencies over the non-excluded ids.
 
     Returns a float64 vector summing to 1. Excluded ids get probability
-    exactly 0 and contribute nothing to the normalizer. With
-    ``smoothing > 0`` every non-excluded word becomes sampleable, including
-    zero-count ones.
+    exactly 0 and contribute nothing to the normalizer.
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.ndim != 1 or len(counts) == 0:
         raise DataError("counts must be a non-empty vector")
     if (counts < 0).any() or not np.isfinite(counts).all():
         raise DataError("counts must be finite and non-negative")
-    if smoothing < 0:
-        raise DataError("smoothing must be >= 0")
     mask = np.ones(len(counts), dtype=bool)
     mask[list(exclude)] = False
-    support = counts[mask] + smoothing
+    support = counts[mask]
     total = support.sum()
     if total <= 0:
-        raise DataError("zero total count and no smoothing")
+        raise DataError("zero total count")
     probs = np.zeros(len(counts))
     probs[mask] = support / total
     return probs
 
 
-def unigram_distribution(vocab: Vocabulary, smoothing: float = 0.0) -> np.ndarray:
+def unigram_distribution(vocab: Vocabulary) -> np.ndarray:
     """Unigram distribution over the vocabulary, ``<s>`` excluded.
 
     Note the vocabulary counts give corpus occurrences; ``</s>`` therefore
     carries zero mass here. Distributions over prediction targets should be
     built from instance targets (``training.empirical_unigram``).
     """
-    return unigram_from_counts(vocab.counts, smoothing, exclude=(BOS_ID,))
+    return unigram_from_counts(vocab.counts, exclude=(BOS_ID,))

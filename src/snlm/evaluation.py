@@ -270,21 +270,19 @@ class BenchmarkReport:
     queries_per_second_unnormalised: float
 
 
-def query_benchmark(params: ModelParameters, contexts, words=None) -> BenchmarkReport:
+def query_benchmark(params: ModelParameters, contexts) -> BenchmarkReport:
     """Cost of single (context, word) queries, normalized vs unnormalised.
 
     MAC counts are analytic; queries/second is wall-clock over the given
-    contexts. ``words`` defaults to a deterministic round-robin over the
-    prediction support.
+    contexts. Query i asks for word i of a round-robin over the prediction
+    support.
     """
     contexts = np.asarray(contexts, dtype=np.int64)
     if contexts.ndim != 2 or len(contexts) == 0:
         raise DataError("need a (queries, order-1) context array")
-    if words is None:
-        sup = params.config.layout().support
-        words = sup[np.arange(len(contexts)) % len(sup)]
-    words = np.asarray(words, dtype=np.int64)
     nq = len(contexts)
+    sup = params.config.layout().support
+    words = sup[np.arange(nq) % len(sup)]
 
     def timed(score):  # (MACs per query, queries/s)
         macs = MacCounter()

@@ -635,12 +635,6 @@ def project_context(params: ModelParameters, context, macs: MacCounter = None) -
     return project_batch(params, _one(params, context), macs)[0][0]
 
 
-def score_word(params: ModelParameters, p: np.ndarray, w: int, macs: MacCounter = None) -> float:
-    """phi(w, h) = r_w . p + b_w given a projected context."""
-    count_output(macs, 1, params.config.dim)
-    return float(params.R[w] @ p + params.b[w])
-
-
 def unnormalised_log_score(params: ModelParameters, context, w: int,
                            macs: MacCounter = None) -> float:
     """Raw score phi(w, h); NCE training drives exp(phi) toward P(w | h)."""

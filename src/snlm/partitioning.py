@@ -449,12 +449,6 @@ class VocabularyTree:
     def depth(self, word: int) -> int:
         return int(self.paths[2][word].sum())
 
-    def path(self, word: int):
-        """(nodes, siblings) from just below the root down to word's leaf."""
-        nodes, sibs, _ = self.paths
-        d = self.depth(word)
-        return nodes[word, :d], sibs[word, :d]
-
     def save(self, path, vocab: Vocabulary) -> None:
         """Preorder, one node per line: ``node_id parent_id [leaf:token]``."""
         with open(path, "w", encoding="utf-8") as fh:
@@ -531,8 +525,6 @@ def huffman_tree(counts) -> VocabularyTree:
         heap becomes the left child, so the tree is a pure function of the
         input.
     """
-    if not hasattr(counts, "keys"):
-        counts = dict(enumerate(np.asarray(counts)))
     words = sorted(int(w) for w in counts)
     L = len(words)
     if L < 2:

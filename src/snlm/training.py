@@ -86,6 +86,8 @@ class TrainingConfig:
             bad("epochs", ">= 0")
         if not (math.isfinite(self.l2_strength) and self.l2_strength >= 0):
             bad("l2_strength", "finite and >= 0")
+        if self.rng_seed < 0:
+            bad("rng_seed", ">= 0")
         if self.algorithm == "nce" and self.noise_samples < 1:
             bad("noise_samples", ">= 1 for NCE")
         if not 0 <= self.validation_fraction < 1:

@@ -11,6 +11,7 @@ from snlm.evaluation import perplexity
 from snlm.modelfile import load_model
 from snlm.partitioning import (MAX_TREE_DEPTH, VocabularyTree, WordClassing,
                                class_bigram_objective)
+from snlm.synthetic import markov_corpus
 
 from conftest import caterpillar
 
@@ -114,6 +115,29 @@ class TestClassesCommand:
         vocab = Vocabulary.load(vocab_path)
         tree = VocabularyTree.load(out, vocab)
         assert tree.num_leaves == len(vocab) - 1
+
+    @pytest.mark.parametrize("method", ["binning", "huffman"])
+    def test_with_corpus_matches_train_default(self, tmp_path, capsys, method):
+        """Given the corpus, classes builds the partition train builds for it."""
+        argv = {"binning": ["--regime", "class"],
+                "huffman": ["--regime", "tree", "--algorithm", "ml_sgd"]}[method]
+        text = tmp_path / "markov.txt"
+        text.write_text("".join(" ".join(s) + "\n" for s in
+                                markov_corpus(3000, vocab_size=60, branching=5, seed=3)))
+        vocab_path, out, model = (tmp_path / f for f in ("vocab.tsv", "out", "m.bin"))
+        assert run(capsys, "vocab", text, "-o", vocab_path)[0] == 0
+        assert run(capsys, "classes", "--vocab", vocab_path, "--method", method,
+                   "--corpus", text, "-o", out)[0] == 0
+        assert run(capsys, "train", text, "--model", model, "--vocab", vocab_path,
+                   "--order", "2", "--dim", "2", "--epochs", "0", *argv)[0] == 0
+        vocab, cfg = Vocabulary.load(vocab_path), load_model(model)[0].config
+        if method == "binning":
+            got, want = WordClassing.load(out, vocab), cfg.classing
+            np.testing.assert_array_equal(got.class_of, want.class_of)
+        else:
+            got, want = VocabularyTree.load(out, vocab), cfg.tree
+            for name in ("parent", "left", "right", "leaf_word"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_brown_requires_corpus(self, tmp_path, capsys, corpus):
         train, _ = corpus
@@ -276,15 +300,6 @@ class TestTrainAndEvaluate:
         total = (int(fields["embedding_params"]) + int(fields["bias_params"])
                  + int(fields["context_params"]) + int(fields["structure_params"]))
         assert total == int(fields["parameter_count"])
-
-    def test_info_payload_mismatch_exits_two(self, tmp_path, capsys, corpus,
-                                             monkeypatch):
-        model, _ = self.train_model(tmp_path, capsys, corpus)
-        monkeypatch.setattr("snlm.cli.payload_nbytes", lambda params: 0)
-        code, stdout, stderr = run(capsys, "info", model)
-        assert code == 2
-        assert "payload holds 0 bytes" in stderr
-        assert stdout == ""
 
     def test_bench_runs(self, tmp_path, capsys, corpus):
         model, _ = self.train_model(tmp_path, capsys, corpus)
@@ -451,6 +466,8 @@ class TestBadCounts:
                    "--dim", "4", "--epochs", "1")[0] == 0
         self.check(capsys, "bench", model, "--queries", "-5",
                    message="--queries must be >= 1")
+        self.check(capsys, "bench", model, "--seed", "-1",
+                   message="--seed must be >= 0")
 
     @pytest.mark.parametrize("flag,field", [("--lr", "learning_rate"),
                                             ("--l2", "l2_strength")])
@@ -470,6 +487,7 @@ class TestBadCounts:
         (["--valid-fraction", "1"], "--valid-fraction"),
         (["--order", "1"], "--order"),
         (["--dim", "0"], "--dim"),
+        (["--seed", "-1"], "--seed"),
     ])
     def test_training_settings_checked_before_reading(self, tmp_path, capsys,
                                                       flag, argv, monkeypatch):

@@ -13,7 +13,6 @@ from snlm.corpus import (
     UNK_TOKEN,
     Vocabulary,
     build_vocabulary,
-    extract_instances,
     instance_arrays,
     read_sentences,
     unigram_distribution,
@@ -116,12 +115,19 @@ class TestReadSentences:
             list(read_sentences(tmp_path / "nope.txt"))
 
 
+def _instances(sentence, vocab, n):
+    """One sentence's instances as (context list, target) pairs."""
+    contexts, targets = instance_arrays([sentence], vocab, n)
+    return list(zip(contexts.tolist(), targets.tolist()))
+
+
 class TestExtractInstances:
+    """The instances of one sentence, hand-checked."""
+
     def test_trigram_windows_most_recent_first(self):
         vocab = build_vocabulary([["a", "b"]])
         a, b = vocab.id_of("a"), vocab.id_of("b")
-        inst = extract_instances(["a", "b"], vocab, n=3)
-        got = [(list(x.context), x.target) for x in inst]
+        got = _instances(["a", "b"], vocab, n=3)
         assert got == [
             ([BOS_ID, BOS_ID], a),
             ([a, BOS_ID], b),
@@ -133,29 +139,29 @@ class TestExtractInstances:
         rng = np.random.default_rng(3)
         for _ in range(20):
             sent = list(rng.choice(["a", "b", "c"], size=rng.integers(1, 12)))
-            inst = extract_instances(sent, vocab, n=4)
+            inst = _instances(sent, vocab, n=4)
             assert len(inst) == len(sent) + 1
-            assert inst[-1].target == EOS_ID
+            assert inst[-1][1] == EOS_ID
 
     def test_oov_tokens_become_unk(self):
         vocab = build_vocabulary([["a"]])
-        inst = extract_instances(["q", "a"], vocab, n=2)
-        assert inst[0].target == UNK_ID
-        assert inst[1].context[0] == UNK_ID
+        inst = _instances(["q", "a"], vocab, n=2)
+        assert inst[0][1] == UNK_ID
+        assert inst[1][0][0] == UNK_ID
 
     def test_literal_sentence_start_becomes_unk(self):
         vocab = build_vocabulary([["a", BOS_TOKEN, "b"]])
-        inst = extract_instances(["a", BOS_TOKEN, "b"], vocab, n=2)
-        assert [i.target for i in inst] == [vocab.id_of("a"), UNK_ID,
-                                           vocab.id_of("b"), EOS_ID]
-        assert inst[2].context == (UNK_ID,)
+        inst = _instances(["a", BOS_TOKEN, "b"], vocab, n=2)
+        assert [t for _, t in inst] == [vocab.id_of("a"), UNK_ID,
+                                        vocab.id_of("b"), EOS_ID]
+        assert inst[2][0] == [UNK_ID]
 
     def test_literal_sentence_end_becomes_unk(self):
         vocab = build_vocabulary([["a", EOS_TOKEN, "b"]])
-        inst = extract_instances(["a", EOS_TOKEN, "b"], vocab, n=2)
-        assert [i.target for i in inst] == [vocab.id_of("a"), UNK_ID,
-                                           vocab.id_of("b"), EOS_ID]
-        assert inst[2].context == (UNK_ID,)
+        inst = _instances(["a", EOS_TOKEN, "b"], vocab, n=2)
+        assert [t for _, t in inst] == [vocab.id_of("a"), UNK_ID,
+                                        vocab.id_of("b"), EOS_ID]
+        assert inst[2][0] == [UNK_ID]
 
     def test_arrays_shape_and_dtype(self):
         vocab = build_vocabulary([["a", "b"]])
@@ -165,8 +171,6 @@ class TestExtractInstances:
 
     def test_order_below_two_rejected(self):
         vocab = build_vocabulary([["a"]])
-        with pytest.raises(DataError):
-            extract_instances(["a"], vocab, n=1)
         with pytest.raises(DataError):
             instance_arrays([["a"]], vocab, n=1)
 
@@ -207,41 +211,33 @@ class TestInstanceArrays:
 
 
 class TestUnigram:
-    def test_smoothed_example(self):
-        # counts (2, 0) with smoothing 1 renormalise to (0.75, 0.25)
-        probs = unigram_from_counts(np.array([2.0, 0.0]), smoothing=1.0)
-        np.testing.assert_allclose(probs, [0.75, 0.25], atol=1e-12)
-
     def test_sums_to_one(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             counts = rng.integers(0, 50, size=rng.integers(2, 30))
-            for eps in (0.0, 0.5, 1.0):
-                if eps == 0.0 and counts.sum() == 0:
-                    continue
-                probs = unigram_from_counts(counts.astype(float), smoothing=eps)
-                assert probs.dtype == np.float64
-                assert abs(probs.sum() - 1.0) < 1e-9
+            if counts.sum() == 0:
+                continue
+            probs = unigram_from_counts(counts.astype(float))
+            assert probs.dtype == np.float64
+            assert abs(probs.sum() - 1.0) < 1e-9
 
     def test_excluded_ids_have_exactly_zero_mass(self):
-        probs = unigram_from_counts(
-            np.array([3.0, 1.0, 2.0]), smoothing=1.0, exclude=(1,))
+        # counts (3, 1, 2) without id 1 renormalise to (0.6, 0, 0.4)
+        probs = unigram_from_counts(np.array([3.0, 1.0, 2.0]), exclude=(1,))
         assert probs[1] == 0.0
-        assert abs(probs.sum() - 1.0) < 1e-12
+        np.testing.assert_allclose(probs, [0.6, 0.0, 0.4], atol=1e-12)
 
     def test_vocab_unigram_masks_sentence_start(self):
         vocab = build_vocabulary([["a", "b", "a"]])
-        probs = unigram_distribution(vocab, smoothing=1.0)
+        probs = unigram_distribution(vocab)
         assert probs[BOS_ID] == 0.0
         assert probs[vocab.id_of("a")] > probs[vocab.id_of("b")]
 
     def test_all_zero_without_smoothing_rejected(self):
         with pytest.raises(DataError):
-            unigram_from_counts(np.zeros(4), smoothing=0.0)
+            unigram_from_counts(np.zeros(4))
 
     def test_bad_counts_rejected(self):
         for counts in ([], [[1.0, 2.0]], [1.0, -1.0], [1.0, np.inf], [1.0, np.nan]):
             with pytest.raises(DataError):
-                unigram_from_counts(np.array(counts, dtype=float), smoothing=1.0)
-        with pytest.raises(DataError):
-            unigram_from_counts(np.ones(3), smoothing=-0.5)
+                unigram_from_counts(np.array(counts, dtype=float))

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_config, make_params, make_vocab, zero_params
 from snlm import evaluation
-from snlm.corpus import BOS_ID, EOS_ID, UNK_ID, extract_instances, instance_arrays
+from snlm.corpus import BOS_ID, EOS_ID, UNK_ID, instance_arrays
 from snlm.errors import DataError
 from snlm.evaluation import (
     MemoryEstimate,
@@ -66,9 +66,9 @@ class TestPerplexity:
             params = make_params(vocab, regime, order=3, dim=4, seed=110)
             pieces = []
             for sent in sentences:
-                for inst in extract_instances(sent, vocab, 3):
-                    dist = full_distribution(params, np.asarray(inst.context))
-                    pieces.append(math.log(dist[inst.target]))
+                for ctx, target in zip(*instance_arrays([sent], vocab, 3)):
+                    dist = full_distribution(params, ctx)
+                    pieces.append(math.log(dist[target]))
             want_total = math.fsum(pieces)
             report = perplexity(params, sentences, vocab)
             np.testing.assert_allclose(report.total_log_prob, want_total,
@@ -124,8 +124,8 @@ class TestScoreSentence:
         for regime in (REGIME_STANDARD, REGIME_CLASS, REGIME_TREE):
             params = make_params(vocab, regime, seed=116)
             sent = ["a", "c", "b"]
-            want = sum(log_prob(params, np.asarray(i.context), i.target)
-                       for i in extract_instances(sent, vocab, 3))
+            want = sum(log_prob(params, ctx, target)
+                       for ctx, target in zip(*instance_arrays([sent], vocab, 3)))
             np.testing.assert_allclose(score_sentence(params, sent, vocab),
                                        want, rtol=1e-12)
 
@@ -133,8 +133,8 @@ class TestScoreSentence:
         vocab = make_vocab(list("ab"))
         params = make_params(vocab, REGIME_STANDARD, seed=117)
         sent = ["b", "a"]
-        want = sum(unnormalised_log_score(params, np.asarray(i.context), i.target)
-                   for i in extract_instances(sent, vocab, 3))
+        want = sum(unnormalised_log_score(params, ctx, target)
+                   for ctx, target in zip(*instance_arrays([sent], vocab, 3)))
         got = score_sentence(params, sent, vocab, unnormalised=True)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -382,8 +382,8 @@ class TestBatchWidth:
         monkeypatch.setattr(evaluation, "_SCRATCH_BYTES", 0)
         assert evaluation._batch_width(params) == 1
         got = score_sentence(params, ["a", "b", "c"], vocab)
-        want = sum(log_prob(params, np.asarray(i.context), i.target)
-                   for i in extract_instances(["a", "b", "c"], vocab, 3))
+        want = sum(log_prob(params, ctx, target)
+                   for ctx, target in zip(*instance_arrays([["a", "b", "c"]], vocab, 3)))
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -513,11 +513,11 @@ class TestSentenceBatches:
         params = make_params(vocab, regime, order=3, dim=D, seed=150,
                              num_classes=3, dtype=np.float32)
         sentence = ["a", "g", "b", "zzz", "a", "c", "f", "e"]
-        insts = extract_instances(sentence, vocab, 3)
+        insts = list(zip(*instance_arrays([sentence], vocab, 3)))
         for unnormalised, single in ((False, log_prob), (True, unnormalised_log_score)):
             batch_macs, single_macs = MacCounter(), MacCounter()
             got = score_sentence(params, sentence, vocab, unnormalised, batch_macs)
-            parts = [single(params, i.context, i.target, single_macs) for i in insts]
+            parts = [single(params, ctx, target, single_macs) for ctx, target in insts]
             assert abs(got - sum(parts)) <= 1e-5 * len(parts)
             assert batch_macs == single_macs
 
@@ -527,7 +527,7 @@ class TestSentenceBatches:
         params = make_params(vocab, REGIME_TREE, order=3, dim=D, seed=151)
         tree = params.config.tree
         sentence = list("agbfa")
-        targets = [i.target for i in extract_instances(sentence, vocab, 3)]
+        targets = instance_arrays([sentence], vocab, 3)[1].tolist()
         assert len({tree.depth(t) for t in targets}) > 1
         macs = MacCounter()
         score_sentence(params, sentence, vocab, macs=macs)
@@ -553,9 +553,9 @@ class TestQueryBenchmark:
         D = 4
         params = make_params(vocab, REGIME_TREE, order=3, dim=D, seed=122)
         layout = params.config.layout()
-        words = layout.support[np.arange(6) % len(layout.support)]
+        words = layout.support[np.arange(6) % len(layout.support)]  # round-robin
         contexts = np.tile(np.array([[3, 4]]), (6, 1))
-        report = query_benchmark(params, contexts, words=words)
+        report = query_benchmark(params, contexts)
         tree = params.config.tree
         want = np.mean([2 * D + 2 * tree.depth(int(w)) * D for w in words])
         np.testing.assert_allclose(report.macs_per_query, want)

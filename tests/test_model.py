@@ -30,7 +30,6 @@ from snlm.model import (
     log_probs_batch,
     project_batch,
     project_context,
-    score_word,
     unnormalised_log_score,
 )
 from snlm.partitioning import VocabularyTree
@@ -114,7 +113,8 @@ class TestScore:
         p = project_context(params, np.array([3, 4]))
         for w in range(len(vocab)):
             want = float(np.dot(params.R[w], p)) + float(params.b[w])
-            assert abs(score_word(params, p, w) - want) < 1e-12
+            got = unnormalised_log_score(params, np.array([3, 4]), w)
+            assert abs(got - want) < 1e-12
 
     def test_zero_projection_leaves_bias(self):
         vocab = make_vocab(list("ab"))
@@ -139,8 +139,7 @@ class TestStandardRegime:
                              order=2, dim=4, seed=11)
         ctx = np.array([2])
         p = project_context(params, ctx)
-        phi_unk = score_word(params, p, 0)
-        phi_eos = score_word(params, p, 2)
+        phi_unk, phi_eos = (float(params.R[w] @ p + params.b[w]) for w in (0, 2))
         want = 1.0 / (1.0 + math.exp(phi_eos - phi_unk))
         got = math.exp(log_prob(params, ctx, 0))
         np.testing.assert_allclose(got, want, rtol=1e-12)

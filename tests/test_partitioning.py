@@ -357,11 +357,6 @@ class TestHuffmanTree:
                         (b.parent, b.left, b.right, b.leaf_word)):
             np.testing.assert_array_equal(x, y)
 
-    def test_vector_input(self):
-        by_map = huffman_tree({0: 4, 1: 2, 2: 1})
-        by_vec = huffman_tree(np.array([4, 2, 1]))
-        np.testing.assert_array_equal(by_map.parent, by_vec.parent)
-
     def test_single_word_rejected(self):
         with pytest.raises(DataError):
             huffman_tree({0: 3})
@@ -370,7 +365,8 @@ class TestHuffmanTree:
 class TestVocabularyTree:
     def test_path_walks_root_to_leaf(self):
         tree = huffman_tree({0: 5, 1: 2, 2: 1, 3: 1})
-        nodes, sibs = tree.path(3)
+        nodes, sibs, mask = (a[3] for a in tree.paths)
+        nodes, sibs = nodes[mask], sibs[mask]
         assert len(nodes) == tree.depth(3) == 3
         for node, sib in zip(nodes, sibs):
             par = tree.parent[node]

@@ -17,6 +17,13 @@ The output JSON holds, per workload and per end-to-end metric of
 the number of pairs in which the change is better, the ratio of the medians,
 and each side's failed and attempted operation counts. It is rewritten after
 every pair, so an interrupted run keeps the pairs it finished.
+
+Each metric also gets a regression verdict against its ``bound``, which
+``BENCHMARK.json`` states relative to the parent's median:
+``worse_than_bound`` when the change's median is worse than the parent's by
+more than the bound, and ``unresolved`` when either side's quartile spread
+(q3 - q1 over the median) is wider than the bound, so that the runs cannot
+tell. One verdict line per workload is printed once its pairs are done.
 """
 
 from __future__ import annotations
@@ -75,14 +82,25 @@ def report(runs: dict, metrics: list) -> dict:
         better = sum((c > p) if higher else (c < p)
                      for p, c in zip(side["parent"], side["change"]))
         parent, change = summary(side["parent"]), summary(side["change"])
+        bound, ratio = metric["bound"], change["median"] / parent["median"]
         out[name] = {"unit": metric["unit"], "better": metric["better"],
-                     "bound": metric["bound"], "parent": parent, "change": change,
-                     "change_to_parent": change["median"] / parent["median"],
-                     "pairs_change_better": better}
+                     "bound": bound, "parent": parent, "change": change,
+                     "change_to_parent": ratio, "pairs_change_better": better,
+                     "worse_than_bound": ratio < 1 - bound if higher else ratio > 1 + bound,
+                     "unresolved": any((s["q3"] - s["q1"]) / s["median"] > bound
+                                       for s in (parent, change))}
     for s in runs:
         out[f"{s}_operations"] = {"attempted": sum(r["attempted"] for r in runs[s]),
                                   "failed": sum(r["failed"] for r in runs[s])}
     return out
+
+
+def verdict(name: str, rep: dict, metrics: list) -> str:
+    """One line naming the workload's metrics that are worse than their
+    bound or unresolved."""
+    flags = [f"{m['name']} {flag}" for m in metrics
+             for flag in ("worse_than_bound", "unresolved") if rep[m["name"]][flag]]
+    return f"{name}: {', '.join(flags) or 'every metric within its bound'}"
 
 
 def main(argv=None) -> int:
@@ -124,6 +142,8 @@ def main(argv=None) -> int:
                 print(f"{name} pair {i + 1}/{args.pairs}: items_per_s parent "
                       f"{items['parent']['median']:.4g}, change "
                       f"{items['change']['median']:.4g}", flush=True)
+            print(verdict(name, result["workloads"][name], bench["end_to_end"]),
+                  flush=True)
     return 0
 
 
