@@ -229,20 +229,25 @@ class RowGrad:
         more than once, in that order, so the sums are bitwise reproducible.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        order = np.argsort(rows, kind="stable")
+        order = rows.argsort(kind="stable")
         rows = rows[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        starts = np.flatnonzero(first)
-        sizes = np.diff(starts, append=len(rows))
-        repeated = sizes > 1
+        edge = np.empty(len(rows) + 1, dtype=bool)  # where a run of equal ids starts or ends
+        edge[0] = edge[-1] = True
+        np.not_equal(rows[1:], rows[:-1], out=edge[1:-1])
+        bounds = edge.nonzero()[0]
+        starts = bounds[:-1]
+        sizes = bounds[1:] - starts
+        first = order[starts]
+        many = sizes > 1
+        repeated = many.nonzero()[0]
+        if len(repeated):
+            grouped = order[many.repeat(sizes)]
+            lo = sizes[repeated].cumsum() - sizes[repeated]
 
         def summed(x):
-            out = x[order[starts]]
-            if repeated.any():
-                grouped = order[np.repeat(repeated, sizes)]
-                ends = np.cumsum(sizes[repeated])
-                out[repeated] = np.add.reduceat(x[grouped], ends - sizes[repeated], axis=0)
+            out = x[first]
+            if len(repeated):
+                out[repeated] = np.add.reduceat(x[grouped], lo, axis=0)
             return out
 
         return cls(rows[starts], summed(values), None if bias is None else summed(bias))
@@ -572,27 +577,32 @@ OUTPUT_LAYERS = {REGIME_STANDARD: StandardLayer, REGIME_CLASS: ClassLayer,
 # projection and scoring: batches, and single queries as batches of one
 
 
-def project_batch(params: ModelParameters, contexts: np.ndarray, macs: MacCounter = None):
-    """Batched projection.
+def project_gathered(params: ModelParameters, Qg: np.ndarray, macs: MacCounter = None):
+    """Batched projection of context rows already gathered, ``Qg = Q[contexts]``
+    of shape (m, n-1, D).
 
     Returns (P, active) where P is (m, D) and active marks strictly positive
     pre-activations (the rectifier's derivative is taken as 0 at 0).
+    Diagonal transforms sum the positions in order in one ``einsum``.
     """
     cfg = params.config
-    m = len(contexts)
-    acc = np.zeros((m, cfg.dim), dtype=params.dtype)
-    for j in range(cfg.context_size):
-        q = params.Q[contexts[:, j]]
-        if cfg.diagonal:
-            q *= params.C[j]  # q is a fresh gather, so it can hold the product
-            acc += q
-        else:
-            acc += q @ params.C[j].T
+    if cfg.diagonal:
+        acc = np.einsum("mjd,jd->md", Qg, np.array(params.C))
+    else:
+        acc = Qg[:, 0] @ params.C[0].T
+        for j in range(1, cfg.context_size):
+            acc += Qg[:, j] @ params.C[j].T
     if macs is not None:
         per = cfg.dim if cfg.diagonal else cfg.dim * cfg.dim
-        macs.projection += m * cfg.context_size * per
+        macs.projection += len(Qg) * cfg.context_size * per
     active = acc > 0
     return np.maximum(acc, 0, out=acc), active
+
+
+def project_batch(params: ModelParameters, contexts: np.ndarray, macs: MacCounter = None):
+    """:func:`project_gathered` of a batch of (m, n-1) context ids; the
+    gathered rows are freed on return."""
+    return project_gathered(params, params.Q[np.asarray(contexts)], macs)
 
 
 def log_probs_batch(params: ModelParameters, contexts: np.ndarray, targets: np.ndarray,

@@ -49,7 +49,8 @@ from .corpus import BOS_ID, unigram_from_counts
 from .errors import DataError, TrainingDivergedError
 from .evaluation import perplexity_from_instances, perplexity_of
 from .model import (REGIME_CLASS, REGIME_TREE, MacCounter, ModelParameters,
-                    RowGrad, count_output, log_probs_batch, project_batch)
+                    RowGrad, count_output, log_probs_batch, project_batch,
+                    project_gathered)
 
 ALGORITHMS = ("ml_sgd", "nce")
 
@@ -236,34 +237,37 @@ def _log_one_minus_sigmoid(x):
 
 
 def _project_for_grad(params, contexts, macs):
-    P, active = project_batch(params, contexts, macs)
+    """(Qg, P, active): the context rows ``Qg = Q[contexts]``, gathered once
+    for the projection and its backward pass, and the projection."""
+    Qg = params.Q[contexts]
+    P, active = project_gathered(params, Qg, macs)
     if macs is not None:  # backward transform/embedding passes
         cfg = params.config
         per = cfg.dim if cfg.diagonal else cfg.dim * cfg.dim
         macs.projection += 2 * len(contexts) * cfg.context_size * per
-    return P, active
+    return Qg, P, active
 
 
-def _backprop_projection(params, contexts, P, active, gP, l2, rowgrads) -> Gradients:
-    """Push the output-side gradient gP through the rectifier into C and Q.
+def _backprop_projection(params, contexts, Qg, active, gP, l2, rowgrads) -> Gradients:
+    """Push the output-side gradient gP through the rectifier into C and Q,
+    reading Q's context rows from ``Qg``, the block the projection used.
 
     ``rowgrads`` maps "R" and "S" to their :class:`RowGrad`; a table the
     output layer did not touch gets no rows.
     """
     cfg = params.config
     gA = (gP * active).astype(params.dtype, copy=False)
-    C, parts = [], []
-    for j in range(cfg.context_size):
-        Qj = params.Q[contexts[:, j]]
-        if cfg.diagonal:
-            C.append((gA * Qj).sum(axis=0))
-            parts.append(gA * params.C[j])
-        else:
-            C.append(gA.T @ Qj)
-            parts.append(gA @ params.C[j])
-    Q = RowGrad.segment_sum(np.asarray(contexts).T.ravel(), np.concatenate(parts))
-    empty = RowGrad.empty(cfg.dim, params.dtype)
-    return Gradients(Q, rowgrads.get("R", empty), C, rowgrads.get("S", empty), l2)
+    if cfg.diagonal:
+        C = list(np.einsum("md,mjd->jd", gA, Qg))
+        parts = gA * np.array(params.C)[:, None, :]
+    else:
+        C = [gA.T @ Qg[:, j] for j in range(cfg.context_size)]
+        parts = gA @ np.array(params.C)
+    # parts is (n-1, m, D): position-major, like the row ids
+    Q = RowGrad.segment_sum(np.asarray(contexts).T.ravel(), parts.reshape(-1, cfg.dim))
+    R, S = (rowgrads[name] if name in rowgrads else RowGrad.empty(cfg.dim, params.dtype)
+            for name in ("R", "S"))
+    return Gradients(Q, R, C, S, l2)
 
 
 def _check_targets(targets):
@@ -288,9 +292,9 @@ def ml_gradient(params: ModelParameters, contexts, targets, l2: float = 0.0,
     """
     targets = np.asarray(targets, dtype=np.int64)
     _check_targets(targets)
-    P, active = _project_for_grad(params, contexts, macs)
+    Qg, P, active = _project_for_grad(params, contexts, macs)
     loglik, gP, rowgrads = params.config.layout().backward(params, P, targets, macs)
-    return _backprop_projection(params, contexts, P, active, gP, l2 * len(targets),
+    return _backprop_projection(params, contexts, Qg, active, gP, l2 * len(targets),
                                 rowgrads), loglik
 
 
@@ -306,66 +310,83 @@ def _nce_terms(scores64, log_pn_rows, k):
     """
     delta = scores64 - (math.log(k) + log_pn_rows)
     sig = _sigmoid(delta)
-    value = float(np.sum(_log_sigmoid(delta[:, 0])))
-    value += float(np.sum(_log_one_minus_sigmoid(delta[:, 1:])))
+    value = float(_log_sigmoid(delta[:, 0]).sum())
+    value += float(_log_one_minus_sigmoid(delta[:, 1:]).sum())
     d = -sig
     d[:, 0] += 1.0
     return value, d
 
 
-def _scores_for(params, M, bias, P, ids):
-    """Batched r_{ids} . p + b_{ids}: (m, w) scores for (m, w) id matrix."""
-    return np.einsum("mwd,md->mw", M[ids], P) + bias[ids]
+def _scores_for(G, bias_g, P):
+    """Batched r . p + b over gathered rows: (m, w) scores of the (m, w, D)
+    rows ``G`` and their (m, w) biases against P (m, D)."""
+    return np.einsum("mwd,md->mw", G, P) + bias_g
 
 
-def _nce_backward(params, M, P, ids, d):
-    """Row gradient of one NCE block over table M, and its pull on P (float64)."""
+def _nce_backward(params, P, ids, G, d):
+    """Row gradient of one word-level NCE block, and its pull on P, in the
+    parameters' dtype; ``G = M[ids]`` are the rows its scores used."""
     dd = d.astype(params.dtype)
     D = params.config.dim
     rows = RowGrad.segment_sum(ids.ravel(),
                                (dd[:, :, None] * P[:, None, :]).reshape(-1, D),
                                dd.ravel())
-    return rows, np.einsum("mw,mwd->md", d, M[ids].astype(np.float64))
+    return rows, np.einsum("mw,mwd->md", dd, G)
 
 
-def _class_nce_backward(params, M, P, ids, d):
+def _class_nce_backward(params, P, u, inv, Mu, d):
     """``_nce_backward`` for the class-level block, as small matmuls.
 
     The block's distinct rows ``u`` are classes, so there are at most K of
-    them whatever the batch size. The weights ``d`` are summed per batch row
-    and class into a dense (m, |u|) ``A``; then the row values are ``A.T @ P``
-    and the pull on P is ``A @ M[u]``, O(m·K·D) like the class softmax. The
-    word-level block keeps ``_nce_backward``: its distinct rows grow with m.
+    them whatever the batch size; ``inv`` maps each id to its place in ``u``
+    and ``Mu = M[u]``. The weights ``d`` are summed per batch row and class
+    into a dense (m, |u|) ``A``; its column sums are the bias values, and in
+    the parameters' dtype the row values are ``A.T @ P`` and the pull on P is
+    ``A @ Mu``, O(m·K·D) like the class softmax. The word-level block keeps
+    ``_nce_backward``: its distinct rows grow with m.
     """
-    m = len(ids)
-    u, inv = np.unique(ids, return_inverse=True)
-    A = np.bincount((np.arange(m)[:, None] * len(u) + inv.reshape(ids.shape)).ravel(),
-                    weights=d.ravel(), minlength=m * len(u)).reshape(m, len(u))
-    rows = RowGrad(u, (A.T @ P).astype(params.dtype), A.sum(axis=0).astype(params.dtype))
-    return rows, A @ M[u].astype(np.float64)
+    m = len(inv)
+    A = np.bincount((np.arange(m)[:, None] * len(u) + inv).ravel(),
+                    weights=d.ravel(), minlength=m * len(u))
+    A = A.reshape(m, len(u))
+    bias = A.sum(axis=0).astype(params.dtype)
+    A = A.astype(params.dtype)
+    return RowGrad(u, A.T @ P, bias), A @ Mu
 
 
 def _nce(params, contexts, blocks, l2, macs, grad):
     """(objective without the L2 term, Gradients when ``grad`` else None)
     over blocks (table name, batch rows, ids, log P_n of ids), where each
-    row of ``ids`` is an observed row of the table, then its k noise rows."""
-    P, active = (_project_for_grad(params, contexts, macs) if grad
-                 else project_batch(params, contexts))
-    tables, gP = _row_tables(params), np.zeros(P.shape)
+    row of ``ids`` is an observed row of the table, then its k noise rows.
+    Each block gathers its table's rows once and uses them for its scores,
+    its pull on P and, through ``Qg``, the projection's backward pass."""
+    if grad:
+        Qg, P, active = _project_for_grad(params, contexts, macs)
+    else:
+        P, _ = project_batch(params, contexts)
+    tables, gP = _row_tables(params), np.zeros(P.shape, P.dtype)
     value, rowgrads = 0.0, {}
     for name, rows, ids, log_pn in blocks:
         M, bias = tables[name]
-        scores = _scores_for(params, M, bias, P[rows], ids).astype(np.float64)
-        v, d = _nce_terms(scores, log_pn, ids.shape[1] - 1)
+        Pr = P[rows]
+        if name == "S":  # class ids: at most K distinct rows
+            u, inv = np.unique(ids, return_inverse=True)
+            inv = inv.reshape(ids.shape)
+            Mu = M[u]
+            scores = _scores_for(Mu[inv], bias[u][inv], Pr)
+        else:
+            G = M[ids]
+            scores = _scores_for(G, bias[ids], Pr)
+        v, d = _nce_terms(scores.astype(np.float64), log_pn, ids.shape[1] - 1)
         value += v
         if grad:
-            backward = _class_nce_backward if name == "S" else _nce_backward
-            rowgrads[name], g = backward(params, M, P[rows], ids, d)
+            rowgrads[name], g = (_class_nce_backward(params, Pr, u, inv, Mu, d) if name == "S"
+                                 else _nce_backward(params, Pr, ids, G, d))
             gP[rows] += g
             count_output(macs, ids.size, params.config.dim, train=True)
     if not grad:
         return value, None
-    return value, _backprop_projection(params, contexts, P, active, gP, l2 * len(P),
+    return value, _backprop_projection(params, contexts, Qg, active, gP, l2 * len(P),
                                        rowgrads)
 
 
@@ -494,8 +515,19 @@ class _SparseSGD:
         last[rows] = self.step
 
     def flush(self) -> None:
-        for name, (M, _) in self.tables.items():
-            self.catch_up(name, np.arange(len(M)))
+        """Bring every row current: one in-place multiply per table by
+        ``decay ** missed``, which is 1.0 for the rows already current."""
+        if self.decay == 1.0:
+            return
+        for name, (M, bias) in self.tables.items():
+            missed = self.step - self.last[name]
+            if not missed.any():
+                continue
+            factor = np.power(self.decay, missed).astype(M.dtype)
+            M *= factor[:, None]
+            if bias is not None:
+                bias *= factor
+            self.last[name][:] = self.step
 
     def apply(self, grads: Gradients, scale: float) -> None:
         """One step on the rows ``grads`` holds, which must be current."""

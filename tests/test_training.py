@@ -492,6 +492,59 @@ class TestClassFactoredNce:
                                         np.array([[0]]), np.array([[3]]), None)
 
 
+class TestFloat32Gradients:
+    """The NCE gradients on float32 parameters, which gather, score and pull
+    in float32, against the same call on a float64 copy. Every row of Q, R/b
+    and S/t and every transform gradient is within 1e-5 of the float64 row,
+    relative to that row's largest entry (and 1e-7 absolute)."""
+
+    @staticmethod
+    def assert_rows_close(got, want):
+        assert got.dtype == np.float32
+        got, want = np.atleast_2d(got.T).T.astype(np.float64), np.atleast_2d(want.T).T
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert (np.abs(got - want) <= 1e-5 * scale + 1e-7).all()
+
+    def compare(self, fn, params, *args):
+        got, value32 = fn(params, *args, l2=1e-3)
+        want, value64 = fn(params.astype(np.float64), *args, l2=1e-3)
+        assert abs(value32 - value64) <= 1e-5 * abs(value64)
+        assert got.l2 == want.l2
+        for (name, g), (_, w) in zip(got.tables(), want.tables()):
+            np.testing.assert_array_equal(g.rows, w.rows, err_msg=name)
+            self.assert_rows_close(g.values, w.values)
+            if name != "Q":  # Q has no bias
+                self.assert_rows_close(g.bias, w.bias)
+        for gC, wC in zip(got.C, want.C):
+            self.assert_rows_close(gC, wC)
+
+    @pytest.mark.parametrize("m", [1, 200])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_nce_gradient(self, diagonal, m):
+        vocab = make_vocab([f"w{i}" for i in range(40)], counts=list(range(40, 0, -1)))
+        params = make_params(vocab, REGIME_STANDARD, order=4, dim=16, diagonal=diagonal,
+                             seed=140, scale=0.3, dtype=np.float32)
+        contexts, targets = tiny_instances(vocab, 4, 141, m=m)
+        table = NoiseTable(empirical_unigram(targets, len(vocab)),
+                           np.random.default_rng(142))
+        noise = table.draw(np.zeros(m, dtype=np.int64), 5)
+        self.compare(nce_gradient, params, contexts, targets, noise, table.log_probs)
+
+    @pytest.mark.parametrize("m", [1, 200])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_class_factored_nce_gradient(self, diagonal, m):
+        vocab = make_vocab([f"w{i}" for i in range(40)], counts=list(range(40, 0, -1)))
+        params = make_params(vocab, REGIME_CLASS, order=4, dim=16, diagonal=diagonal,
+                             seed=143, num_classes=6, scale=0.3, dtype=np.float32)
+        contexts, targets = tiny_instances(vocab, 4, 144, m=m)
+        classes, words = class_noise(empirical_unigram(targets, len(vocab)),
+                                     params.config.classing, 145)
+        cls = params.config.classing.class_of[targets].astype(np.int64)
+        self.compare(nce_gradient_class_factored, params, contexts, targets,
+                     classes.draw(np.zeros(m, dtype=np.int64), 5), words.draw(cls, 5),
+                     (classes.log_probs, words.log_probs))
+
+
 class TestTrainLoop:
     def test_fits_a_deterministic_corpus(self):
         sentences = cyclic_corpus(80)
