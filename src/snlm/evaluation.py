@@ -16,9 +16,9 @@ from .model import (MacCounter, ModelConfig, ModelParameters, log_prob,
                     unnormalised_scores_batch)
 
 _SCRATCH_BYTES = 8 << 20   # bound on a scoring batch's largest temporary
-# Bound on a raw-score batch's (m, D) arrays: kept within a 2 MiB per-core L2
-# cache, where a raw pass runs fastest (2.06 ms at 1,310 rows against 2.69 ms
-# at 10,485 on the rescoring queries, D 100, single-threaded BLAS on a Xeon).
+# Bound on a raw-score batch's arrays: kept within a 2 MiB per-core L2 cache,
+# where a raw pass runs fastest (2.06 ms at 1,310 rows against 2.69 ms at
+# 10,485 on the rescoring queries, D 100, single-threaded BLAS on a Xeon).
 _RAW_SCRATCH_BYTES = 1 << 20
 _NBEST_GROUP_TOKENS = 1 << 16  # n-best tokens gathered into one scoring call
 
@@ -26,15 +26,17 @@ _NBEST_GROUP_TOKENS = 1 << 16  # n-best tokens gathered into one scoring call
 def _batch_width(params: ModelParameters, unnormalised: bool = False) -> int:
     """Rows per scoring batch: as many as keep what the queries hold within
     ``_SCRATCH_BYTES`` together (``_RAW_SCRATCH_BYTES`` for raw scores), at
-    least one. Each query holds its projection and one gathered (D,) row, of
-    R for raw scores or of the projection in the class layer; normalised
-    scoring adds the output layer's ``row_bytes``. All of it is in the
-    parameters' dtype."""
+    least one. Each query holds its projection and, before it, its n-1
+    gathered context rows of Q; once those are freed, one gathered (D,) row,
+    of R for raw scores or of the projection in the class layer, to which
+    normalised scoring adds the output layer's ``row_bytes``. A query is
+    sized at the larger of the two stages. All of it is in the parameters'
+    dtype."""
     itemsize = params.dtype.itemsize
-    row = 2 * itemsize * params.config.dim
-    if unnormalised:
-        return max(1, _RAW_SCRATCH_BYTES // row)
-    return max(1, _SCRATCH_BYTES // (row + params.config.layout().row_bytes(itemsize)))
+    vector = itemsize * params.config.dim
+    later = vector if unnormalised else vector + params.config.layout().row_bytes(itemsize)
+    row = vector + max(params.config.context_size * vector, later)
+    return max(1, (_RAW_SCRATCH_BYTES if unnormalised else _SCRATCH_BYTES) // row)
 
 
 def score_instances(params: ModelParameters, contexts, targets,

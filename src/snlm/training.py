@@ -265,9 +265,8 @@ def _backprop_projection(params, contexts, Qg, active, gP, l2, rowgrads) -> Grad
         parts = gA @ np.array(params.C)
     # parts is (n-1, m, D): position-major, like the row ids
     Q = RowGrad.segment_sum(np.asarray(contexts).T.ravel(), parts.reshape(-1, cfg.dim))
-    R, S = (rowgrads[name] if name in rowgrads else RowGrad.empty(cfg.dim, params.dtype)
-            for name in ("R", "S"))
-    return Gradients(Q, R, C, S, l2)
+    empty = RowGrad.empty(cfg.dim, params.dtype)
+    return Gradients(Q, rowgrads.get("R", empty), C, rowgrads.get("S", empty), l2)
 
 
 def _check_targets(targets):
@@ -310,8 +309,8 @@ def _nce_terms(scores64, log_pn_rows, k):
     """
     delta = scores64 - (math.log(k) + log_pn_rows)
     sig = _sigmoid(delta)
-    value = float(_log_sigmoid(delta[:, 0]).sum())
-    value += float(_log_one_minus_sigmoid(delta[:, 1:]).sum())
+    value = float(np.sum(_log_sigmoid(delta[:, 0])))
+    value += float(np.sum(_log_one_minus_sigmoid(delta[:, 1:])))
     d = -sig
     d[:, 0] += 1.0
     return value, d

@@ -288,7 +288,9 @@ class TestDistinctQueries:
 def query_bytes(params):
     """The bytes per query that ``_batch_width`` divides its budget by."""
     itemsize = params.dtype.itemsize
-    return 2 * itemsize * params.config.dim + params.config.layout().row_bytes(itemsize)
+    vector = itemsize * params.config.dim
+    later = vector + params.config.layout().row_bytes(itemsize)
+    return vector + max(params.config.context_size * vector, later)
 
 
 class TestBatchWidth:
@@ -361,16 +363,18 @@ class TestBatchWidth:
         vocab = make_vocab([f"w{i}" for i in range(400)])
         params = make_params(vocab, REGIME_STANDARD, dim=6, seed=173, dtype=np.float32)
         raw = evaluation._batch_width(params, unnormalised=True)
-        assert raw == evaluation._RAW_SCRATCH_BYTES // (2 * 4 * 6)
+        assert raw == evaluation._RAW_SCRATCH_BYTES // (3 * 4 * 6)  # order 3: 3 rows a query
         assert raw > evaluation._batch_width(params)
 
     @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
     def test_unnormalised_width_keeps_a_batch_in_l2(self, regime):
-        """Raw scores take 1 MiB batches of (D,) float32 rows, two per query:
-        1,310 rows at D 100 whatever the output layer."""
+        """Raw scores take 1 MiB batches of (D,) float32 rows, three per query
+        at order 3 (the projection and its two context rows, which are freed
+        before its row of R is gathered): 873 rows at D 100 whatever the
+        output layer."""
         vocab = make_vocab([f"w{i}" for i in range(40)])
         params = make_params(vocab, regime, dim=100, seed=176, dtype=np.float32)
-        assert evaluation._batch_width(params, unnormalised=True) == 1_310
+        assert evaluation._batch_width(params, unnormalised=True) == 873
 
     def test_rows_over_budget_still_score_one_at_a_time(self, monkeypatch):
         vocab = make_vocab(list("abc"))

@@ -14,7 +14,7 @@ def load_tool(name):
 
 def test_step_costs_smoke_prints_every_row(capsys):
     step_costs = load_tool("step_costs")
-    assert step_costs.main(["--smoke", "--repeats", "1"]) == 0
+    assert step_costs.main(["--smoke"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = {line[:20].strip(): line[20:].split() for line in lines[2:-1]}
     assert list(rows) == [label for label, *_ in step_costs.RUNS]

@@ -9,15 +9,15 @@ The *Baseline* shape is ``markov_corpus(60_000, vocab_size=20000,
 branching=20, seed=1)`` (|V| 17,680), order 5, D 100, batch 64, k 10 and one
 epoch of ``train()``, as ``snlm train`` sets a model up: classes binned by
 frequency into ceil(sqrt(|V|)) bins, a Huffman tree over target counts.
-``--smoke`` is a small corpus of the same kind, for checking that the tool
-runs.
+``--smoke`` is a small corpus of the same kind, timed once, for checking
+that the tool runs.
 
 Each row is one ``train()`` epoch (diagonal transforms unless named full):
 
 * ``MACs/inst``: the epoch's analytic training MACs per training instance;
 * ``step inst/s``: training instances over the epoch's step time
   (``EpochStats.train_seconds``, the steps and the flush, without the
-  perplexity passes), the fastest of ``--repeats`` epochs from the same
+  perplexity passes), the fastest of ``REPEATS`` epochs from the same
   start;
 * ``ns/MAC``: step time over MACs;
 * ``calls/step``: function calls, Python and builtin as cProfile counts them,
@@ -54,6 +54,7 @@ from snlm.training import TrainingConfig, empirical_unigram, train  # noqa: E402
 SHAPES = {"baseline": dict(tokens=60_000, vocab=20_000, branching=20, dim=100),
           "smoke": dict(tokens=1_200, vocab=150, branching=5, dim=8)}
 ORDER, BATCH, K_NOISE = 5, 64, 10
+REPEATS = 3  # timed epochs per row at the Baseline shape; the fastest counts
 CALL_INSTANCES = 6_400  # 95 steps: counting every call is slow
 # (label, regime, algorithm, diagonal)
 RUNS = [("standard / nce", REGIME_STANDARD, "nce", True),
@@ -127,10 +128,6 @@ def measure(label, regime, algorithm, diagonal, data, dim, repeats) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="a small corpus, for a quick check")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timed epochs per row; the fastest counts (default 3)")
-    parser.add_argument("--runs", default="all",
-                        help="comma-separated row numbers (1-based) of the table, or 'all'")
     args = parser.parse_args(argv)
 
     shape = SHAPES["smoke" if args.smoke else "baseline"]
@@ -138,26 +135,23 @@ def main(argv=None) -> int:
                               branching=shape["branching"], seed=1)
     vocab = build_vocabulary(sentences)
     contexts, targets = instance_arrays(sentences, vocab, ORDER)
-    picked = (RUNS if args.runs == "all"
-              else [RUNS[int(i) - 1] for i in args.runs.split(",")])
     print(f"|V| {len(vocab)}, {len(targets)} instances, order {ORDER}, D {shape['dim']}, "
           f"batch {BATCH}, k {K_NOISE}, one epoch")
     print(f"{'regime / algorithm':<20} {'MACs/inst':>10} {'step inst/s':>12} "
           f"{'ns/MAC':>7} {'calls/step':>11} {'epoch/steps':>12}")
     rows = {}
-    for run in picked:
+    for run in RUNS:
         tick = time.perf_counter()
         r = rows[run[0]] = measure(*run, (vocab, contexts, targets), shape["dim"],
-                                   args.repeats)
+                                   1 if args.smoke else REPEATS)
         print(f"{r['label']:<20} {r['macs_per_inst']:>10,.0f} {r['inst_per_s']:>12,.0f} "
               f"{r['ns_per_mac']:>7.2f} {r['calls_per_step']:>11,.0f} "
               f"{r['epoch_over_steps']:>11.2f}x   ({time.perf_counter() - tick:.1f} s)",
               flush=True)
-    diag, full = rows.get("class / nce"), rows.get("class / nce, full")
-    if diag and full:
-        print(f"class NCE, diagonal over full: {diag['inst_per_s'] / full['inst_per_s']:.2f}x "
-              f"the step speed for {full['macs_per_inst'] / diag['macs_per_inst']:.1f}x "
-              f"fewer MACs")
+    diag, full = rows["class / nce"], rows["class / nce, full"]
+    print(f"class NCE, diagonal over full: {diag['inst_per_s'] / full['inst_per_s']:.2f}x "
+          f"the step speed for {full['macs_per_inst'] / diag['macs_per_inst']:.1f}x "
+          f"fewer MACs")
     return 0
 
 
