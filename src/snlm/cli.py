@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -230,7 +231,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_ppl(args) -> int:
+    tick = time.perf_counter()
     params, vocab = load_model(args.model)
+    load_seconds = time.perf_counter() - tick
     sentences = list(read_sentences(args.corpus))
     report = perplexity(params, sentences, vocab)
     print(f"tokens\t{report.token_count}")
@@ -239,6 +242,7 @@ def cmd_ppl(args) -> int:
     print(f"perplexity\t{report.perplexity:.4f}")
     print(f"queries_per_sec\t{report.queries_per_second:.0f}")
     print(f"macs_per_query\t{report.macs_per_query:.0f}")
+    print(f"load_seconds\t{load_seconds:.6f}")
     return 0
 
 

@@ -386,12 +386,16 @@ class ClassLayer(OutputLayer):
             raise DataError("classing does not cover the vocabulary")
         self.class_of = classing.class_of
         self.rows = classing.num_classes
-        self.members_eff = [m[m != BOS_ID].astype(np.int64) for m in classing.members]
-        self.class_sizes = np.array([len(m) for m in self.members_eff], dtype=np.int64)
+        V = config.vocab_size
+        order = np.argsort(self.class_of * np.int64(V) + np.arange(V))  # by class, then id
+        order = order[order != BOS_ID]
+        cls = self.class_of[order]
+        starts = np.searchsorted(cls, np.arange(self.rows + 1))
+        self.members_eff = np.split(order, starts[1:-1])
+        self.class_sizes = np.diff(starts)
         self.class_valid = self.class_sizes > 0
-        self.pos_in_class = np.full(config.vocab_size, -1, dtype=np.int64)
-        for mem in self.members_eff:
-            self.pos_in_class[mem] = np.arange(len(mem))
+        self.pos_in_class = np.full(V, -1, dtype=np.int64)
+        self.pos_in_class[order] = np.arange(len(order)) - starts[cls]
 
     def row_bytes(self, itemsize=4) -> int:  # class scores, then the largest class's
         return itemsize * (self.rows + int(self.class_sizes.max()))

@@ -53,12 +53,12 @@ class WordClassing:
 
     @property
     def members(self) -> list:
-        """Class id -> sorted array of member word ids."""
+        """Class id -> sorted array of member word ids: slices of one stable
+        argsort, which keeps each class's members in id order."""
         if self._members is None:
             order = np.argsort(self.class_of, kind="stable")
-            bounds = np.searchsorted(self.class_of[order], np.arange(self.num_classes + 1))
-            self._members = [np.sort(order[bounds[c]:bounds[c + 1]]).astype(np.int32)
-                             for c in range(self.num_classes)]
+            bounds = np.searchsorted(self.class_of[order], np.arange(1, self.num_classes))
+            self._members = np.split(order.astype(np.int32), bounds)
         return self._members
 
     def save(self, path, vocab: Vocabulary) -> None:

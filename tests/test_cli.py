@@ -256,6 +256,22 @@ class TestTrainAndEvaluate:
         assert float(fields["perplexity"]) == round(want.perplexity, 4)
         assert int(fields["tokens"]) == want.token_count
 
+    def test_ppl_reports_load_seconds_after_its_other_lines(self, tmp_path, capsys,
+                                                            corpus):
+        _, heldout = corpus
+        model, _ = self.train_model(tmp_path, capsys, corpus)
+        code, stdout, _ = run(capsys, "ppl", model, heldout)
+        assert code == 0
+        lines = stdout.splitlines()
+        assert [line.split("\t")[0] for line in lines] == [
+            "tokens", "oov", "log_prob", "perplexity", "queries_per_sec",
+            "macs_per_query", "load_seconds"]
+        params, vocab = load_model(model)
+        want = perplexity(params, list(read_sentences(heldout)), vocab)
+        assert lines[2:4] == [f"log_prob\t{want.total_log_prob:.4f}",
+                              f"perplexity\t{want.perplexity:.4f}"]
+        assert 0 <= float(lines[-1].split("\t")[1]) < 60
+
     def test_same_seed_reproduces_the_model_file(self, tmp_path, capsys, corpus):
         model_a, _ = self.train_model(tmp_path, capsys, corpus)
         saved = model_a.read_bytes()
@@ -382,7 +398,7 @@ class TestLiteralSentenceEnd:
             fields = dict(line.split("\t") for line in ppl.strip().splitlines())
             assert math.isfinite(float(fields["perplexity"]))
             assert int(fields["oov"]) >= 1
-            del fields["queries_per_sec"]  # a timing
+            del fields["queries_per_sec"], fields["load_seconds"]  # timings
             nbest = tmp_path / f"hyps-{len(outputs)}.nbest"
             nbest.write_text(f"0 ||| cat {marker} runs ||| 0\n1 ||| {marker}\n")
             code, scored, stderr = run(capsys, "score", model, nbest)

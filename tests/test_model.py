@@ -32,7 +32,7 @@ from snlm.model import (
     project_context,
     unnormalised_log_score,
 )
-from snlm.partitioning import VocabularyTree
+from snlm.partitioning import VocabularyTree, WordClassing
 
 
 def specials_only_vocab():
@@ -217,6 +217,31 @@ class TestClassFactoredRegime:
         dist = full_distribution(params, np.array([3, 4]))
         assert abs(dist.sum() - 1.0) < 1e-12
         assert dist[BOS_ID] == 0.0
+
+    def test_layout_matches_the_per_class_construction(self):
+        """members_eff, class_sizes and pos_in_class, built from one sort,
+        equal what a loop over each class's sorted members gives."""
+        rng = np.random.default_rng(24)
+        for trial in range(30):
+            V = int(rng.integers(3, 60))
+            K = int(rng.integers(1, V + 1))
+            class_of = np.concatenate([rng.permutation(K),
+                                       rng.integers(0, K, V - K)])
+            rng.shuffle(class_of)
+            cfg = ModelConfig(order=2, dim=2, regime=REGIME_CLASS, vocab_size=V,
+                              classing=WordClassing(class_of, K))
+            layer = cfg.layout()
+            members = [np.flatnonzero(class_of == c) for c in range(K)]
+            want = [m[m != BOS_ID] for m in members]
+            assert [m.tolist() for m in cfg.classing.members] == \
+                [m.tolist() for m in members]
+            assert [m.tolist() for m in layer.members_eff] == [m.tolist() for m in want]
+            assert all(m.dtype == np.int64 for m in layer.members_eff)
+            np.testing.assert_array_equal(layer.class_sizes, [len(m) for m in want])
+            pos = np.full(V, -1)
+            for m in want:
+                pos[m] = np.arange(len(m))
+            np.testing.assert_array_equal(layer.pos_in_class, pos)
 
 
 class TestTreeFactoredRegime:

@@ -6,27 +6,28 @@ import numpy as np
 import pytest
 
 from conftest import caterpillar, make_params, make_vocab
-from snlm.corpus import Vocabulary
+from snlm.cli import main
+from snlm.corpus import Vocabulary, instance_arrays
 from snlm.errors import ModelFormatError, SnlmError
 from snlm.evaluation import memory_estimate, perplexity
 from snlm.model import REGIME_CLASS, REGIME_STANDARD, REGIME_TREE
-from snlm.modelfile import _HEADER, MAGIC, load_model, payload_nbytes, save_model
+from snlm.modelfile import (_HEADER, ALIGN, MAGIC, load_model, payload_nbytes,
+                            save_model)
+from snlm.training import TrainingConfig, train
 
 FIRST_TOKEN = _HEADER.size + 8  # the v2 vocabulary block, after its u64 length
 
 
-def save_v1(path, params, vocab):
-    """Write ``params`` in the version 1 layout: a u32 length before each
-    token's UTF-8 bytes, and no vocabulary block length in the header."""
+def save_v2(path, params, vocab):
+    """Write ``params`` in the version 2 layout: version 3's without the
+    padding before each payload array."""
     cfg = params.config
     code = {REGIME_STANDARD: 0, REGIME_CLASS: 1, REGIME_TREE: 2}[cfg.regime]
-    parts = [struct.pack("<4sIIIBBQ", b"SNLM", 1, cfg.order, cfg.dim, code,
-                         int(cfg.diagonal), cfg.vocab_size)]
-    for tok in vocab.tokens:
-        raw = tok.encode("utf-8")
-        parts += [struct.pack("<I", len(raw)), raw]
-    parts.append(np.asarray(vocab.counts, dtype="<i8").tobytes())
-    parts.append(cfg.layout().structure_bytes())
+    text = "\n".join(vocab.tokens).encode("utf-8")
+    parts = [struct.pack("<4sIIIBBQQ", b"SNLM", 2, cfg.order, cfg.dim, code,
+                         int(cfg.diagonal), cfg.vocab_size, len(text)), text,
+             np.asarray(vocab.counts, dtype="<i8").tobytes(),
+             cfg.layout().structure_bytes()]
     parts += [np.asarray(a, dtype="<f4").tobytes() for _, a in params.arrays()]
     path.write_bytes(b"".join(parts))
 
@@ -53,6 +54,16 @@ def small_model(regime, seed=130):
     params = make_params(vocab, regime, order=3, dim=5, seed=seed,
                          num_classes=2, dtype=np.float32)
     return params, vocab
+
+
+def version_1_file(tmp_path) -> bytes:
+    """A model file whose header says version 1."""
+    params, vocab = small_model(REGIME_CLASS, seed=146)
+    path = tmp_path / "v3.bin"
+    save_model(path, params, vocab)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 1)
+    return bytes(raw)
 
 
 class TestRoundTrip:
@@ -129,33 +140,42 @@ class TestRoundTrip:
 
 
 class TestVersions:
-    def test_files_are_written_as_version_2(self, tmp_path):
+    def test_files_are_written_as_version_3(self, tmp_path):
         params, vocab = small_model(REGIME_CLASS)
         path = tmp_path / "model.bin"
         save_model(path, params, vocab)
-        assert struct.unpack_from("<I", path.read_bytes(), 4) == (2,)
+        assert struct.unpack_from("<I", path.read_bytes(), 4) == (3,)
+
+    def test_version_1_is_refused_naming_its_version(self, tmp_path):
+        path = tmp_path / "v1.bin"
+        path.write_bytes(version_1_file(tmp_path))
+        with pytest.raises(ModelFormatError, match="version 1"):
+            load_model(path)
+
+    def test_ppl_on_a_version_1_file_exits_2(self, tmp_path, capsys):
+        path, corpus = tmp_path / "v1.bin", tmp_path / "heldout.txt"
+        path.write_bytes(version_1_file(tmp_path))
+        corpus.write_text("a b\n")
+        assert main(["ppl", str(path), str(corpus)]) == 2
+        assert "version 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS,
                                         REGIME_TREE])
-    def test_version_1_loads_like_its_version_2_twin(self, tmp_path, regime):
-        params, vocab = small_model(regime, seed=145)
-        v1, v2 = tmp_path / "v1.bin", tmp_path / "v2.bin"
-        save_v1(v1, params, vocab)
-        save_model(v2, params, vocab)
-        assert v1.read_bytes() != v2.read_bytes()
-        from_v1 = load_model(v1)
-        assert_same_model(from_v1, load_model(v2))
-        assert_same_model(from_v1, (params, vocab))
-
-    def test_every_version_1_truncation_point_raises(self, tmp_path):
-        params, vocab = small_model(REGIME_CLASS, seed=146)
-        path = tmp_path / "v1.bin"
-        save_v1(path, params, vocab)
-        raw = path.read_bytes()
-        for cut in range(len(raw)):
-            path.write_bytes(raw[:cut])
-            with pytest.raises(SnlmError):
-                load_model(path)
+    def test_version_2_loads_like_its_version_3_twin(self, tmp_path, regime):
+        # a 23-byte vocabulary block leaves every version 2 array misaligned
+        vocab = make_vocab(["a", "b", "c", "dd"], counts=[7, 4, 2, 1])
+        params = make_params(vocab, regime, order=3, dim=5, seed=145,
+                             num_classes=2, dtype=np.float32)
+        v2, v3 = tmp_path / "v2.bin", tmp_path / "v3.bin"
+        save_v2(v2, params, vocab)
+        save_model(v3, params, vocab)
+        assert v2.stat().st_size < v3.stat().st_size
+        from_v2 = load_model(v2)
+        assert_same_model(from_v2, load_model(v3))
+        assert_same_model(from_v2, (params, vocab))
+        for name, arr in from_v2[0].arrays():
+            assert arr.flags.aligned and arr.flags.writeable, name
+            assert arr.flags.owndata, name  # copied out of the map
 
     def test_token_with_a_newline_is_rejected(self, tmp_path):
         vocab = Vocabulary(["<unk>", "<s>", "</s>", "a\nb"], [0, 0, 0, 1])
@@ -173,6 +193,79 @@ class TestVersions:
         path.write_bytes(raw)
         with pytest.raises(ModelFormatError, match="tokens"):
             load_model(path)
+
+
+class TestMappedLoad:
+    def test_arrays_are_aligned_views_of_the_file(self, tmp_path):
+        params, vocab = small_model(REGIME_TREE, seed=150)
+        path = tmp_path / "model.bin"
+        save_model(path, params, vocab)
+        loaded, _ = load_model(path)
+        for name, arr in loaded.arrays():
+            assert not arr.flags.owndata, name
+            assert arr.ctypes.data % ALIGN == 0, name
+
+    def test_empty_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("regime, algorithm", [(REGIME_STANDARD, "nce"),
+                                                   (REGIME_CLASS, "nce"),
+                                                   (REGIME_TREE, "ml_sgd")])
+    def test_training_writes_private_pages(self, tmp_path, regime, algorithm):
+        """A mapped model trains to the bytes of its in-memory twin, and the
+        file it was mapped from is unchanged."""
+        params, vocab = small_model(regime, seed=151)
+        path = tmp_path / "model.bin"
+        save_model(path, params, vocab)
+        saved = path.read_bytes()
+        rng = np.random.default_rng(152)
+        sentences = [list(rng.choice(list("abcd"), size=int(rng.integers(2, 7))))
+                     for _ in range(40)]
+        contexts, targets = instance_arrays(sentences, vocab, n=3)
+        tc = TrainingConfig(algorithm=algorithm, minibatch_size=8, epochs=1,
+                            noise_samples=3, l2_strength=1e-3, rng_seed=153)
+        mapped = load_model(path)[0]
+        want = train(params.copy(), contexts, targets, tc).params
+        got = train(mapped, contexts, targets, tc).params
+        for (name, a), (_, b) in zip(want.arrays(), got.arrays()):
+            assert a.tobytes() == b.tobytes(), name
+        assert got.Q.tobytes() != params.Q.tobytes()
+        assert path.read_bytes() == saved
+
+
+class TestAtomicSave:
+    def test_saving_over_a_mapped_path_keeps_the_loaded_model(self, tmp_path):
+        path = tmp_path / "model.bin"
+        sentences = [["a", "b"], ["d", "c", "c"]]
+        params, vocab = small_model(REGIME_CLASS, seed=154)
+        save_model(path, params, vocab)
+        loaded, vocab2 = load_model(path)
+        before = perplexity(loaded, sentences, vocab2).total_log_prob
+        other, other_vocab = small_model(REGIME_TREE, seed=155)
+        save_model(path, other, other_vocab)
+        assert perplexity(loaded, sentences, vocab2).total_log_prob == before
+        assert load_model(path)[0].config.regime == REGIME_TREE
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+    def test_failed_save_keeps_the_old_file_and_no_temporary(self, tmp_path,
+                                                             monkeypatch):
+        path = tmp_path / "model.bin"
+        params, vocab = small_model(REGIME_STANDARD, seed=156)
+        save_model(path, params, vocab)
+        saved, first = path.read_bytes(), params.arrays()[:1]
+
+        def arrays_then_fail():
+            yield from first
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(params, "arrays", arrays_then_fail)
+        with pytest.raises(OSError, match="No space"):
+            save_model(path, params, vocab)
+        assert path.read_bytes() == saved
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
 
 class TestSectionSizes:
