@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import collections
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -180,12 +181,13 @@ def build_vocabulary(corpus, min_count: int = 1, max_size=None) -> Vocabulary:
     return Vocabulary(tokens, counts)
 
 
-def token_ids(sentence: Sequence[str], vocab: Vocabulary) -> list:
-    """Ids of a sentence's tokens. OOV tokens map to ``<unk>``, and so does a
-    literal ``<s>`` or ``</s>``: the markers only frame sentences."""
-    get = vocab._ids.get
-    return [UNK_ID if (i := get(t, UNK_ID)) in (BOS_ID, EOS_ID) else i
-            for t in sentence]
+def token_ids(tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:
+    """Ids of a token list, as int32. OOV tokens map to ``<unk>``, and so does
+    a literal ``<s>`` or ``</s>``: the markers only frame sentences."""
+    ids = np.fromiter(map(vocab._ids.get, tokens, repeat(UNK_ID)), dtype=np.int32,
+                      count=len(tokens))
+    ids[(ids == BOS_ID) | (ids == EOS_ID)] = UNK_ID
+    return ids
 
 
 def instance_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, n: int):
@@ -194,7 +196,9 @@ def instance_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, n: in
     A sentence of L tokens yields L+1 instances (each token plus ``</s>``).
     Each is a window of width n over one id stream in which every sentence
     is ``<s>`` * (n-1), its :func:`token_ids`, ``</s>``; windows ending on a
-    ``<s>`` (the padding) are dropped, so ``<s>`` is never a target.
+    ``<s>`` (the padding) are dropped, so ``<s>`` is never a target. The
+    tokens of all sentences are mapped in one pass and placed in the stream
+    by their offsets.
 
     Returns
     -------
@@ -203,15 +207,17 @@ def instance_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, n: in
     """
     if n < 2:
         raise DataError("model order must be >= 2")
-    pad, stream = [BOS_ID] * (n - 1), []
-    for sent in sentences:
-        stream += pad
-        stream += token_ids(sent, vocab)
-        stream.append(EOS_ID)
-    if not stream:
+    sentences = list(sentences)
+    if not sentences:
         raise DataError("empty corpus")
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.array(stream, dtype=np.int32), n)
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    offset = n * np.arange(len(sentences)) + (n - 1)  # stream index less token index
+    ends = lengths.cumsum() + offset  # each sentence's </s>
+    stream = np.full(int(ends[-1]) + 1, BOS_ID, dtype=np.int32)
+    stream[ends] = EOS_ID
+    tokens = list(chain.from_iterable(sentences))
+    stream[np.arange(len(tokens)) + np.repeat(offset, lengths)] = token_ids(tokens, vocab)
+    windows = np.lib.stride_tricks.sliding_window_view(stream, n)
     windows = windows[windows[:, -1] != BOS_ID]
     return np.ascontiguousarray(windows[:, -2::-1]), windows[:, -1].copy()
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -304,11 +304,11 @@ class OutputLayer:
     ``start_values(probs)``, its section of the model file, and its passes:
     ``log_probs`` (float64 (m,)), ``backward`` (log-likelihood, float64 gP,
     and a :class:`RowGrad` for each of ``"R"`` and ``"S"`` that it reads),
-    ``distribution`` (float64 (m, V)) and ``ml_rows``, the (table, row ids)
-    pairs ``backward`` reads. ``row_bytes(itemsize)`` is the size of the
-    temporaries ``log_probs`` makes per query from parameters of ``itemsize``
-    bytes (4, float32, by default): its score rows work in the parameters'
-    dtype. Evaluation sizes its batches from it. ``scoring_order(targets)``
+    ``distribution`` (float64 (m, V)) and ``ml_rows``, (table, row ids)
+    pairs that hold every row ``backward`` reads. ``row_bytes(itemsize)`` is
+    the size of the temporaries ``log_probs`` makes per query from
+    parameters of ``itemsize`` bytes (4, float32, by default): its score rows
+    work in the parameters' dtype. Evaluation sizes its batches from it. ``scoring_order(targets)``
     is the order in which normalised scoring hands it queries. Targets are
     prediction targets, never ``<s>``. The base class has no score rows, no
     structure section and no order.
@@ -371,11 +371,36 @@ class StandardLayer(OutputLayer):
         return [("R", self.support)]
 
 
+class _WordTerms(NamedTuple):
+    """One batch's within-class softmaxes, as ``ClassLayer._word_terms`` lays
+    them out: ``rows`` are the batch rows scored, grouped by class, ``logp``
+    their float64 log-probs and ``P`` their projections. ``flat`` holds
+    each row's ``exp(score - max)`` over its ``sizes`` class members, ``sums``
+    each row's sum of them and ``at`` its target's index in ``flat``. A run
+    ``(class, a, z, X)`` covers ``rows[a:z]``; X is its (z - a, size) view
+    of ``flat``."""
+
+    rows: np.ndarray
+    logp: np.ndarray
+    runs: list
+    P: np.ndarray
+    flat: np.ndarray
+    sums: np.ndarray
+    sizes: np.ndarray
+    at: np.ndarray
+
+
 class ClassLayer(OutputLayer):
     """P(class | h) over the K class rows of S, times a softmax over the
     target's class members. A class holding only ``<s>`` gets no mass.
     ``members_eff`` are each class's members but ``<s>``, ``class_sizes``
-    their counts."""
+    their counts.
+
+    A batch's word terms take one GEMM per distinct target class, written
+    into one flat buffer, and one segmented log-sum-exp over that buffer
+    (see ``_word_terms``); ``distribution`` keeps the per-class form as the
+    reference. ``ml_rows`` also lists the classes of one word, which
+    ``backward`` skips."""
 
     def __init__(self, config: ModelConfig):
         super().__init__(config)
@@ -397,8 +422,11 @@ class ClassLayer(OutputLayer):
         self.pos_in_class = np.full(V, -1, dtype=np.int64)
         self.pos_in_class[order] = np.arange(len(order)) - starts[cls]
 
-    def row_bytes(self, itemsize=4) -> int:  # class scores, then the largest class's
-        return itemsize * (self.rows + int(self.class_sizes.max()))
+    def row_bytes(self, itemsize=4) -> int:
+        """Class scores, a share of the flat word buffer of at most the
+        largest class, and the row max and picked score. The gathered
+        projection row is the (D,) row that ``_batch_width`` adds."""
+        return itemsize * (self.rows + int(self.class_sizes.max()) + 2)
 
     def start_values(self, probs):
         if probs is None:
@@ -407,7 +435,7 @@ class ClassLayer(OutputLayer):
                                       for m in self.members_eff]))
 
     def scoring_order(self, targets):
-        """Target-class order, stable: ``log_probs`` runs one word block per
+        """Target-class order, stable: ``log_probs`` runs one GEMM per
         distinct target class in a batch, so sorted batches run fewer."""
         return np.argsort(self.class_of[targets], kind="stable")
 
@@ -427,15 +455,43 @@ class ClassLayer(OutputLayer):
         psi[:, ~self.class_valid] = -np.inf
         return psi
 
-    def _word_blocks(self, params, P, targets):
-        """(batch rows, members, member scores in the parameters' dtype,
-        target positions) per target class."""
+    def _word_terms(self, params, P, targets) -> "_WordTerms":
+        """Every query's within-class softmax in one flat pass, in the
+        parameters' dtype; ``log_probs`` and ``backward`` share it.
+
+        One stable argsort groups the queries by target class. Queries whose
+        class has one effective member are left out: their word term is
+        exactly 0. Each run of ``m`` queries on a class of ``k`` members
+        fills an (m, k) block of one flat buffer: one GEMM, the bias, the
+        target's raw score, then the row max subtracted in place. One ``exp``
+        and one ``np.add.reduceat`` over the row starts then normalise every
+        row, and a log-prob is ``picked - (max + log sum)``, in
+        :func:`_lse_rows`' order of operations.
+        """
         cls = self.class_of[targets]
-        for c in np.unique(cls):
-            idx = np.flatnonzero(cls == c)
+        rows = np.argsort(cls, kind="stable")
+        rows = rows[self.class_sizes[cls[rows]] > 1]
+        cls, Pr = cls[rows], P[rows]
+        sizes = self.class_sizes[cls]
+        starts = sizes.cumsum() - sizes
+        at = starts + self.pos_in_class[targets[rows]]
+        flat = np.empty(int(sizes.sum()), dtype=params.dtype)
+        picked, shift = np.empty((2, len(rows)), dtype=params.dtype)
+        edges = np.flatnonzero(np.diff(cls, prepend=-1, append=-1)).tolist()
+        runs = []
+        for a, z in zip(edges[:-1], edges[1:]):
+            c, lo = int(cls[a]), int(starts[a])
             mem = self.members_eff[c]
-            yield (idx, mem, _block(P[idx], params.R[mem], params.b[mem]),
-                   self.pos_in_class[targets[idx]])
+            X = flat[lo:lo + (z - a) * int(sizes[a])].reshape(z - a, -1)
+            np.matmul(Pr[a:z], params.R[mem].T, out=X)
+            X += params.b[mem]
+            np.take(flat, at[a:z], out=picked[a:z])
+            np.max(X, axis=1, out=shift[a:z])
+            X -= shift[a:z, None]
+            runs.append((c, a, z, X))
+        sums = np.add.reduceat(np.exp(flat, out=flat), starts)
+        logp = picked - (shift + np.log(sums, dtype=np.float64))
+        return _WordTerms(rows, logp, runs, Pr, flat, sums, sizes, at)
 
     def log_probs(self, params, P, targets, macs=None):
         out = np.zeros(len(P))
@@ -444,9 +500,9 @@ class ClassLayer(OutputLayer):
             count_output(macs, psi.size, self.dim)
             picked = psi[np.arange(len(P)), self.class_of[targets]]
             out = picked - _lse_rows(psi, overwrite=True)
-        for idx, _, word, pos in self._word_blocks(params, P, targets):
-            count_output(macs, word.size, self.dim)
-            out[idx] += word[np.arange(len(idx)), pos] - _lse_rows(word, overwrite=True)
+        word = self._word_terms(params, P, targets)
+        count_output(macs, word.flat.size, self.dim)
+        out[word.rows] += word.logp
         return out
 
     def backward(self, params, P, targets, macs=None):
@@ -456,16 +512,23 @@ class ClassLayer(OutputLayer):
                 params, P, self._class_scores(params, P).astype(np.float64), params.S,
                 np.arange(self.rows), self.class_of[targets], macs)
             grads["S"] = RowGrad(*S)
+        word = self._word_terms(params, P, targets)
+        count_output(macs, word.flat.size, self.dim, train=True)
+        if not word.runs:
+            return loglik, gP, grads
+        d = word.flat  # the softmax deltas in place: one-hot target less the probabilities
+        d /= np.repeat(word.sums, word.sizes)
+        np.negative(d, out=d)
+        d[word.at] += 1
+        gw = np.empty_like(word.P)
         parts = []
-        for idx, mem, word, pos in self._word_blocks(params, P, targets):
-            ll, part, g = _softmax_backward(params, P[idx], word.astype(np.float64),
-                                            params.R, mem, pos, macs)
-            loglik += ll
-            parts.append(part)
-            gP[idx] += g
+        for c, a, z, X in word.runs:  # each X is now its run's block of deltas
+            parts.append((self.members_eff[c], X.T @ word.P[a:z], X.sum(axis=0)))
+            np.matmul(X, params.R[self.members_eff[c]], out=gw[a:z])
+        gP[word.rows] += gw
         # the classes are disjoint, so their rows are unique
         grads["R"] = RowGrad(*(np.concatenate(x) for x in zip(*parts)))
-        return loglik, gP, grads
+        return loglik + float(word.logp.sum()), gP, grads
 
     def distribution(self, params, P, macs=None):
         psi = self._class_scores(params, P).astype(np.float64)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, Vocabulary, read_lines, token_ids
+from .corpus import Vocabulary, instance_arrays, read_lines
 from .errors import DataError
 
 # Deepest tree accepted. huffman_tree lifts zero counts to 1, so by the
@@ -146,15 +146,10 @@ def _xlogx(x) -> np.ndarray:
 
 def _word_bigrams(sentences, vocab: Vocabulary):
     """Distinct word bigrams (left ids, right ids, counts) of the sentence
-    streams framed ``<s> w1..wL </s>``."""
-    left, right = [], []
-    for sent in sentences:
-        ids = [BOS_ID, *token_ids(sent, vocab), EOS_ID]
-        left += ids[:-1]
-        right += ids[1:]
+    streams framed ``<s> w1..wL </s>``: the order-2 instances."""
+    left, right = instance_arrays(sentences, vocab, 2)
     V = len(vocab)
-    pairs, count = np.unique(np.array(left, dtype=np.int64) * V
-                             + np.array(right, dtype=np.int64), return_counts=True)
+    pairs, count = np.unique(left[:, 0].astype(np.int64) * V + right, return_counts=True)
     return pairs // V, pairs % V, count.astype(np.float64)
 
 

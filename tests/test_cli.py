@@ -148,6 +148,17 @@ class TestClassesCommand:
         assert code == 2
         assert "brown clustering needs --corpus" in stderr
 
+    def test_brown_on_a_corpus_of_blank_lines_exits_2(self, tmp_path, capsys, corpus):
+        train, _ = corpus
+        vocab_path, blank = tmp_path / "vocab.tsv", tmp_path / "blank.txt"
+        run(capsys, "vocab", train, "-o", vocab_path)
+        blank.write_text("\n  \n")
+        code, _, stderr = run(capsys, "classes", "--vocab", vocab_path, "--method", "brown",
+                              "--corpus", blank, "-o", tmp_path / "x")
+        assert code == 2
+        assert "empty corpus" in stderr and "Traceback" not in stderr
+        assert not (tmp_path / "x").exists()
+
     def test_brown(self, tmp_path, capsys, corpus):
         train, _ = corpus
         vocab_path = tmp_path / "vocab.tsv"

@@ -329,7 +329,8 @@ class TestBatchWidth:
         assert std.row_bytes() == 4 * len(vocab)  # one float32 score row
         assert std.row_bytes(8) == 8 * len(vocab)
         cls = make_config(vocab, REGIME_CLASS, dim=D, num_classes=3).layout()
-        assert cls.row_bytes() == 4 * (3 + max(len(m) for m in cls.members_eff))
+        # class scores, the largest class's share of the word buffer, max and picked
+        assert cls.row_bytes() == 4 * (3 + max(len(m) for m in cls.members_eff) + 2)
         tree_cfg = make_config(vocab, REGIME_TREE, dim=D)
         assert tree_cfg.layout().row_bytes() == 8 * tree_cfg.tree.max_depth * D
 

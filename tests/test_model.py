@@ -243,6 +243,63 @@ class TestClassFactoredRegime:
                 pos[m] = np.arange(len(m))
             np.testing.assert_array_equal(layer.pos_in_class, pos)
 
+    @staticmethod
+    def random_classing(rng, V):
+        """Class 0 holds only <s>, classes 1 and 2 one word each, and every
+        other word falls in one of classes 3..K-1, each used."""
+        K = int(rng.integers(4, V))
+        rest = np.flatnonzero(np.arange(V) != BOS_ID)
+        rng.shuffle(rest)
+        class_of = np.zeros(V, dtype=np.int64)
+        class_of[rest[:2]] = [1, 2]
+        dealt = np.concatenate([np.arange(3, K), rng.integers(3, K, len(rest) - K + 1)])
+        class_of[rest[2:]] = dealt
+        return class_of
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_log_probs_match_the_per_class_distribution(self, dtype, tol):
+        """The flat word pass against ``distribution``'s per-class softmaxes,
+        in unsorted batches and batches of one, with single-member classes
+        and an <s>-only class."""
+        rng = np.random.default_rng(25)
+        for trial in range(24):
+            V = int(rng.integers(8, 70))
+            vocab = make_vocab([f"w{i}" for i in range(V - 3)])
+            class_of = self.random_classing(rng, V)
+            params = make_params(vocab, REGIME_CLASS, dim=6, seed=26 + trial,
+                                 dtype=dtype, class_of=class_of)
+            layer = params.config.layout()
+            assert 1 in layer.class_sizes and 0 in layer.class_sizes
+            m = 1 if trial % 4 == 0 else int(rng.integers(2, 40))
+            contexts = rng.integers(0, V, size=(m, 2))
+            targets = rng.choice(layer.support, size=m)
+            P, _ = project_batch(params, contexts)
+            want = np.log(layer.distribution(params, P)[np.arange(m), targets])
+            got = layer.log_probs(params, P, targets)
+            assert got.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    def test_backward_reads_only_classes_of_several_words(self):
+        """``backward`` gives R rows for the members of the target classes
+        that hold more than one word, and the log-likelihood that
+        ``log_probs`` sums to."""
+        rng = np.random.default_rng(27)
+        vocab = make_vocab([f"w{i}" for i in range(30)])
+        class_of = self.random_classing(rng, len(vocab))
+        params = make_params(vocab, REGIME_CLASS, dim=6, seed=28, class_of=class_of)
+        layer = params.config.layout()
+        contexts = rng.integers(0, len(vocab), size=(25, 2))
+        targets = rng.choice(layer.support, size=25)
+        targets[:2] = np.flatnonzero(np.isin(class_of, [1, 2]))
+        P, _ = project_batch(params, contexts)
+        loglik, gP, grads = layer.backward(params, P, targets)
+        classes = [c for c in np.unique(class_of[targets]) if layer.class_sizes[c] > 1]
+        want = np.concatenate([layer.members_eff[c] for c in classes])
+        assert sorted(grads["R"].rows.tolist()) == sorted(want.tolist())
+        assert gP.shape == P.shape
+        np.testing.assert_allclose(loglik, layer.log_probs(params, P, targets).sum(),
+                                   rtol=1e-12)
+
 
 class TestTreeFactoredRegime:
     def test_two_leaf_closed_form(self):
