@@ -242,6 +242,7 @@ def cmd_ppl(args) -> int:
     print(f"perplexity\t{report.perplexity:.4f}")
     print(f"queries_per_sec\t{report.queries_per_second:.0f}")
     print(f"macs_per_query\t{report.macs_per_query:.0f}")
+    print(f"ns_per_mac\t{1e9 / (report.queries_per_second * report.macs_per_query):.4f}")
     print(f"load_seconds\t{load_seconds:.6f}")
     return 0
 

@@ -550,9 +550,13 @@ class ClassLayer(OutputLayer):
 
 class TreeLayer(OutputLayer):
     """Two-way softmaxes, node against sibling, down the word's tree path;
-    S holds one row per node but the root. With the tree's padded path
-    arrays a batch is a gather and an einsum per side, with no loop over
-    target words; padding is masked out of every sum and MAC tally."""
+    S holds one row per node but the root. With padded path arrays a batch
+    is a gather and an einsum per side, with no loop over target words;
+    padding is masked out of every sum and MAC tally. ``log_probs`` builds
+    its batch's paths with ``VocabularyTree.path_arrays``, so scoring costs
+    nothing per vocabulary word; a training step reads its targets' paths
+    twice, in ``ml_rows`` and ``backward``, and indexes the tree's whole-
+    vocabulary ``paths`` table instead, as ``distribution`` does."""
 
     def __init__(self, config: ModelConfig):
         super().__init__(config)
@@ -564,8 +568,11 @@ class TreeLayer(OutputLayer):
         self.tree = tree
         self.rows = tree.num_nodes - 1  # every node but the root
 
-    def row_bytes(self, itemsize=4) -> int:  # the node and sibling row gathers
-        return 2 * itemsize * self.tree.max_depth * self.dim
+    def row_bytes(self, itemsize=4) -> int:
+        """One side's gathered S rows (the node gather is freed before the
+        sibling one is made) plus 48 bytes per path entry: the path arrays,
+        the float64 node and sibling scores and their log-sum-exp."""
+        return self.tree.max_depth * (itemsize * self.dim + 48)
 
     def start_values(self, probs):
         """Log prior mass under each node; uniform over the leaves when probs is None."""
@@ -594,21 +601,23 @@ class TreeLayer(OutputLayer):
             raise ModelFormatError("tree leaf word out of range")
         return {"tree": VocabularyTree(*(nodes[:, i].copy() for i in range(4)))}
 
-    def _forward(self, params, P, targets):
-        """Path node and sibling ids (m, max_depth), the padding mask, and the
-        float64 node and sibling scores, gathering one side's S rows at a time."""
-        nodes, sibs, mask = (a[targets] for a in self.tree.paths)
+    def _forward(self, params, P, paths):
+        """Given the targets' (m, max_depth) path node and sibling ids and
+        padding mask, returns them and the float64 node and sibling scores,
+        gathering one side's S rows at a time."""
+        nodes, sibs, mask = paths
         on, off = ((np.einsum("mkd,md->mk", params.S[ids], P) + params.t[ids])
                    .astype(np.float64) for ids in (nodes, sibs))
         return nodes, sibs, mask, on, off
 
     def log_probs(self, params, P, targets, macs=None):
-        _, _, mask, on, off = self._forward(params, P, targets)
+        _, _, mask, on, off = self._forward(params, P, self.tree.path_arrays(targets))
         count_output(macs, 2 * int(mask.sum()), self.dim)
         return np.where(mask, on - np.logaddexp(on, off), 0.0).sum(axis=1)
 
     def backward(self, params, P, targets, macs=None):
-        nodes, sibs, mask, on, off = self._forward(params, P, targets)
+        nodes, sibs, mask, on, off = self._forward(params, P,
+                                                   (a[targets] for a in self.tree.paths))
         count_output(macs, 2 * int(mask.sum()), self.dim, train=True)
         lz = np.logaddexp(on, off)
         p_off = np.where(mask, np.exp(off - lz), 0.0)  # d loglik / d node score

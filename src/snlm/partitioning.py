@@ -338,6 +338,10 @@ class VocabularyTree:
     Leaves are nodes 0..L-1 (ascending word id), internal nodes follow in
     creation order, and the root is always the last node id. Every internal
     node has exactly two children.
+
+    Word paths are built by :meth:`path_arrays` for the word ids asked for,
+    from a leaf-of-word map and the parent links; :attr:`paths` is that over
+    every word id, built on first use and kept.
     """
 
     parent: np.ndarray   # (num_nodes,), -1 for the root
@@ -352,6 +356,13 @@ class VocabularyTree:
         self.leaf_word = np.asarray(self.leaf_word, dtype=np.int32)
         self.validate()
         self.node_depth = self._node_depth()
+        leaves = np.flatnonzero(self.leaf_word >= 0)
+        self.leaf_of = np.full(self.leaf_word.max() + 1, -1, dtype=np.int32)
+        self.leaf_of[self.leaf_word[leaves]] = leaves  # word id -> leaf, -1 for none
+        inner = np.flatnonzero(self.leaf_word < 0)
+        self.sibling = np.zeros(self.num_nodes, dtype=np.int32)  # the root's reads 0
+        self.sibling[self.left[inner]] = self.right[inner]
+        self.sibling[self.right[inner]] = self.left[inner]
 
     @property
     def num_nodes(self) -> int:
@@ -401,7 +412,8 @@ class VocabularyTree:
         """Depth of every node, found one level at a time from the root.
 
         A tree deeper than ``MAX_TREE_DEPTH`` is rejected as soon as the walk
-        passes that level: its padded paths would take words x depth entries.
+        passes that level: every padded path row, in a scoring batch's arrays
+        and in the ``paths`` table, takes max_depth entries.
         """
         depth = np.full(self.num_nodes, -1, dtype=np.int64)
         level, d = np.array([self.root]), 0
@@ -417,32 +429,41 @@ class VocabularyTree:
             raise DataError("tree has nodes the root does not reach")
         return depth
 
+    def path_arrays(self, words):
+        """Padded (len(words), max_depth) arrays (nodes, siblings, mask) for
+        the given word ids. Row i holds words[i]'s path from just below the
+        root down to its leaf, left-aligned; padding is node 0 under a False
+        mask (its siblings read ``sibling[0]``), and an id that labels no leaf
+        gets an all-False row. Each node is written where its depth puts it,
+        walking every path up its parent links at once."""
+        leaf = self.leaf_of[words]
+        depth = np.where(leaf >= 0, self.node_depth[leaf], 0)
+        width = self.max_depth
+        nodes = np.zeros((len(leaf), width), dtype=np.int32)
+        rows = np.flatnonzero(depth)
+        cur, at = leaf[rows], rows * width + depth[rows] - 1  # flat position of each leaf
+        flat = nodes.reshape(-1)
+        while len(cur):
+            flat[at] = cur
+            cur = self.parent[cur]
+            below = cur != self.root
+            cur, at = cur[below], at[below] - 1
+        return nodes, self.sibling[nodes], np.arange(width) < depth[:, None]
+
     @functools.cached_property
     def paths(self):
-        """Padded (word id, max_depth) arrays (nodes, siblings, mask), built
-        on first use one level at a time from the leaves up. Row w holds word
-        w's path from just below the root down to its leaf; padding is node 0
-        under a False mask, and ids that label no leaf get an all-False row."""
-        cur = np.flatnonzero(self.leaf_word >= 0)
-        words, pos = self.leaf_word[cur], self.node_depth[cur] - 1
-        nodes = np.zeros((words.max() + 1, self.max_depth), dtype=np.int32)
-        mask = np.zeros(nodes.shape, dtype=bool)
-        while len(cur):
-            nodes[words, pos] = cur
-            mask[words, pos] = True
-            up = pos > 0
-            cur, words, pos = self.parent[cur[up]], words[up], pos[up] - 1
-        inner = np.flatnonzero(self.leaf_word < 0)
-        sibling = np.zeros(self.num_nodes, dtype=np.int32)
-        sibling[self.left[inner]], sibling[self.right[inner]] = self.right[inner], self.left[inner]
-        return nodes, sibling[nodes], mask
+        """:meth:`path_arrays` over every word id up to the largest leaf
+        word, built on first use and kept: row w is word w's path."""
+        return self.path_arrays(np.arange(len(self.leaf_of)))
 
     @property
     def max_depth(self) -> int:
         return int(self.node_depth.max())
 
     def depth(self, word: int) -> int:
-        return int(self.paths[2][word].sum())
+        """Edges from the root to word's leaf; 0 for an id that labels none."""
+        leaf = self.leaf_of[word]
+        return int(self.node_depth[leaf]) if leaf >= 0 else 0
 
     def save(self, path, vocab: Vocabulary) -> None:
         """Preorder, one node per line: ``node_id parent_id [leaf:token]``."""

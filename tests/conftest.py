@@ -213,3 +213,29 @@ def caterpillar(words):
         left[node], right[node] = below, i + 1
         parent[[below, i + 1]] = node
     return parent, left, right, leaf_word
+
+
+def assert_paths_walk_up(tree, words):
+    """``tree.path_arrays(words)`` against each word's path found by
+    walking from its leaf up the parent links, one word at a time: the
+    nodes below the root, root side first and left-aligned, each node's
+    sibling, and padding of node 0 (with node 0's sibling) under a False
+    mask; a word that labels no leaf gets only padding."""
+    nodes, sibs, mask = tree.path_arrays(np.asarray(words))
+    assert nodes.shape == sibs.shape == mask.shape == (len(words), tree.max_depth)
+    assert (nodes.dtype, sibs.dtype, mask.dtype) == (np.int32, np.int32, bool)
+
+    def sibling(node):
+        up = tree.parent[node]
+        return int(tree.left[up]) + int(tree.right[up]) - node
+
+    for row, word in enumerate(words):
+        leaf = np.flatnonzero(tree.leaf_word == word)
+        path, node = [], int(leaf[0]) if len(leaf) else tree.root
+        while node != tree.root:
+            path.insert(0, node)
+            node = int(tree.parent[node])
+        pad = tree.max_depth - len(path)
+        assert nodes[row].tolist() == path + [0] * pad
+        assert sibs[row].tolist() == [sibling(n) for n in path] + [sibling(0)] * pad
+        assert mask[row].tolist() == [True] * len(path) + [False] * pad

@@ -276,11 +276,13 @@ class TestTrainAndEvaluate:
         lines = stdout.splitlines()
         assert [line.split("\t")[0] for line in lines] == [
             "tokens", "oov", "log_prob", "perplexity", "queries_per_sec",
-            "macs_per_query", "load_seconds"]
+            "macs_per_query", "ns_per_mac", "load_seconds"]
         params, vocab = load_model(model)
         want = perplexity(params, list(read_sentences(heldout)), vocab)
         assert lines[2:4] == [f"log_prob\t{want.total_log_prob:.4f}",
                               f"perplexity\t{want.perplexity:.4f}"]
+        qps, macs, ns = (float(line.split("\t")[1]) for line in lines[4:7])
+        assert ns == pytest.approx(1e9 / (qps * macs), rel=0.01)
         assert 0 <= float(lines[-1].split("\t")[1]) < 60
 
     def test_same_seed_reproduces_the_model_file(self, tmp_path, capsys, corpus):
@@ -409,7 +411,7 @@ class TestLiteralSentenceEnd:
             fields = dict(line.split("\t") for line in ppl.strip().splitlines())
             assert math.isfinite(float(fields["perplexity"]))
             assert int(fields["oov"]) >= 1
-            del fields["queries_per_sec"], fields["load_seconds"]  # timings
+            del fields["queries_per_sec"], fields["ns_per_mac"], fields["load_seconds"]  # timings
             nbest = tmp_path / f"hyps-{len(outputs)}.nbest"
             nbest.write_text(f"0 ||| cat {marker} runs ||| 0\n1 ||| {marker}\n")
             code, scored, stderr = run(capsys, "score", model, nbest)

@@ -29,9 +29,11 @@ from snlm.model import (
     full_distribution,
     log_prob,
     log_probs_batch,
+    project_batch,
     unnormalised_log_score,
     unnormalised_scores_batch,
 )
+from snlm.modelfile import load_model, save_model
 from snlm.partitioning import WordClassing, frequency_binning
 
 
@@ -332,13 +334,15 @@ class TestBatchWidth:
         # class scores, the largest class's share of the word buffer, max and picked
         assert cls.row_bytes() == 4 * (3 + max(len(m) for m in cls.members_eff) + 2)
         tree_cfg = make_config(vocab, REGIME_TREE, dim=D)
-        assert tree_cfg.layout().row_bytes() == 8 * tree_cfg.tree.max_depth * D
+        # one side's float32 S rows and 48 bytes of path arrays and scores per level
+        assert tree_cfg.layout().row_bytes() == tree_cfg.tree.max_depth * (4 * D + 48)
 
-    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS])
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
     def test_one_batch_holds_what_its_width_was_sized_for(self, regime):
         """One float32 batch at the width ``_batch_width`` gives peaks within
         the budget. Classes are binned by frequency as ``snlm train`` does,
-        and every class query targets the largest class, its dearest case."""
+        and every class query targets the largest class, its dearest case;
+        a tree query's arrays are max_depth wide whatever its target."""
         words = [f"w{i}" for i in range(12_000)]
         vocab = make_vocab(words, counts=[len(words) // (i + 1) + 1
                                           for i in range(len(words))])
@@ -537,6 +541,29 @@ class TestSentenceBatches:
         macs = MacCounter()
         score_sentence(params, sentence, vocab, macs=macs)
         assert macs.output == sum(2 * tree.depth(t) * D for t in targets)
+
+    def test_tree_scoring_builds_only_its_batch_paths(self, tmp_path):
+        """Perplexity on a freshly loaded tree model builds its batches' paths
+        and never the whole-vocabulary table, and its scores are bitwise the
+        scores computed from that table."""
+        vocab = make_vocab([f"w{i}" for i in range(40)], counts=list(range(80, 0, -2)))
+        params = make_params(vocab, REGIME_TREE, order=3, dim=6, seed=177, dtype=np.float32)
+        save_model(tmp_path / "tree.bin", params, vocab)
+        loaded, vocab = load_model(tmp_path / "tree.bin")
+        rng = np.random.default_rng(178)
+        sentences = [[f"w{i}" for i in rng.integers(0, 40, size=rng.integers(1, 15))]
+                     for _ in range(30)]
+        report = perplexity(loaded, sentences, vocab)
+        tree, layer = loaded.config.tree, loaded.config.layout()
+        assert "paths" not in tree.__dict__
+        contexts, targets = instance_arrays(sentences, vocab, 3)
+        assert evaluation._batch_width(loaded) > len(targets)  # one batch
+        P = project_batch(loaded, contexts)[0]
+        table = (a[targets] for a in tree.paths)
+        _, _, mask, on, off = layer._forward(loaded, P, table)
+        want = np.where(mask, on - np.logaddexp(on, off), 0.0).sum(axis=1)
+        np.testing.assert_array_equal(score_instances(loaded, contexts, targets), want)
+        assert report.total_log_prob == math.fsum(want.tolist())
 
 
 class TestQueryBenchmark:

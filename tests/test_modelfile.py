@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import caterpillar, make_params, make_vocab
+from conftest import assert_paths_walk_up, caterpillar, make_params, make_vocab
 from snlm.cli import main
 from snlm.corpus import Vocabulary, instance_arrays
 from snlm.errors import ModelFormatError, SnlmError
@@ -99,6 +99,7 @@ class TestRoundTrip:
         for field in ("parent", "left", "right", "leaf_word"):
             np.testing.assert_array_equal(getattr(loaded.config.tree, field),
                                           getattr(params.config.tree, field))
+        assert_paths_walk_up(loaded.config.tree, range(len(vocab)))
 
     def test_full_transforms_survive(self, tmp_path):
         vocab = make_vocab(list("ab"))

@@ -22,7 +22,7 @@ from snlm.partitioning import (
 )
 from snlm.synthetic import markov_corpus, template_corpus
 
-from conftest import caterpillar, min_wpl
+from conftest import assert_paths_walk_up, caterpillar, make_vocab, min_wpl
 
 
 class TestWordClassing:
@@ -373,6 +373,33 @@ class TestVocabularyTree:
             assert {int(tree.left[par]), int(tree.right[par])} == {int(node), int(sib)}
         assert tree.leaf_word[nodes[-1]] == 3
 
+    def test_path_arrays_walk_up_the_parent_links(self):
+        rng = np.random.default_rng(176)
+        for size in (2, 3, 17, 200):
+            ids = rng.choice(3 * size, size=size, replace=False)
+            counts = rng.integers(0, 50, size=size) ** 2  # ties and zero counts
+            tree = huffman_tree(dict(zip(ids.tolist(), counts.tolist())))
+            every = np.arange(ids.max() + 1)  # ids that label no leaf among them
+            assert_paths_walk_up(tree, every)
+            assert_paths_walk_up(tree, rng.permutation(np.concatenate([every, every[::3]])))
+            for got, want in zip(tree.paths, tree.path_arrays(every)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_path_arrays_of_one_word_and_of_bos(self):
+        vocab = make_vocab(list("abcdefg"), counts=[13, 8, 5, 3, 2, 1, 1])
+        tree = huffman_tree({w: max(int(vocab.counts[w]), 1) for w in range(len(vocab))
+                             if w != BOS_ID})
+        for word in range(len(vocab)):
+            assert_paths_walk_up(tree, [word])
+        nodes, sibs, mask = tree.path_arrays(np.array([BOS_ID]))
+        assert not mask.any() and tree.depth(BOS_ID) == 0
+        assert (nodes == 0).all() and (sibs == tree.sibling[0]).all()
+
+    def test_depth_reads_the_leaf_depth(self):
+        tree = VocabularyTree(*caterpillar([5, 2, 7, 3]))
+        assert [tree.depth(w) for w in range(8)] == [0, 0, 3, 1, 0, 3, 0, 2]
+        assert "paths" not in tree.__dict__
+
     def test_save_load_round_trip(self, tmp_path):
         sentences = [["a", "b", "a", "c", "d", "a", "b"]]
         vocab = build_vocabulary(sentences)
@@ -386,6 +413,7 @@ class TestVocabularyTree:
         np.testing.assert_array_equal(again.left, tree.left)
         np.testing.assert_array_equal(again.right, tree.right)
         np.testing.assert_array_equal(again.leaf_word, tree.leaf_word)
+        assert_paths_walk_up(again, range(len(vocab)))
 
     def test_depth_is_bounded(self):
         deepest = VocabularyTree(*caterpillar(range(MAX_TREE_DEPTH + 1)))
