@@ -37,6 +37,13 @@ REGIME_CLASS = "class_factored"
 REGIME_TREE = "tree_factored"
 
 _PROB_FLOOR = 1e-10  # keeps log-space initializers finite
+# Bytes of R that one standard-softmax score block covers: 6,144 words at
+# D 100, float32. A batch at its scoring width then holds about 8 MiB of
+# scores per block, and R is read once per batch of about 330 queries.
+_STANDARD_BLOCK_BYTES = 2400 << 10
+# Bytes of one row slab of a score block, normalised pass after pass while
+# it stays in a 2 MiB per-core L2 cache.
+_SLAB_BYTES = 512 << 10
 
 
 @dataclass
@@ -341,17 +348,52 @@ class OutputLayer:
 
 
 class StandardLayer(OutputLayer):
-    """Softmax over the whole support."""
+    """Softmax over the whole support.
+
+    ``log_probs`` scores a batch in column blocks of R of at most
+    ``_STANDARD_BLOCK_BYTES``, one GEMM per block into one reused
+    (m, block) buffer, and normalises each block in row slabs of about
+    ``_SLAB_BYTES``, small enough to stay in a 2 MiB L2 cache across the
+    bias, max, shift, ``exp`` and row-sum passes. The blocks' maxima and
+    sums are combined in float64 by the online rule ``M' = max(M, m_j)``,
+    ``S' = S e^(M - M') + s_j e^(m_j - M')`` (Milakov & Gimelshein 2018).
+    ``distribution`` keeps the one-pass float64 form as the reference.
+    """
+
+    def block_words(self, itemsize=4) -> int:
+        """Columns per score block: at least 2, so a block is never <s> alone."""
+        return max(2, min(self.vocab_size, _STANDARD_BLOCK_BYTES // (itemsize * self.dim)))
 
     def row_bytes(self, itemsize=4) -> int:
-        return itemsize * self.vocab_size  # one score row, <s> included
+        return itemsize * self.block_words(itemsize)  # one block's score row
 
     def log_probs(self, params, P, targets, macs=None):
-        scores = _block(P, params.R, params.b)  # all of R: no per-batch gather
-        scores[:, BOS_ID] = -np.inf
-        count_output(macs, len(P) * len(self.support), self.dim)
-        picked = scores[np.arange(len(P)), targets]
-        return picked - _lse_rows(scores, overwrite=True)
+        m, V = len(P), self.vocab_size
+        width = self.block_words(params.dtype.itemsize)
+        slab = max(1, _SLAB_BYTES // (params.dtype.itemsize * width))
+        buf = np.empty(m * width, dtype=params.dtype)
+        ones = np.ones(width, dtype=params.dtype)
+        bias = params.b.copy()
+        bias[BOS_ID] = -np.inf
+        block_max, block_sum = np.empty((2, m), dtype=params.dtype)
+        M, S = np.full(m, -np.inf), np.zeros(m)
+        for lo in range(0, V, width):
+            w = min(width, V - lo)
+            X = buf[:m * w].reshape(m, w)
+            np.matmul(P, params.R[lo:lo + w].T, out=X)
+            for a in range(0, m, slab):
+                Xs = X[a:a + slab]
+                Xs += bias[lo:lo + w]
+                Xs -= Xs.max(axis=1, out=block_max[a:a + slab])[:, None]
+                np.exp(Xs, out=Xs)
+                np.matmul(Xs, ones[:w], out=block_sum[a:a + slab])
+            top = np.maximum(M, block_max)
+            S = S * np.exp(M - top) + block_sum * np.exp(block_max - top)
+            M = top
+        count_output(macs, m * len(self.support), self.dim)
+        picked = (np.einsum("md,md->m", P, params.R[targets]).astype(np.float64)
+                  + params.b[targets])
+        return picked - (M + np.log(S))
 
     def backward(self, params, P, targets, macs=None):
         sup = self.support
@@ -412,7 +454,7 @@ class ClassLayer(OutputLayer):
         self.class_of = classing.class_of
         self.rows = classing.num_classes
         V = config.vocab_size
-        order = np.argsort(self.class_of * np.int64(V) + np.arange(V))  # by class, then id
+        order = np.argsort(self.class_of, kind="stable")  # by class, then id
         order = order[order != BOS_ID]
         cls = self.class_of[order]
         starts = np.searchsorted(cls, np.arange(self.rows + 1))

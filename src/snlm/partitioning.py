@@ -17,7 +17,6 @@ added.
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,13 +108,15 @@ def frequency_binning(unigram, num_classes: int) -> WordClassing:
 
     Parameters
     ----------
-    unigram : non-negative weight vector
+    unigram : finite non-negative weight vector
     num_classes : number of bins K
     """
     probs = np.asarray(unigram, dtype=np.float64)
     n = len(probs)
     if not 1 <= num_classes <= n:
         raise DataError("need 1 <= num_classes <= vocabulary size")
+    if not np.isfinite(probs).all():
+        raise DataError("non-finite weight")
     if (probs < 0).any():
         raise DataError("negative weight")
     total = probs.sum()
@@ -535,11 +536,17 @@ def huffman_tree(counts) -> VocabularyTree:
 
     Parameters
     ----------
-    counts : mapping word id -> count. Zero counts are lifted to 1 so every
-        word keeps a leaf. Ties are broken by node creation order (leaves in
-        ascending word-id order first), and the first node popped from the
-        heap becomes the left child, so the tree is a pure function of the
-        input.
+    counts : mapping word id -> non-negative count. Zero counts are lifted
+        to 1 so every word keeps a leaf. Leaves are nodes 0..L-1 in
+        ascending word-id order, merged nodes follow in creation order, and
+        each merge takes the two lightest nodes, ties to the lower node id,
+        the first taken becoming the left child; so the tree is a pure
+        function of the input.
+
+    Merged weights never decrease, so the nodes waiting to be merged are
+    two sorted queues: the leaves by (count, id) and a FIFO of merged
+    nodes. The next node is the lighter queue head, the leaf on a tie,
+    since every leaf id is below every merged one.
     """
     words = sorted(int(w) for w in counts)
     L = len(words)
@@ -547,23 +554,34 @@ def huffman_tree(counts) -> VocabularyTree:
         raise DataError("need at least 2 words for a tree")
     if len(set(words)) != L:
         raise DataError("duplicate word id")
+    raw = [int(counts[w]) for w in words]
+    negative = [w for w, c in zip(words, raw) if c < 0]
+    if negative:
+        raise DataError(f"negative count for word {negative[0]}")
 
     total = 2 * L - 1
     parent = np.full(total, -1, dtype=np.int32)
     left = np.full(total, -1, dtype=np.int32)
     right = np.full(total, -1, dtype=np.int32)
     leaf_word = np.full(total, -1, dtype=np.int32)
-
     leaf_word[:L] = words
-    heap = [(max(int(counts[w]), 1), i) for i, w in enumerate(words)]
-    heapq.heapify(heap)
 
-    nxt = L
-    while len(heap) > 1:
-        w1, n1 = heapq.heappop(heap)
-        w2, n2 = heapq.heappop(heap)
-        parent[[n1, n2]] = nxt
-        left[nxt], right[nxt] = n1, n2
-        heapq.heappush(heap, (w1 + w2, nxt))
-        nxt += 1
+    weight = [max(c, 1) for c in raw] + [0] * (L - 1)  # node id -> weight
+    leaves = sorted(range(L), key=weight.__getitem__)  # stable: ties by id
+    inf = float("inf")
+    leaf_weight = [weight[n] for n in leaves] + [inf]  # inf once no leaf is left
+    i, j = 0, L  # heads of the leaf queue and of the merged FIFO
+    kids = []  # each merged node's left and right child, flat
+    for nxt in range(L, total):
+        for _ in range(2):
+            if leaf_weight[i] <= (weight[j] if j < nxt else inf):
+                kids.append(leaves[i])
+                i += 1
+            else:
+                kids.append(j)
+                j += 1
+        weight[nxt] = weight[kids[-2]] + weight[kids[-1]]
+    kids = np.array(kids, dtype=np.int32).reshape(L - 1, 2)
+    left[L:], right[L:] = kids[:, 0], kids[:, 1]
+    parent[kids[:, 0]] = parent[kids[:, 1]] = np.arange(L, total, dtype=np.int32)
     return VocabularyTree(parent, left, right, leaf_word)

@@ -529,14 +529,19 @@ class _SparseSGD:
             self.last[name][:] = self.step
 
     def apply(self, grads: Gradients, scale: float) -> None:
-        """One step on the rows ``grads`` holds, which must be current."""
+        """One step on the rows ``grads`` holds, which must be current: each
+        table's rows are gathered once, updated in place and written back
+        once; ``grads`` is left as it was."""
         self.decay = 1.0 - scale * grads.l2
         self.step += 1
         for name, g in grads.tables():
             M, bias = self.tables[name]
-            M[g.rows] = M[g.rows] * self.decay + scale * g.values
-            if bias is not None:
-                bias[g.rows] = bias[g.rows] * self.decay + scale * g.bias
+            for table, grad in ((M, g.values), (bias, g.bias)):
+                if table is not None:
+                    rows = table[g.rows]
+                    rows *= self.decay
+                    rows += scale * grad
+                    table[g.rows] = rows
             self.last[name][g.rows] = self.step
         for Cj, gC in zip(self.params.C, grads.C):
             Cj[...] = Cj * self.decay + scale * gC

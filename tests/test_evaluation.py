@@ -364,6 +364,18 @@ class TestBatchWidth:
             tracemalloc.stop()
         assert 0.8 * evaluation._SCRATCH_BYTES < peak <= 1.1 * evaluation._SCRATCH_BYTES
 
+    def test_standard_width_counts_one_score_block(self):
+        """A standard query holds one block's score row, not the whole
+        vocabulary's: 330 rows a batch at order 5, D 100 and |V| 17,652,
+        where a whole row would give 117."""
+        vocab = make_vocab([f"w{i}" for i in range(17_649)])
+        params = make_params(vocab, REGIME_STANDARD, order=5, dim=100, seed=177,
+                             dtype=np.float32)
+        block = params.config.layout().block_words()
+        assert block < len(vocab)
+        assert evaluation._batch_width(params) == evaluation._SCRATCH_BYTES // (800 + 4 * block)
+        assert evaluation._batch_width(params) == 330
+
     def test_unnormalised_batches_are_wider_on_a_standard_model(self):
         vocab = make_vocab([f"w{i}" for i in range(400)])
         params = make_params(vocab, REGIME_STANDARD, dim=6, seed=173, dtype=np.float32)

@@ -12,6 +12,7 @@ from conftest import (
     relu_project,
     zero_params,
 )
+from snlm import model
 from snlm.corpus import BOS_ID, Vocabulary
 from snlm.errors import DataError
 from snlm.model import (
@@ -468,6 +469,81 @@ class TestBatchLogProbs:
         got = log_probs_batch(params, np.array([[3, 4]], dtype=np.int32),
                               np.array([BOS_ID], dtype=np.int32))
         assert got[0] == -math.inf
+
+
+class TestStandardBlocks:
+    """Standard scoring in column blocks of R, combined by the online
+    normaliser, against the one-pass float64 ``distribution``."""
+
+    @staticmethod
+    def blocked(monkeypatch, params, words):
+        """Make the layer score in blocks of ``words`` columns."""
+        itemsize = params.dtype.itemsize
+        monkeypatch.setattr(model, "_STANDARD_BLOCK_BYTES", words * itemsize * params.config.dim)
+        assert params.config.layout().block_words(itemsize) == words
+
+    @staticmethod
+    def check(params, contexts, targets, tol):
+        got = log_probs_batch(params, contexts, targets)
+        P, _ = project_batch(params, contexts)
+        dist = params.config.layout().distribution(params, P)
+        want = np.log(dist[np.arange(len(targets)), targets])
+        assert got.dtype == np.float64
+        assert np.abs(got - want).max() <= tol
+
+    @pytest.mark.parametrize("words", [2, 3, 7])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_few_word_blocks_match_the_distribution(self, monkeypatch, words, dtype, tol):
+        vocab = make_vocab([f"w{i}" for i in range(20)])
+        params = make_params(vocab, dim=6, seed=80, dtype=dtype)
+        self.blocked(monkeypatch, params, words)
+        ctx, tgt = TestBatchLogProbs.every_target(vocab, seed=80, reps=3)
+        self.check(params, ctx, tgt, tol)
+        for i in range(0, len(tgt), 5):  # batches of one
+            self.check(params, ctx[i:i + 1], tgt[i:i + 1], tol)
+
+    @pytest.mark.parametrize("first", [60.0, -60.0])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12),
+                                           (np.float32, 2 * np.spacing(np.float32(60)))])
+    def test_block_maxima_far_apart(self, monkeypatch, first, dtype, tol):
+        """Biases of +-60 alternate block by block, so neighbouring block
+        maxima differ by more than 88 nats, past where a float32 ``exp``
+        underflows; the blocks are combined in float64. In float32 the
+        reference's own scores are rounded at that magnitude, hence two
+        float32 spacings at 60 as the bound."""
+        vocab = make_vocab([f"w{i}" for i in range(21)])
+        params = make_params(vocab, dim=6, seed=81, dtype=dtype)
+        self.blocked(monkeypatch, params, 4)
+        params.b += np.where(np.arange(len(vocab)) // 4 % 2, -first, first).astype(dtype)
+        ctx, tgt = TestBatchLogProbs.every_target(vocab, seed=81, reps=2)
+        P, _ = project_batch(params, ctx)
+        scores = _scores(P, params.R, params.b)
+        scores[:, BOS_ID] = -np.inf
+        maxima = [scores[:, lo:lo + 4].max(axis=1) for lo in range(0, len(vocab), 4)]
+        assert (np.abs(np.diff(maxima, axis=0)) > 88).all()
+        self.check(params, ctx, tgt, tol)
+        self.check(params, ctx[:1], tgt[:1], tol)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_vocabulary_smaller_than_one_block(self, dtype, tol):
+        vocab = make_vocab(list("abcdef"))
+        params = make_params(vocab, dim=6, seed=82, dtype=dtype)
+        layer = params.config.layout()
+        assert model._STANDARD_BLOCK_BYTES // (dtype().itemsize * 6) > len(vocab)
+        assert layer.block_words(dtype().itemsize) == len(vocab)
+        ctx, tgt = TestBatchLogProbs.every_target(vocab, seed=82)
+        self.check(params, ctx, tgt, tol)
+        self.check(params, ctx[:1], tgt[:1], tol)
+
+    def test_block_width_and_row_bytes(self, monkeypatch):
+        """A block covers ``_STANDARD_BLOCK_BYTES`` of R, at least two words
+        and at most the vocabulary; a query's row bytes are one block's row."""
+        vocab = make_vocab([f"w{i}" for i in range(12_000)])
+        layer = make_config(vocab, dim=100).layout()
+        assert layer.block_words() == 6_144 and layer.row_bytes() == 4 * 6_144
+        assert layer.block_words(8) == 3_072 and layer.row_bytes(8) == 8 * 3_072
+        monkeypatch.setattr(model, "_STANDARD_BLOCK_BYTES", 1)
+        assert layer.block_words() == 2 and layer.row_bytes() == 8
 
 
 class TestPaddedTreePaths:

@@ -1,6 +1,7 @@
 """Frequency binning, exchange clustering and Huffman trees."""
 import collections
 import hashlib
+import heapq
 import itertools
 import math
 import re
@@ -108,6 +109,11 @@ class TestFrequencyBinning:
             frequency_binning(np.ones(3), 0)
         with pytest.raises(DataError):
             frequency_binning(np.ones(3), 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(DataError, match="non-finite weight"):
+            frequency_binning(np.array([0.5, bad, 0.2, 0.3]), 2)
 
 
 def _objective_oracle(sentences, vocab, classing):
@@ -304,6 +310,23 @@ def _wpl(tree, counts):
     return sum(max(int(counts[w]), 1) * tree.depth(w) for w in counts)
 
 
+def heap_huffman(counts):
+    """Reference Huffman build on a binary heap: (left, right) of each merged
+    node in creation order. Entries are (weight, node id), leaves numbered
+    in ascending word-id order, so ties go to the lower node id."""
+    words = sorted(counts)
+    heap = [(max(int(counts[w]), 1), i) for i, w in enumerate(words)]
+    heapq.heapify(heap)
+    pairs, nxt = [], len(words)
+    while len(heap) > 1:
+        w1, n1 = heapq.heappop(heap)
+        w2, n2 = heapq.heappop(heap)
+        pairs.append((n1, n2))
+        heapq.heappush(heap, (w1 + w2, nxt))
+        nxt += 1
+    return pairs
+
+
 class TestHuffmanTree:
     def test_depth_example(self):
         # counts 5,2,1,1 code at depths 1,2,3,3 for a path length of 15
@@ -360,6 +383,25 @@ class TestHuffmanTree:
     def test_single_word_rejected(self):
         with pytest.raises(DataError):
             huffman_tree({0: 3})
+
+    def test_builds_the_heap_reference_tree(self):
+        """Equal node for node to a heap build, on counts with many ties,
+        zero counts among them, and sparse word ids."""
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n = int(rng.integers(2, 60 if trial % 10 else 3000))
+            ids = rng.choice(4 * n, size=n, replace=False)
+            top = int(rng.choice([2, 5, 40, 10**6]))
+            counts = {int(w): int(c) for w, c in zip(ids, rng.integers(0, top, n))}
+            tree = huffman_tree(counts)
+            got = list(zip(tree.left[n:].tolist(), tree.right[n:].tolist()))
+            assert got == heap_huffman(counts)
+            kids = np.array(got).ravel()
+            np.testing.assert_array_equal(tree.parent[kids], np.repeat(np.arange(n, 2 * n - 1), 2))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(DataError, match="negative count for word 1"):
+            huffman_tree({0: 5, 1: -3, 2: 2})
 
 
 class TestVocabularyTree:

@@ -835,6 +835,31 @@ class TestSparseStep:
                 assert got[rows].tobytes() == was[rows].tobytes(), name
         assert untouched > 0
 
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
+    def test_apply_is_one_gather_step_and_leaves_the_gradient(self, regime):
+        """``apply`` writes ``row * decay + scale * g`` to each row the
+        gradient holds, bitwise as that expression in the table's float32,
+        and changes no array of the gradient."""
+        params, contexts, targets = sparse_step_setup(regime)
+        params = params.astype(np.float32)
+        grads, _ = training.ml_gradient(params, contexts, targets, l2=0.05)
+        kept = [a.copy() for _, g in grads.tables() for a in (g.values, g.bias)
+                if a is not None]
+        want = params.copy()
+        scale = 0.5 / len(targets)
+        decay = 1.0 - scale * grads.l2
+        for name, g in grads.tables():
+            for table, grad in zip(training._row_tables(want)[name], (g.values, g.bias)):
+                if table is not None:
+                    table[g.rows] = table[g.rows] * decay + scale * grad
+        for Cj, gC in zip(want.C, grads.C):
+            Cj[...] = Cj * decay + scale * gC
+        training._SparseSGD(params).apply(grads, scale)
+        for (name, got), (_, ref) in zip(params.arrays(), want.arrays()):
+            assert got.tobytes() == ref.tobytes(), name
+        after = [a for _, g in grads.tables() for a in (g.values, g.bias) if a is not None]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, kept))
+
     def test_divergence_leaves_the_flushed_state(self, monkeypatch):
         params, contexts, targets = sparse_step_setup(REGIME_CLASS)
         start = params.copy()
