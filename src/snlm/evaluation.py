@@ -183,16 +183,24 @@ def score_nbest(params: ModelParameters, lines, vocab: Vocabulary,
 
 
 def _distinct_rows(a: np.ndarray):
-    """(distinct rows in lexicographic order, inverse) of a 2-D array, so
-    that ``a == rows[inverse]``: ``np.unique(a, axis=0, return_inverse=True)``
-    by a column lexsort and a comparison of adjacent sorted rows."""
-    order = np.lexsort(a.T[::-1])  # the last key is the primary one
-    ordered = a[order]
+    """(distinct rows in lexicographic order, inverse) of a 2-D int32 array,
+    so that ``a == rows[inverse]``: ``np.unique(a, axis=0,
+    return_inverse=True)`` by a lexsort of packed keys. Each pair of columns
+    is one int64 key, the first as its high half and the second, its sign
+    bit flipped so that it orders as unsigned, as its low half, which keeps
+    lexicographic order; runs of equal rows are found on the sorted keys."""
+    n = a.shape[1]
+    halves = np.zeros(((n + 1) // 2, len(a), 2), dtype="<i4")  # (low, high) of each key
+    halves[:, :, 1] = a.T[0::2]
+    np.bitwise_xor(a.T[1::2], np.int32(np.iinfo(np.int32).min), out=halves[:n // 2, :, 0])
+    keys = halves.view("<i8")[..., 0]
+    order = np.lexsort(keys[::-1])  # the last key is the primary one
+    ordered = keys[:, order]
     first = np.ones(len(a), dtype=bool)
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=first[1:])
     inverse = np.empty(len(a), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
+    return a[order[first]], inverse
 
 
 def _score_hypotheses(params, group, vocab, unnormalised):

@@ -41,8 +41,9 @@ _PROB_FLOOR = 1e-10  # keeps log-space initializers finite
 # D 100, float32. A batch at its scoring width then holds about 8 MiB of
 # scores per block, and R is read once per batch of about 330 queries.
 _STANDARD_BLOCK_BYTES = 2400 << 10
-# Bytes of one row slab of a score block, normalised pass after pass while
-# it stays in a 2 MiB per-core L2 cache.
+# Bytes of one row slab, which stays in a 2 MiB per-core L2 cache: of a
+# standard score block, normalised pass after pass, or of one side's S rows
+# gathered at a step of the tree walk.
 _SLAB_BYTES = 512 << 10
 
 
@@ -454,7 +455,9 @@ class ClassLayer(OutputLayer):
         self.class_of = classing.class_of
         self.rows = classing.num_classes
         V = config.vocab_size
-        order = np.argsort(self.class_of, kind="stable")  # by class, then id
+        # by class, then id; a key of at most 16 bits takes numpy's radix sort
+        order = np.argsort(self.class_of.astype(np.min_scalar_type(self.rows - 1)),
+                           kind="stable")
         order = order[order != BOS_ID]
         cls = self.class_of[order]
         starts = np.searchsorted(cls, np.arange(self.rows + 1))
@@ -504,11 +507,13 @@ class ClassLayer(OutputLayer):
         One stable argsort groups the queries by target class. Queries whose
         class has one effective member are left out: their word term is
         exactly 0. Each run of ``m`` queries on a class of ``k`` members
-        fills an (m, k) block of one flat buffer: one GEMM, the bias, the
-        target's raw score, then the row max subtracted in place. One ``exp``
-        and one ``np.add.reduceat`` over the row starts then normalise every
-        row, and a log-prob is ``picked - (max + log sum)``, in
-        :func:`_lse_rows`' order of operations.
+        fills an (m, k) block of one flat buffer: one GEMM and the bias.
+        Then one gather over the whole buffer picks the targets' raw scores
+        and one ``np.maximum.reduceat`` over the row starts takes the row
+        maxima, which each run subtracts in place; one ``exp`` and one
+        ``np.add.reduceat`` normalise every row, and a log-prob is
+        ``picked - (max + log sum)``, in :func:`_lse_rows`' order of
+        operations.
         """
         cls = self.class_of[targets]
         rows = np.argsort(cls, kind="stable")
@@ -518,7 +523,6 @@ class ClassLayer(OutputLayer):
         starts = sizes.cumsum() - sizes
         at = starts + self.pos_in_class[targets[rows]]
         flat = np.empty(int(sizes.sum()), dtype=params.dtype)
-        picked, shift = np.empty((2, len(rows)), dtype=params.dtype)
         edges = np.flatnonzero(np.diff(cls, prepend=-1, append=-1)).tolist()
         runs = []
         for a, z in zip(edges[:-1], edges[1:]):
@@ -527,10 +531,11 @@ class ClassLayer(OutputLayer):
             X = flat[lo:lo + (z - a) * int(sizes[a])].reshape(z - a, -1)
             np.matmul(Pr[a:z], params.R[mem].T, out=X)
             X += params.b[mem]
-            np.take(flat, at[a:z], out=picked[a:z])
-            np.max(X, axis=1, out=shift[a:z])
-            X -= shift[a:z, None]
             runs.append((c, a, z, X))
+        picked = flat[at]
+        shift = np.maximum.reduceat(flat, starts)
+        for _, a, z, X in runs:  # not np.repeat: a second flat-sized buffer would
+            X -= shift[a:z, None]  # outgrow what row_bytes sizes a batch for
         sums = np.add.reduceat(np.exp(flat, out=flat), starts)
         logp = picked - (shift + np.log(sums, dtype=np.float64))
         return _WordTerms(rows, logp, runs, Pr, flat, sums, sizes, at)
@@ -592,13 +597,23 @@ class ClassLayer(OutputLayer):
 
 class TreeLayer(OutputLayer):
     """Two-way softmaxes, node against sibling, down the word's tree path;
-    S holds one row per node but the root. With padded path arrays a batch
-    is a gather and an einsum per side, with no loop over target words;
-    padding is masked out of every sum and MAC tally. ``log_probs`` builds
-    its batch's paths with ``VocabularyTree.path_arrays``, so scoring costs
-    nothing per vocabulary word; a training step reads its targets' paths
-    twice, in ``ml_rows`` and ``backward``, and indexes the tree's whole-
-    vocabulary ``paths`` table instead, as ``distribution`` does."""
+    S holds one row per node but the root.
+
+    ``log_probs`` walks each query's path from its leaf up ``tree.parent``,
+    one level a step, with no path table. The queries are taken deepest
+    first (a stable argsort by depth), so those still walking are always a
+    prefix, and a step gathers S and t only for that prefix's nodes and
+    their siblings (``pairs``). Their scores against P, in the parameters'
+    dtype, give each query ``log sigmoid(on - off)``, which is
+    ``on - logaddexp(on, off)``, added in float64. A batch is walked in row
+    slabs whose gathered rows of one side fill about ``_SLAB_BYTES``, so a
+    level's rows stay in a 2 MiB L2 cache. ``scoring_order`` sorts the
+    queries by depth, deepest first, and then by target, so a batch holds
+    queries of similar depth and equal targets gather the same rows. A
+    training step reads its targets' paths twice, in ``ml_rows`` and
+    ``backward``, and indexes the tree's whole-vocabulary ``paths`` table,
+    with padding masked out of every sum and MAC tally, as ``distribution``,
+    the reference, does."""
 
     def __init__(self, config: ModelConfig):
         super().__init__(config)
@@ -609,12 +624,24 @@ class TreeLayer(OutputLayer):
             raise DataError("tree leaves must cover the vocabulary minus <s>")
         self.tree = tree
         self.rows = tree.num_nodes - 1  # every node but the root
+        # each node's (node, sibling) ids: one gather fetches both sides' rows
+        self.pairs = np.stack((np.arange(tree.num_nodes, dtype=np.int32), tree.sibling), axis=1)
 
     def row_bytes(self, itemsize=4) -> int:
-        """One side's gathered S rows (the node gather is freed before the
-        sibling one is made) plus 48 bytes per path entry: the path arrays,
-        the float64 node and sibling scores and their log-sum-exp."""
-        return self.tree.max_depth * (itemsize * self.dim + 48)
+        """What the walk holds per query, whatever the dtype: its order, leaf
+        and depth, and its float64 sums and result. A slab's gathered rows
+        and scores are bounded by ``_SLAB_BYTES``, not by the batch width."""
+        return 40
+
+    def _depth(self, targets):
+        """(leaf, depth) of each target word."""
+        leaf = self.tree.leaf_of[targets]
+        return leaf, self.tree.node_depth[leaf]
+
+    def scoring_order(self, targets):
+        """Deepest first, then by target, stable: a batch's walk then keeps
+        most of its rows to the end, and equal targets gather the same rows."""
+        return np.lexsort((targets, -self._depth(targets)[1]))
 
     def start_values(self, probs):
         """Log prior mass under each node; uniform over the leaves when probs is None."""
@@ -643,23 +670,33 @@ class TreeLayer(OutputLayer):
             raise ModelFormatError("tree leaf word out of range")
         return {"tree": VocabularyTree(*(nodes[:, i].copy() for i in range(4)))}
 
-    def _forward(self, params, P, paths):
-        """Given the targets' (m, max_depth) path node and sibling ids and
-        padding mask, returns them and the float64 node and sibling scores,
-        gathering one side's S rows at a time."""
-        nodes, sibs, mask = paths
-        on, off = ((np.einsum("mkd,md->mk", params.S[ids], P) + params.t[ids])
-                   .astype(np.float64) for ids in (nodes, sibs))
-        return nodes, sibs, mask, on, off
-
     def log_probs(self, params, P, targets, macs=None):
-        _, _, mask, on, off = self._forward(params, P, self.tree.path_arrays(targets))
-        count_output(macs, 2 * int(mask.sum()), self.dim)
-        return np.where(mask, on - np.logaddexp(on, off), 0.0).sum(axis=1)
+        tree, (leaf, depth) = self.tree, self._depth(targets)
+        order = np.argsort(-depth, kind="stable")
+        leaf, depth = leaf[order], depth[order]
+        count_output(macs, 2 * int(depth.sum()), self.dim)
+        sums = np.zeros(len(P))
+        slab = max(1, _SLAB_BYTES // (params.dtype.itemsize * self.dim))
+        for a in range(0, len(P), slab):
+            Ps, cur = P[order[a:a + slab]], leaf[a:a + slab]
+            lp = sums[a:a + slab]
+            # rows still walking at each step: those deeper than the steps taken
+            for r in np.searchsorted(-depth[a:a + slab], -np.arange(depth[a])).tolist():
+                # the tree's ids are in range: mode "clip" skips the slow bounds check
+                ids = np.take(self.pairs, cur[:r], axis=0, mode="clip")
+                x = np.einsum("mkd,md->mk", np.take(params.S, ids, axis=0, mode="clip"), Ps[:r])
+                x += np.take(params.t, ids, mode="clip")
+                d = np.subtract(x[:, 0], x[:, 1], dtype=np.float64)
+                lp[:r] += np.minimum(d, 0) - np.log1p(np.exp(-np.abs(d)))  # log sigmoid(d)
+                cur = tree.parent[cur[:r]]
+        out = np.empty(len(P))
+        out[order] = sums
+        return out
 
     def backward(self, params, P, targets, macs=None):
-        nodes, sibs, mask, on, off = self._forward(params, P,
-                                                   (a[targets] for a in self.tree.paths))
+        nodes, sibs, mask = (a[targets] for a in self.tree.paths)
+        on, off = ((np.einsum("mkd,md->mk", params.S[ids], P) + params.t[ids])
+                   .astype(np.float64) for ids in (nodes, sibs))
         count_output(macs, 2 * int(mask.sum()), self.dim, train=True)
         lz = np.logaddexp(on, off)
         p_off = np.where(mask, np.exp(off - lz), 0.0)  # d loglik / d node score

@@ -340,9 +340,11 @@ class VocabularyTree:
     creation order, and the root is always the last node id. Every internal
     node has exactly two children.
 
-    Word paths are built by :meth:`path_arrays` for the word ids asked for,
-    from a leaf-of-word map and the parent links; :attr:`paths` is that over
-    every word id, built on first use and kept.
+    Padded word paths are built by :meth:`path_arrays` for the word ids
+    asked for, from a leaf-of-word map and the parent links; :attr:`paths`
+    is that over every word id, built on first use and kept, for training
+    and the reference distribution. Scoring builds no path arrays: it walks
+    from ``leaf_of`` up ``parent``, reading ``sibling`` and ``node_depth``.
     """
 
     parent: np.ndarray   # (num_nodes,), -1 for the root
@@ -413,8 +415,8 @@ class VocabularyTree:
         """Depth of every node, found one level at a time from the root.
 
         A tree deeper than ``MAX_TREE_DEPTH`` is rejected as soon as the walk
-        passes that level: every padded path row, in a scoring batch's arrays
-        and in the ``paths`` table, takes max_depth entries.
+        passes that level: every padded path row, in :meth:`path_arrays` and
+        in the ``paths`` table, takes max_depth entries.
         """
         depth = np.full(self.num_nodes, -1, dtype=np.int64)
         level, d = np.array([self.root]), 0

@@ -333,9 +333,9 @@ class TestBatchWidth:
         cls = make_config(vocab, REGIME_CLASS, dim=D, num_classes=3).layout()
         # class scores, the largest class's share of the word buffer, max and picked
         assert cls.row_bytes() == 4 * (3 + max(len(m) for m in cls.members_eff) + 2)
-        tree_cfg = make_config(vocab, REGIME_TREE, dim=D)
-        # one side's float32 S rows and 48 bytes of path arrays and scores per level
-        assert tree_cfg.layout().row_bytes() == tree_cfg.tree.max_depth * (4 * D + 48)
+        tree = make_config(vocab, REGIME_TREE, dim=D).layout()
+        # the walk's order, leaf, depth and sums; its slabs are bounded apart
+        assert tree.row_bytes() == tree.row_bytes(8) == 40
 
     @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
     def test_one_batch_holds_what_its_width_was_sized_for(self, regime):
@@ -464,17 +464,26 @@ class TestScoringOrder:
         score_instances(params, ctx, tgt, unnormalised=True)
         np.testing.assert_array_equal(np.concatenate(seen), tgt)
 
-    def test_only_the_class_layer_orders_queries(self):
-        vocab = make_vocab([f"w{i}" for i in range(13)])
+    def test_class_and_tree_layers_order_queries(self):
+        """Class queries go by target class, tree queries deepest first and
+        then by target; both sorts are stable. The standard layer keeps the
+        input order."""
+        vocab = make_vocab([f"w{i}" for i in range(13)], counts=list(range(26, 0, -2)))
         _, tgt = self.alternating(vocab, reps=3)
-        for regime in (REGIME_STANDARD, REGIME_TREE):
-            assert make_config(vocab, regime).layout().scoring_order(tgt) is None
-        layer = make_config(vocab, REGIME_CLASS, num_classes=4).layout()
-        order = layer.scoring_order(tgt)
-        np.testing.assert_array_equal(np.sort(order), np.arange(len(tgt)))
-        key = layer.class_of[tgt][order]
-        assert (np.diff(key) >= 0).all()
-        assert (np.diff(order)[np.diff(key) == 0] > 0).all()  # stable
+        assert make_config(vocab, REGIME_STANDARD).layout().scoring_order(tgt) is None
+        layers = {r: make_config(vocab, r, num_classes=4).layout()
+                  for r in (REGIME_CLASS, REGIME_TREE)}
+        tree = layers[REGIME_TREE].tree
+        depth = tree.node_depth[tree.leaf_of[tgt]]
+        assert len(set(depth.tolist())) >= 3
+        keys = {REGIME_CLASS: layers[REGIME_CLASS].class_of[tgt],
+                REGIME_TREE: -depth * len(vocab) + tgt}  # depth down, then target up
+        for regime, key in keys.items():
+            order = layers[regime].scoring_order(tgt)
+            np.testing.assert_array_equal(np.sort(order), np.arange(len(tgt)))
+            key = key[order]
+            assert (np.diff(key) >= 0).all()
+            assert (np.diff(order)[np.diff(key) == 0] > 0).all()  # stable
 
 
 class TestMemoryEstimate:
@@ -555,9 +564,10 @@ class TestSentenceBatches:
         assert macs.output == sum(2 * tree.depth(t) * D for t in targets)
 
     def test_tree_scoring_builds_only_its_batch_paths(self, tmp_path):
-        """Perplexity on a freshly loaded tree model builds its batches' paths
-        and never the whole-vocabulary table, and its scores are bitwise the
-        scores computed from that table."""
+        """Perplexity on a freshly loaded tree model walks its batches' paths
+        and never builds the whole-vocabulary table, and its scores are
+        within 1e-12 of the scores computed from that table: the walk sums
+        each path from the leaf up, the table from the root down."""
         vocab = make_vocab([f"w{i}" for i in range(40)], counts=list(range(80, 0, -2)))
         params = make_params(vocab, REGIME_TREE, order=3, dim=6, seed=177, dtype=np.float32)
         save_model(tmp_path / "tree.bin", params, vocab)
@@ -571,11 +581,13 @@ class TestSentenceBatches:
         contexts, targets = instance_arrays(sentences, vocab, 3)
         assert evaluation._batch_width(loaded) > len(targets)  # one batch
         P = project_batch(loaded, contexts)[0]
-        table = (a[targets] for a in tree.paths)
-        _, _, mask, on, off = layer._forward(loaded, P, table)
+        nodes, sibs, mask = (a[targets] for a in tree.paths)
+        on, off = ((np.einsum("mkd,md->mk", loaded.S[ids], P) + loaded.t[ids])
+                   .astype(np.float64) for ids in (nodes, sibs))
         want = np.where(mask, on - np.logaddexp(on, off), 0.0).sum(axis=1)
-        np.testing.assert_array_equal(score_instances(loaded, contexts, targets), want)
-        assert report.total_log_prob == math.fsum(want.tolist())
+        got = score_instances(loaded, contexts, targets)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert report.total_log_prob == math.fsum(got.tolist())
 
 
 class TestQueryBenchmark:

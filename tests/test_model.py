@@ -244,6 +244,23 @@ class TestClassFactoredRegime:
                 pos[m] = np.arange(len(m))
             np.testing.assert_array_equal(layer.pos_in_class, pos)
 
+    @pytest.mark.parametrize("K", [134, 300, 70_000])
+    def test_unordered_classing_sorts_like_an_id_keyed_sort(self, K):
+        """An unordered classing, of 8-, 16- and 32-bit class ids, gives the
+        members of an argsort keyed by class and then word id."""
+        rng = np.random.default_rng(K)
+        V = max(3 * K, 17_745)
+        class_of = np.concatenate([np.arange(K), rng.integers(0, K, V - K)])
+        rng.shuffle(class_of)
+        cfg = ModelConfig(order=2, dim=2, regime=REGIME_CLASS, vocab_size=V,
+                          classing=WordClassing(class_of, K))
+        order = np.lexsort((np.arange(V), class_of))
+        order = order[order != BOS_ID]
+        want = np.split(order, np.searchsorted(class_of[order], np.arange(1, K)))
+        got = cfg.layout().members_eff
+        assert len(got) == K
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
     @staticmethod
     def random_classing(rng, V):
         """Class 0 holds only <s>, classes 1 and 2 one word each, and every
@@ -564,6 +581,47 @@ class TestPaddedTreePaths:
             want = [math.log(enumerate_log_probs(params, c)[w])
                     for c, w in zip(contexts, words)]
             np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+class TestTreeWalk:
+    """``TreeLayer.log_probs`` walks each path from its leaf to the root, in
+    depth order and in row slabs."""
+
+    @staticmethod
+    def queries(seed):
+        vocab = make_vocab(list("abcdefgh"), counts=[128, 64, 32, 16, 8, 4, 2, 1])
+        params = make_params(vocab, REGIME_TREE, order=3, dim=4, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        support = params.config.layout().support
+        words = rng.choice(support, size=60)
+        contexts = rng.integers(0, len(vocab), size=(len(words), 2))
+        return params, contexts, words
+
+    def test_slabs_match_one_slab_and_enumeration(self, monkeypatch):
+        params, contexts, words = self.queries(72)
+        tree, D = params.config.tree, params.config.dim
+        assert len({tree.depth(w) for w in words}) >= 6
+        one_macs = MacCounter()
+        one = log_probs_batch(params, contexts, words, one_macs)
+        want = [math.log(enumerate_log_probs(params, c)[w]) for c, w in zip(contexts, words)]
+        np.testing.assert_allclose(one, want, rtol=1e-10)
+        assert one_macs.output == 2 * D * sum(tree.depth(w) for w in words)
+        for rows in (1, 7):  # 60 queries in 60 and in 9 slabs
+            monkeypatch.setattr(model, "_SLAB_BYTES", rows * params.dtype.itemsize * D)
+            macs = MacCounter()
+            np.testing.assert_array_equal(log_probs_batch(params, contexts, words, macs), one)
+            assert macs == one_macs
+
+    def test_batch_of_one(self):
+        params, contexts, words = self.queries(73)
+        D = params.config.dim
+        for c, w in zip(contexts[:8], words[:8]):
+            macs = MacCounter()
+            got = log_probs_batch(params, c[None], np.array([w]), macs)
+            assert got.shape == (1,)
+            np.testing.assert_allclose(got[0], math.log(enumerate_log_probs(params, c)[w]),
+                                       rtol=1e-10)
+            assert macs.output == 2 * D * params.config.tree.depth(w)
 
 
 class TestOutputMacCosts:

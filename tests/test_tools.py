@@ -22,3 +22,60 @@ def test_step_costs_smoke_prints_every_row(capsys):
         macs, inst_per_s, ns_per_mac, calls = (float(f.replace(",", "")) for f in fields[:4])
         assert macs > 0 and inst_per_s > 0 and ns_per_mac > 0 and calls > 0, label
     assert lines[-1].startswith("class NCE, diagonal over full:")
+
+
+METRICS = [{"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+           {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]
+
+
+def runs_of(parent, change, setup=1.0):
+    """Synthetic paired runs: items_per_s as given, setup_s fixed."""
+    def run(items):
+        return {"metrics": {"items_per_s": {"value": items}, "setup_s": {"value": setup}},
+                "attempted": 10, "failed": 0}
+    return {"parent": [run(v) for v in parent], "change": [run(v) for v in change]}
+
+
+PARENT = [100, 101, 99, 102, 98, 100, 101, 99, 100, 100]  # q3 - q1 = 1.5
+
+
+def test_report_shows_a_gain_won_in_nine_of_ten_pairs():
+    bench_pairs = load_tool("bench_pairs")
+    lost = [120, 121, 119, 122, 118, 120, 121, 119, 120, 90]
+    tied = [120, 121, 119, 122, 118, 120, 121, 119, 120, 100]
+    for change in (lost, tied):
+        rep = bench_pairs.report(runs_of(PARENT, change), METRICS)
+        items = rep["items_per_s"]
+        assert items["pairs_change_better"] == 9 and items["gain_shown"]
+        assert not items["worse_than_bound"] and not items["unresolved"]
+        assert rep["setup_s"]["pairs_change_better"] == 0  # ten ties
+        assert not rep["setup_s"]["gain_shown"]
+        assert rep["change_operations"] == {"attempted": 100, "failed": 0}
+
+
+def test_report_needs_nine_wins_and_a_gap_wider_than_the_parent_spread():
+    bench_pairs = load_tool("bench_pairs")
+    eight = [120, 121, 119, 122, 118, 120, 121, 119, 100, 100]  # two ties
+    narrow = [v + 0.5 for v in PARENT]  # wins every pair, by less than q3 - q1
+    for change in (eight, narrow):
+        rep = bench_pairs.report(runs_of(PARENT, change), METRICS)
+        assert not rep["items_per_s"]["gain_shown"]
+    assert bench_pairs.report(runs_of(PARENT, narrow), METRICS)[
+        "items_per_s"]["pairs_change_better"] == 10
+
+
+def test_lower_is_better_gain_and_verdict_line():
+    bench_pairs = load_tool("bench_pairs")
+    runs = runs_of([100] * 10, [60] * 10)
+    for i, r in enumerate(runs["parent"]):
+        r["metrics"]["setup_s"]["value"] = 1.0 + 0.01 * i
+    for r in runs["change"]:
+        r["metrics"]["setup_s"]["value"] = 0.5
+    rep = bench_pairs.report(runs, METRICS)
+    assert rep["setup_s"]["gain_shown"] and rep["setup_s"]["pairs_change_better"] == 10
+    assert rep["items_per_s"]["worse_than_bound"] and not rep["items_per_s"]["gain_shown"]
+    assert (bench_pairs.verdict("w", rep, METRICS)
+            == "w: items_per_s worse_than_bound; gain shown: setup_s")
+    same = bench_pairs.report(runs_of([100] * 10, [100] * 10), METRICS)
+    assert (bench_pairs.verdict("w", same, METRICS)
+            == "w: every metric within its bound; gain shown: none")

@@ -23,7 +23,11 @@ Each metric also gets a regression verdict against its ``bound``, which
 ``worse_than_bound`` when the change's median is worse than the parent's by
 more than the bound, and ``unresolved`` when either side's quartile spread
 (q3 - q1 over the median) is wider than the bound, so that the runs cannot
-tell. One verdict line per workload is printed once its pairs are done.
+tell. A metric's ``gain_shown`` is true when the change is better in at
+least nine of every ten pairs (a tie counts for neither side) and the
+medians differ, in the change's favour, by more than the parent's quartile
+spread (q3 - q1). One verdict line per workload is printed once its pairs
+are done.
 """
 
 from __future__ import annotations
@@ -83,12 +87,15 @@ def report(runs: dict, metrics: list) -> dict:
                      for p, c in zip(side["parent"], side["change"]))
         parent, change = summary(side["parent"]), summary(side["change"])
         bound, ratio = metric["bound"], change["median"] / parent["median"]
+        gain = (change["median"] - parent["median"]) * (1 if higher else -1)
         out[name] = {"unit": metric["unit"], "better": metric["better"],
                      "bound": bound, "parent": parent, "change": change,
                      "change_to_parent": ratio, "pairs_change_better": better,
                      "worse_than_bound": ratio < 1 - bound if higher else ratio > 1 + bound,
                      "unresolved": any((s["q3"] - s["q1"]) / s["median"] > bound
-                                       for s in (parent, change))}
+                                       for s in (parent, change)),
+                     "gain_shown": (10 * better >= 9 * len(side["parent"])
+                                    and gain > parent["q3"] - parent["q1"])}
     for s in runs:
         out[f"{s}_operations"] = {"attempted": sum(r["attempted"] for r in runs[s]),
                                   "failed": sum(r["failed"] for r in runs[s])}
@@ -97,10 +104,12 @@ def report(runs: dict, metrics: list) -> dict:
 
 def verdict(name: str, rep: dict, metrics: list) -> str:
     """One line naming the workload's metrics that are worse than their
-    bound or unresolved."""
+    bound or unresolved, and those whose gain is shown."""
     flags = [f"{m['name']} {flag}" for m in metrics
              for flag in ("worse_than_bound", "unresolved") if rep[m["name"]][flag]]
-    return f"{name}: {', '.join(flags) or 'every metric within its bound'}"
+    gains = [m["name"] for m in metrics if rep[m["name"]]["gain_shown"]]
+    return (f"{name}: {', '.join(flags) or 'every metric within its bound'}"
+            f"; gain shown: {', '.join(gains) or 'none'}")
 
 
 def main(argv=None) -> int:
