@@ -152,6 +152,18 @@ class ModelParameters:
     def dtype(self):
         return self.Q.dtype
 
+    def tables(self) -> dict:
+        """The row tables by name, each a (matrix, bias or None) pair sharing row ids."""
+        return {"Q": (self.Q, None), "R": (self.R, self.b), "S": (self.S, self.t)}
+
+    def rows(self, name, ids):
+        """(matrix rows, bias values or None) of the row table ``name`` at
+        ``ids``: a plain gather, with numpy's bounds check. NCE steps read
+        Q, R/b and S/t through here (ML steps their Q rows), so that a lazily
+        decayed view of the parameters can hand out rows already current."""
+        M, bias = self.tables()[name]
+        return np.take(M, ids, axis=0), None if bias is None else np.take(bias, ids)
+
     def arrays(self):
         """(name, array) pairs in serialization order; empty arrays are left out."""
         names = [name for name, _ in parameter_shapes(self.config)]
@@ -214,51 +226,75 @@ def init_parameters(config: ModelConfig, seed: int = 0, unigram=None,
 # row-sparse gradients and softmax helpers
 
 
+class RowPlan:
+    """One index plan over the row ids a step reads from one table.
+
+    ``rows`` are the distinct ids in ascending order and ``inv``, shaped
+    like the ids, gives each id's place in ``rows``, so ``M[ids]`` is
+    ``M[rows][inv]``. One stable sort groups equal ids in input order.
+    ``sum`` adds up the entries that share a row: a row met once is copied,
+    a pair is one add, and only runs of three or more go through
+    ``np.add.reduceat``, so every sum is bitwise that of one ``reduceat``
+    over each run in input order.
+    """
+
+    def __init__(self, ids):
+        ids = np.asarray(ids, dtype=np.int64)
+        flat = ids.ravel()
+        order = flat.argsort(kind="stable")
+        flat = flat[order]
+        edge = np.empty(len(flat) + 1, dtype=bool)  # where a run of equal ids starts or ends
+        edge[0] = edge[-1] = True
+        np.not_equal(flat[1:], flat[:-1], out=edge[1:-1])
+        bounds = edge.nonzero()[0]
+        starts, sizes = bounds[:-1], np.diff(bounds)
+        self.rows = flat[starts]
+        inv = np.empty(len(flat), dtype=np.int64)
+        inv[order] = edge[:-1].cumsum() - 1
+        self.inv = inv.reshape(ids.shape)
+        self._first = order[starts]
+        self._pairs = (sizes == 2).nonzero()[0]
+        self._second = order[starts[self._pairs] + 1]
+        many = sizes > 2
+        self._many = many.nonzero()[0]
+        self._grouped = order[many.repeat(sizes)]
+        self._lo = sizes[self._many].cumsum() - sizes[self._many]
+
+    def sum(self, x) -> np.ndarray:
+        """Per-row sums of ``x``, whose first axis runs over the ids in order."""
+        out = x[self._first]
+        if len(self._pairs):
+            out[self._pairs] += x[self._second]
+        if len(self._many):
+            out[self._many] = np.add.reduceat(x[self._grouped], self._lo, axis=0)
+        return out
+
+
 @dataclass
 class RowGrad:
     """Gradient of one row table: ``values[i]`` (and ``bias[i]``) belong to
-    row ``rows[i]``. Rows are unique, so writing them back is exact."""
+    row ``rows[i]``. Rows are unique, so writing them back is exact.
+
+    ``held``, when set, is the (matrix rows, bias values or None) pair the
+    gradient read at ``rows``, current when it was taken; a step then
+    updates those instead of reading the table again."""
 
     rows: np.ndarray
     values: np.ndarray
     bias: Optional[np.ndarray] = None
+    held: Optional[tuple] = None
 
     @classmethod
     def empty(cls, dim, dtype) -> "RowGrad":
-        return cls(np.zeros(0, dtype=np.int64), np.zeros((0, dim), dtype=dtype),
-                   np.zeros(0, dtype=dtype))
+        """No rows, and so none held: a step has nothing of its table to read."""
+        values, bias = np.zeros((0, dim), dtype=dtype), np.zeros(0, dtype=dtype)
+        return cls(np.zeros(0, dtype=np.int64), values, bias, (values, bias))
 
     @classmethod
     def segment_sum(cls, rows, values, bias=None) -> "RowGrad":
-        """Sum the entries that share a row id.
-
-        A stable sort groups equal ids in input order. A row met once is
-        copied through; ``np.add.reduceat`` adds the groups of the rows met
-        more than once, in that order, so the sums are bitwise reproducible.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        order = rows.argsort(kind="stable")
-        rows = rows[order]
-        edge = np.empty(len(rows) + 1, dtype=bool)  # where a run of equal ids starts or ends
-        edge[0] = edge[-1] = True
-        np.not_equal(rows[1:], rows[:-1], out=edge[1:-1])
-        bounds = edge.nonzero()[0]
-        starts = bounds[:-1]
-        sizes = bounds[1:] - starts
-        first = order[starts]
-        many = sizes > 1
-        repeated = many.nonzero()[0]
-        if len(repeated):
-            grouped = order[many.repeat(sizes)]
-            lo = sizes[repeated].cumsum() - sizes[repeated]
-
-        def summed(x):
-            out = x[first]
-            if len(repeated):
-                out[repeated] = np.add.reduceat(x[grouped], lo, axis=0)
-            return out
-
-        return cls(rows[starts], summed(values), None if bias is None else summed(bias))
+        """Sum the entries that share a row id, by :class:`RowPlan`."""
+        plan = RowPlan(rows)
+        return cls(plan.rows, plan.sum(values), None if bias is None else plan.sum(bias))
 
     def finite(self) -> bool:
         return bool(np.isfinite(self.values).all()

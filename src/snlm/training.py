@@ -23,6 +23,15 @@ returns or raises). This is the lazy weight decay of Bottou, "Stochastic
 Gradient Descent Tricks" (2012); with it an NCE step costs what its sampled
 rows cost, whatever the vocabulary size.
 
+An NCE step reads each touched row once and writes it once. Its gradient
+function gets a lazily decayed view of the parameters (``_DecayedView``):
+the same arrays, whose ``rows(name, ids)`` returns the rows times the decay
+they owe and writes nothing. Each block reads only its distinct rows, as a
+:class:`~snlm.model.RowPlan` lists them, and the returned ``RowGrad`` keeps
+them, so ``_SparseSGD.apply`` writes ``held * decay + scale * g`` with one
+scatter per table. ML steps read whole tables in their output layers, so
+they bring the rows they read current in place first (``catch_up``).
+
 NCE
 ---
 Instead of normalizing over the vocabulary, each observed word is
@@ -49,7 +58,7 @@ from .corpus import BOS_ID, unigram_from_counts
 from .errors import DataError, TrainingDivergedError
 from .evaluation import perplexity_from_instances, perplexity_of
 from .model import (REGIME_CLASS, REGIME_TREE, MacCounter, ModelParameters,
-                    RowGrad, count_output, log_probs_batch, project_batch,
+                    RowGrad, RowPlan, count_output, log_probs_batch,
                     project_gathered)
 
 ALGORITHMS = ("ml_sgd", "nce")
@@ -73,9 +82,11 @@ class TrainingConfig:
     def validate(self, flags: dict = None):
         """Raise DataError on the first bad setting. The message names the
         field, and its command-line flag where ``flags`` maps it to one."""
+        def named(field):
+            return f"{field} ({flags[field]})" if flags and field in flags else field
+
         def bad(field, rule):
-            flag = f" ({flags[field]})" if flags and field in flags else ""
-            raise DataError(f"{field}{flag} must be {rule}, got {getattr(self, field)!r}")
+            raise DataError(f"{named(field)} must be {rule}, got {getattr(self, field)!r}")
 
         if self.algorithm not in ALGORITHMS:
             bad("algorithm", f"one of {', '.join(ALGORITHMS)}")
@@ -87,6 +98,11 @@ class TrainingConfig:
             bad("epochs", ">= 0")
         if not (math.isfinite(self.l2_strength) and self.l2_strength >= 0):
             bad("l2_strength", "finite and >= 0")
+        if self.learning_rate * self.l2_strength >= 1:
+            raise DataError(
+                f"{named('learning_rate')} times {named('l2_strength')} must be < 1, "
+                f"so that a step's decay 1 - lr * l2 stays above 0, got "
+                f"{self.learning_rate!r} * {self.l2_strength!r}")
         if self.rng_seed < 0:
             bad("rng_seed", ">= 0")
         if self.algorithm == "nce" and self.noise_samples < 1:
@@ -166,9 +182,7 @@ class NoiseTable:
 # gradients
 
 
-def _row_tables(params: ModelParameters) -> dict:
-    """The row tables by name, each a (matrix, bias or None) pair sharing row ids."""
-    return {"Q": (params.Q, None), "R": (params.R, params.b), "S": (params.S, params.t)}
+_row_tables = ModelParameters.tables  # (matrix, bias or None) pairs by table name
 
 
 @dataclass
@@ -237,20 +251,25 @@ def _log_one_minus_sigmoid(x):
 
 
 def _project_for_grad(params, contexts, macs):
-    """(Qg, P, active): the context rows ``Qg = Q[contexts]``, gathered once
-    for the projection and its backward pass, and the projection."""
-    Qg = params.Q[contexts]
+    """(plan, Qu, Qg, P, active): the context ids' :class:`RowPlan`,
+    position-major as the backward pass sums them; their distinct rows
+    ``Qu``, read once; ``Qg = Q[contexts]`` taken from ``Qu`` for the
+    projection and its backward pass; and the projection."""
+    plan = RowPlan(np.asarray(contexts).T)
+    Qu, _ = params.rows("Q", plan.rows)
+    Qg = Qu[plan.inv.T]
     P, active = project_gathered(params, Qg, macs)
     if macs is not None:  # backward transform/embedding passes
         cfg = params.config
         per = cfg.dim if cfg.diagonal else cfg.dim * cfg.dim
         macs.projection += 2 * len(contexts) * cfg.context_size * per
-    return Qg, P, active
+    return plan, Qu, Qg, P, active
 
 
-def _backprop_projection(params, contexts, Qg, active, gP, l2, rowgrads) -> Gradients:
+def _backprop_projection(params, plan, Qu, Qg, active, gP, l2, rowgrads) -> Gradients:
     """Push the output-side gradient gP through the rectifier into C and Q,
-    reading Q's context rows from ``Qg``, the block the projection used.
+    reading Q's context rows from ``Qg``, the block the projection used,
+    and summing them by ``plan``; Q's gradient holds the rows ``Qu``.
 
     ``rowgrads`` maps "R" and "S" to their :class:`RowGrad`; a table the
     output layer did not touch gets no rows.
@@ -263,8 +282,8 @@ def _backprop_projection(params, contexts, Qg, active, gP, l2, rowgrads) -> Grad
     else:
         C = [gA.T @ Qg[:, j] for j in range(cfg.context_size)]
         parts = gA @ np.array(params.C)
-    # parts is (n-1, m, D): position-major, like the row ids
-    Q = RowGrad.segment_sum(np.asarray(contexts).T.ravel(), parts.reshape(-1, cfg.dim))
+    # parts is (n-1, m, D): position-major, like the planned ids
+    Q = RowGrad(plan.rows, plan.sum(parts.reshape(-1, cfg.dim)), held=(Qu, None))
     empty = RowGrad.empty(cfg.dim, params.dtype)
     return Gradients(Q, rowgrads.get("R", empty), C, rowgrads.get("S", empty), l2)
 
@@ -291,9 +310,9 @@ def ml_gradient(params: ModelParameters, contexts, targets, l2: float = 0.0,
     """
     targets = np.asarray(targets, dtype=np.int64)
     _check_targets(targets)
-    Qg, P, active = _project_for_grad(params, contexts, macs)
+    plan, Qu, Qg, P, active = _project_for_grad(params, contexts, macs)
     loglik, gP, rowgrads = params.config.layout().backward(params, P, targets, macs)
-    return _backprop_projection(params, contexts, Qg, active, gP, l2 * len(targets),
+    return _backprop_projection(params, plan, Qu, Qg, active, gP, l2 * len(targets),
                                 rowgrads), loglik
 
 
@@ -322,14 +341,14 @@ def _scores_for(G, bias_g, P):
     return np.einsum("mwd,md->mw", G, P) + bias_g
 
 
-def _nce_backward(params, P, ids, G, d):
-    """Row gradient of one word-level NCE block, and its pull on P, in the
-    parameters' dtype; ``G = M[ids]`` are the rows its scores used."""
+def _nce_backward(params, P, plan, G, d):
+    """Row gradient of one word-level NCE block, summed by its ids'
+    :class:`RowPlan`, and its pull on P, in the parameters' dtype;
+    ``G = M[ids]`` are the rows its scores used."""
     dd = d.astype(params.dtype)
     D = params.config.dim
-    rows = RowGrad.segment_sum(ids.ravel(),
-                               (dd[:, :, None] * P[:, None, :]).reshape(-1, D),
-                               dd.ravel())
+    rows = RowGrad(plan.rows, plan.sum((dd[:, :, None] * P[:, None, :]).reshape(-1, D)),
+                   plan.sum(dd.ravel()))
     return rows, np.einsum("mw,mwd->md", dd, G)
 
 
@@ -353,39 +372,46 @@ def _class_nce_backward(params, P, u, inv, Mu, d):
     return RowGrad(u, A.T @ P, bias), A @ Mu
 
 
+def _present_rows(ids, n):
+    """(u, inv) of ids into a table of ``n`` rows, by a presence mask: the
+    distinct ids in ascending order and each id's place among them."""
+    present = np.zeros(n, dtype=bool)
+    present[ids] = True
+    return present.nonzero()[0], (present.cumsum() - 1)[ids]
+
+
 def _nce(params, contexts, blocks, l2, macs, grad):
     """(objective without the L2 term, Gradients when ``grad`` else None)
     over blocks (table name, batch rows, ids, log P_n of ids), where each
     row of ``ids`` is an observed row of the table, then its k noise rows.
-    Each block gathers its table's rows once and uses them for its scores,
-    its pull on P and, through ``Qg``, the projection's backward pass."""
-    if grad:
-        Qg, P, active = _project_for_grad(params, contexts, macs)
-    else:
-        P, _ = project_batch(params, contexts)
-    tables, gP = _row_tables(params), np.zeros(P.shape, P.dtype)
+    Each block reads its table's distinct rows once, through
+    ``params.rows``, and uses them for its scores, its pull on P and the
+    step's update; Q's rows serve the projection and its backward pass."""
+    plan, Qu, Qg, P, active = _project_for_grad(params, contexts, macs)
+    gP = np.zeros(P.shape, P.dtype)
     value, rowgrads = 0.0, {}
     for name, rows, ids, log_pn in blocks:
-        M, bias = tables[name]
         Pr = P[rows]
         if name == "S":  # class ids: at most K distinct rows
-            u, inv = np.unique(ids, return_inverse=True)
-            inv = inv.reshape(ids.shape)
-            Mu = M[u]
-            scores = _scores_for(Mu[inv], bias[u][inv], Pr)
+            u, inv = _present_rows(ids, len(params.S))
         else:
-            G = M[ids]
-            scores = _scores_for(G, bias[ids], Pr)
+            ids_plan = RowPlan(ids)
+            u, inv = ids_plan.rows, ids_plan.inv
+        Mu, bu = params.rows(name, u)
+        G = Mu[inv]
+        scores = _scores_for(G, bu[inv], Pr)
         v, d = _nce_terms(scores.astype(np.float64), log_pn, ids.shape[1] - 1)
         value += v
         if grad:
-            rowgrads[name], g = (_class_nce_backward(params, Pr, u, inv, Mu, d) if name == "S"
-                                 else _nce_backward(params, Pr, ids, G, d))
-            gP[rows] += g
+            g, pull = (_class_nce_backward(params, Pr, u, inv, Mu, d) if name == "S"
+                       else _nce_backward(params, Pr, ids_plan, G, d))
+            g.held = (Mu, bu)
+            rowgrads[name] = g
+            gP[rows] += pull
             count_output(macs, ids.size, params.config.dim, train=True)
     if not grad:
         return value, None
-    return value, _backprop_projection(params, contexts, Qg, active, gP, l2 * len(P),
+    return value, _backprop_projection(params, plan, Qu, Qg, active, gP, l2 * len(P),
                                        rowgrads)
 
 
@@ -477,16 +503,38 @@ def nce_gradient_class_factored(params: ModelParameters, contexts, targets,
 # the training loop
 
 
+@dataclass
+class _DecayedView(ModelParameters):
+    """The parameters as a step of ``sgd`` reads them: the same arrays, but
+    ``rows`` returns each row times the ``decay ** missed`` it owes, bitwise
+    what ``_SparseSGD.catch_up`` would leave there, and writes nothing. Only
+    what ``rows`` returns is current; the row tables themselves may owe
+    decay, so only code that reads them through ``rows`` may take a view."""
+
+    sgd: "_SparseSGD" = None
+
+    def rows(self, name, ids):
+        M, bias = super().rows(name, ids)
+        factor = self.sgd.owed(name, ids, M.dtype)
+        if factor is not None:
+            M *= factor[:, None]
+            if bias is not None:
+                bias *= factor
+        return M, bias
+
+
 class _SparseSGD:
     """Ascent steps that write only the rows a gradient holds, with lazy L2 decay.
 
     A dense step sets ``theta = decay * theta + scale * g`` for every
     parameter, with ``decay = 1 - scale * l2``. Here ``last`` records, for
-    each row of Q, R/b and S/t, the step that row is current through;
-    ``catch_up`` multiplies a row by the ``decay ** missed`` it owes before a
-    step reads it, and ``flush`` does so for every row. Within an epoch the
-    decay is constant, and ``train`` flushes before the learning rate can
-    change. The small C transforms are updated densely.
+    each row of Q, R/b and S/t, the step that row is current through, and a
+    row is multiplied by the ``decay ** missed`` it owes when a step reads
+    it: either in place by ``catch_up``, or on the copy that ``view``'s
+    ``rows`` hands out, which ``apply`` then updates and writes back once.
+    ``flush`` brings every row current. Within an epoch the decay is
+    constant, and ``train`` flushes before the learning rate can change.
+    The small C transforms are updated densely.
     """
 
     def __init__(self, params: ModelParameters):
@@ -496,6 +544,21 @@ class _SparseSGD:
                      for name, (M, _) in self.tables.items()}
         self.step = 0
         self.decay = 1.0
+
+    def view(self) -> _DecayedView:
+        """The parameters, with rows read through ``rows`` brought current."""
+        p = self.params
+        return _DecayedView(p.config, p.Q, p.R, p.b, p.C, p.S, p.t, self)
+
+    def owed(self, name, ids, dtype):
+        """``decay ** missed`` in ``dtype`` for the rows ``ids`` of one table,
+        as ``catch_up`` multiplies them, or None when none owes any decay."""
+        if self.decay == 1.0:
+            return None
+        missed = self.step - self.last[name][ids]
+        if not missed.any():
+            return None
+        return np.power(self.decay, missed).astype(dtype)
 
     def catch_up(self, name, *ids) -> None:
         """Bring the rows ``ids`` of one table current through the last step."""
@@ -530,18 +593,25 @@ class _SparseSGD:
 
     def apply(self, grads: Gradients, scale: float) -> None:
         """One step on the rows ``grads`` holds, which must be current: each
-        table's rows are gathered once, updated in place and written back
-        once; ``grads`` is left as it was."""
+        table's rows become ``rows * decay + scale * g`` and are written back
+        with one scatter. A gradient that holds the rows it read
+        (``RowGrad.held``) is updated from those, with no gather; any other
+        is gathered once. ``grads`` is left as it was."""
         self.decay = 1.0 - scale * grads.l2
         self.step += 1
         for name, g in grads.tables():
             M, bias = self.tables[name]
-            for table, grad in ((M, g.values), (bias, g.bias)):
-                if table is not None:
+            for table, grad, held in zip((M, bias), (g.values, g.bias),
+                                         g.held or (None, None)):
+                if table is None:
+                    continue
+                if held is None:
                     rows = table[g.rows]
                     rows *= self.decay
-                    rows += scale * grad
-                    table[g.rows] = rows
+                else:
+                    rows = held * self.decay
+                rows += scale * grad
+                table[g.rows] = rows
             self.last[name][g.rows] = self.step
         for Cj, gC in zip(self.params.C, grads.C):
             Cj[...] = Cj * self.decay + scale * gC
@@ -643,6 +713,7 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
     k = config.noise_samples
     l2 = config.l2_strength
     sgd = _SparseSGD(params)
+    view = sgd.view()
 
     if log_file is None:
         log_fh = None
@@ -655,34 +726,37 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
         for epoch in range(1, config.epochs + 1):
             tick = time.perf_counter()
             order = order_rng.permutation(len(tr_tgt))
-            for lo in range(0, len(order), config.minibatch_size):
-                sel = order[lo:lo + config.minibatch_size]
-                ctx_b, tgt_b = tr_ctx[sel], tr_tgt[sel]
-                sgd.catch_up("Q", ctx_b)
-                if config.algorithm == "ml_sgd":
-                    for name, rows in cfg.layout().ml_rows(tgt_b):
-                        sgd.catch_up(name, rows)
-                    grads, _ = ml_gradient(params, ctx_b, tgt_b, l2=l2, macs=macs)
-                elif cfg.regime == REGIME_CLASS:
-                    cls_b = cfg.classing.class_of[tgt_b].astype(np.int64)
-                    cnoise = class_table.draw(np.zeros(len(sel), np.int64), k) \
-                        if cfg.classing.num_classes > 1 else np.empty((len(sel), 0), np.int64)
-                    wnoise = word_table.draw(cls_b, k)
-                    sgd.catch_up("S", cls_b, cnoise)
-                    sgd.catch_up("R", tgt_b, wnoise)
-                    grads, _ = nce_gradient_class_factored(
-                        params, ctx_b, tgt_b, cnoise, wnoise, log_pn, l2=l2, macs=macs)
-                else:
-                    noise = word_table.draw(np.zeros(len(sel), np.int64), k)
-                    sgd.catch_up("R", tgt_b, noise)
-                    grads, _ = nce_gradient(params, ctx_b, tgt_b, noise,
-                                            word_table.log_probs, l2=l2, macs=macs)
-                if not grads.finite():
-                    raise TrainingDivergedError(
-                        f"non-finite gradient in epoch {epoch}; lower the learning rate")
-                # averaged step: invariant to the minibatch size
-                sgd.apply(grads, lr / len(sel))
-            sgd.flush()
+            # a diverging step shows as a non-finite gradient, which the
+            # check below reports; numpy's own warnings would only precede it
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for step, lo in enumerate(range(0, len(order), config.minibatch_size), 1):
+                    sel = order[lo:lo + config.minibatch_size]
+                    ctx_b, tgt_b = tr_ctx[sel], tr_tgt[sel]
+                    if config.algorithm == "ml_sgd":
+                        # ML layers read whole tables in place: bring their rows current first
+                        sgd.catch_up("Q", ctx_b)
+                        for name, rows in cfg.layout().ml_rows(tgt_b):
+                            sgd.catch_up(name, rows)
+                        grads, _ = ml_gradient(params, ctx_b, tgt_b, l2=l2, macs=macs)
+                    elif cfg.regime == REGIME_CLASS:
+                        cls_b = cfg.classing.class_of[tgt_b].astype(np.int64)
+                        cnoise = class_table.draw(np.zeros(len(sel), np.int64), k) \
+                            if cfg.classing.num_classes > 1 \
+                            else np.empty((len(sel), 0), np.int64)
+                        wnoise = word_table.draw(cls_b, k)
+                        grads, _ = nce_gradient_class_factored(
+                            view, ctx_b, tgt_b, cnoise, wnoise, log_pn, l2=l2, macs=macs)
+                    else:
+                        noise = word_table.draw(np.zeros(len(sel), np.int64), k)
+                        grads, _ = nce_gradient(view, ctx_b, tgt_b, noise,
+                                                word_table.log_probs, l2=l2, macs=macs)
+                    if not grads.finite():
+                        raise TrainingDivergedError(
+                            f"non-finite gradient in epoch {epoch}, step {step}; "
+                            "lower the learning rate")
+                    # averaged step: invariant to the minibatch size
+                    sgd.apply(grads, lr / len(sel))
+                sgd.flush()
             train_seconds = time.perf_counter() - tick
 
             tick = time.perf_counter()

@@ -508,6 +508,15 @@ class TestBadCounts:
                    "--dim", "4", "--epochs", "1", flag, value, message=field)
         assert not model.exists()
 
+    def test_step_decay_at_or_below_zero(self, tmp_path, capsys, corpus):
+        """--lr 1 --l2 5 gives each step a decay of 1 - 5: refused up front,
+        naming both flags, before any step runs."""
+        model = tmp_path / "model.bin"
+        self.check(capsys, "train", corpus[0], "--model", model, "--order", "3",
+                   "--dim", "4", "--epochs", "1", "--lr", "1", "--l2", "5",
+                   message="learning_rate (--lr) times l2_strength (--l2)")
+        assert not model.exists()
+
     @pytest.mark.parametrize("argv,flag", [
         (["--regime", "tree"], "--algorithm ml_sgd"),
         (["--batch", "0"], "--batch"),

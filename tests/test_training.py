@@ -1,7 +1,10 @@
 """Gradients, noise sampling and the SGD loop."""
+import collections
+import dataclasses
 import hashlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from snlm.errors import DataError, TrainingDivergedError
 from snlm.evaluation import perplexity_from_instances, perplexity_of
 from snlm.model import (
     MacCounter,
+    ModelParameters,
     REGIME_CLASS,
     REGIME_STANDARD,
     REGIME_TREE,
@@ -664,6 +668,32 @@ class TestTrainLoop:
             train(params, contexts, targets, TrainingConfig(**{field: value}))
         assert calls == []
 
+    @pytest.mark.parametrize("lr,l2", [(1.0, 1.0), (1.0, 5.0), (0.5, 4.0)])
+    def test_step_decay_at_or_below_zero_rejected(self, monkeypatch, lr, l2):
+        """A step's decay is 1 - lr * l2, so lr * l2 >= 1 would flip or zero
+        every row: refused before any gradient, naming both fields."""
+        params, contexts, targets = sparse_step_setup(REGIME_CLASS)
+        calls = record_gradient_calls(monkeypatch)
+        with pytest.raises(DataError, match="learning_rate times l2_strength must be < 1"):
+            train(params, contexts, targets,
+                  TrainingConfig(learning_rate=lr, l2_strength=l2))
+        assert calls == []
+
+    def test_divergence_names_its_step_and_warns_nothing(self, monkeypatch):
+        """A step that overflows is reported once, as the non-finite gradient
+        it leads to, with its epoch and step; numpy warns nothing before it."""
+        params, contexts, targets = sparse_step_setup(REGIME_CLASS, instances=200)
+        calls = record_gradient_calls(monkeypatch)
+        config = TrainingConfig(algorithm="nce", learning_rate=1e30, l2_strength=0.0,
+                                minibatch_size=8, epochs=2, noise_samples=2,
+                                rng_seed=3, validation_fraction=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError) as err:
+                train(params, contexts, targets, config)
+        assert 1 < len(calls) <= 25
+        assert f"non-finite gradient in epoch 1, step {len(calls)};" in str(err.value)
+
     def test_epoch_seconds_split_into_training_and_evaluation(self):
         sentences = markov_corpus(300, vocab_size=8, seed=9)
         vocab = build_vocabulary(sentences)
@@ -860,6 +890,52 @@ class TestSparseStep:
         after = [a for _, g in grads.tables() for a in (g.values, g.bias) if a is not None]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(after, kept))
 
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS])
+    def test_an_nce_step_reads_each_table_once_and_apply_gathers_nothing(
+            self, monkeypatch, regime):
+        """Each NCE step reads Q, R and (class models) S through
+        ``ModelParameters.rows`` once, and ``apply`` updates the rows the
+        gradient holds without reading any table."""
+        params, contexts, targets = sparse_step_setup(regime)
+        reads, gathers = collections.Counter(), []
+
+        def rows(self, name, ids, _real=ModelParameters.rows):
+            reads[name] += 1
+            return _real(self, name, ids)
+
+        class Counted(np.ndarray):
+            def __getitem__(self, key):
+                gathers.append(key)
+                return super().__getitem__(key)
+
+            def take(self, *args, **kwargs):
+                gathers.append(args)
+                return super().take(*args, **kwargs)
+
+        def apply(sgd, grads, scale, _real=training._SparseSGD.apply):
+            tables = sgd.tables
+            sgd.tables = {name: tuple(a if a is None else a.view(Counted) for a in pair)
+                          for name, pair in tables.items()}
+            try:
+                _real(sgd, grads, scale)
+            finally:
+                sgd.tables = tables
+
+        monkeypatch.setattr(ModelParameters, "rows", rows)
+        monkeypatch.setattr(training._SparseSGD, "apply", apply)
+        calls = record_gradient_calls(monkeypatch)
+        config = TrainingConfig(algorithm="nce", learning_rate=0.5, minibatch_size=4,
+                                epochs=2, l2_strength=0.05, noise_samples=2,
+                                rng_seed=4, validation_fraction=0.0)
+        train(params, contexts, targets, config)
+        steps = len(calls)
+        assert steps == 12
+        want = {"Q": steps, "R": steps}
+        if regime == REGIME_CLASS:
+            want["S"] = steps
+        assert reads == want
+        assert gathers == []
+
     def test_divergence_leaves_the_flushed_state(self, monkeypatch):
         params, contexts, targets = sparse_step_setup(REGIME_CLASS)
         start = params.copy()
@@ -875,3 +951,82 @@ class TestSparseStep:
         for (name, got), (_, want) in zip(params.arrays(), start.arrays()):
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-12,
                                        err_msg=name)
+
+
+def owing_sgd(params, step=6, decay=0.9):
+    """A ``_SparseSGD`` after ``step`` steps at ``decay``, in which row r of
+    every table is current through step ``step - r % 3``: rows 0, 3, ...
+    owe nothing, the others one or two steps of decay."""
+    sgd = training._SparseSGD(params)
+    sgd.step, sgd.decay = step, decay
+    for last in sgd.last.values():
+        last[:] = step - np.arange(len(last)) % 3
+    return sgd
+
+
+class TestDecayedView:
+    """The parameters as an NCE step reads them: ``rows`` hands out each row
+    as ``catch_up`` would leave it, bitwise, and writes nothing."""
+
+    @pytest.mark.parametrize("name", ["Q", "R", "S"])
+    def test_rows_equal_catch_up_then_a_gather(self, name):
+        params = sparse_step_setup(REGIME_CLASS)[0].astype(np.float32)
+        n = len(params.tables()[name][0])
+        ids = np.array([1, 0, 2, 1, 1, n - 1, 0])  # stale, current and repeated rows
+        sgd = owing_sgd(params)
+        before = params.copy()
+        got = sgd.view().rows(name, ids)
+        for (a, x), (_, y) in zip(params.arrays(), before.arrays()):
+            assert x.tobytes() == y.tobytes(), a
+        assert all(np.array_equal(last, 6 - np.arange(len(last)) % 3)
+                   for last in sgd.last.values())
+        sgd.catch_up(name, ids)
+        M, bias = params.tables()[name]
+        assert got[0].tobytes() == M[ids].tobytes()
+        assert (got[1] is None) if bias is None else got[1].tobytes() == bias[ids].tobytes()
+        assert not np.array_equal(M[ids], before.tables()[name][0][ids])
+
+    def test_plain_rows_are_a_bounds_checked_gather(self):
+        params = sparse_step_setup(REGIME_CLASS)[0]
+        ids = np.array([3, 0, 3])
+        for name, (M, bias) in params.tables().items():
+            got = params.rows(name, ids)
+            assert got[0].tobytes() == M[ids].tobytes()
+            assert (got[1] is None) if bias is None else got[1].tobytes() == bias[ids].tobytes()
+            with pytest.raises(IndexError):
+                params.rows(name, np.array([len(M)]))
+
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS])
+    def test_apply_on_held_rows_writes_what_the_gather_path_writes(self, regime):
+        """A step from the rows the gradient holds, against the same step
+        after ``catch_up`` on the rows it holds, gathering them from the tables."""
+        params, contexts, targets = sparse_step_setup(regime)
+        params = params.astype(np.float32)
+        reference = params.copy()
+        sgd, ref = owing_sgd(params), owing_sgd(reference)
+        noise = NoiseTable(empirical_unigram(targets, params.config.vocab_size),
+                           np.random.default_rng(150))
+        if regime == REGIME_CLASS:
+            classes, words = class_noise(empirical_unigram(targets, params.config.vocab_size),
+                                         params.config.classing, 151)
+            cls = params.config.classing.class_of[targets].astype(np.int64)
+            grads, _ = nce_gradient_class_factored(
+                sgd.view(), contexts, targets, classes.draw(np.zeros(len(targets), np.int64), 3),
+                words.draw(cls, 3), (classes.log_probs, words.log_probs), l2=0.05)
+        else:
+            grads, _ = nce_gradient(sgd.view(), contexts, targets,
+                                    noise.draw(np.zeros(len(targets), np.int64), 3),
+                                    noise.log_probs, l2=0.05)
+        assert all(g.held is not None for _, g in grads.tables())
+        assert len(grads.R.rows) and len(grads.Q.rows)
+        for name, g in grads.tables():
+            ref.catch_up(name, g.rows)
+        gathered = dataclasses.replace(grads, **{name: dataclasses.replace(g, held=None)
+                                                 for name, g in grads.tables()})
+        scale = 0.5 / len(targets)
+        sgd.apply(grads, scale)
+        ref.apply(gathered, scale)
+        for (name, got), (_, want) in zip(params.arrays(), reference.arrays()):
+            assert got.tobytes() == want.tobytes(), name
+        for name in sgd.last:
+            np.testing.assert_array_equal(sgd.last[name], ref.last[name])
