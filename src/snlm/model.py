@@ -42,9 +42,11 @@ _PROB_FLOOR = 1e-10  # keeps log-space initializers finite
 # scores per block, and R is read once per batch of about 330 queries.
 _STANDARD_BLOCK_BYTES = 2400 << 10
 # Bytes of one row slab, which stays in a 2 MiB per-core L2 cache: of a
-# standard score block, normalised pass after pass, or of one side's S rows
+# standard score block, normalised pass after pass, or of the S rows
 # gathered at a step of the tree walk.
 _SLAB_BYTES = 512 << 10
+# Queries per tree backward block, whose dense weights grow with its square.
+_TREE_BLOCK = 128
 
 
 @dataclass
@@ -219,6 +221,7 @@ def init_parameters(config: ModelConfig, seed: int = 0, unigram=None,
 
     t = layer.start_values(probs).astype(dtype)  # draws nothing: the order stays Q, R, S
     S = rng.normal(0.0, 0.1, (layer.rows, D)).astype(dtype)
+    S[layer.unused_rows] = 0  # after the whole draw, so the other rows keep theirs
     return ModelParameters(config, Q, R, b, C, S, t)
 
 
@@ -354,11 +357,12 @@ class OutputLayer:
     parameters of ``itemsize`` bytes (4, float32, by default): its score rows
     work in the parameters' dtype. Evaluation sizes its batches from it. ``scoring_order(targets)``
     is the order in which normalised scoring hands it queries. Targets are
-    prediction targets, never ``<s>``. The base class has no score rows, no
-    structure section and no order.
+    prediction targets, never ``<s>``. Rows ``unused_rows`` of S and t stay 0,
+    unread. The base class has no score rows, no structure section and no order.
     """
 
     rows = 0
+    unused_rows = np.zeros(0, dtype=np.int64)
 
     def __init__(self, config: ModelConfig):
         V = config.vocab_size
@@ -632,24 +636,20 @@ class ClassLayer(OutputLayer):
 
 
 class TreeLayer(OutputLayer):
-    """Two-way softmaxes, node against sibling, down the word's tree path;
-    S holds one row per node but the root.
+    """Hierarchical softmax (Morin & Bengio 2005; Mnih & Hinton 2009): at
+    each internal node n on a word's path, ``x = S[left[n]] . p + t[left[n]]``
+    sends it left with ``sigmoid(x)`` and right with ``sigmoid(-x)``. Node
+    n's vector is kept in its left child's row; the right children's rows
+    (``unused_rows``) stay 0, keeping the file's row per node but the root.
+    ``choice_row[c]`` is the row of node c's parent's vector, ``side[c]`` +1
+    for a left child and -1 for a right one.
 
-    ``log_probs`` walks each query's path from its leaf up ``tree.parent``,
-    one level a step, with no path table. The queries are taken deepest
-    first (a stable argsort by depth), so those still walking are always a
-    prefix, and a step gathers S and t only for that prefix's nodes and
-    their siblings (``pairs``). Their scores against P, in the parameters'
-    dtype, give each query ``log sigmoid(on - off)``, which is
-    ``on - logaddexp(on, off)``, added in float64. A batch is walked in row
-    slabs whose gathered rows of one side fill about ``_SLAB_BYTES``, so a
-    level's rows stay in a 2 MiB L2 cache. ``scoring_order`` sorts the
-    queries by depth, deepest first, and then by target, so a batch holds
-    queries of similar depth and equal targets gather the same rows. A
-    training step reads its targets' paths twice, in ``ml_rows`` and
-    ``backward``, and indexes the tree's whole-vocabulary ``paths`` table,
-    with padding masked out of every sum and MAC tally, as ``distribution``,
-    the reference, does."""
+    ``log_probs`` walks each query up ``tree.parent`` from its leaf, deepest
+    queries first, so those still walking are a prefix; a step gathers one
+    row of S and t each, in slabs whose rows fill about ``_SLAB_BYTES``, an
+    L2 cache's worth. ``scoring_order`` sorts by depth, then target, so equal
+    targets gather the same rows. ``backward`` and ``ml_rows`` walk the
+    same way; ``distribution``, the reference, goes down from the root."""
 
     def __init__(self, config: ModelConfig):
         super().__init__(config)
@@ -660,8 +660,9 @@ class TreeLayer(OutputLayer):
             raise DataError("tree leaves must cover the vocabulary minus <s>")
         self.tree = tree
         self.rows = tree.num_nodes - 1  # every node but the root
-        # each node's (node, sibling) ids: one gather fetches both sides' rows
-        self.pairs = np.stack((np.arange(tree.num_nodes, dtype=np.int32), tree.sibling), axis=1)
+        self.unused_rows = tree.right[tree.leaf_word < 0]
+        self.choice_row = np.take(tree.left, tree.parent)  # the root's is never read
+        self.side = np.where(self.choice_row == np.arange(tree.num_nodes), 1.0, -1.0)
 
     def row_bytes(self, itemsize=4) -> int:
         """What the walk holds per query, whatever the dtype: its order, leaf
@@ -669,18 +670,36 @@ class TreeLayer(OutputLayer):
         and scores are bounded by ``_SLAB_BYTES``, not by the batch width."""
         return 40
 
-    def _depth(self, targets):
-        """(leaf, depth) of each target word."""
+    def _deepest_first(self, targets):
+        """(order, leaf, depth) of the queries, deepest first, stable."""
         leaf = self.tree.leaf_of[targets]
-        return leaf, self.tree.node_depth[leaf]
+        depth = self.tree.node_depth[leaf]
+        order = np.argsort(-depth, kind="stable")
+        return order, leaf[order], depth[order]
+
+    def _steps(self, leaf, depth):
+        """Before each step of the walk up from ``leaf`` (deepest first), the
+        nodes of the rows still walking: a prefix, then their parents."""
+        for r in np.searchsorted(-depth, -np.arange(depth.max(initial=0))).tolist():
+            leaf = leaf[:r]
+            yield leaf
+            leaf = self.tree.parent[leaf]
+
+    def _choices(self, leaf, depth):
+        """(node, index of its query in ``leaf``) of every step's nodes."""
+        steps = list(self._steps(leaf, depth))
+        return (np.concatenate([leaf[:0], *steps]),
+                np.concatenate([np.arange(0), *(np.arange(len(c)) for c in steps)]))
 
     def scoring_order(self, targets):
-        """Deepest first, then by target, stable: a batch's walk then keeps
-        most of its rows to the end, and equal targets gather the same rows."""
-        return np.lexsort((targets, -self._depth(targets)[1]))
+        """Deepest first, then by target, stable, by one sort of a combined key
+        (twice as fast as ``np.lexsort``): equal targets gather the same rows."""
+        height = self.tree.max_depth - self.tree.node_depth[self.tree.leaf_of[targets]]
+        return np.argsort(height.astype(np.int64) * self.vocab_size + targets, kind="stable")
 
     def start_values(self, probs):
-        """Log prior mass under each node; uniform over the leaves when probs is None."""
+        """log(left mass / right mass) in left children's rows: the biases
+        alone give each word its prior mass (uniform when probs is None)."""
         tree = self.tree
         leaves = tree.leaf_word >= 0
         mass = np.zeros(tree.num_nodes)
@@ -688,7 +707,9 @@ class TreeLayer(OutputLayer):
         for d in range(tree.max_depth - 1, -1, -1):  # deepest internal nodes first
             level = np.flatnonzero((tree.node_depth == d) & ~leaves)
             mass[level] = mass[tree.left[level]] + mass[tree.right[level]]
-        return _floored_log(mass)[:self.rows]
+        t, left = np.zeros(tree.num_nodes), tree.left[~leaves]
+        t[left] = _floored_log(mass[left]) - _floored_log(mass[tree.right[~leaves]])
+        return t[:self.rows]
 
     def structure_bytes(self) -> bytes:
         tree = self.tree
@@ -707,57 +728,63 @@ class TreeLayer(OutputLayer):
         return {"tree": VocabularyTree(*(nodes[:, i].copy() for i in range(4)))}
 
     def log_probs(self, params, P, targets, macs=None):
-        tree, (leaf, depth) = self.tree, self._depth(targets)
-        order = np.argsort(-depth, kind="stable")
-        leaf, depth = leaf[order], depth[order]
-        count_output(macs, 2 * int(depth.sum()), self.dim)
+        order, leaf, depth = self._deepest_first(targets)
+        count_output(macs, int(depth.sum()), self.dim)
         sums = np.zeros(len(P))
         slab = max(1, _SLAB_BYTES // (params.dtype.itemsize * self.dim))
         for a in range(0, len(P), slab):
-            Ps, cur = P[order[a:a + slab]], leaf[a:a + slab]
-            lp = sums[a:a + slab]
-            # rows still walking at each step: those deeper than the steps taken
-            for r in np.searchsorted(-depth[a:a + slab], -np.arange(depth[a])).tolist():
+            Ps, lp = P[order[a:a + slab]], sums[a:a + slab]
+            for cur in self._steps(leaf[a:a + slab], depth[a:a + slab]):
                 # the tree's ids are in range: mode "clip" skips the slow bounds check
-                ids = np.take(self.pairs, cur[:r], axis=0, mode="clip")
-                x = np.einsum("mkd,md->mk", np.take(params.S, ids, axis=0, mode="clip"), Ps[:r])
+                ids = np.take(self.choice_row, cur, mode="clip")
+                x = np.einsum("md,md->m", np.take(params.S, ids, axis=0, mode="clip"),
+                              Ps[:len(cur)])
                 x += np.take(params.t, ids, mode="clip")
-                d = np.subtract(x[:, 0], x[:, 1], dtype=np.float64)
-                lp[:r] += np.minimum(d, 0) - np.log1p(np.exp(-np.abs(d)))  # log sigmoid(d)
-                cur = tree.parent[cur[:r]]
+                d = x * np.take(self.side, cur, mode="clip")  # float64
+                lp[:len(cur)] += np.minimum(d, 0) - np.log1p(np.exp(-np.abs(d)))  # log sigmoid
         out = np.empty(len(P))
         out[order] = sums
         return out
 
     def backward(self, params, P, targets, macs=None):
-        nodes, sibs, mask = (a[targets] for a in self.tree.paths)
-        on, off = ((np.einsum("mkd,md->mk", params.S[ids], P) + params.t[ids])
-                   .astype(np.float64) for ids in (nodes, sibs))
-        count_output(macs, 2 * int(mask.sum()), self.dim, train=True)
-        lz = np.logaddexp(on, off)
-        p_off = np.where(mask, np.exp(off - lz), 0.0)  # d loglik / d node score
-        gP = np.einsum("mk,mkd->md", p_off, params.S[nodes].astype(np.float64)
-                       - params.S[sibs].astype(np.float64))
-        i, k = np.nonzero(mask)
-        d = p_off[i, k].astype(params.dtype)
-        g = d[:, None] * P[i]
-        S = RowGrad.segment_sum(np.concatenate([nodes[i, k], sibs[i, k]]),  # paths share nodes
-                                np.concatenate([g, -g]), np.concatenate([d, -d]))
-        return float(np.sum(np.where(mask, on - lz, 0.0))), gP, {"S": S}
+        order, leaf, depth = self._deepest_first(targets)
+        count_output(macs, int(depth.sum()), self.dim, train=True)
+        gP, loglik, parts = np.empty(P.shape), 0.0, []
+        for a in range(0, len(P), _TREE_BLOCK):
+            block = order[a:a + _TREE_BLOCK]
+            cur, at = self._choices(leaf[a:a + _TREE_BLOCK], depth[a:a + _TREE_BLOCK])
+            rows, inv = np.unique(self.choice_row[cur], return_inverse=True)
+            Su, tu, Ps, side = params.S[rows], params.t[rows], P[block], self.side[cur]
+            d = (np.einsum("ed,ed->e", Su[inv], Ps[at]) + tu[inv]) * side
+            e = np.exp(-np.abs(d))
+            loglik += float(np.sum(np.minimum(d, 0) - np.log1p(e)))
+            # d loglik / d x, side * sigmoid(-d), by query and row: a path passes a node once
+            A = np.zeros((len(Ps), len(rows)), dtype=params.dtype)
+            A[at, inv] = side * np.where(d < 0, 1.0, e) / (1.0 + e)
+            gP[block] = A @ Su
+            parts.append(RowGrad(rows, A.T @ Ps, A.sum(axis=0), held=(Su, tu)))
+        if len(parts) > 1:  # blocks share rows: sum them
+            parts = [RowGrad.segment_sum(*map(np.concatenate, zip(
+                *((g.rows, g.values, g.bias) for g in parts))))]
+        return loglik, gP, {"S": parts[0]} if parts else {}  # an empty batch reads no row
 
     def distribution(self, params, P, macs=None):
-        nodes, sibs, mask = self.tree.paths
-        node = _scores(P, params.S, params.t)
-        count_output(macs, node.size, self.dim)
-        on, off = node[:, nodes], node[:, sibs]
-        logp = np.where(mask, on - np.logaddexp(on, off), 0.0).sum(axis=2)
+        tree = self.tree
+        inner = np.flatnonzero(tree.leaf_word < 0)
+        x = _scores(P, params.S[tree.left[inner]], params.t[tree.left[inner]])
+        count_output(macs, x.size, self.dim)
+        logp = np.zeros((len(P), tree.num_nodes))
+        for d in range(tree.max_depth):  # from the root down, one level at a time
+            k = np.flatnonzero(tree.node_depth[inner] == d)
+            logp[:, tree.left[inner[k]]] = logp[:, inner[k]] - np.logaddexp(0.0, -x[:, k])
+            logp[:, tree.right[inner[k]]] = logp[:, inner[k]] - np.logaddexp(0.0, x[:, k])
         out = np.zeros((len(P), self.vocab_size))
-        out[:, self.support] = np.exp(logp[:, self.support])
+        out[:, self.support] = np.exp(logp[:, tree.leaf_of[self.support]])
         return out
 
     def ml_rows(self, targets):
-        nodes, sibs, mask = (a[targets] for a in self.tree.paths)
-        return [("S", np.concatenate([nodes[mask], sibs[mask]]))]
+        cur = self._choices(*self._deepest_first(targets)[1:])[0]
+        return [("S", self.choice_row[cur])]
 
 
 OUTPUT_LAYERS = {REGIME_STANDARD: StandardLayer, REGIME_CLASS: ClassLayer,

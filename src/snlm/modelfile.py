@@ -1,6 +1,6 @@
 """Binary model files: a self-contained little-endian format.
 
-Layout of version 3, which :func:`save_model` writes (all integers
+Layout of version 4, which :func:`save_model` writes (all integers
 little-endian)::
 
     magic   "SNLM" | version u32 | order u32 | dim u32 | regime u8
@@ -15,7 +15,8 @@ little-endian)::
                :func:`snlm.model.parameter_shapes` lists (Q, R, b, C_j..,
                S, t); S and t are empty under the standard regime. Zero
                bytes pad the file so that each non-empty array starts at a
-               multiple of 64 bytes; an empty array gets no padding.
+               multiple of 64 bytes; an empty array gets no padding. A
+               tree's S and t rows of right children are zeros, never read.
 
 :func:`load_model` maps the file copy-on-write (``mmap.ACCESS_COPY``) and
 returns each parameter array, and the counts, as a view of the map at its
@@ -24,8 +25,9 @@ are not, is copied instead. Loading reads no payload byte. A caller that
 writes to a loaded model, training it for one, gets private pages and never
 changes the file. :func:`save_model` renames a finished file over the old
 one, so a model mapped from a path stays intact when that path is saved
-again. Version 2 files, the same layout without the padding, are read by
-the same code. Version 1 files are refused.
+again. Version 3, version 4's layout, and version 2, without the padding,
+are read by the same code, except for tree models, whose rows scored a
+node against its sibling. Version 1 files are refused.
 
 Parameters are stored as 32-bit reals regardless of the in-memory dtype, so
 float32 models round-trip bit for bit. The file carries no checksum: a
@@ -50,8 +52,8 @@ from .model import (OUTPUT_LAYERS, REGIME_CLASS, REGIME_STANDARD, REGIME_TREE,
                     ModelConfig, ModelParameters, parameter_shapes)
 
 MAGIC = b"SNLM"
-VERSION = 3
-ALIGN = 64  # version 3 starts each non-empty payload array at a multiple of this
+VERSION = 4
+ALIGN = 64  # versions 3 and 4 start each non-empty payload array at a multiple of this
 _HEADER = struct.Struct("<4sIIIBBQ")  # magic .. vocab_size
 _VOCAB_BYTES = struct.Struct("<Q")    # then the vocabulary block's length
 _REGIME_CODE = {REGIME_STANDARD: 0, REGIME_CLASS: 1, REGIME_TREE: 2}
@@ -63,7 +65,7 @@ def payload_nbytes(params: ModelParameters) -> int:
 
 
 def save_model(path, params: ModelParameters, vocab: Vocabulary) -> dict:
-    """Write a version 3 model file; returns the byte size of each section.
+    """Write a version 4 model file; returns the byte size of each section.
 
     The file is written beside ``path`` under a temporary name and renamed
     over it once complete, so ``path`` never holds a partial model.
@@ -101,7 +103,7 @@ def save_model(path, params: ModelParameters, vocab: Vocabulary) -> dict:
 
 
 def load_model(path):
-    """Map a model file, version 3 or 2, as (ModelParameters, Vocabulary).
+    """Map a model file, version 4, 3 or 2, as (ModelParameters, Vocabulary).
 
     Every length field is checked against the bytes the file has left, and
     the file's total length against the whole layout, before any array is
@@ -129,11 +131,13 @@ def load_model(path):
         _HEADER.unpack(read(_HEADER.size))
     if magic != MAGIC:
         raise ModelFormatError("not a model file (bad magic)")
-    if version not in (2, VERSION):
+    if version not in (2, 3, VERSION):
         raise ModelFormatError(f"unsupported model file version {version}")
     if regime_code not in _CODE_REGIME:
         raise ModelFormatError(f"unknown regime code {regime_code}")
     regime = _CODE_REGIME[regime_code]
+    if regime == REGIME_TREE and version < VERSION:
+        raise ModelFormatError(f"unsupported model file version {version} for a tree model")
 
     (nbytes,) = _VOCAB_BYTES.unpack(read(_VOCAB_BYTES.size))
     if nbytes + 8 * vocab_size > size - pos:  # the joined tokens, then a count each
@@ -152,7 +156,7 @@ def load_model(path):
                          vocab_size=vocab_size, **structure)
     config.validate()
 
-    align = ALIGN if version == VERSION else 1
+    align = ALIGN if version >= 3 else 1
     payload = []
     for _, shape in parameter_shapes(config):
         if math.prod(shape):

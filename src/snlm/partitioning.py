@@ -16,7 +16,6 @@ added.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -340,11 +339,9 @@ class VocabularyTree:
     creation order, and the root is always the last node id. Every internal
     node has exactly two children.
 
-    Padded word paths are built by :meth:`path_arrays` for the word ids
-    asked for, from a leaf-of-word map and the parent links; :attr:`paths`
-    is that over every word id, built on first use and kept, for training
-    and the reference distribution. Scoring builds no path arrays: it walks
-    from ``leaf_of`` up ``parent``, reading ``sibling`` and ``node_depth``.
+    ``node_depth`` holds every node's depth and ``leaf_of`` maps a word id
+    to its leaf (-1 for an id that labels none). Scoring walks from
+    ``leaf_of`` up ``parent``, deepest queries first.
     """
 
     parent: np.ndarray   # (num_nodes,), -1 for the root
@@ -357,15 +354,12 @@ class VocabularyTree:
         self.left = np.asarray(self.left, dtype=np.int32)
         self.right = np.asarray(self.right, dtype=np.int32)
         self.leaf_word = np.asarray(self.leaf_word, dtype=np.int32)
-        self.validate()
+        leaves = self.validate()
         self.node_depth = self._node_depth()
-        leaves = np.flatnonzero(self.leaf_word >= 0)
         self.leaf_of = np.full(self.leaf_word.max() + 1, -1, dtype=np.int32)
         self.leaf_of[self.leaf_word[leaves]] = leaves  # word id -> leaf, -1 for none
-        inner = np.flatnonzero(self.leaf_word < 0)
-        self.sibling = np.zeros(self.num_nodes, dtype=np.int32)  # the root's reads 0
-        self.sibling[self.left[inner]] = self.right[inner]
-        self.sibling[self.right[inner]] = self.left[inner]
+        if (self.leaf_of[self.leaf_word[leaves]] != leaves).any():  # a later leaf took its word
+            raise DataError("word labels two leaves")
 
     @property
     def num_nodes(self) -> int:
@@ -384,80 +378,53 @@ class VocabularyTree:
         """Sorted word ids at the leaves."""
         return np.sort(self.leaf_word[self.leaf_word >= 0])
 
-    def validate(self):
+    def validate(self) -> np.ndarray:
+        """Check the links of a strict binary tree, one or two array passes a
+        check; returns the leaves' node ids. ``_node_depth`` checks reach."""
         n = self.num_nodes
         if n < 3 or n % 2 == 0:
             raise DataError("a strict binary tree over L>=2 leaves has 2L-1 nodes")
-        if self.parent[n - 1] != -1 or (self.parent[:n - 1] < 0).any():
+        parent, left, right = self.parent, self.left, self.right
+        if parent[n - 1] != -1 or parent[:n - 1].min() < 0:
             raise DataError("root must be the last node and the only orphan")
-        leaves = self.leaf_word >= 0
-        internal = ~leaves
-        if leaves.sum() != (n + 1) // 2:
+        is_leaf = self.leaf_word >= 0
+        leaves = np.flatnonzero(is_leaf)
+        if len(leaves) != (n + 1) // 2:
             raise DataError("leaf/internal node count mismatch")
-        if (self.left[leaves] != -1).any() or (self.right[leaves] != -1).any():
-            raise DataError("leaves cannot have children")
-        for links in (self.parent, self.left, self.right):
-            if ((links < -1) | (links >= n)).any():
+        for links in (parent, left, right):
+            if links.min() < -1 or links.max() >= n:
                 raise DataError("node id out of range")
-        if (self.left[internal] < 0).any() or (self.right[internal] < 0).any():
-            raise DataError("internal nodes need two children")
-        if (self.left[internal] == self.right[internal]).any():
+        childless = ((left < 0) != is_leaf) | ((right < 0) != is_leaf)  # ids: -1 or a node
+        if childless.any():
+            raise DataError("leaves cannot have children" if childless[leaves].any()
+                            else "internal nodes need two children")
+        inner = np.flatnonzero(~is_leaf)
+        kids = left[inner], right[inner]
+        if (kids[0] == kids[1]).any():
             raise DataError("an internal node's two children must differ")
-        inner = np.flatnonzero(internal)
-        for child in (self.left[inner], self.right[inner]):
-            if (self.parent[child] != inner).any():
-                raise DataError("parent/child links disagree")
-        words = np.sort(self.leaf_word[leaves])  # sorting beats np.unique's hashing
-        if (words[1:] == words[:-1]).any():
-            raise DataError("word labels two leaves")
+        # np.take: fancy indexing would first cast the int32 ids to intp
+        if (np.take(parent, kids[0]) != inner).any() or (np.take(parent, kids[1]) != inner).any():
+            raise DataError("parent/child links disagree")
+        return leaves
 
     def _node_depth(self) -> np.ndarray:
-        """Depth of every node, found one level at a time from the root.
-
-        A tree deeper than ``MAX_TREE_DEPTH`` is rejected as soon as the walk
-        passes that level: every padded path row, in :meth:`path_arrays` and
-        in the ``paths`` table, takes max_depth entries.
-        """
-        depth = np.full(self.num_nodes, -1, dtype=np.int64)
-        level, d = np.array([self.root]), 0
-        while len(level):  # children differ and name their parent: no revisits
-            if d > MAX_TREE_DEPTH:
-                raise DataError(f"tree is deeper than {MAX_TREE_DEPTH} levels "
-                                f"(a node at depth {d})")
-            depth[level] = d
-            level = level[self.left[level] >= 0]
-            level = np.concatenate([self.left[level], self.right[level]])
-            d += 1
-        if (depth < 0).any():
+        """Depth of every node by pointer jumping: each round doubles how far
+        up every node has counted. A tree deeper than ``MAX_TREE_DEPTH`` is
+        rejected: a walk over it, up a path or down the levels, takes one
+        step per level."""
+        up = self.parent.astype(np.intp)  # an index of intp needs no cast
+        up[self.root] = self.root
+        depth = (self.parent >= 0).astype(np.int32)  # the distance to up
+        for _ in range(MAX_TREE_DEPTH.bit_length()):  # resolves every depth up to 128
+            depth += depth[up]
+            up = up[up]
+        depth[up != self.root] = -1  # in a cycle, or deeper than the rounds resolve
+        if depth.max() > MAX_TREE_DEPTH:
+            raise DataError(f"tree is deeper than {MAX_TREE_DEPTH} levels "
+                            f"(a node at depth {depth.max()})")
+        if depth.min() < 0:
             raise DataError("tree has nodes the root does not reach")
         return depth
-
-    def path_arrays(self, words):
-        """Padded (len(words), max_depth) arrays (nodes, siblings, mask) for
-        the given word ids. Row i holds words[i]'s path from just below the
-        root down to its leaf, left-aligned; padding is node 0 under a False
-        mask (its siblings read ``sibling[0]``), and an id that labels no leaf
-        gets an all-False row. Each node is written where its depth puts it,
-        walking every path up its parent links at once."""
-        leaf = self.leaf_of[words]
-        depth = np.where(leaf >= 0, self.node_depth[leaf], 0)
-        width = self.max_depth
-        nodes = np.zeros((len(leaf), width), dtype=np.int32)
-        rows = np.flatnonzero(depth)
-        cur, at = leaf[rows], rows * width + depth[rows] - 1  # flat position of each leaf
-        flat = nodes.reshape(-1)
-        while len(cur):
-            flat[at] = cur
-            cur = self.parent[cur]
-            below = cur != self.root
-            cur, at = cur[below], at[below] - 1
-        return nodes, self.sibling[nodes], np.arange(width) < depth[:, None]
-
-    @functools.cached_property
-    def paths(self):
-        """:meth:`path_arrays` over every word id up to the largest leaf
-        word, built on first use and kept: row w is word w's path."""
-        return self.path_arrays(np.arange(len(self.leaf_of)))
 
     @property
     def max_depth(self) -> int:

@@ -306,7 +306,7 @@ def ml_gradient(params: ModelParameters, contexts, targets, l2: float = 0.0,
     Returns (Gradients, batch log-likelihood). The gradient holds the rows
     the batch reads: the context rows of Q, and every support row of R
     (standard), every row of S plus the target classes' rows of R (class), or
-    the target paths' nodes and siblings in S (tree).
+    the rows of S that hold the vectors of the target paths' nodes (tree).
     """
     targets = np.asarray(targets, dtype=np.int64)
     _check_targets(targets)

@@ -61,12 +61,17 @@ def make_config(vocab, regime=REGIME_STANDARD, order=3, dim=5, diagonal=True,
 def make_params(vocab, regime=REGIME_STANDARD, order=3, dim=5, diagonal=True,
                 seed=0, dtype=np.float64, scale=0.5, num_classes=2,
                 class_of=None):
-    """Random dense parameters (no structure in the values, just finite)."""
+    """Random dense parameters (no structure in the values, just finite);
+    the output layer's unused rows of S and t, which are not parameters,
+    stay 0."""
     cfg = make_config(vocab, regime, order, dim, diagonal, num_classes, class_of)
     params = init_parameters(cfg, seed=seed, dtype=dtype)
     rng = np.random.default_rng(seed + 1000)
     for _, arr in params.arrays():
         arr[...] = rng.normal(0.0, scale, size=arr.shape).astype(dtype)
+    unused = cfg.layout().unused_rows
+    params.S[unused] = 0
+    params.t[unused] = 0
     return params
 
 
@@ -215,27 +220,13 @@ def caterpillar(words):
     return parent, left, right, leaf_word
 
 
-def assert_paths_walk_up(tree, words):
-    """``tree.path_arrays(words)`` against each word's path found by
-    walking from its leaf up the parent links, one word at a time: the
-    nodes below the root, root side first and left-aligned, each node's
-    sibling, and padding of node 0 (with node 0's sibling) under a False
-    mask; a word that labels no leaf gets only padding."""
-    nodes, sibs, mask = tree.path_arrays(np.asarray(words))
-    assert nodes.shape == sibs.shape == mask.shape == (len(words), tree.max_depth)
-    assert (nodes.dtype, sibs.dtype, mask.dtype) == (np.int32, np.int32, bool)
-
-    def sibling(node):
-        up = tree.parent[node]
-        return int(tree.left[up]) + int(tree.right[up]) - node
-
-    for row, word in enumerate(words):
-        leaf = np.flatnonzero(tree.leaf_word == word)
-        path, node = [], int(leaf[0]) if len(leaf) else tree.root
-        while node != tree.root:
-            path.insert(0, node)
-            node = int(tree.parent[node])
-        pad = tree.max_depth - len(path)
-        assert nodes[row].tolist() == path + [0] * pad
-        assert sibs[row].tolist() == [sibling(n) for n in path] + [sibling(0)] * pad
-        assert mask[row].tolist() == [True] * len(path) + [False] * pad
+def assert_depths_walk_up(tree):
+    """``tree.node_depth`` and ``tree.leaf_of`` against a walk up the parent
+    links from every node, one node at a time, and a dict of the leaves."""
+    for node in range(tree.num_nodes):
+        steps, up = 0, node
+        while tree.parent[up] >= 0:
+            up, steps = int(tree.parent[up]), steps + 1
+        assert up == tree.root and tree.node_depth[node] == steps
+    leaf = {int(w): node for node, w in enumerate(tree.leaf_word) if w >= 0}
+    assert tree.leaf_of.tolist() == [leaf.get(w, -1) for w in range(len(tree.leaf_of))]

@@ -342,7 +342,7 @@ class TestBatchWidth:
         """One float32 batch at the width ``_batch_width`` gives peaks within
         the budget. Classes are binned by frequency as ``snlm train`` does,
         and every class query targets the largest class, its dearest case;
-        a tree query's arrays are max_depth wide whatever its target."""
+        a tree query's walk holds the same whatever its target."""
         words = [f"w{i}" for i in range(12_000)]
         vocab = make_vocab(words, counts=[len(words) // (i + 1) + 1
                                           for i in range(len(words))])
@@ -561,13 +561,13 @@ class TestSentenceBatches:
         assert len({tree.depth(t) for t in targets}) > 1
         macs = MacCounter()
         score_sentence(params, sentence, vocab, macs=macs)
-        assert macs.output == sum(2 * tree.depth(t) * D for t in targets)
+        assert macs.output == sum(tree.depth(t) * D for t in targets)
 
     def test_tree_scoring_builds_only_its_batch_paths(self, tmp_path):
-        """Perplexity on a freshly loaded tree model walks its batches' paths
-        and never builds the whole-vocabulary table, and its scores are
-        within 1e-12 of the scores computed from that table: the walk sums
-        each path from the leaf up, the table from the root down."""
+        """Perplexity on a freshly loaded tree model walks its batch's paths
+        from the leaves up, and its scores are within float32 rounding of
+        the reference distribution, which goes down from the root over
+        every internal node."""
         vocab = make_vocab([f"w{i}" for i in range(40)], counts=list(range(80, 0, -2)))
         params = make_params(vocab, REGIME_TREE, order=3, dim=6, seed=177, dtype=np.float32)
         save_model(tmp_path / "tree.bin", params, vocab)
@@ -576,17 +576,13 @@ class TestSentenceBatches:
         sentences = [[f"w{i}" for i in rng.integers(0, 40, size=rng.integers(1, 15))]
                      for _ in range(30)]
         report = perplexity(loaded, sentences, vocab)
-        tree, layer = loaded.config.tree, loaded.config.layout()
-        assert "paths" not in tree.__dict__
+        layer = loaded.config.layout()
         contexts, targets = instance_arrays(sentences, vocab, 3)
         assert evaluation._batch_width(loaded) > len(targets)  # one batch
         P = project_batch(loaded, contexts)[0]
-        nodes, sibs, mask = (a[targets] for a in tree.paths)
-        on, off = ((np.einsum("mkd,md->mk", loaded.S[ids], P) + loaded.t[ids])
-                   .astype(np.float64) for ids in (nodes, sibs))
-        want = np.where(mask, on - np.logaddexp(on, off), 0.0).sum(axis=1)
+        want = np.log(layer.distribution(loaded, P)[np.arange(len(targets)), targets])
         got = score_instances(loaded, contexts, targets)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, want, rtol=0, atol=2e-6)
         assert report.total_log_prob == math.fsum(got.tolist())
 
 
@@ -613,7 +609,7 @@ class TestQueryBenchmark:
         contexts = np.tile(np.array([[3, 4]]), (6, 1))
         report = query_benchmark(params, contexts)
         tree = params.config.tree
-        want = np.mean([2 * D + 2 * tree.depth(int(w)) * D for w in words])
+        want = np.mean([2 * D + tree.depth(int(w)) * D for w in words])
         np.testing.assert_allclose(report.macs_per_query, want)
 
     def test_rejects_empty_queries(self):

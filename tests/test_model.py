@@ -329,6 +329,8 @@ class TestTreeFactoredRegime:
         np.testing.assert_allclose(dist, [0.75, 0.0, 0.25], atol=1e-12)
 
     def test_mirrored_tree_keeps_distribution(self):
+        """Swapping every node's children, and moving its vector, negated,
+        to its new left child, keeps the distribution bitwise."""
         vocab = make_vocab(list("abcd"), counts=[8, 4, 2, 1])
         params = make_params(vocab, REGIME_TREE, seed=32)
         tree = params.config.tree
@@ -339,6 +341,10 @@ class TestTreeFactoredRegime:
         flipped = init_parameters(cfg, seed=0, dtype=np.float64)
         for (_, dst), (_, src) in zip(flipped.arrays(), params.arrays()):
             dst[...] = src
+        inner = tree.leaf_word < 0
+        left, right = tree.left[inner], tree.right[inner]
+        flipped.S[right], flipped.t[right] = -params.S[left], -params.t[left]
+        flipped.S[left], flipped.t[left] = 0.0, 0.0
         ctx = np.array([5, 3])
         np.testing.assert_array_equal(full_distribution(flipped, ctx),
                                       full_distribution(params, ctx))
@@ -358,11 +364,12 @@ class TestTreeFactoredRegime:
         trp.Q[...] = cls.Q
         for j in range(2):
             trp.C[j][...] = cls.C[j]
-        for leaf, word in enumerate([0, 2, 3, 4]):
-            trp.S[leaf] = cls.R[word]
-            trp.t[leaf] = cls.b[word]
-        trp.S[4], trp.t[4] = cls.S[0], cls.t[0]
-        trp.S[5], trp.t[5] = cls.S[1], cls.t[1]
+        # each node's vector, in its left child's row, is the difference of
+        # the two sides' class model rows; the right children's rows stay 0
+        trp.S[...], trp.t[...] = 0.0, 0.0
+        trp.S[0], trp.t[0] = cls.R[0] - cls.R[3], cls.b[0] - cls.b[3]  # leaves 0 | 2
+        trp.S[1], trp.t[1] = cls.R[2] - cls.R[4], cls.b[2] - cls.b[4]  # leaves 1 | 3
+        trp.S[4], trp.t[4] = cls.S[0] - cls.S[1], cls.t[0] - cls.t[1]  # classes 0 | 1
         ctx = np.array([3, 4])
         np.testing.assert_allclose(full_distribution(trp, ctx),
                                    full_distribution(cls, ctx), atol=1e-12)
@@ -563,26 +570,6 @@ class TestStandardBlocks:
         assert layer.block_words() == 2 and layer.row_bytes() == 8
 
 
-class TestPaddedTreePaths:
-    def test_mixed_depth_batch_matches_enumeration(self):
-        # skewed counts give leaves at many depths; padding must not leak
-        vocab = make_vocab(list("abcdefg"), counts=[64, 32, 16, 8, 4, 2, 1])
-        rng = np.random.default_rng(70)
-        for diagonal in (True, False):
-            params = make_params(vocab, REGIME_TREE, order=3, dim=4,
-                                 diagonal=diagonal, seed=71)
-            tree = params.config.tree
-            words = np.array([w for w in range(len(vocab)) if w != BOS_ID] * 2)
-            words = rng.permutation(words)
-            assert len({tree.depth(w) for w in words}) >= 5
-            assert min(tree.depth(w) for w in words) < tree.max_depth
-            contexts = rng.integers(0, len(vocab), size=(len(words), 2))
-            got = log_probs_batch(params, contexts, words)
-            want = [math.log(enumerate_log_probs(params, c)[w])
-                    for c, w in zip(contexts, words)]
-            np.testing.assert_allclose(got, want, rtol=1e-10)
-
-
 class TestTreeWalk:
     """``TreeLayer.log_probs`` walks each path from its leaf to the root, in
     depth order and in row slabs."""
@@ -605,12 +592,56 @@ class TestTreeWalk:
         one = log_probs_batch(params, contexts, words, one_macs)
         want = [math.log(enumerate_log_probs(params, c)[w]) for c, w in zip(contexts, words)]
         np.testing.assert_allclose(one, want, rtol=1e-10)
-        assert one_macs.output == 2 * D * sum(tree.depth(w) for w in words)
+        assert one_macs.output == D * sum(tree.depth(w) for w in words)
         for rows in (1, 7):  # 60 queries in 60 and in 9 slabs
             monkeypatch.setattr(model, "_SLAB_BYTES", rows * params.dtype.itemsize * D)
             macs = MacCounter()
             np.testing.assert_array_equal(log_probs_batch(params, contexts, words, macs), one)
             assert macs == one_macs
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 2e-6)])
+    def test_walk_distribution_and_enumeration_agree_at_mixed_depths(self, dtype, tol,
+                                                                     diagonal):
+        """Skewed counts put the leaves at many depths. The walk up from the
+        leaves, ``distribution``'s pass down from the root and the
+        plain-Python enumeration give every query the same log-prob."""
+        vocab = make_vocab(list("abcdefg"), counts=[64, 32, 16, 8, 4, 2, 1])
+        params = make_params(vocab, REGIME_TREE, order=3, dim=4, diagonal=diagonal,
+                             seed=71, dtype=dtype)
+        tree = params.config.tree
+        rng = np.random.default_rng(70)
+        words = rng.permutation([w for w in range(len(vocab)) if w != BOS_ID] * 2)
+        assert len({tree.depth(w) for w in words}) >= 5
+        assert min(tree.depth(w) for w in words) < tree.max_depth
+        contexts = rng.integers(0, len(vocab), size=(len(words), 2))
+        got = log_probs_batch(params, contexts, words)
+        dist = params.config.layout().distribution(params, project_batch(params, contexts)[0])
+        np.testing.assert_allclose(got, np.log(dist[np.arange(len(words)), words]),
+                                   rtol=0, atol=tol)
+        want = [math.log(enumerate_log_probs(params, c)[w]) for c, w in zip(contexts, words)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+    def test_backward_in_blocks_matches_one_block(self, monkeypatch):
+        """``backward`` reads and writes only the rows that ``ml_rows`` lists,
+        none of them a right child's; over blocks of 1 and 7 queries, whose
+        row sums are then added up, it gives one block's gradient."""
+        params, contexts, words = self.queries(74)
+        layer = params.config.layout()
+        P = project_batch(params, contexts)[0]
+        loglik, gP, grads = layer.backward(params, P, words)
+        one = grads["S"]
+        np.testing.assert_array_equal(one.rows, np.unique(layer.ml_rows(words)[0][1]))
+        assert not np.isin(one.rows, layer.unused_rows).any()
+        np.testing.assert_array_equal(one.held[0], params.S[one.rows])
+        for block in (1, 7):  # 60 queries in 60 and in 9 blocks
+            monkeypatch.setattr(model, "_TREE_BLOCK", block)
+            got_loglik, got_gP, got = layer.backward(params, P, words)
+            np.testing.assert_allclose(got_loglik, loglik, rtol=1e-12)
+            np.testing.assert_allclose(got_gP, gP, rtol=1e-12, atol=1e-15)
+            np.testing.assert_array_equal(got["S"].rows, one.rows)
+            np.testing.assert_allclose(got["S"].values, one.values, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(got["S"].bias, one.bias, rtol=1e-12, atol=1e-15)
 
     def test_batch_of_one(self):
         params, contexts, words = self.queries(73)
@@ -621,7 +652,7 @@ class TestTreeWalk:
             assert got.shape == (1,)
             np.testing.assert_allclose(got[0], math.log(enumerate_log_probs(params, c)[w]),
                                        rtol=1e-10)
-            assert macs.output == 2 * D * params.config.tree.depth(w)
+            assert macs.output == D * params.config.tree.depth(w)
 
 
 class TestOutputMacCosts:
@@ -646,7 +677,7 @@ class TestOutputMacCosts:
         tre = make_params(vocab, REGIME_TREE, dim=D, seed=60)
         macs = MacCounter()
         log_prob(tre, ctx, w, macs)
-        assert macs.output == 2 * tre.config.tree.depth(w) * D
+        assert macs.output == tre.config.tree.depth(w) * D
 
     def test_normalization_cost_ordering(self):
         # big-vocabulary ranking: unnormalised < tree < class < standard

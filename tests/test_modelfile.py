@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_paths_walk_up, caterpillar, make_params, make_vocab
+from conftest import assert_depths_walk_up, caterpillar, make_params, make_vocab
 from snlm.cli import main
 from snlm.corpus import Vocabulary, instance_arrays
 from snlm.errors import ModelFormatError, SnlmError
@@ -99,7 +99,7 @@ class TestRoundTrip:
         for field in ("parent", "left", "right", "leaf_word"):
             np.testing.assert_array_equal(getattr(loaded.config.tree, field),
                                           getattr(params.config.tree, field))
-        assert_paths_walk_up(loaded.config.tree, range(len(vocab)))
+        assert_depths_walk_up(loaded.config.tree)
 
     def test_full_transforms_survive(self, tmp_path):
         vocab = make_vocab(list("ab"))
@@ -141,11 +141,11 @@ class TestRoundTrip:
 
 
 class TestVersions:
-    def test_files_are_written_as_version_3(self, tmp_path):
+    def test_files_are_written_as_version_4(self, tmp_path):
         params, vocab = small_model(REGIME_CLASS)
         path = tmp_path / "model.bin"
         save_model(path, params, vocab)
-        assert struct.unpack_from("<I", path.read_bytes(), 4) == (3,)
+        assert struct.unpack_from("<I", path.read_bytes(), 4) == (4,)
 
     def test_version_1_is_refused_naming_its_version(self, tmp_path):
         path = tmp_path / "v1.bin"
@@ -163,14 +163,26 @@ class TestVersions:
     @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS,
                                         REGIME_TREE])
     def test_version_2_loads_like_its_version_3_twin(self, tmp_path, regime):
+        """Standard and class models of versions 2 and 3 load as their
+        version 4 file does. Tree models of both are refused, each naming
+        its version: their rows held a vector for each side of a choice."""
         # a 23-byte vocabulary block leaves every version 2 array misaligned
         vocab = make_vocab(["a", "b", "c", "dd"], counts=[7, 4, 2, 1])
         params = make_params(vocab, regime, order=3, dim=5, seed=145,
                              num_classes=2, dtype=np.float32)
-        v2, v3 = tmp_path / "v2.bin", tmp_path / "v3.bin"
+        v2, v3, v4 = tmp_path / "v2.bin", tmp_path / "v3.bin", tmp_path / "v4.bin"
         save_v2(v2, params, vocab)
-        save_model(v3, params, vocab)
+        save_model(v4, params, vocab)
+        raw = bytearray(v4.read_bytes())
+        raw[4:8] = struct.pack("<I", 3)  # version 3 is version 4's layout
+        v3.write_bytes(raw)
         assert v2.stat().st_size < v3.stat().st_size
+        if regime == REGIME_TREE:
+            for version, path in ((2, v2), (3, v3)):
+                with pytest.raises(ModelFormatError, match=f"version {version} for a tree"):
+                    load_model(path)
+            return
+        assert_same_model(load_model(v3), load_model(v4))
         from_v2 = load_model(v2)
         assert_same_model(from_v2, load_model(v3))
         assert_same_model(from_v2, (params, vocab))

@@ -23,7 +23,7 @@ from snlm.partitioning import (
 )
 from snlm.synthetic import markov_corpus, template_corpus
 
-from conftest import assert_paths_walk_up, caterpillar, make_vocab, min_wpl
+from conftest import assert_depths_walk_up, caterpillar, make_vocab, min_wpl
 
 
 class TestWordClassing:
@@ -407,40 +407,27 @@ class TestHuffmanTree:
 class TestVocabularyTree:
     def test_path_walks_root_to_leaf(self):
         tree = huffman_tree({0: 5, 1: 2, 2: 1, 3: 1})
-        nodes, sibs, mask = (a[3] for a in tree.paths)
-        nodes, sibs = nodes[mask], sibs[mask]
-        assert len(nodes) == tree.depth(3) == 3
-        for node, sib in zip(nodes, sibs):
-            par = tree.parent[node]
-            assert {int(tree.left[par]), int(tree.right[par])} == {int(node), int(sib)}
-        assert tree.leaf_word[nodes[-1]] == 3
+        path = [int(tree.leaf_of[3])]
+        while tree.parent[path[0]] >= 0:
+            path.insert(0, int(tree.parent[path[0]]))
+        assert path[0] == tree.root and tree.leaf_word[path[-1]] == 3
+        assert len(path) - 1 == tree.depth(3) == 3
+        assert tree.node_depth[path].tolist() == [0, 1, 2, 3]
+        for up, node in zip(path, path[1:]):
+            assert node in (tree.left[up], tree.right[up])
 
-    def test_path_arrays_walk_up_the_parent_links(self):
+    def test_depths_and_leaves_walk_up_the_parent_links(self):
         rng = np.random.default_rng(176)
         for size in (2, 3, 17, 200):
             ids = rng.choice(3 * size, size=size, replace=False)
             counts = rng.integers(0, 50, size=size) ** 2  # ties and zero counts
-            tree = huffman_tree(dict(zip(ids.tolist(), counts.tolist())))
-            every = np.arange(ids.max() + 1)  # ids that label no leaf among them
-            assert_paths_walk_up(tree, every)
-            assert_paths_walk_up(tree, rng.permutation(np.concatenate([every, every[::3]])))
-            for got, want in zip(tree.paths, tree.path_arrays(every)):
-                np.testing.assert_array_equal(got, want)
-
-    def test_path_arrays_of_one_word_and_of_bos(self):
-        vocab = make_vocab(list("abcdefg"), counts=[13, 8, 5, 3, 2, 1, 1])
-        tree = huffman_tree({w: max(int(vocab.counts[w]), 1) for w in range(len(vocab))
-                             if w != BOS_ID})
-        for word in range(len(vocab)):
-            assert_paths_walk_up(tree, [word])
-        nodes, sibs, mask = tree.path_arrays(np.array([BOS_ID]))
-        assert not mask.any() and tree.depth(BOS_ID) == 0
-        assert (nodes == 0).all() and (sibs == tree.sibling[0]).all()
+            assert_depths_walk_up(huffman_tree(dict(zip(ids.tolist(), counts.tolist()))))
+        for size in (2, 3, 40, MAX_TREE_DEPTH + 1):
+            assert_depths_walk_up(VocabularyTree(*caterpillar(rng.permutation(size))))
 
     def test_depth_reads_the_leaf_depth(self):
         tree = VocabularyTree(*caterpillar([5, 2, 7, 3]))
         assert [tree.depth(w) for w in range(8)] == [0, 0, 3, 1, 0, 3, 0, 2]
-        assert "paths" not in tree.__dict__
 
     def test_save_load_round_trip(self, tmp_path):
         sentences = [["a", "b", "a", "c", "d", "a", "b"]]
@@ -455,13 +442,43 @@ class TestVocabularyTree:
         np.testing.assert_array_equal(again.left, tree.left)
         np.testing.assert_array_equal(again.right, tree.right)
         np.testing.assert_array_equal(again.leaf_word, tree.leaf_word)
-        assert_paths_walk_up(again, range(len(vocab)))
+        assert_depths_walk_up(again)
 
     def test_depth_is_bounded(self):
         deepest = VocabularyTree(*caterpillar(range(MAX_TREE_DEPTH + 1)))
         assert deepest.max_depth == MAX_TREE_DEPTH
-        with pytest.raises(DataError, match=f"deeper than {MAX_TREE_DEPTH}"):
-            VocabularyTree(*caterpillar(range(MAX_TREE_DEPTH + 2)))
+        for leaves in (MAX_TREE_DEPTH + 2, 4 * MAX_TREE_DEPTH):  # past what depths resolve
+            with pytest.raises(DataError, match=f"deeper than {MAX_TREE_DEPTH}"):
+                VocabularyTree(*caterpillar(range(leaves)))
+
+    # each change to a valid tree, (node, field, value), breaks one link rule:
+    # parent 4 holds leaves 0 and 1, node 5 leaves 2 and 3, the root 6 both
+    VALID = dict(parent=[4, 4, 5, 5, 6, 6, -1], left=[-1, -1, -1, -1, 0, 2, 4],
+                 right=[-1, -1, -1, -1, 1, 3, 5], leaf_word=[10, 11, 12, 13, -1, -1, -1])
+
+    @pytest.mark.parametrize("changes,message", [
+        ([(6, "parent", 5)], "root must be the last node"),
+        ([(4, "leaf_word", 14)], "node count mismatch"),
+        ([(4, "left", 7)], "node id out of range"),
+        ([(2, "parent", -2)], "the only orphan"),
+        ([(0, "left", 1)], "leaves cannot have children"),
+        ([(5, "right", -1)], "internal nodes need two children"),
+        ([(4, "right", 0)], "two children must differ"),
+        ([(1, "parent", 5)], "parent/child links disagree"),
+        ([(1, "leaf_word", 10)], "word labels two leaves"),
+        # nodes 4 and 5 hold each other, and the root holds leaves 1 and 2
+        ([(0, "parent", 4), (1, "parent", 6), (2, "parent", 6), (3, "parent", 5),
+          (4, "parent", 5), (5, "parent", 4), (4, "left", 0), (4, "right", 5),
+          (5, "left", 4), (5, "right", 3), (6, "left", 1), (6, "right", 2)],
+         "root does not reach"),
+    ])
+    def test_each_broken_link_rule_is_named(self, changes, message):
+        VocabularyTree(**self.VALID)
+        fields = {k: np.array(v) for k, v in self.VALID.items()}
+        for node, field, value in changes:
+            fields[field][node] = value
+        with pytest.raises(DataError, match=message):
+            VocabularyTree(**fields)
 
     def test_rejects_orphan_non_root(self):
         with pytest.raises(DataError):

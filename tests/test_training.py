@@ -622,6 +622,25 @@ class TestTrainLoop:
         with pytest.raises(TrainingDivergedError), np.errstate(all="ignore"):
             train(params, contexts, targets, config)
 
+    def test_tree_right_child_rows_stay_zero(self):
+        """The right children's rows of S and t are not parameters: fresh
+        parameters and a tree ML ``train()`` with L2 leave each exactly 0."""
+        sentences = markov_corpus(400, vocab_size=60, seed=13)
+        vocab = build_vocabulary(sentences)
+        contexts, targets = instance_arrays(sentences, vocab, n=3)
+        cfg = make_config(vocab, REGIME_TREE, order=3, dim=5)
+        params = init_parameters(cfg, seed=64, unigram=empirical_unigram(targets, len(vocab)))
+        tree = cfg.tree
+        right, left = tree.right[tree.leaf_word < 0], tree.left[tree.leaf_word < 0]
+        assert (params.S[left] != 0).all() and (params.t[left] != 0).any()
+        assert (params.S[right] == 0).all() and (params.t[right] == 0).all()
+        start = params.copy()
+        train(params, contexts, targets,
+              TrainingConfig(algorithm="ml_sgd", learning_rate=0.5, minibatch_size=8,
+                             epochs=2, l2_strength=0.01, rng_seed=65))
+        assert (params.S[left] != start.S[left]).all()
+        assert (params.S[right] == 0).all() and (params.t[right] == 0).all()
+
     def test_tree_models_refuse_nce(self):
         vocab = make_vocab(list("ab"))
         params = make_params(vocab, REGIME_TREE, seed=63, dtype=np.float32)
