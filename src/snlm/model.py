@@ -477,7 +477,9 @@ class ClassLayer(OutputLayer):
     """P(class | h) over the K class rows of S, times a softmax over the
     target's class members. A class holding only ``<s>`` gets no mass.
     ``members_eff`` are each class's members but ``<s>``, ``class_sizes``
-    their counts.
+    their counts. ``member_rows`` hold each class's members as a slice
+    where they are one run of ids (as frequency binning makes them but
+    around ``<s>``), so that gathering their rows of R and b is a view.
 
     A batch's word terms take one GEMM per distinct target class, written
     into one flat buffer, and one segmented log-sum-exp over that buffer
@@ -502,6 +504,8 @@ class ClassLayer(OutputLayer):
         cls = self.class_of[order]
         starts = np.searchsorted(cls, np.arange(self.rows + 1))
         self.members_eff = np.split(order, starts[1:-1])
+        self.member_rows = [slice(m[0], m[-1] + 1) if len(m) and m[-1] - m[0] == len(m) - 1
+                            else m for m in self.members_eff]
         self.class_sizes = np.diff(starts)
         self.class_valid = self.class_sizes > 0
         self.pos_in_class = np.full(V, -1, dtype=np.int64)
@@ -567,7 +571,7 @@ class ClassLayer(OutputLayer):
         runs = []
         for a, z in zip(edges[:-1], edges[1:]):
             c, lo = int(cls[a]), int(starts[a])
-            mem = self.members_eff[c]
+            mem = self.member_rows[c]
             X = flat[lo:lo + (z - a) * int(sizes[a])].reshape(z - a, -1)
             np.matmul(Pr[a:z], params.R[mem].T, out=X)
             X += params.b[mem]
@@ -611,7 +615,7 @@ class ClassLayer(OutputLayer):
         parts = []
         for c, a, z, X in word.runs:  # each X is now its run's block of deltas
             parts.append((self.members_eff[c], X.T @ word.P[a:z], X.sum(axis=0)))
-            np.matmul(X, params.R[self.members_eff[c]], out=gw[a:z])
+            np.matmul(X, params.R[self.member_rows[c]], out=gw[a:z])
         gP[word.rows] += gw
         # the classes are disjoint, so their rows are unique
         grads["R"] = RowGrad(*(np.concatenate(x) for x in zip(*parts)))
@@ -622,11 +626,11 @@ class ClassLayer(OutputLayer):
         count_output(macs, psi.size, self.dim)
         class_lp = psi - _lse_rows(psi)[:, None]
         out = np.zeros((len(P), self.vocab_size))
-        for c, mem in enumerate(self.members_eff):
+        for c, (mem, rows) in enumerate(zip(self.members_eff, self.member_rows)):
             if len(mem):
-                word = _scores(P, params.R[mem], params.b[mem])
+                word = _scores(P, params.R[rows], params.b[rows])
                 count_output(macs, word.size, self.dim)
-                out[:, mem] = np.exp(class_lp[:, c, None] + (word - _lse_rows(word)[:, None]))
+                out[:, rows] = np.exp(class_lp[:, c, None] + (word - _lse_rows(word)[:, None]))
         return out
 
     def ml_rows(self, targets):
@@ -819,8 +823,8 @@ def project_gathered(params: ModelParameters, Qg: np.ndarray, macs: MacCounter =
 
 def project_batch(params: ModelParameters, contexts: np.ndarray, macs: MacCounter = None):
     """:func:`project_gathered` of a batch of (m, n-1) context ids; the
-    gathered rows are freed on return."""
-    return project_gathered(params, params.Q[np.asarray(contexts)], macs)
+    gathered rows, one ``np.take`` of Q, are freed on return."""
+    return project_gathered(params, np.take(params.Q, contexts, axis=0), macs)
 
 
 def log_probs_batch(params: ModelParameters, contexts: np.ndarray, targets: np.ndarray,

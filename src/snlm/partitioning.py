@@ -41,12 +41,11 @@ class WordClassing:
             raise DataError("class_of must be a vector")
         if self.num_classes < 1 or len(self.class_of) < self.num_classes:
             raise DataError("need 1 <= num_classes <= vocabulary size")
-        present = np.unique(self.class_of)
-        if present[0] < 0 or present[-1] >= self.num_classes:
+        if self.class_of.min() < 0 or self.class_of.max() >= self.num_classes:
             raise DataError("class id out of range")
-        if len(present) != self.num_classes:
-            empty = int(np.setdiff1d(np.arange(self.num_classes), present)[0])
-            raise DataError(f"every class must be non-empty; class {empty} has no words")
+        sizes = np.bincount(self.class_of, minlength=self.num_classes)
+        if not sizes.all():  # argmin: the first class of size 0
+            raise DataError(f"every class must be non-empty; class {sizes.argmin()} has no words")
         self._members = None
 
     @property

@@ -238,16 +238,9 @@ def squared_norm(params: ModelParameters) -> float:
 
 
 def _sigmoid(x):
+    """(sigma(x), z = exp(-|x|)); log sigma(+-x) = min(+-x, 0) - log1p(z)."""
     z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def _log_sigmoid(x):
-    return -np.logaddexp(0.0, -x)
-
-
-def _log_one_minus_sigmoid(x):
-    return -np.logaddexp(0.0, x)
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z)), z
 
 
 def _project_for_grad(params, contexts, macs):
@@ -327,9 +320,10 @@ def _nce_terms(scores64, log_pn_rows, k):
     (objective, dscore) where dscore has the same shape as scores64.
     """
     delta = scores64 - (math.log(k) + log_pn_rows)
-    sig = _sigmoid(delta)
-    value = float(np.sum(_log_sigmoid(delta[:, 0])))
-    value += float(np.sum(_log_one_minus_sigmoid(delta[:, 1:])))
+    sig, z = _sigmoid(delta)
+    # log sigma(delta) of the observed column, log sigma(-delta) of the noise
+    value = float(np.minimum(delta[:, 0], 0.0).sum() - np.maximum(delta[:, 1:], 0.0).sum()
+                  - np.log1p(z).sum())
     d = -sig
     d[:, 0] += 1.0
     return value, d

@@ -183,6 +183,59 @@ class TestScoreNbest:
         assert parsed == ("3", "a b c", "")
 
 
+class TestNbestParsing:
+    LINES = [
+        "1 ||| a b ||| x=1 ||| y=2 ||| z",   # the rest keeps its separators
+        "1 ||| a b ||| ||| ||| ",
+        "1 ||| a b ||| ",                    # a trailing separator
+        "1 ||| a b |||",
+        "2 ||| ||| |||",
+        "2 |||  ||| empty",
+        " 3  ||| a\tb ||| tab",
+        "3 ||| a b\r",                       # \r stays in the fields
+        "3 ||| a ||| x\r",
+        "  ||| hyp",                         # blank sentence id: an error
+        " ||| a b ||| blank id",
+        "no separators at all",
+        "4|||a b",
+        "   ",                               # blank lines: skipped silently
+        "",
+        "\t\r",
+    ]
+
+    @staticmethod
+    def split_and_join(line):
+        """The parse of a split at every separator, the rest rejoined."""
+        parts = line.split(" ||| ")
+        if len(parts) < 2 or not parts[0].strip():
+            return None
+        return parts[0].strip(), parts[1], " ||| ".join(parts[2:])
+
+    def test_one_split_matches_split_and_join(self):
+        for line in self.LINES:
+            assert parse_nbest_line(line) == self.split_and_join(line), line
+
+    def test_score_nbest_keeps_each_field_and_skips_blank_lines(self):
+        vocab = make_vocab(list("ab"))
+        params = make_params(vocab, REGIME_STANDARD, seed=184)
+        entries, errors = score_nbest(params, [line + "\n" for line in self.LINES], vocab)
+        want, want_errors = [], []
+        for line_no, line in enumerate(self.LINES, 1):
+            parsed = self.split_and_join(line)
+            if parsed is not None:
+                want.append((line_no, *parsed))
+            elif line.strip():
+                want_errors.append((line_no, "expected 'sent_id ||| hypothesis ||| ...'"))
+        assert [tuple(e[:4]) for e in entries] == want
+        assert [e.line_no for e in entries] == list(range(1, 10))
+        assert errors == want_errors
+        assert [no for no, _ in errors] == [10, 11, 12, 13]
+        assert entries[0].rest == "x=1 ||| y=2 ||| z" and entries[8].rest == "x\r"
+        for e in entries:
+            want_score = score_sentence(params, e.hypothesis.split(), vocab)
+            np.testing.assert_allclose(e.score, want_score, rtol=1e-12)
+
+
 class TestBatchedNbest:
     LINES = [
         "1 ||| a b c ||| x=1\n",
@@ -242,6 +295,23 @@ class TestDistinctQueries:
         distinct = rng.permutation(np.arange(60, dtype=np.int32)).reshape(20, 3)
         self.assert_matches_unique(distinct)
         assert len(evaluation._distinct_rows(distinct)[0]) == 20
+
+    def test_packing_limits_match_np_unique(self):
+        """Ids at both ends of int32 take 32 bits, a key to each column; ids
+        of 21 bits fill a key with three columns; 1 and 8 columns, no rows,
+        and every row equal."""
+        rng = np.random.default_rng(183)
+        info = np.iinfo(np.int32)
+        ends = np.array([info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max],
+                        dtype=np.int32)
+        for cols in (1, 8):
+            for a in (rng.choice(ends, size=(40, cols)),
+                      rng.integers(0, 1 << 21, size=(40, cols)).astype(np.int32),
+                      rng.integers(0, 17_680, size=(40, cols)).astype(np.int32)):
+                self.assert_matches_unique(a[rng.integers(0, 40, size=300)])
+            self.assert_matches_unique(np.zeros((0, cols), dtype=np.int32))
+            for value in (info.min, 0, info.max):
+                self.assert_matches_unique(np.full((30, cols), value, dtype=np.int32))
 
     @staticmethod
     def nbest(rng, words, sources=4, hyps=40):

@@ -121,6 +121,28 @@ class TestProjection:
             assert macs.projection == 3 * per
             assert macs.output == 0
 
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_take_gather_matches_fancy_indexing_bitwise(self, diagonal):
+        """``project_batch`` gathers Q's rows with ``np.take``: the bits of
+        the 2-D fancy-index gather, negative ids read alike and an id past
+        the table refused alike."""
+        vocab = make_vocab([f"w{i}" for i in range(40)])
+        V = len(vocab)
+        params = make_params(vocab, order=4, dim=6, diagonal=diagonal, seed=7,
+                             dtype=np.float32)
+        rng = np.random.default_rng(8)
+        for contexts in (rng.integers(-V, V, size=(300, 3)).astype(np.int32),
+                         rng.integers(0, V, size=(5, 3)), np.zeros((0, 3), dtype=np.int32)):
+            got = project_batch(params, contexts)
+            want = model.project_gathered(params, params.Q[contexts])
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+        with pytest.raises(IndexError):
+            params.Q[np.array([[0, V, 1]])]
+        with pytest.raises(IndexError):
+            project_batch(params, np.array([[0, V, 1]]))
+
     def test_wrong_context_length_rejected(self):
         vocab = make_vocab(list("ab"))
         params = make_params(vocab, order=3)
@@ -317,6 +339,41 @@ class TestClassFactoredRegime:
         assert gP.shape == P.shape
         np.testing.assert_allclose(loglik, layer.log_probs(params, P, targets).sum(),
                                    rtol=1e-12)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_member_runs_are_slices_with_equal_bits(self, dtype):
+        """A class whose members are one run of ids keeps them as a slice,
+        so that its rows of R and b are views; ``log_probs``, ``backward``
+        and ``distribution`` give the bits that index arrays give."""
+        vocab = make_vocab([f"w{i}" for i in range(40)])
+        V = len(vocab)
+        class_of = np.repeat(np.arange(6), [5, 9, 1, 8, 12, V - 35])  # <s> in class 0
+        class_of[[10, 30]] = class_of[[30, 10]]  # classes 1 and 4 are no run
+        params = make_params(vocab, REGIME_CLASS, dim=6, seed=29, dtype=dtype,
+                             class_of=class_of)
+        layer = params.config.layout()
+        assert ([isinstance(r, slice) for r in layer.member_rows]
+                == [False, False, True, True, False, True])
+        for rows, mem in zip(layer.member_rows, layer.members_eff):
+            np.testing.assert_array_equal(np.arange(V)[rows], mem)
+        rng = np.random.default_rng(30)
+        P, _ = project_batch(params, rng.integers(0, V, size=(60, 2)))
+        targets = rng.choice(layer.support, size=60)
+
+        def passes():
+            loglik, gP, grads = layer.backward(params, P, targets)
+            return ([layer.log_probs(params, P, targets), layer.distribution(params, P),
+                     np.float64(loglik), gP]
+                    + [a for g in grads.values() for a in (g.rows, g.values, g.bias)])
+
+        got = passes()
+        layer.member_rows = list(layer.members_eff)
+        want = passes()
+        assert len(got) == len(want) == 10
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
 
 
 class TestTreeFactoredRegime:

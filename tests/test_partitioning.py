@@ -40,6 +40,16 @@ class TestWordClassing:
         with pytest.raises(DataError):
             WordClassing(np.array([0, 5]), 2)
 
+    @pytest.mark.parametrize("class_of,k,message", [
+        ([-1, 0, 1], 2, "class id out of range"),
+        ([0, 1, 2], 2, "class id out of range"),
+        ([3, 0, 3, 5, 0, 5], 6, "every class must be non-empty; class 1 has no words"),
+        ([1, 2, 2, 1], 3, "every class must be non-empty; class 0 has no words"),
+        ([0, 0, 1, 1], 3, "every class must be non-empty; class 2 has no words")])
+    def test_rejection_names_the_first_fault(self, class_of, k, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            WordClassing(np.array(class_of), k)
+
     def test_save_load_round_trip(self, tmp_path):
         vocab = build_vocabulary([["a", "b", "c"]])
         cl = WordClassing(np.array([0, 1, 0, 1, 0, 1]), 2)

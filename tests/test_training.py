@@ -370,6 +370,28 @@ class TestNceGradient:
                          np.array([3], dtype=np.int32),
                          np.array([3, 4]), np.zeros(len(vocab)))
 
+    def test_objective_matches_the_logaddexp_form(self):
+        """``_nce_terms``' value, ``min(+-delta, 0) - log1p(exp(-|delta|))``
+        summed, against log-sigmoids by ``logaddexp``, within 1e-12 relative,
+        with |delta| past 700 where exp(-|delta|) underflows; the score
+        gradients are the sigmoid's bits as before."""
+        rng = np.random.default_rng(93)
+        for scale in (0.5, 30.0, 900.0):
+            scores = rng.normal(0.0, scale, size=(64, 11))
+            scores[0, :3] = [750.0, -760.0, 800.0]
+            log_pn = rng.uniform(-12.0, -1.0, size=(64, 11))
+            k = 10
+            value, d = training._nce_terms(scores, log_pn, k)
+            delta = scores - (math.log(k) + log_pn)
+            want = (-np.logaddexp(0.0, -delta[:, 0]).sum()
+                    - np.logaddexp(0.0, delta[:, 1:]).sum())
+            assert abs(value - want) <= 1e-12 * abs(want)
+            z = np.exp(-np.abs(delta))
+            sig = np.where(delta >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+            want_d = -sig
+            want_d[:, 0] += 1.0
+            np.testing.assert_array_equal(d, want_d)
+
 
 class TestClassFactoredNce:
     def test_finite_differences(self):
