@@ -160,10 +160,13 @@ class ModelParameters:
 
     def rows(self, name, ids):
         """(matrix rows, bias values or None) of the row table ``name`` at
-        ``ids``: a plain gather, with numpy's bounds check. NCE steps read
-        Q, R/b and S/t through here (ML steps their Q rows), so that a lazily
-        decayed view of the parameters can hand out rows already current."""
+        ``ids``: a plain gather, with numpy's bounds check, or views when
+        ``ids`` is a slice. Every gradient reads the rows it writes through
+        here, once, so that a lazily decayed view of the parameters can hand
+        out rows already current."""
         M, bias = self.tables()[name]
+        if isinstance(ids, slice):
+            return M[ids], None if bias is None else bias[ids]
         return np.take(M, ids, axis=0), None if bias is None else np.take(bias, ids)
 
     def arrays(self):
@@ -234,7 +237,8 @@ class RowPlan:
 
     ``rows`` are the distinct ids in ascending order and ``inv``, shaped
     like the ids, gives each id's place in ``rows``, so ``M[ids]`` is
-    ``M[rows][inv]``. One stable sort groups equal ids in input order.
+    ``M[rows][inv]``; ``first`` is the flat index of each row's first id.
+    One stable sort groups equal ids in input order.
     ``sum`` adds up the entries that share a row: a row met once is copied,
     a pair is one add, and only runs of three or more go through
     ``np.add.reduceat``, so every sum is bitwise that of one ``reduceat``
@@ -255,7 +259,7 @@ class RowPlan:
         inv = np.empty(len(flat), dtype=np.int64)
         inv[order] = edge[:-1].cumsum() - 1
         self.inv = inv.reshape(ids.shape)
-        self._first = order[starts]
+        self.first = order[starts]
         self._pairs = (sizes == 2).nonzero()[0]
         self._second = order[starts[self._pairs] + 1]
         many = sizes > 2
@@ -265,7 +269,7 @@ class RowPlan:
 
     def sum(self, x) -> np.ndarray:
         """Per-row sums of ``x``, whose first axis runs over the ids in order."""
-        out = x[self._first]
+        out = x[self.first]
         if len(self._pairs):
             out[self._pairs] += x[self._second]
         if len(self._many):
@@ -278,26 +282,20 @@ class RowGrad:
     """Gradient of one row table: ``values[i]`` (and ``bias[i]``) belong to
     row ``rows[i]``. Rows are unique, so writing them back is exact.
 
-    ``held``, when set, is the (matrix rows, bias values or None) pair the
-    gradient read at ``rows``, current when it was taken; a step then
-    updates those instead of reading the table again."""
+    ``held`` is the (matrix rows, bias values or None) pair the gradient
+    read at ``rows``, current when it was taken; a step updates those
+    instead of reading the table again."""
 
     rows: np.ndarray
     values: np.ndarray
-    bias: Optional[np.ndarray] = None
-    held: Optional[tuple] = None
+    bias: Optional[np.ndarray]
+    held: tuple
 
     @classmethod
     def empty(cls, dim, dtype) -> "RowGrad":
         """No rows, and so none held: a step has nothing of its table to read."""
         values, bias = np.zeros((0, dim), dtype=dtype), np.zeros(0, dtype=dtype)
         return cls(np.zeros(0, dtype=np.int64), values, bias, (values, bias))
-
-    @classmethod
-    def segment_sum(cls, rows, values, bias=None) -> "RowGrad":
-        """Sum the entries that share a row id, by :class:`RowPlan`."""
-        plan = RowPlan(rows)
-        return cls(plan.rows, plan.sum(values), None if bias is None else plan.sum(bias))
 
     def finite(self) -> bool:
         return bool(np.isfinite(self.values).all()
@@ -327,17 +325,18 @@ def _lse_rows(X: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return np.where(m == -np.inf, -np.inf, out)
 
 
-def _softmax_backward(params, P, scores, M, rows, pos, macs):
-    """(loglik, (rows, row values, bias values), float64 gP) of one softmax
-    whose ``scores`` against P are over ``rows`` of M, targets at ``pos``."""
+def _softmax_backward(params, P, scores, rows, held, pos, macs):
+    """(loglik, RowGrad, float64 gP) of one softmax whose ``scores`` against
+    P are over the ``held`` (matrix rows, bias values) read at ``rows``,
+    targets at ``pos``."""
     lz = _lse_rows(scores)
     at = np.arange(len(P))
     d = -np.exp(scores - lz[:, None])
     d[at, pos] += 1.0
     dd = d.astype(params.dtype)
     count_output(macs, scores.size, params.config.dim, train=True)
-    return (float(np.sum(scores[at, pos] - lz)), (rows, dd.T @ P, dd.sum(axis=0)),
-            d @ M[rows].astype(np.float64))
+    return (float(np.sum(scores[at, pos] - lz)),
+            RowGrad(rows, dd.T @ P, dd.sum(axis=0), held), d @ held[0].astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +349,17 @@ class OutputLayer:
     A layer owns its ``rows`` extra score rows ``S``/``t`` and their
     ``start_values(probs)``, its section of the model file, and its passes:
     ``log_probs`` (float64 (m,)), ``backward`` (log-likelihood, float64 gP,
-    and a :class:`RowGrad` for each of ``"R"`` and ``"S"`` that it reads),
-    ``distribution`` (float64 (m, V)) and ``ml_rows``, (table, row ids)
-    pairs that hold every row ``backward`` reads. ``row_bytes(itemsize)`` is
-    the size of the temporaries ``log_probs`` makes per query from
-    parameters of ``itemsize`` bytes (4, float32, by default): its score rows
-    work in the parameters' dtype. Evaluation sizes its batches from it. ``scoring_order(targets)``
-    is the order in which normalised scoring hands it queries. Targets are
-    prediction targets, never ``<s>``. Rows ``unused_rows`` of S and t stay 0,
-    unread. The base class has no score rows, no structure section and no order.
+    and a :class:`RowGrad` for each of ``"R"`` and ``"S"`` that it reads)
+    and ``distribution`` (float64 (m, V)). ``backward`` reads the rows it
+    writes through ``params.rows``, once, and keeps them as the gradient's
+    ``held``; ``log_probs`` and ``distribution`` read the tables in place.
+    ``row_bytes(itemsize)`` is the size of the temporaries ``log_probs``
+    makes per query from parameters of ``itemsize`` bytes (4, float32, by
+    default): its score rows work in the parameters' dtype. Evaluation sizes
+    its batches from it. ``scoring_order(targets)`` is the order in which
+    normalised scoring hands it queries. Targets are prediction targets,
+    never ``<s>``. Rows ``unused_rows`` of S and t stay 0, unread. The base
+    class has no score rows, no structure section and no order.
     """
 
     rows = 0
@@ -437,11 +438,10 @@ class StandardLayer(OutputLayer):
         return picked - (M + np.log(S))
 
     def backward(self, params, P, targets, macs=None):
-        sup = self.support
-        loglik, R, gP = _softmax_backward(
-            params, P, _scores(P, params.R[sup], params.b[sup]), params.R, sup,
-            self.support_pos[targets], macs)
-        return loglik, gP, {"R": RowGrad(*R)}
+        held = params.rows("R", self.support)
+        loglik, R, gP = _softmax_backward(params, P, _scores(P, *held), self.support, held,
+                                          self.support_pos[targets], macs)
+        return loglik, gP, {"R": R}
 
     def distribution(self, params, P, macs=None):
         scores = _scores(P, params.R[self.support], params.b[self.support])
@@ -449,9 +449,6 @@ class StandardLayer(OutputLayer):
         out = np.zeros((len(P), self.vocab_size))
         out[:, self.support] = np.exp(scores - _lse_rows(scores)[:, None])
         return out
-
-    def ml_rows(self, targets):
-        return [("R", self.support)]
 
 
 class _WordTerms(NamedTuple):
@@ -461,7 +458,8 @@ class _WordTerms(NamedTuple):
     each row's ``exp(score - max)`` over its ``sizes`` class members, ``sums``
     each row's sum of them and ``at`` its target's index in ``flat``. A run
     ``(class, a, z, X)`` covers ``rows[a:z]``; X is its (z - a, size) view
-    of ``flat``."""
+    of ``flat``. ``held`` has each run's (R rows, b values) of its class's
+    members, as the scores read them."""
 
     rows: np.ndarray
     logp: np.ndarray
@@ -471,6 +469,7 @@ class _WordTerms(NamedTuple):
     sums: np.ndarray
     sizes: np.ndarray
     at: np.ndarray
+    held: list
 
 
 class ClassLayer(OutputLayer):
@@ -484,8 +483,7 @@ class ClassLayer(OutputLayer):
     A batch's word terms take one GEMM per distinct target class, written
     into one flat buffer, and one segmented log-sum-exp over that buffer
     (see ``_word_terms``); ``distribution`` keeps the per-class form as the
-    reference. ``ml_rows`` also lists the classes of one word, which
-    ``backward`` skips."""
+    reference."""
 
     def __init__(self, config: ModelConfig):
         super().__init__(config)
@@ -538,15 +536,17 @@ class ClassLayer(OutputLayer):
         class_of = np.frombuffer(read(4 * vocab_size), dtype="<i4")
         return {"classing": WordClassing(class_of.copy(), K)}
 
-    def _class_scores(self, params, P):
+    def _class_scores(self, P, S, t):
         """Class scores in the parameters' dtype, -inf for the empty classes."""
-        psi = _block(P, params.S, params.t)
+        psi = _block(P, S, t)
         psi[:, ~self.class_valid] = -np.inf
         return psi
 
-    def _word_terms(self, params, P, targets) -> "_WordTerms":
+    def _word_terms(self, P, targets, read) -> "_WordTerms":
         """Every query's within-class softmax in one flat pass, in the
         parameters' dtype; ``log_probs`` and ``backward`` share it.
+        ``read(members)`` returns the (R rows, b values) of a class's
+        ``member_rows``.
 
         One stable argsort groups the queries by target class. Queries whose
         class has one effective member are left out: their word term is
@@ -566,32 +566,33 @@ class ClassLayer(OutputLayer):
         sizes = self.class_sizes[cls]
         starts = sizes.cumsum() - sizes
         at = starts + self.pos_in_class[targets[rows]]
-        flat = np.empty(int(sizes.sum()), dtype=params.dtype)
+        flat = np.empty(int(sizes.sum()), dtype=P.dtype)
         edges = np.flatnonzero(np.diff(cls, prepend=-1, append=-1)).tolist()
-        runs = []
+        runs, held = [], []
         for a, z in zip(edges[:-1], edges[1:]):
             c, lo = int(cls[a]), int(starts[a])
-            mem = self.member_rows[c]
+            Rc, bc = read(self.member_rows[c])
             X = flat[lo:lo + (z - a) * int(sizes[a])].reshape(z - a, -1)
-            np.matmul(Pr[a:z], params.R[mem].T, out=X)
-            X += params.b[mem]
+            np.matmul(Pr[a:z], Rc.T, out=X)
+            X += bc
             runs.append((c, a, z, X))
+            held.append((Rc, bc))
         picked = flat[at]
         shift = np.maximum.reduceat(flat, starts)
         for _, a, z, X in runs:  # not np.repeat: a second flat-sized buffer would
             X -= shift[a:z, None]  # outgrow what row_bytes sizes a batch for
         sums = np.add.reduceat(np.exp(flat, out=flat), starts)
         logp = picked - (shift + np.log(sums, dtype=np.float64))
-        return _WordTerms(rows, logp, runs, Pr, flat, sums, sizes, at)
+        return _WordTerms(rows, logp, runs, Pr, flat, sums, sizes, at, held)
 
     def log_probs(self, params, P, targets, macs=None):
         out = np.zeros(len(P))
         if self.rows > 1:
-            psi = self._class_scores(params, P)
+            psi = self._class_scores(P, params.S, params.t)
             count_output(macs, psi.size, self.dim)
             picked = psi[np.arange(len(P)), self.class_of[targets]]
             out = picked - _lse_rows(psi, overwrite=True)
-        word = self._word_terms(params, P, targets)
+        word = self._word_terms(P, targets, lambda mem: (params.R[mem], params.b[mem]))
         count_output(macs, word.flat.size, self.dim)
         out[word.rows] += word.logp
         return out
@@ -599,11 +600,11 @@ class ClassLayer(OutputLayer):
     def backward(self, params, P, targets, macs=None):
         loglik, gP, grads = 0.0, np.zeros(P.shape), {}
         if self.rows > 1:
-            loglik, S, gP = _softmax_backward(
-                params, P, self._class_scores(params, P).astype(np.float64), params.S,
-                np.arange(self.rows), self.class_of[targets], macs)
-            grads["S"] = RowGrad(*S)
-        word = self._word_terms(params, P, targets)
+            held = params.rows("S", slice(None))
+            loglik, grads["S"], gP = _softmax_backward(
+                params, P, self._class_scores(P, *held).astype(np.float64),
+                np.arange(self.rows), held, self.class_of[targets], macs)
+        word = self._word_terms(P, targets, lambda mem: params.rows("R", mem))
         count_output(macs, word.flat.size, self.dim, train=True)
         if not word.runs:
             return loglik, gP, grads
@@ -613,16 +614,17 @@ class ClassLayer(OutputLayer):
         d[word.at] += 1
         gw = np.empty_like(word.P)
         parts = []
-        for c, a, z, X in word.runs:  # each X is now its run's block of deltas
-            parts.append((self.members_eff[c], X.T @ word.P[a:z], X.sum(axis=0)))
-            np.matmul(X, params.R[self.member_rows[c]], out=gw[a:z])
+        for (c, a, z, X), (Rc, bc) in zip(word.runs, word.held):  # X: the run's deltas
+            parts.append((self.members_eff[c], X.T @ word.P[a:z], X.sum(axis=0), Rc, bc))
+            np.matmul(X, Rc, out=gw[a:z])
         gP[word.rows] += gw
         # the classes are disjoint, so their rows are unique
-        grads["R"] = RowGrad(*(np.concatenate(x) for x in zip(*parts)))
+        rows, values, bias, Rh, bh = (np.concatenate(x) for x in zip(*parts))
+        grads["R"] = RowGrad(rows, values, bias, (Rh, bh))
         return loglik + float(word.logp.sum()), gP, grads
 
     def distribution(self, params, P, macs=None):
-        psi = self._class_scores(params, P).astype(np.float64)
+        psi = self._class_scores(P, params.S, params.t).astype(np.float64)
         count_output(macs, psi.size, self.dim)
         class_lp = psi - _lse_rows(psi)[:, None]
         out = np.zeros((len(P), self.vocab_size))
@@ -632,11 +634,6 @@ class ClassLayer(OutputLayer):
                 count_output(macs, word.size, self.dim)
                 out[:, rows] = np.exp(class_lp[:, c, None] + (word - _lse_rows(word)[:, None]))
         return out
-
-    def ml_rows(self, targets):
-        classes = np.unique(self.class_of[targets])
-        return [("R", np.concatenate([self.members_eff[c] for c in classes])),
-                ("S", np.arange(self.rows))]
 
 
 class TreeLayer(OutputLayer):
@@ -652,8 +649,9 @@ class TreeLayer(OutputLayer):
     queries first, so those still walking are a prefix; a step gathers one
     row of S and t each, in slabs whose rows fill about ``_SLAB_BYTES``, an
     L2 cache's worth. ``scoring_order`` sorts by depth, then target, so equal
-    targets gather the same rows. ``backward`` and ``ml_rows`` walk the
-    same way; ``distribution``, the reference, goes down from the root."""
+    targets gather the same rows. ``backward`` walks the same way, in blocks
+    of ``_TREE_BLOCK`` queries; ``distribution``, the reference, goes down
+    from the root."""
 
     def __init__(self, config: ModelConfig):
         super().__init__(config)
@@ -758,7 +756,7 @@ class TreeLayer(OutputLayer):
             block = order[a:a + _TREE_BLOCK]
             cur, at = self._choices(leaf[a:a + _TREE_BLOCK], depth[a:a + _TREE_BLOCK])
             rows, inv = np.unique(self.choice_row[cur], return_inverse=True)
-            Su, tu, Ps, side = params.S[rows], params.t[rows], P[block], self.side[cur]
+            (Su, tu), Ps, side = params.rows("S", rows), P[block], self.side[cur]
             d = (np.einsum("ed,ed->e", Su[inv], Ps[at]) + tu[inv]) * side
             e = np.exp(-np.abs(d))
             loglik += float(np.sum(np.minimum(d, 0) - np.log1p(e)))
@@ -766,11 +764,16 @@ class TreeLayer(OutputLayer):
             A = np.zeros((len(Ps), len(rows)), dtype=params.dtype)
             A[at, inv] = side * np.where(d < 0, 1.0, e) / (1.0 + e)
             gP[block] = A @ Su
-            parts.append(RowGrad(rows, A.T @ Ps, A.sum(axis=0), held=(Su, tu)))
-        if len(parts) > 1:  # blocks share rows: sum them
-            parts = [RowGrad.segment_sum(*map(np.concatenate, zip(
-                *((g.rows, g.values, g.bias) for g in parts))))]
-        return loglik, gP, {"S": parts[0]} if parts else {}  # an empty batch reads no row
+            parts.append((rows, A.T @ Ps, A.sum(axis=0), Su, tu))
+        if not parts:  # an empty batch reads no row
+            return loglik, gP, {}
+        if len(parts) > 1:  # blocks share rows: sum them, holding each row as first read
+            rows, values, bias, Su, tu = map(np.concatenate, zip(*parts))
+            plan = RowPlan(rows)
+            parts = [(plan.rows, plan.sum(values), plan.sum(bias),
+                      Su[plan.first], tu[plan.first])]
+        rows, values, bias, Su, tu = parts[0]
+        return loglik, gP, {"S": RowGrad(rows, values, bias, (Su, tu))}
 
     def distribution(self, params, P, macs=None):
         tree = self.tree
@@ -785,10 +788,6 @@ class TreeLayer(OutputLayer):
         out = np.zeros((len(P), self.vocab_size))
         out[:, self.support] = np.exp(logp[:, tree.leaf_of[self.support]])
         return out
-
-    def ml_rows(self, targets):
-        cur = self._choices(*self._deepest_first(targets)[1:])[0]
-        return [("S", self.choice_row[cur])]
 
 
 OUTPUT_LAYERS = {REGIME_STANDARD: StandardLayer, REGIME_CLASS: ClassLayer,

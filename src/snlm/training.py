@@ -23,14 +23,13 @@ returns or raises). This is the lazy weight decay of Bottou, "Stochastic
 Gradient Descent Tricks" (2012); with it an NCE step costs what its sampled
 rows cost, whatever the vocabulary size.
 
-An NCE step reads each touched row once and writes it once. Its gradient
+A step reads each touched row once and writes it once. Its gradient
 function gets a lazily decayed view of the parameters (``_DecayedView``):
 the same arrays, whose ``rows(name, ids)`` returns the rows times the decay
-they owe and writes nothing. Each block reads only its distinct rows, as a
-:class:`~snlm.model.RowPlan` lists them, and the returned ``RowGrad`` keeps
-them, so ``_SparseSGD.apply`` writes ``held * decay + scale * g`` with one
-scatter per table. ML steps read whole tables in their output layers, so
-they bring the rows they read current in place first (``catch_up``).
+they owe and writes nothing. NCE blocks and the output layers' ML
+``backward`` passes read only the rows they write, through ``rows``, and
+the returned ``RowGrad`` keeps them (``held``), so ``_SparseSGD.apply``
+writes ``held * decay + scale * g`` with one scatter per table.
 
 NCE
 ---
@@ -276,7 +275,7 @@ def _backprop_projection(params, plan, Qu, Qg, active, gP, l2, rowgrads) -> Grad
         C = [gA.T @ Qg[:, j] for j in range(cfg.context_size)]
         parts = gA @ np.array(params.C)
     # parts is (n-1, m, D): position-major, like the planned ids
-    Q = RowGrad(plan.rows, plan.sum(parts.reshape(-1, cfg.dim)), held=(Qu, None))
+    Q = RowGrad(plan.rows, plan.sum(parts.reshape(-1, cfg.dim)), None, (Qu, None))
     empty = RowGrad.empty(cfg.dim, params.dtype)
     return Gradients(Q, rowgrads.get("R", empty), C, rowgrads.get("S", empty), l2)
 
@@ -298,8 +297,9 @@ def ml_gradient(params: ModelParameters, contexts, targets, l2: float = 0.0,
 
     Returns (Gradients, batch log-likelihood). The gradient holds the rows
     the batch reads: the context rows of Q, and every support row of R
-    (standard), every row of S plus the target classes' rows of R (class), or
-    the rows of S that hold the vectors of the target paths' nodes (tree).
+    (standard), every row of S plus the rows of R of the target classes of
+    more than one member (class), or the rows of S that hold the vectors of
+    the target paths' nodes (tree).
     """
     targets = np.asarray(targets, dtype=np.int64)
     _check_targets(targets)
@@ -335,26 +335,28 @@ def _scores_for(G, bias_g, P):
     return np.einsum("mwd,md->mw", G, P) + bias_g
 
 
-def _nce_backward(params, P, plan, G, d):
+def _nce_backward(params, P, plan, held, G, d):
     """Row gradient of one word-level NCE block, summed by its ids'
     :class:`RowPlan`, and its pull on P, in the parameters' dtype;
-    ``G = M[ids]`` are the rows its scores used."""
+    ``held`` are the rows read at ``plan.rows`` and ``G = M[ids]`` the rows
+    its scores used."""
     dd = d.astype(params.dtype)
     D = params.config.dim
     rows = RowGrad(plan.rows, plan.sum((dd[:, :, None] * P[:, None, :]).reshape(-1, D)),
-                   plan.sum(dd.ravel()))
+                   plan.sum(dd.ravel()), held)
     return rows, np.einsum("mw,mwd->md", dd, G)
 
 
-def _class_nce_backward(params, P, u, inv, Mu, d):
+def _class_nce_backward(params, P, u, inv, held, d):
     """``_nce_backward`` for the class-level block, as small matmuls.
 
     The block's distinct rows ``u`` are classes, so there are at most K of
     them whatever the batch size; ``inv`` maps each id to its place in ``u``
-    and ``Mu = M[u]``. The weights ``d`` are summed per batch row and class
-    into a dense (m, |u|) ``A``; its column sums are the bias values, and in
-    the parameters' dtype the row values are ``A.T @ P`` and the pull on P is
-    ``A @ Mu``, O(m·K·D) like the class softmax. The word-level block keeps
+    and ``held`` the (``Mu = M[u]``, bias) read there. The weights ``d`` are
+    summed per batch row and class into a dense (m, |u|) ``A``; its column
+    sums are the bias values, and in the parameters' dtype the row values
+    are ``A.T @ P`` and the pull on P is ``A @ Mu``, O(m·K·D) like the
+    class softmax. The word-level block keeps
     ``_nce_backward``: its distinct rows grow with m.
     """
     m = len(inv)
@@ -363,7 +365,7 @@ def _class_nce_backward(params, P, u, inv, Mu, d):
     A = A.reshape(m, len(u))
     bias = A.sum(axis=0).astype(params.dtype)
     A = A.astype(params.dtype)
-    return RowGrad(u, A.T @ P, bias), A @ Mu
+    return RowGrad(u, A.T @ P, bias, held), A @ held[0]
 
 
 def _present_rows(ids, n):
@@ -397,9 +399,8 @@ def _nce(params, contexts, blocks, l2, macs, grad):
         v, d = _nce_terms(scores.astype(np.float64), log_pn, ids.shape[1] - 1)
         value += v
         if grad:
-            g, pull = (_class_nce_backward(params, Pr, u, inv, Mu, d) if name == "S"
-                       else _nce_backward(params, Pr, ids_plan, G, d))
-            g.held = (Mu, bu)
+            g, pull = (_class_nce_backward(params, Pr, u, inv, (Mu, bu), d) if name == "S"
+                       else _nce_backward(params, Pr, ids_plan, (Mu, bu), G, d))
             rowgrads[name] = g
             gP[rows] += pull
             count_output(macs, ids.size, params.config.dim, train=True)
@@ -501,8 +502,9 @@ def nce_gradient_class_factored(params: ModelParameters, contexts, targets,
 class _DecayedView(ModelParameters):
     """The parameters as a step of ``sgd`` reads them: the same arrays, but
     ``rows`` returns each row times the ``decay ** missed`` it owes, bitwise
-    what ``_SparseSGD.catch_up`` would leave there, and writes nothing. Only
-    what ``rows`` returns is current; the row tables themselves may owe
+    what ``_SparseSGD.flush`` would leave there, and writes nothing: it
+    multiplies out of place, since a slice of rows is a view of the table.
+    Only what ``rows`` returns is current; the row tables themselves may owe
     decay, so only code that reads them through ``rows`` may take a view."""
 
     sgd: "_SparseSGD" = None
@@ -510,11 +512,9 @@ class _DecayedView(ModelParameters):
     def rows(self, name, ids):
         M, bias = super().rows(name, ids)
         factor = self.sgd.owed(name, ids, M.dtype)
-        if factor is not None:
-            M *= factor[:, None]
-            if bias is not None:
-                bias *= factor
-        return M, bias
+        if factor is None:
+            return M, bias
+        return M * factor[:, None], None if bias is None else bias * factor
 
 
 class _SparseSGD:
@@ -524,10 +524,10 @@ class _SparseSGD:
     parameter, with ``decay = 1 - scale * l2``. Here ``last`` records, for
     each row of Q, R/b and S/t, the step that row is current through, and a
     row is multiplied by the ``decay ** missed`` it owes when a step reads
-    it: either in place by ``catch_up``, or on the copy that ``view``'s
-    ``rows`` hands out, which ``apply`` then updates and writes back once.
-    ``flush`` brings every row current. Within an epoch the decay is
-    constant, and ``train`` flushes before the learning rate can change.
+    it, on the copy that ``view``'s ``rows`` hands out, which ``apply`` then
+    updates and writes back once. ``flush`` brings every row current in
+    place. Within an epoch the decay is constant, and ``train`` flushes
+    before the learning rate can change.
     The small C transforms are updated densely.
     """
 
@@ -546,29 +546,13 @@ class _SparseSGD:
 
     def owed(self, name, ids, dtype):
         """``decay ** missed`` in ``dtype`` for the rows ``ids`` of one table,
-        as ``catch_up`` multiplies them, or None when none owes any decay."""
+        as ``flush`` multiplies them, or None when none owes any decay."""
         if self.decay == 1.0:
             return None
         missed = self.step - self.last[name][ids]
         if not missed.any():
             return None
         return np.power(self.decay, missed).astype(dtype)
-
-    def catch_up(self, name, *ids) -> None:
-        """Bring the rows ``ids`` of one table current through the last step."""
-        rows = np.concatenate([np.ravel(i) for i in ids]).astype(np.int64, copy=False)
-        last = self.last[name]
-        missed = self.step - last[rows]
-        stale = missed > 0
-        if self.decay == 1.0 or not stale.any():
-            return
-        rows = rows[stale]  # repeats are harmless: each writes the same value
-        M, bias = self.tables[name]
-        factor = np.power(self.decay, missed[stale]).astype(M.dtype)
-        M[rows] *= factor[:, None]
-        if bias is not None:
-            bias[rows] *= factor
-        last[rows] = self.step
 
     def flush(self) -> None:
         """Bring every row current: one in-place multiply per table by
@@ -586,24 +570,17 @@ class _SparseSGD:
             self.last[name][:] = self.step
 
     def apply(self, grads: Gradients, scale: float) -> None:
-        """One step on the rows ``grads`` holds, which must be current: each
-        table's rows become ``rows * decay + scale * g`` and are written back
-        with one scatter. A gradient that holds the rows it read
-        (``RowGrad.held``) is updated from those, with no gather; any other
-        is gathered once. ``grads`` is left as it was."""
+        """One step on the rows ``grads`` holds, from the current values it
+        read (``RowGrad.held``), with no gather: each table's rows become
+        ``held * decay + scale * g`` and are written back with one scatter.
+        ``grads`` is left as it was."""
         self.decay = 1.0 - scale * grads.l2
         self.step += 1
         for name, g in grads.tables():
-            M, bias = self.tables[name]
-            for table, grad, held in zip((M, bias), (g.values, g.bias),
-                                         g.held or (None, None)):
+            for table, grad, held in zip(self.tables[name], (g.values, g.bias), g.held):
                 if table is None:
                     continue
-                if held is None:
-                    rows = table[g.rows]
-                    rows *= self.decay
-                else:
-                    rows = held * self.decay
+                rows = held * self.decay
                 rows += scale * grad
                 table[g.rows] = rows
             self.last[name][g.rows] = self.step
@@ -727,11 +704,7 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
                     sel = order[lo:lo + config.minibatch_size]
                     ctx_b, tgt_b = tr_ctx[sel], tr_tgt[sel]
                     if config.algorithm == "ml_sgd":
-                        # ML layers read whole tables in place: bring their rows current first
-                        sgd.catch_up("Q", ctx_b)
-                        for name, rows in cfg.layout().ml_rows(tgt_b):
-                            sgd.catch_up(name, rows)
-                        grads, _ = ml_gradient(params, ctx_b, tgt_b, l2=l2, macs=macs)
+                        grads, _ = ml_gradient(view, ctx_b, tgt_b, l2=l2, macs=macs)
                     elif cfg.regime == REGIME_CLASS:
                         cls_b = cfg.classing.class_of[tgt_b].astype(np.int64)
                         cnoise = class_table.draw(np.zeros(len(sel), np.int64), k) \

@@ -22,7 +22,7 @@ from snlm.model import (
     REGIME_CLASS,
     REGIME_STANDARD,
     REGIME_TREE,
-    RowGrad,
+    RowPlan,
     _lse_rows,
     _scores,
     full_distribution,
@@ -680,20 +680,29 @@ class TestTreeWalk:
         np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
     def test_backward_in_blocks_matches_one_block(self, monkeypatch):
-        """``backward`` reads and writes only the rows that ``ml_rows`` lists,
-        none of them a right child's; over blocks of 1 and 7 queries, whose
-        row sums are then added up, it gives one block's gradient."""
+        """``backward`` reads and writes only the rows of the vectors of the
+        nodes on the targets' paths, none of them a right child's, and holds
+        them as read; over blocks of 1 and 7 queries, whose row sums are then
+        added up, it gives one block's gradient."""
         params, contexts, words = self.queries(74)
-        layer = params.config.layout()
+        layer, tree = params.config.layout(), params.config.tree
+        paths = set()
+        for w in words.tolist():  # each node's vector is in its left child's row
+            node = int(tree.leaf_of[w])
+            while node != tree.root:
+                node = int(tree.parent[node])
+                paths.add(int(tree.left[node]))
         P = project_batch(params, contexts)[0]
         loglik, gP, grads = layer.backward(params, P, words)
         one = grads["S"]
-        np.testing.assert_array_equal(one.rows, np.unique(layer.ml_rows(words)[0][1]))
+        np.testing.assert_array_equal(one.rows, sorted(paths))
         assert not np.isin(one.rows, layer.unused_rows).any()
-        np.testing.assert_array_equal(one.held[0], params.S[one.rows])
-        for block in (1, 7):  # 60 queries in 60 and in 9 blocks
-            monkeypatch.setattr(model, "_TREE_BLOCK", block)
+        for block in (None, 1, 7):  # 60 queries in 1, 60 and 9 blocks
+            if block:
+                monkeypatch.setattr(model, "_TREE_BLOCK", block)
             got_loglik, got_gP, got = layer.backward(params, P, words)
+            np.testing.assert_array_equal(got["S"].held[0], params.S[one.rows])
+            np.testing.assert_array_equal(got["S"].held[1], params.t[one.rows])
             np.testing.assert_allclose(got_loglik, loglik, rtol=1e-12)
             np.testing.assert_allclose(got_gP, gP, rtol=1e-12, atol=1e-15)
             np.testing.assert_array_equal(got["S"].rows, one.rows)
@@ -759,6 +768,8 @@ class TestOutputMacCosts:
 
 class TestRowGrad:
     def test_segment_sum_equals_one_reduceat_over_all_groups(self):
+        """A gradient's rows are summed by ``RowPlan.sum``, bitwise one
+        ``reduceat`` over each row's entries in input order."""
         rng = np.random.default_rng(190)
         for trial in range(40):
             m = int(rng.integers(1, 300))
@@ -767,15 +778,13 @@ class TestRowGrad:
             bias = rng.normal(size=m).astype(np.float32)
             order = np.argsort(rows, kind="stable")
             ids, starts = np.unique(rows[order], return_index=True)
-            got = RowGrad.segment_sum(rows, values, bias if trial % 2 else None)
-            np.testing.assert_array_equal(got.rows, ids)
-            assert got.values.dtype == np.float32
-            assert np.array_equal(got.values,
-                                  np.add.reduceat(values[order], starts, axis=0))
-            if trial % 2:
-                assert np.array_equal(got.bias, np.add.reduceat(bias[order], starts))
-            else:
-                assert got.bias is None
+            plan = RowPlan(rows)
+            np.testing.assert_array_equal(plan.rows, ids)
+            np.testing.assert_array_equal(plan.first, order[starts])
+            got = plan.sum(values)
+            assert got.dtype == np.float32
+            assert np.array_equal(got, np.add.reduceat(values[order], starts, axis=0))
+            assert np.array_equal(plan.sum(bias), np.add.reduceat(bias[order], starts))
 
 
 class TestInitParameters:

@@ -1,6 +1,5 @@
 """Gradients, noise sampling and the SGD loop."""
 import collections
-import dataclasses
 import hashlib
 import io
 import math
@@ -849,6 +848,14 @@ def sparse_step_setup(regime, diagonal=True, instances=24):
     return params, contexts[:instances], targets[:instances]
 
 
+# Steps that read their rows through the decayed view; the NCE cases are
+# named by their regime alone.
+VIEW_CASES = [pytest.param(REGIME_STANDARD, "nce", id=REGIME_STANDARD),
+              pytest.param(REGIME_CLASS, "nce", id=REGIME_CLASS),
+              *(pytest.param(regime, "ml_sgd", id=f"{regime}-ml_sgd")
+                for regime in (REGIME_STANDARD, REGIME_CLASS, REGIME_TREE))]
+
+
 class TestSparseStep:
     CASES = [(REGIME_STANDARD, "ml_sgd"), (REGIME_STANDARD, "nce"),
              (REGIME_CLASS, "ml_sgd"), (REGIME_CLASS, "nce"),
@@ -931,12 +938,12 @@ class TestSparseStep:
         after = [a for _, g in grads.tables() for a in (g.values, g.bias) if a is not None]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(after, kept))
 
-    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS])
+    @pytest.mark.parametrize("regime,algorithm", VIEW_CASES)
     def test_an_nce_step_reads_each_table_once_and_apply_gathers_nothing(
-            self, monkeypatch, regime):
+            self, monkeypatch, regime, algorithm):
         """Each NCE step reads Q, R and (class models) S through
         ``ModelParameters.rows`` once, and ``apply`` updates the rows the
-        gradient holds without reading any table."""
+        gradient holds without reading any table, on ML steps too."""
         params, contexts, targets = sparse_step_setup(regime)
         reads, gathers = collections.Counter(), []
 
@@ -965,7 +972,7 @@ class TestSparseStep:
         monkeypatch.setattr(ModelParameters, "rows", rows)
         monkeypatch.setattr(training._SparseSGD, "apply", apply)
         calls = record_gradient_calls(monkeypatch)
-        config = TrainingConfig(algorithm="nce", learning_rate=0.5, minibatch_size=4,
+        config = TrainingConfig(algorithm=algorithm, learning_rate=0.5, minibatch_size=4,
                                 epochs=2, l2_strength=0.05, noise_samples=2,
                                 rng_seed=4, validation_fraction=0.0)
         train(params, contexts, targets, config)
@@ -974,8 +981,26 @@ class TestSparseStep:
         want = {"Q": steps, "R": steps}
         if regime == REGIME_CLASS:
             want["S"] = steps
-        assert reads == want
+        if algorithm == "nce":
+            assert reads == want
+        else:  # ML layers read per class run or tree block, but Q once
+            assert reads["Q"] == steps
         assert gathers == []
+
+    def test_tree_training_leaves_the_unused_rows_zero(self):
+        """The rows of S and t that hold no node's vector are never read
+        nor written: after ML training with decay they are still 0."""
+        params, contexts, targets = sparse_step_setup(REGIME_TREE)
+        unused = params.config.layout().unused_rows
+        assert len(unused)
+        start = params.copy()
+        config = TrainingConfig(algorithm="ml_sgd", learning_rate=0.5, minibatch_size=4,
+                                epochs=2, l2_strength=0.05, rng_seed=4,
+                                validation_fraction=0.0)
+        train(params, contexts, targets, config)
+        assert not np.array_equal(params.S, start.S)
+        np.testing.assert_array_equal(params.S[unused], 0.0)
+        np.testing.assert_array_equal(params.t[unused], 0.0)
 
     def test_divergence_leaves_the_flushed_state(self, monkeypatch):
         params, contexts, targets = sparse_step_setup(REGIME_CLASS)
@@ -1006,28 +1031,33 @@ def owing_sgd(params, step=6, decay=0.9):
 
 
 class TestDecayedView:
-    """The parameters as an NCE step reads them: ``rows`` hands out each row
-    as ``catch_up`` would leave it, bitwise, and writes nothing."""
+    """The parameters as a step reads them: ``rows`` hands out each row as
+    ``flush`` would leave it, bitwise, and writes nothing."""
 
     @pytest.mark.parametrize("name", ["Q", "R", "S"])
     def test_rows_equal_catch_up_then_a_gather(self, name):
+        """Rows read by ids or by a slice, against a gather after ``flush``
+        (which multiplies the rows already current by 1.0)."""
         params = sparse_step_setup(REGIME_CLASS)[0].astype(np.float32)
         n = len(params.tables()[name][0])
         ids = np.array([1, 0, 2, 1, 1, n - 1, 0])  # stale, current and repeated rows
+        run = slice(1, n)  # read as a view of the table, then scaled
         sgd = owing_sgd(params)
         before = params.copy()
-        got = sgd.view().rows(name, ids)
+        got = [sgd.view().rows(name, i) for i in (ids, run)]
         for (a, x), (_, y) in zip(params.arrays(), before.arrays()):
             assert x.tobytes() == y.tobytes(), a
         assert all(np.array_equal(last, 6 - np.arange(len(last)) % 3)
                    for last in sgd.last.values())
-        sgd.catch_up(name, ids)
+        sgd.flush()
         M, bias = params.tables()[name]
-        assert got[0].tobytes() == M[ids].tobytes()
-        assert (got[1] is None) if bias is None else got[1].tobytes() == bias[ids].tobytes()
+        for i, (rows, values) in zip((ids, run), got):
+            assert rows.tobytes() == M[i].tobytes()
+            assert (values is None) if bias is None else values.tobytes() == bias[i].tobytes()
         assert not np.array_equal(M[ids], before.tables()[name][0][ids])
 
     def test_plain_rows_are_a_bounds_checked_gather(self):
+        """Ids are gathered, with a bounds check; a slice gives views."""
         params = sparse_step_setup(REGIME_CLASS)[0]
         ids = np.array([3, 0, 3])
         for name, (M, bias) in params.tables().items():
@@ -1036,18 +1066,24 @@ class TestDecayedView:
             assert (got[1] is None) if bias is None else got[1].tobytes() == bias[ids].tobytes()
             with pytest.raises(IndexError):
                 params.rows(name, np.array([len(M)]))
+            view = params.rows(name, slice(1, 3))
+            assert view[0].base is M and (view[1] is None or view[1].base is bias)
 
-    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS])
-    def test_apply_on_held_rows_writes_what_the_gather_path_writes(self, regime):
+    @pytest.mark.parametrize("regime,algorithm", VIEW_CASES)
+    def test_apply_on_held_rows_writes_what_the_gather_path_writes(self, regime, algorithm):
         """A step from the rows the gradient holds, against the same step
-        after ``catch_up`` on the rows it holds, gathering them from the tables."""
+        after ``flush``, gathering the rows from the tables:
+        ``M[rows] * decay + scale * g``."""
         params, contexts, targets = sparse_step_setup(regime)
         params = params.astype(np.float32)
         reference = params.copy()
-        sgd, ref = owing_sgd(params), owing_sgd(reference)
+        sgd = owing_sgd(params)
+        owing_sgd(reference).flush()
         noise = NoiseTable(empirical_unigram(targets, params.config.vocab_size),
                            np.random.default_rng(150))
-        if regime == REGIME_CLASS:
+        if algorithm == "ml_sgd":
+            grads, _ = ml_gradient(sgd.view(), contexts, targets, l2=0.05)
+        elif regime == REGIME_CLASS:
             classes, words = class_noise(empirical_unigram(targets, params.config.vocab_size),
                                          params.config.classing, 151)
             cls = params.config.classing.class_of[targets].astype(np.int64)
@@ -1058,16 +1094,28 @@ class TestDecayedView:
             grads, _ = nce_gradient(sgd.view(), contexts, targets,
                                     noise.draw(np.zeros(len(targets), np.int64), 3),
                                     noise.log_probs, l2=0.05)
-        assert all(g.held is not None for _, g in grads.tables())
-        assert len(grads.R.rows) and len(grads.Q.rows)
-        for name, g in grads.tables():
-            ref.catch_up(name, g.rows)
-        gathered = dataclasses.replace(grads, **{name: dataclasses.replace(g, held=None)
-                                                 for name, g in grads.tables()})
+        assert len(grads.Q.rows) and len(grads.R.rows) + len(grads.S.rows)
         scale = 0.5 / len(targets)
+        decay = 1.0 - scale * grads.l2
+        last = {name: rows.copy() for name, rows in sgd.last.items()}
+        for name, g in grads.tables():
+            for table, grad in zip(training._row_tables(reference)[name], (g.values, g.bias)):
+                if table is not None:
+                    table[g.rows] = table[g.rows] * decay + scale * grad
+            last[name][g.rows] = 7
+        for Cj, gC in zip(reference.C, grads.C):
+            Cj[...] = Cj * decay + scale * gC
+        before = params.copy()
         sgd.apply(grads, scale)
-        ref.apply(gathered, scale)
-        for (name, got), (_, want) in zip(params.arrays(), reference.arrays()):
-            assert got.tobytes() == want.tobytes(), name
+        tables = [training._row_tables(p) for p in (params, reference, before)]
+        for name, g in grads.tables():
+            unread = np.ones(len(tables[0][name][0]), dtype=bool)
+            unread[g.rows] = False
+            for got, want, was in zip(*(t[name] for t in tables)):
+                if got is not None:  # the rows the step did not read still owe their decay
+                    assert got[g.rows].tobytes() == want[g.rows].tobytes(), name
+                    assert got[unread].tobytes() == was[unread].tobytes(), name
+        for got, want in zip(params.C, reference.C):
+            assert got.tobytes() == want.tobytes()
         for name in sgd.last:
-            np.testing.assert_array_equal(sgd.last[name], ref.last[name])
+            np.testing.assert_array_equal(sgd.last[name], last[name])
