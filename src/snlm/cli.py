@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``vocab``, ``classes``, ``train``, ``ppl``, ``score``, ``info``,
-``bench``. Exit codes: 0 success, 1 usage error, 2 data or model error.
+``bench``. Exit codes: 0 success, 1 usage error, 2 data or model error, or
+an array too large to allocate.
 Every subcommand is deterministic given identical inputs and ``--seed``.
 """
 
@@ -185,6 +186,9 @@ def cmd_train(args) -> int:
     if regime == REGIME_TREE and tconf.algorithm == "nce":
         raise SnlmError("--regime tree needs --algorithm ml_sgd: "
                         "NCE applies to standard or class models")
+    for name, needs in (("classes", "class"), ("tree", "tree")):
+        if getattr(args, f"{name}_file") and args.regime != needs:
+            raise SnlmError(f"--{name}-file applies to --regime {needs} only")
 
     sentences = list(read_sentences(args.corpus))
     if args.vocab:
@@ -195,20 +199,17 @@ def cmd_train(args) -> int:
     contexts, targets = instance_arrays(sentences, vocab, args.order)
     target_probs = empirical_unigram(targets, len(vocab))
 
-    classing = tree = None
-    if regime == REGIME_CLASS:
-        if args.classes_file:
-            classing = WordClassing.load(args.classes_file, vocab)
-        else:
-            classing = frequency_binning(target_probs,
-                                         _default_num_classes(len(vocab)))
+    classing = tree = None  # a structure file comes only with its regime (checked above)
+    if args.classes_file:
+        classing = WordClassing.load(args.classes_file, vocab)
+    elif regime == REGIME_CLASS:
+        classing = frequency_binning(target_probs, _default_num_classes(len(vocab)))
+    if args.tree_file:
+        tree = VocabularyTree.load(args.tree_file, vocab)
     elif regime == REGIME_TREE:
-        if args.tree_file:
-            tree = VocabularyTree.load(args.tree_file, vocab)
-        else:
-            counts = np.bincount(targets, minlength=len(vocab))
-            tree = huffman_tree({w: int(counts[w]) for w in range(len(vocab))
-                                 if w != BOS_ID})
+        counts = np.bincount(targets, minlength=len(vocab))
+        tree = huffman_tree({w: int(counts[w]) for w in range(len(vocab))
+                             if w != BOS_ID})
 
     config = ModelConfig(order=args.order, dim=args.dim, regime=regime,
                          diagonal=args.diagonal, vocab_size=len(vocab),
@@ -319,7 +320,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SnlmError, OSError) as exc:
+    except (SnlmError, OSError, MemoryError) as exc:  # numpy names the size it could not allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -297,6 +297,13 @@ class RowGrad:
         values, bias = np.zeros((0, dim), dtype=dtype), np.zeros(0, dtype=dtype)
         return cls(np.zeros(0, dtype=np.int64), values, bias, (values, bias))
 
+    @classmethod
+    def concatenate(cls, parts) -> "RowGrad":
+        """The gradients ``parts`` of one table as one, their rows in turn."""
+        rows, values, bias, M, b = (np.concatenate(x) for x in zip(*(
+            (g.rows, g.values, g.bias, *g.held) for g in parts)))
+        return cls(rows, values, bias, (M, b))
+
     def finite(self) -> bool:
         return bool(np.isfinite(self.values).all()
                     and (self.bias is None or np.isfinite(self.bias).all()))
@@ -311,7 +318,7 @@ def _block(P, M, bias) -> np.ndarray:
 
 
 def _scores(P, M, bias) -> np.ndarray:
-    """:func:`_block` as float64, for ``backward`` and ``distribution``."""
+    """:func:`_block` as float64, for ``distribution``, the reference."""
     return _block(P, M, bias).astype(np.float64)
 
 
@@ -325,18 +332,30 @@ def _lse_rows(X: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return np.where(m == -np.inf, -np.inf, out)
 
 
-def _softmax_backward(params, P, scores, rows, held, pos, macs):
-    """(loglik, RowGrad, float64 gP) of one softmax whose ``scores`` against
-    P are over the ``held`` (matrix rows, bias values) read at ``rows``,
-    targets at ``pos``."""
-    lz = _lse_rows(scores)
+def _weighted_rows(W, P, rows, held):
+    """(RowGrad, pull on P) of a dense weight block: ``W[i, j]`` is the
+    objective's derivative by the score of P's row i against row ``rows[j]``
+    of the ``held`` (matrix rows, bias values) read there. The bias values
+    are W's column sums, taken in W's dtype; the row values ``W.T @ P`` and
+    the pull ``W @ held rows`` are taken in P's."""
+    bias = W.sum(axis=0).astype(P.dtype, copy=False)
+    W = W.astype(P.dtype, copy=False)
+    return RowGrad(rows, W.T @ P, bias, held), W @ held[0]
+
+
+def _softmax_backward(P, X, rows, held, pos):
+    """(loglik, RowGrad, gP) of one softmax whose scores ``X`` against P, in
+    the parameters' dtype, are over the ``held`` (matrix rows, bias values)
+    read at ``rows``, with targets in columns ``pos``. The log-sum-exps and
+    the log-likelihood are float64. X is then overwritten with the deltas,
+    the one-hot targets less the probabilities: it is shifted by the
+    log-sum-exps, rounded to its dtype, and exponentiated in place."""
+    lz = _lse_rows(X)
     at = np.arange(len(P))
-    d = -np.exp(scores - lz[:, None])
-    d[at, pos] += 1.0
-    dd = d.astype(params.dtype)
-    count_output(macs, scores.size, params.config.dim, train=True)
-    return (float(np.sum(scores[at, pos] - lz)),
-            RowGrad(rows, dd.T @ P, dd.sum(axis=0), held), d @ held[0].astype(np.float64))
+    loglik = float(np.sum(X[at, pos] - lz))
+    np.negative(np.exp(np.subtract(X, lz.astype(X.dtype)[:, None], out=X), out=X), out=X)
+    X[at, pos] += 1
+    return (loglik, *_weighted_rows(X, P, rows, held))
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +367,15 @@ class OutputLayer:
 
     A layer owns its ``rows`` extra score rows ``S``/``t`` and their
     ``start_values(probs)``, its section of the model file, and its passes:
-    ``log_probs`` (float64 (m,)), ``backward`` (log-likelihood, float64 gP,
+    ``log_probs`` (float64 (m,)), ``backward`` (float64 log-likelihood, gP,
     and a :class:`RowGrad` for each of ``"R"`` and ``"S"`` that it reads)
-    and ``distribution`` (float64 (m, V)). ``backward`` reads the rows it
-    writes through ``params.rows``, once, and keeps them as the gradient's
-    ``held``; ``log_probs`` and ``distribution`` read the tables in place.
+    and ``distribution`` (float64 (m, V)). ``log_probs`` and ``backward``
+    work in the parameters' dtype, with float64 log-sum-exps; every dense
+    weight block of ``backward`` ends in :func:`_weighted_rows`.
+    ``distribution`` is the float64 reference. ``backward`` reads the rows
+    it writes through ``params.rows``, once, and keeps them as the
+    gradient's ``held``; ``log_probs`` and ``distribution`` read the tables
+    in place.
     ``row_bytes(itemsize)`` is the size of the temporaries ``log_probs``
     makes per query from parameters of ``itemsize`` bytes (4, float32, by
     default): its score rows work in the parameters' dtype. Evaluation sizes
@@ -366,11 +389,8 @@ class OutputLayer:
     unused_rows = np.zeros(0, dtype=np.int64)
 
     def __init__(self, config: ModelConfig):
-        V = config.vocab_size
-        self.vocab_size, self.dim = V, config.dim
-        self.support = np.flatnonzero(np.arange(V) != BOS_ID)
-        self.support_pos = np.full(V, -1, dtype=np.int64)
-        self.support_pos[self.support] = np.arange(len(self.support))
+        self.vocab_size, self.dim = config.vocab_size, config.dim
+        self.support = np.flatnonzero(np.arange(self.vocab_size) != BOS_ID)
 
     def start_values(self, probs):
         return np.zeros(self.rows)
@@ -399,7 +419,10 @@ class StandardLayer(OutputLayer):
     bias, max, shift, ``exp`` and row-sum passes. The blocks' maxima and
     sums are combined in float64 by the online rule ``M' = max(M, m_j)``,
     ``S' = S e^(M - M') + s_j e^(m_j - M')`` (Milakov & Gimelshein 2018).
-    ``distribution`` keeps the one-pass float64 form as the reference.
+    ``backward`` reads all of R as one slice, scores it in one block and
+    sets ``<s>``'s column to -inf, as ``log_probs`` does through its bias;
+    ``<s>``'s row gets a zero gradient. ``distribution`` keeps the one-pass
+    float64 form as the reference.
     """
 
     def block_words(self, itemsize=4) -> int:
@@ -438,9 +461,11 @@ class StandardLayer(OutputLayer):
         return picked - (M + np.log(S))
 
     def backward(self, params, P, targets, macs=None):
-        held = params.rows("R", self.support)
-        loglik, R, gP = _softmax_backward(params, P, _scores(P, *held), self.support, held,
-                                          self.support_pos[targets], macs)
+        held = params.rows("R", slice(None))
+        X = _block(P, *held)
+        X[:, BOS_ID] = -np.inf
+        count_output(macs, len(P) * len(self.support), self.dim, train=True)
+        loglik, R, gP = _softmax_backward(P, X, np.arange(self.vocab_size), held, targets)
         return loglik, gP, {"R": R}
 
     def distribution(self, params, P, macs=None):
@@ -598,12 +623,13 @@ class ClassLayer(OutputLayer):
         return out
 
     def backward(self, params, P, targets, macs=None):
-        loglik, gP, grads = 0.0, np.zeros(P.shape), {}
+        loglik, gP, grads = 0.0, np.zeros(P.shape, P.dtype), {}
         if self.rows > 1:
             held = params.rows("S", slice(None))
+            psi = self._class_scores(P, *held)
+            count_output(macs, psi.size, self.dim, train=True)
             loglik, grads["S"], gP = _softmax_backward(
-                params, P, self._class_scores(P, *held).astype(np.float64),
-                np.arange(self.rows), held, self.class_of[targets], macs)
+                P, psi, np.arange(self.rows), held, self.class_of[targets])
         word = self._word_terms(P, targets, lambda mem: params.rows("R", mem))
         count_output(macs, word.flat.size, self.dim, train=True)
         if not word.runs:
@@ -612,15 +638,13 @@ class ClassLayer(OutputLayer):
         d /= np.repeat(word.sums, word.sizes)
         np.negative(d, out=d)
         d[word.at] += 1
-        gw = np.empty_like(word.P)
-        parts = []
-        for (c, a, z, X), (Rc, bc) in zip(word.runs, word.held):  # X: the run's deltas
-            parts.append((self.members_eff[c], X.T @ word.P[a:z], X.sum(axis=0), Rc, bc))
-            np.matmul(X, Rc, out=gw[a:z])
-        gP[word.rows] += gw
+        parts = [_weighted_rows(X, word.P[a:z], self.members_eff[c], held)  # X: the run's deltas
+                 for (c, a, z, X), held in zip(word.runs, word.held)]
+        # the runs cover word.rows in order, so one scatter adds every pull
+        # (a fancy add per run costs several times as much)
+        gP[word.rows] += np.concatenate([pull for _, pull in parts])
         # the classes are disjoint, so their rows are unique
-        rows, values, bias, Rh, bh = (np.concatenate(x) for x in zip(*parts))
-        grads["R"] = RowGrad(rows, values, bias, (Rh, bh))
+        grads["R"] = RowGrad.concatenate([g for g, _ in parts])
         return loglik + float(word.logp.sum()), gP, grads
 
     def distribution(self, params, P, macs=None):
@@ -751,7 +775,7 @@ class TreeLayer(OutputLayer):
     def backward(self, params, P, targets, macs=None):
         order, leaf, depth = self._deepest_first(targets)
         count_output(macs, int(depth.sum()), self.dim, train=True)
-        gP, loglik, parts = np.empty(P.shape), 0.0, []
+        gP, loglik, parts = np.empty(P.shape, P.dtype), 0.0, []
         for a in range(0, len(P), _TREE_BLOCK):
             block = order[a:a + _TREE_BLOCK]
             cur, at = self._choices(leaf[a:a + _TREE_BLOCK], depth[a:a + _TREE_BLOCK])
@@ -763,17 +787,17 @@ class TreeLayer(OutputLayer):
             # d loglik / d x, side * sigmoid(-d), by query and row: a path passes a node once
             A = np.zeros((len(Ps), len(rows)), dtype=params.dtype)
             A[at, inv] = side * np.where(d < 0, 1.0, e) / (1.0 + e)
-            gP[block] = A @ Su
-            parts.append((rows, A.T @ Ps, A.sum(axis=0), Su, tu))
+            g, gP[block] = _weighted_rows(A, Ps, rows, (Su, tu))
+            parts.append(g)
         if not parts:  # an empty batch reads no row
             return loglik, gP, {}
-        if len(parts) > 1:  # blocks share rows: sum them, holding each row as first read
-            rows, values, bias, Su, tu = map(np.concatenate, zip(*parts))
-            plan = RowPlan(rows)
-            parts = [(plan.rows, plan.sum(values), plan.sum(bias),
-                      Su[plan.first], tu[plan.first])]
-        rows, values, bias, Su, tu = parts[0]
-        return loglik, gP, {"S": RowGrad(rows, values, bias, (Su, tu))}
+        if len(parts) == 1:
+            return loglik, gP, {"S": parts[0]}
+        # blocks share rows: sum them, holding each row as first read
+        g = RowGrad.concatenate(parts)
+        plan = RowPlan(g.rows)
+        return loglik, gP, {"S": RowGrad(plan.rows, plan.sum(g.values), plan.sum(g.bias),
+                                         tuple(h[plan.first] for h in g.held))}
 
     def distribution(self, params, P, macs=None):
         tree = self.tree

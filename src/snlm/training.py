@@ -57,8 +57,8 @@ from .corpus import BOS_ID, unigram_from_counts
 from .errors import DataError, TrainingDivergedError
 from .evaluation import perplexity_from_instances, perplexity_of
 from .model import (REGIME_CLASS, REGIME_TREE, MacCounter, ModelParameters,
-                    RowGrad, RowPlan, count_output, log_probs_batch,
-                    project_gathered)
+                    RowGrad, RowPlan, _weighted_rows, count_output,
+                    log_probs_batch, project_gathered)
 
 ALGORITHMS = ("ml_sgd", "nce")
 
@@ -296,10 +296,10 @@ def ml_gradient(params: ModelParameters, contexts, targets, l2: float = 0.0,
     """Exact log-likelihood gradients for the model's regime.
 
     Returns (Gradients, batch log-likelihood). The gradient holds the rows
-    the batch reads: the context rows of Q, and every support row of R
-    (standard), every row of S plus the rows of R of the target classes of
-    more than one member (class), or the rows of S that hold the vectors of
-    the target paths' nodes (tree).
+    the batch reads: the context rows of Q, and every row of R, ``<s>``'s
+    with a zero gradient (standard), every row of S plus the rows of R of
+    the target classes of more than one member (class), or the rows of S
+    that hold the vectors of the target paths' nodes (tree).
     """
     targets = np.asarray(targets, dtype=np.int64)
     _check_targets(targets)
@@ -347,25 +347,21 @@ def _nce_backward(params, P, plan, held, G, d):
     return rows, np.einsum("mw,mwd->md", dd, G)
 
 
-def _class_nce_backward(params, P, u, inv, held, d):
+def _class_nce_backward(P, u, inv, held, d):
     """``_nce_backward`` for the class-level block, as small matmuls.
 
     The block's distinct rows ``u`` are classes, so there are at most K of
     them whatever the batch size; ``inv`` maps each id to its place in ``u``
     and ``held`` the (``Mu = M[u]``, bias) read there. The weights ``d`` are
-    summed per batch row and class into a dense (m, |u|) ``A``; its column
-    sums are the bias values, and in the parameters' dtype the row values
-    are ``A.T @ P`` and the pull on P is ``A @ Mu``, O(m·K·D) like the
-    class softmax. The word-level block keeps
+    summed per batch row and class into a dense float64 (m, |u|) block,
+    which :func:`_weighted_rows` turns into the rows and the pull on P,
+    O(m·K·D) like the class softmax. The word-level block keeps
     ``_nce_backward``: its distinct rows grow with m.
     """
     m = len(inv)
     A = np.bincount((np.arange(m)[:, None] * len(u) + inv).ravel(),
                     weights=d.ravel(), minlength=m * len(u))
-    A = A.reshape(m, len(u))
-    bias = A.sum(axis=0).astype(params.dtype)
-    A = A.astype(params.dtype)
-    return RowGrad(u, A.T @ P, bias, held), A @ held[0]
+    return _weighted_rows(A.reshape(m, len(u)), P, u, held)
 
 
 def _present_rows(ids, n):
@@ -399,9 +395,8 @@ def _nce(params, contexts, blocks, l2, macs, grad):
         v, d = _nce_terms(scores.astype(np.float64), log_pn, ids.shape[1] - 1)
         value += v
         if grad:
-            g, pull = (_class_nce_backward(params, Pr, u, inv, (Mu, bu), d) if name == "S"
-                       else _nce_backward(params, Pr, ids_plan, (Mu, bu), G, d))
-            rowgrads[name] = g
+            rowgrads[name], pull = (_class_nce_backward(Pr, u, inv, (Mu, bu), d) if name == "S"
+                                    else _nce_backward(params, Pr, ids_plan, (Mu, bu), G, d))
             gP[rows] += pull
             count_output(macs, ids.size, params.config.dim, train=True)
     if not grad:

@@ -517,6 +517,27 @@ class TestBadCounts:
                    message="learning_rate (--lr) times l2_strength (--l2)")
         assert not model.exists()
 
+    @pytest.mark.parametrize("argv", [["--dim", "100000000000000"],
+                                      ["--k", "100000000000000"]])
+    def test_sizes_beyond_the_address_space(self, tmp_path, capsys, corpus, argv):
+        """A size whose array is larger than a 47-bit address space fails at
+        its first allocation, the parameters or the first noise draw, with
+        one error line, not a traceback."""
+        model = tmp_path / "model.bin"
+        code, _, stderr = run(capsys, "train", corpus[0], "--model", model, "--order", "3",
+                              "--dim", "4", "--epochs", "1", *argv)
+        assert code == 2
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert not model.exists()
+
+    def test_bench_queries_beyond_the_address_space(self, tmp_path, capsys, corpus):
+        model = tmp_path / "model.bin"
+        assert run(capsys, "train", corpus[0], "--model", model, "--order", "3",
+                   "--dim", "4", "--epochs", "1")[0] == 0
+        code, stdout, stderr = run(capsys, "bench", model, "--queries", "1000000000000000")
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
     @pytest.mark.parametrize("argv,flag", [
         (["--regime", "tree"], "--algorithm ml_sgd"),
         (["--batch", "0"], "--batch"),
@@ -526,6 +547,11 @@ class TestBadCounts:
         (["--order", "1"], "--order"),
         (["--dim", "0"], "--dim"),
         (["--seed", "-1"], "--seed"),
+        (["--regime", "standard", "--tree-file", "t.tree"], "--tree-file"),
+        (["--regime", "standard", "--classes-file", "c.cls"], "--classes-file"),
+        (["--tree-file", "t.tree"], "--tree-file"),  # under the default, class
+        (["--regime", "tree", "--algorithm", "ml_sgd", "--classes-file", "c.cls"],
+         "--classes-file"),
     ])
     def test_training_settings_checked_before_reading(self, tmp_path, capsys,
                                                       flag, argv, monkeypatch):

@@ -786,6 +786,34 @@ class TestRowGrad:
             assert np.array_equal(got, np.add.reduceat(values[order], starts, axis=0))
             assert np.array_equal(plan.sum(bias), np.add.reduceat(bias[order], starts))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weighted_rows_match_the_float64_products(self, dtype):
+        """A dense weight block's rows are ``W.T @ P`` with bias ``W.sum(0)``,
+        and its pull on P is ``W @ rows``: against those products in float64,
+        in P's dtype, holding the rows it was given."""
+        rng = np.random.default_rng(191)
+        W, P = rng.normal(size=(50, 9)).astype(dtype), rng.normal(size=(50, 6)).astype(dtype)
+        held = rng.normal(size=(9, 6)).astype(dtype), rng.normal(size=9).astype(dtype)
+        rows = rng.permutation(20)[:9]
+        g, pull = model._weighted_rows(W, P, rows, held)
+        assert g.rows is rows and g.held is held
+        W64 = W.astype(np.float64)
+        for got, want in ((g.values, W64.T @ P), (g.bias, W64.sum(axis=0)),
+                          (pull, W64 @ held[0])):
+            assert got.dtype == dtype
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+    def test_weighted_rows_sum_float64_weights_before_the_cast(self):
+        """float64 weights against float32 rows, as the class-NCE block has
+        them: the bias is bitwise the float64 column sums, cast."""
+        rng = np.random.default_rng(192)
+        W = rng.normal(size=(200, 7))
+        P = rng.normal(size=(200, 5)).astype(np.float32)
+        held = rng.normal(size=(7, 5)).astype(np.float32), np.zeros(7, np.float32)
+        g, pull = model._weighted_rows(W, P, np.arange(7), held)
+        assert g.bias.tobytes() == W.sum(axis=0).astype(np.float32).tobytes()
+        assert g.values.dtype == pull.dtype == np.float32
+
 
 class TestInitParameters:
     def test_initial_model_reproduces_target_unigram(self):

@@ -518,10 +518,12 @@ class TestClassFactoredNce:
 
 
 class TestFloat32Gradients:
-    """The NCE gradients on float32 parameters, which gather, score and pull
-    in float32, against the same call on a float64 copy. Every row of Q, R/b
-    and S/t and every transform gradient is within 1e-5 of the float64 row,
-    relative to that row's largest entry (and 1e-7 absolute)."""
+    """The ML and NCE gradients on float32 parameters, which gather, score,
+    form their deltas and pull in float32 (only log-sum-exps and objective
+    values are float64), against the same call on a float64 copy. The
+    objective is within 1e-5 of the float64 value, relative; every row of
+    Q, R/b and S/t and every transform gradient is within 1e-5 of the
+    float64 row, relative to that row's largest entry (and 1e-7 absolute)."""
 
     @staticmethod
     def assert_rows_close(got, want):
@@ -568,6 +570,16 @@ class TestFloat32Gradients:
         self.compare(nce_gradient_class_factored, params, contexts, targets,
                      classes.draw(np.zeros(m, dtype=np.int64), 5), words.draw(cls, 5),
                      (classes.log_probs, words.log_probs))
+
+    @pytest.mark.parametrize("m", [1, 200])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
+    def test_ml_gradient(self, regime, diagonal, m):
+        vocab = make_vocab([f"w{i}" for i in range(40)], counts=list(range(40, 0, -1)))
+        params = make_params(vocab, regime, order=4, dim=16, diagonal=diagonal,
+                             seed=146, num_classes=6, scale=0.3, dtype=np.float32)
+        contexts, targets = tiny_instances(vocab, 4, 147, m=m)
+        self.compare(ml_gradient, params, contexts, targets)
 
 
 class TestTrainLoop:
