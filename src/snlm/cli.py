@@ -9,7 +9,6 @@ Every subcommand is deterministic given identical inputs and ``--seed``.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -22,12 +21,13 @@ from .corpus import (BOS_ID, EOS_ID, Vocabulary, build_vocabulary,
 from .errors import SnlmError
 from .evaluation import (memory_estimate, perplexity, query_benchmark,
                          score_nbest)
-from .model import (REGIME_CLASS, REGIME_STANDARD, REGIME_TREE, ModelConfig,
-                    init_parameters)
+from .model import (OUTPUT_LAYERS, REGIME_CLASS, REGIME_STANDARD, REGIME_TREE,
+                    ModelConfig, TreeLayer, init_parameters)
 from .modelfile import load_model, save_model
 from .partitioning import (VocabularyTree, WordClassing, brown_clustering,
-                           class_bigram_objective, frequency_binning, huffman_tree)
-from .training import TrainingConfig, empirical_unigram, train
+                           class_bigram_objective, default_num_classes,
+                           frequency_binning)
+from .training import TrainingConfig, train
 
 _REGIME_NAMES = {"standard": REGIME_STANDARD, "class": REGIME_CLASS,
                  "tree": REGIME_TREE}
@@ -136,15 +136,11 @@ def cmd_vocab(args) -> int:
     return 0
 
 
-def _default_num_classes(vocab_size: int) -> int:
-    return max(1, math.ceil(math.sqrt(vocab_size)))
-
-
 def cmd_classes(args) -> int:
     vocab = Vocabulary.load(args.vocab)
     K = args.num_classes
     if K is None:
-        K = _default_num_classes(len(vocab))
+        K = default_num_classes(len(vocab))
 
     # the target counts snlm train partitions by, where </s> ends each sentence
     counts = vocab.counts.copy()
@@ -152,8 +148,7 @@ def cmd_classes(args) -> int:
         counts[EOS_ID] = sum(1 for _ in read_sentences(args.corpus))
 
     if args.method == "huffman":
-        support = {w: int(counts[w]) for w in range(len(vocab)) if w != BOS_ID}
-        tree = huffman_tree(support)
+        tree = TreeLayer.default_structure(counts)["tree"]
         tree.save(args.output, vocab)
         print(f"huffman tree: {tree.num_leaves} leaves, "
               f"max depth {tree.max_depth} -> {args.output}")
@@ -197,24 +192,18 @@ def cmd_train(args) -> int:
         vocab = build_vocabulary(sentences, min_count=args.min_count,
                                  max_size=args.max_size)
     contexts, targets = instance_arrays(sentences, vocab, args.order)
-    target_probs = empirical_unigram(targets, len(vocab))
+    counts = np.bincount(targets, minlength=len(vocab))
 
-    classing = tree = None  # a structure file comes only with its regime (checked above)
+    # a structure file comes only with its regime (checked above)
     if args.classes_file:
-        classing = WordClassing.load(args.classes_file, vocab)
-    elif regime == REGIME_CLASS:
-        classing = frequency_binning(target_probs, _default_num_classes(len(vocab)))
-    if args.tree_file:
-        tree = VocabularyTree.load(args.tree_file, vocab)
-    elif regime == REGIME_TREE:
-        counts = np.bincount(targets, minlength=len(vocab))
-        tree = huffman_tree({w: int(counts[w]) for w in range(len(vocab))
-                             if w != BOS_ID})
-
+        structure = {"classing": WordClassing.load(args.classes_file, vocab)}
+    elif args.tree_file:
+        structure = {"tree": VocabularyTree.load(args.tree_file, vocab)}
+    else:
+        structure = OUTPUT_LAYERS[regime].default_structure(counts)
     config = ModelConfig(order=args.order, dim=args.dim, regime=regime,
-                         diagonal=args.diagonal, vocab_size=len(vocab),
-                         classing=classing, tree=tree)
-    params = init_parameters(config, seed=args.seed, unigram=target_probs)
+                         diagonal=args.diagonal, vocab_size=len(vocab), **structure)
+    params = init_parameters(config, seed=args.seed, unigram=unigram_from_counts(counts))
 
     print(f"{len(targets)} instances, |V|={len(vocab)}, regime={args.regime}, "
           f"algorithm={args.algorithm}")

@@ -28,9 +28,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .corpus import BOS_ID
+from .corpus import BOS_ID, unigram_from_counts
 from .errors import DataError, ModelFormatError
-from .partitioning import VocabularyTree, WordClassing
+from .partitioning import (VocabularyTree, WordClassing, default_num_classes,
+                           frequency_binning, huffman_tree)
 
 REGIME_STANDARD = "standard"
 REGIME_CLASS = "class_factored"
@@ -376,17 +377,27 @@ class OutputLayer:
     it writes through ``params.rows``, once, and keeps them as the
     gradient's ``held``; ``log_probs`` and ``distribution`` read the tables
     in place.
+    ``class_of`` and ``class_sizes`` are the partition that NCE discriminates
+    over: each word's class and each class's count of members but ``<s>``.
+    NCE discriminates the target's class against noise classes, scored by
+    the class rows of S when there are two or more, then the word within
+    its class. A layer with no partition (``class_of`` None) cannot be
+    trained by NCE.
+    ``default_structure(counts)`` gives the ModelConfig keywords of the
+    structure ``snlm train`` builds from the target counts when it is given
+    none, as ``read_structure`` gives those of a model file's.
     ``row_bytes(itemsize)`` is the size of the temporaries ``log_probs``
     makes per query from parameters of ``itemsize`` bytes (4, float32, by
     default): its score rows work in the parameters' dtype. Evaluation sizes
     its batches from it. ``scoring_order(targets)`` is the order in which
     normalised scoring hands it queries. Targets are prediction targets,
     never ``<s>``. Rows ``unused_rows`` of S and t stay 0, unread. The base
-    class has no score rows, no structure section and no order.
+    class has no score rows, no partition, no structure and no order.
     """
 
     rows = 0
     unused_rows = np.zeros(0, dtype=np.int64)
+    class_of = None
 
     def __init__(self, config: ModelConfig):
         self.vocab_size, self.dim = config.vocab_size, config.dim
@@ -408,6 +419,12 @@ class OutputLayer:
         """ModelConfig keywords read from the structure section by ``read(n)``."""
         return {}
 
+    @staticmethod
+    def default_structure(counts) -> dict:
+        """ModelConfig keywords of the default structure over the target
+        ``counts``, one per word id."""
+        return {}
+
 
 class StandardLayer(OutputLayer):
     """Softmax over the whole support.
@@ -422,8 +439,13 @@ class StandardLayer(OutputLayer):
     ``backward`` reads all of R as one slice, scores it in one block and
     sets ``<s>``'s column to -inf, as ``log_probs`` does through its bias;
     ``<s>``'s row gets a zero gradient. ``distribution`` keeps the one-pass
-    float64 form as the reference.
+    float64 form as the reference. For NCE the support is one class.
     """
+
+    def __init__(self, config: ModelConfig):
+        super().__init__(config)
+        self.class_of = np.zeros(self.vocab_size, dtype=np.int32)
+        self.class_sizes = np.array([len(self.support)])
 
     def block_words(self, itemsize=4) -> int:
         """Columns per score block: at least 2, so a block is never <s> alone."""
@@ -560,6 +582,12 @@ class ClassLayer(OutputLayer):
         (K,) = struct.unpack("<I", read(4))  # WordClassing rejects K > |V|
         class_of = np.frombuffer(read(4 * vocab_size), dtype="<i4")
         return {"classing": WordClassing(class_of.copy(), K)}
+
+    @staticmethod
+    def default_structure(counts):
+        """ceil(sqrt(|V|)) frequency bins of the target unigram."""
+        return {"classing": frequency_binning(unigram_from_counts(counts),
+                                              default_num_classes(len(counts)))}
 
     def _class_scores(self, P, S, t):
         """Class scores in the parameters' dtype, -inf for the empty classes."""
@@ -752,6 +780,11 @@ class TreeLayer(OutputLayer):
         if (nodes[:, 3] >= vocab_size).any():
             raise ModelFormatError("tree leaf word out of range")
         return {"tree": VocabularyTree(*(nodes[:, i].copy() for i in range(4)))}
+
+    @staticmethod
+    def default_structure(counts):
+        """The Huffman tree of the target counts over every word but ``<s>``."""
+        return {"tree": huffman_tree({w: int(c) for w, c in enumerate(counts) if w != BOS_ID})}
 
     def log_probs(self, params, P, targets, macs=None):
         order, leaf, depth = self._deepest_first(targets)

@@ -16,6 +16,7 @@ added.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,11 @@ class WordClassing:
             return cls(class_of, int(class_of.max()) + 1)
         except DataError as exc:
             raise DataError(f"{path}: {exc}") from None
+
+
+def default_num_classes(vocab_size: int) -> int:
+    """ceil(sqrt(|V|)): the number of classes ``snlm`` uses unless given one."""
+    return max(1, math.ceil(math.sqrt(vocab_size)))
 
 
 def frequency_binning(unigram, num_classes: int) -> WordClassing:

@@ -40,9 +40,11 @@ discriminated against k samples from a fixed noise distribution P_n::
 
 with the model's normalizer fixed to 1. The class-factored variant runs one
 discrimination at the class level (noise = class unigram) and one within the
-target's class (noise = within-class unigram). ``NoiseTable`` holds either
-noise distribution and draws from it; the gradient functions take only its
-log P_n vectors.
+target's class (noise = within-class unigram). Standard NCE is class NCE over
+one class, the output layer's partition of the support (its ``class_of``), so
+it has no class level: one code path trains both regimes. ``NoiseTable``
+holds either noise distribution and draws from it; the gradient functions
+take only its log P_n vectors.
 """
 
 from __future__ import annotations
@@ -56,9 +58,8 @@ import numpy as np
 from .corpus import BOS_ID, unigram_from_counts
 from .errors import DataError, TrainingDivergedError
 from .evaluation import perplexity_from_instances, perplexity_of
-from .model import (REGIME_CLASS, REGIME_TREE, MacCounter, ModelParameters,
-                    RowGrad, RowPlan, _weighted_rows, count_output,
-                    log_probs_batch, project_gathered)
+from .model import (MacCounter, ModelParameters, RowGrad, RowPlan, _weighted_rows,
+                    count_output, log_probs_batch, project_gathered)
 
 ALGORITHMS = ("ml_sgd", "nce")
 
@@ -412,47 +413,28 @@ def _noise_ids(observed, noise, what):
     return np.concatenate([observed[:, None], noise], axis=1)
 
 
-def _flat_blocks(targets, noise, log_pn):
-    targets = np.asarray(targets, dtype=np.int64)
-    _check_targets(targets)
-    ids = _noise_ids(targets, noise, "noise")
-    return [("R", slice(None), ids, np.asarray(log_pn)[ids])]
-
-
-def nce_objective(params: ModelParameters, contexts, targets, noise,
-                  log_pn, l2: float = 0.0) -> float:
-    """NCE objective for fixed noise draws (finite-difference anchor)."""
-    value, _ = _nce(params, contexts, _flat_blocks(targets, noise, log_pn),
-                    0.0, None, grad=False)
-    return value - 0.5 * l2 * len(targets) * squared_norm(params)
-
-
-def nce_gradient(params: ModelParameters, contexts, targets, noise,
-                 log_pn, l2: float = 0.0, macs: MacCounter = None):
-    """NCE gradients against fixed noise draws.
-
-    ``noise`` is an (m, k) id matrix and ``log_pn`` the vector of log P_n
-    over word ids. Works for any regime's R/b parameters but is meant for
-    standard/unnormalised models. The gradient holds the context rows of Q
-    and the target and noise rows of R. Returns (Gradients, objective value
-    without the L2 term).
-    """
-    value, grads = _nce(params, contexts, _flat_blocks(targets, noise, log_pn),
-                        l2, macs, grad=True)
-    return grads, value
+def _nce_layer(params):
+    """The model's output layer, if it has a partition for NCE."""
+    layer = params.config.layout()
+    if layer.class_of is None:
+        raise DataError("NCE applies to standard or class_factored models")
+    return layer
 
 
 def _class_blocks(params, targets, class_noise, word_noise, log_pn):
-    cfg = params.config
-    if cfg.regime != REGIME_CLASS:
-        raise DataError("class-factored NCE needs a class_factored model")
-    layer = cfg.layout()
+    """The NCE blocks over the layer's partition: the class level when it
+    has more than one class, then the word level for the targets whose class
+    has more than one member. ``class_noise`` None asks for no class level,
+    which a partition of more than one class refuses."""
+    layer = _nce_layer(params)
     targets = np.asarray(targets, dtype=np.int64)
     _check_targets(targets)
     cls = layer.class_of[targets].astype(np.int64)
     log_class, log_word = map(np.asarray, log_pn)
     blocks = []
     if layer.rows > 1:
+        if class_noise is None:
+            raise DataError("a partition of more than one class needs class noise")
         ids = _noise_ids(cls, class_noise, "class noise")
         blocks.append(("S", slice(None), ids, log_class[ids]))
     rows = np.flatnonzero(layer.class_sizes[cls] > 1)
@@ -460,6 +442,26 @@ def _class_blocks(params, targets, class_noise, word_noise, log_pn):
         ids = _noise_ids(targets, word_noise, "word noise")[rows]
         blocks.append(("R", rows, ids, log_word[ids]))
     return blocks
+
+
+def nce_objective(params: ModelParameters, contexts, targets, noise,
+                  log_pn, l2: float = 0.0) -> float:
+    """NCE objective for fixed noise draws (finite-difference anchor)."""
+    return nce_class_objective(params, contexts, targets, None, noise, (None, log_pn), l2)
+
+
+def nce_gradient(params: ModelParameters, contexts, targets, noise,
+                 log_pn, l2: float = 0.0, macs: MacCounter = None):
+    """NCE gradients against fixed noise draws, for a model whose partition
+    has one class: :func:`nce_gradient_class_factored` with no class level.
+
+    ``noise`` is an (m, k) id matrix and ``log_pn`` the vector of log P_n
+    over word ids. The gradient holds the context rows of Q and the target
+    and noise rows of R. Returns (Gradients, objective value without the L2
+    term).
+    """
+    return nce_gradient_class_factored(params, contexts, targets, None, noise,
+                                       (None, log_pn), l2, macs)
 
 
 def nce_class_objective(params: ModelParameters, contexts, targets,
@@ -475,13 +477,16 @@ def nce_gradient_class_factored(params: ModelParameters, contexts, targets,
                                 l2: float = 0.0, macs: MacCounter = None):
     """Two-level NCE: discriminate the class, then the word within its class.
 
-    ``log_pn`` is the pair (log P_n(class), log P_n(word | its class)) of
-    vectors over class and word ids.
-    The class-level term is skipped when the partition has a single class;
-    the word-level term is skipped for targets whose class has a single
-    effective member (its conditional is the point mass either way). The
-    gradient holds the context rows of Q, the target-class and class-noise
-    rows of S and the target and word-noise rows of R.
+    The classes are the output layer's partition (``class_of``): a class
+    model's, or the single class of a standard model's support. ``log_pn``
+    is the pair (log P_n(class), log P_n(word | its class)) of vectors over
+    class and word ids.
+    The class-level term is skipped when the partition has a single class,
+    and ``class_noise`` may then be None; the word-level term is skipped for
+    targets whose class has a single effective member (its conditional is
+    the point mass either way). The gradient holds the context rows of Q,
+    the target-class and class-noise rows of S and the target and word-noise
+    rows of R.
     Returns (Gradients, objective value without the L2 term).
     """
     blocks = _class_blocks(params, targets, class_noise, word_noise, log_pn)
@@ -645,8 +650,8 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
     _check_targets(targets)
     if len(contexts) != len(targets) or contexts.shape[1] != cfg.context_size:
         raise DataError("instance arrays disagree with the model order")
-    if config.algorithm == "nce" and cfg.regime == REGIME_TREE:
-        raise DataError("NCE applies to standard or class_factored models")
+    if config.algorithm == "nce":
+        layer = _nce_layer(params)
     macs = macs if macs is not None else MacCounter()
 
     ss = np.random.SeedSequence(config.rng_seed)
@@ -663,14 +668,11 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
         else (tr_ctx, tr_tgt)
 
     if config.algorithm == "nce":
-        # class NCE draws a class, then a word within it, from one shared rng
-        probs = empirical_unigram(tr_tgt, cfg.vocab_size)
-        if cfg.regime == REGIME_CLASS:
-            word_table = NoiseTable(probs, noise_rng, cfg.classing.class_of)
-            class_table = NoiseTable(word_table.mass, noise_rng)
-            log_pn = (class_table.log_probs, word_table.log_probs)
-        else:
-            word_table = NoiseTable(probs, noise_rng)
+        # NCE draws a class, then a word within it, from one shared rng
+        word_table = NoiseTable(empirical_unigram(tr_tgt, cfg.vocab_size), noise_rng,
+                                layer.class_of)
+        class_table = NoiseTable(word_table.mass, noise_rng)
+        log_pn = (class_table.log_probs, word_table.log_probs)
 
     initial_ppl = _ppl(params, ev_ctx, ev_tgt)
     lr = config.learning_rate
@@ -700,18 +702,12 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
                     ctx_b, tgt_b = tr_ctx[sel], tr_tgt[sel]
                     if config.algorithm == "ml_sgd":
                         grads, _ = ml_gradient(view, ctx_b, tgt_b, l2=l2, macs=macs)
-                    elif cfg.regime == REGIME_CLASS:
-                        cls_b = cfg.classing.class_of[tgt_b].astype(np.int64)
+                    else:
                         cnoise = class_table.draw(np.zeros(len(sel), np.int64), k) \
-                            if cfg.classing.num_classes > 1 \
-                            else np.empty((len(sel), 0), np.int64)
-                        wnoise = word_table.draw(cls_b, k)
+                            if layer.rows > 1 else None
+                        wnoise = word_table.draw(layer.class_of[tgt_b], k)
                         grads, _ = nce_gradient_class_factored(
                             view, ctx_b, tgt_b, cnoise, wnoise, log_pn, l2=l2, macs=macs)
-                    else:
-                        noise = word_table.draw(np.zeros(len(sel), np.int64), k)
-                        grads, _ = nce_gradient(view, ctx_b, tgt_b, noise,
-                                                word_table.log_probs, l2=l2, macs=macs)
                     if not grads.finite():
                         raise TrainingDivergedError(
                             f"non-finite gradient in epoch {epoch}, step {step}; "

@@ -908,3 +908,36 @@ class TestConfigValidation:
     def test_order_below_two_rejected(self):
         with pytest.raises(DataError):
             ModelConfig(order=1, dim=4, vocab_size=5)
+
+
+class TestDefaultStructure:
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
+    def test_equals_what_snlm_train_built_by_hand(self, regime):
+        """Each layer's ``default_structure`` against the structure
+        ``snlm train`` built inline before the layers owned it: ceil(sqrt(|V|))
+        frequency bins of the target unigram, the Huffman tree of the target
+        counts over every word but ``<s>``, and nothing for a standard model."""
+        from snlm.corpus import build_vocabulary, instance_arrays
+        from snlm.partitioning import frequency_binning, huffman_tree
+        from snlm.synthetic import markov_corpus
+        from snlm.training import empirical_unigram
+        sentences = markov_corpus(2000, vocab_size=300, branching=6, seed=7)
+        vocab = build_vocabulary(sentences)
+        targets = instance_arrays(sentences, vocab, 4)[1]
+        V = len(vocab)
+        counts = np.bincount(targets, minlength=V)
+        got = model.OUTPUT_LAYERS[regime].default_structure(counts)
+        want = {REGIME_STANDARD: {},
+                REGIME_CLASS: {"classing": frequency_binning(
+                    empirical_unigram(targets, V), math.ceil(math.sqrt(V)))},
+                REGIME_TREE: {"tree": huffman_tree(
+                    {w: int(counts[w]) for w in range(V) if w != BOS_ID})}}[regime]
+        assert list(got) == list(want)
+        if regime == REGIME_CLASS:
+            assert got["classing"].num_classes == want["classing"].num_classes
+            np.testing.assert_array_equal(got["classing"].class_of, want["classing"].class_of)
+        if regime == REGIME_TREE:
+            for field in ("parent", "left", "right", "leaf_word"):
+                np.testing.assert_array_equal(getattr(got["tree"], field),
+                                              getattr(want["tree"], field))
+        ModelConfig(order=4, dim=3, regime=regime, vocab_size=V, **got).validate()

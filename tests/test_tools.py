@@ -2,6 +2,8 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -14,14 +16,42 @@ def load_tool(name):
 
 def test_step_costs_smoke_prints_every_row(capsys):
     step_costs = load_tool("step_costs")
-    assert step_costs.main(["--smoke"]) == 0
+    assert step_costs.main(["--smoke", "--dim", "6"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    assert ", D 6," in lines[0]
     rows = {line[:20].strip(): line[20:].split() for line in lines[2:-1]}
     assert list(rows) == [label for label, *_ in step_costs.RUNS]
     for label, fields in rows.items():
         macs, inst_per_s, ns_per_mac, calls = (float(f.replace(",", "")) for f in fields[:4])
         assert macs > 0 and inst_per_s > 0 and ns_per_mac > 0 and calls > 0, label
     assert lines[-1].startswith("class NCE, diagonal over full:")
+    assert lines[-1].endswith("fewer MACs, at D 6")
+
+
+def test_trained_diff_smoke_finds_the_working_tree_equal_to_itself(capfd):
+    trained_diff = load_tool("trained_diff")
+    assert trained_diff.main(["--smoke"]) == 0
+    lines = capfd.readouterr().out.splitlines()
+    keys = [f"{r} {a} {d}" for r, a in trained_diff.PAIRS for d in trained_diff.DTYPES]
+    assert [line.split(":")[0] for line in lines if "MACs" in line] == keys
+    arrays = [line for line in lines if "MACs" not in line
+              and not line.startswith("train-class-nce")]
+    assert len(arrays) >= 6 * len(keys)
+    assert all(line.endswith(": bitwise equal") for line in arrays)
+    digests = [line for line in lines if line.startswith("train-class-nce seed")]
+    assert len(digests) == 2 and all(line.endswith(", equal") for line in digests)
+
+
+def test_trained_diff_reports_the_largest_differences_and_their_rows():
+    trained_diff = load_tool("trained_diff")
+    parent = np.arange(12, dtype=np.float32).reshape(4, 3)
+    change = parent.copy()
+    assert trained_diff.difference(parent, change) == "bitwise equal"
+    change[2, 1] += 0.5   # largest absolute difference, in row 2
+    change[0, 1] = 1.25   # largest relative difference (0.2), in row 0
+    assert trained_diff.difference(parent, change) == \
+        "max abs 0.5 at row 2, max rel 0.2 at row 0"
+    assert trained_diff.difference(parent.astype(np.float64), parent) != "bitwise equal"
 
 
 METRICS = [{"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},

@@ -509,12 +509,54 @@ class TestClassFactoredNce:
                                        atol=1e-5 * np.abs(want).max())
 
     def test_requires_class_model(self):
+        """NCE runs over the output layer's partition, which a standard
+        model has as one class and a tree model lacks: every NCE entry
+        point refuses a tree model."""
         vocab = make_vocab(list("ab"))
-        params = make_params(vocab, REGIME_STANDARD, seed=102)
-        with pytest.raises(DataError):
-            nce_gradient_class_factored(params, np.array([[3, 4]], dtype=np.int32),
-                                        np.array([3], dtype=np.int32),
-                                        np.array([[0]]), np.array([[3]]), None)
+        params = make_params(vocab, REGIME_TREE, seed=102)
+        contexts, targets = np.array([[3, 4]], dtype=np.int32), np.array([3], dtype=np.int32)
+        log_pn = np.zeros(len(vocab))
+        calls = [lambda: nce_gradient(params, contexts, targets, np.array([[3]]), log_pn),
+                 lambda: nce_gradient_class_factored(params, contexts, targets, np.array([[0]]),
+                                                     np.array([[3]]), (log_pn, log_pn)),
+                 lambda: train(params, contexts, targets,
+                               TrainingConfig(algorithm="nce", validation_fraction=0.0))]
+        for call in calls:
+            with pytest.raises(DataError, match="NCE applies to standard or class_factored"):
+                call()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_standard_model_is_the_one_class_partition(self, dtype):
+        """A standard model's partition is one class of every word but
+        ``<s>``, with no class rows: class-factored NCE with no class noise
+        is bitwise ``nce_gradient``, in its value and every RowGrad."""
+        vocab = make_vocab(list("abcd"), counts=[4, 3, 2, 1])
+        params = make_params(vocab, REGIME_STANDARD, seed=103, dtype=dtype)
+        layer = params.config.layout()
+        assert layer.rows == 0 and (layer.class_of == 0).all()
+        assert layer.class_sizes.tolist() == [len(vocab) - 1]
+        contexts, targets = tiny_instances(vocab, 3, 104, m=6)
+        noise = NoiseTable(empirical_unigram(targets, len(vocab)), np.random.default_rng(105))
+        wnoise = noise.draw(np.zeros(6, dtype=np.int64), 3)
+        got, value_cls = nce_gradient_class_factored(
+            params, contexts, targets, None, wnoise, (None, noise.log_probs), l2=1e-3)
+        want, value_std = nce_gradient(params, contexts, targets, wnoise, noise.log_probs,
+                                       l2=1e-3)
+        assert value_cls == value_std
+        assert len(got.R.rows) and len(got.Q.rows) and not len(got.S.rows)
+        for (name, g), (_, w) in zip(got.tables(), want.tables()):
+            for a, b in zip((g.rows, g.values, g.bias, *g.held),
+                            (w.rows, w.values, w.bias, *w.held)):
+                assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.C, want.C))
+
+    def test_flat_nce_refuses_a_partition_of_more_than_one_class(self):
+        vocab = make_vocab(list("abcd"))
+        params = make_params(vocab, REGIME_CLASS, seed=106, num_classes=2)
+        log_pn = np.zeros(len(vocab))
+        with pytest.raises(DataError, match="more than one class needs class noise"):
+            nce_gradient(params, np.array([[3, 4]], dtype=np.int32),
+                         np.array([3], dtype=np.int32), np.array([[4]]), log_pn)
 
 
 class TestFloat32Gradients:
@@ -851,12 +893,15 @@ def dense_replay(params, calls, rates):
             p += step * g
 
 
-def sparse_step_setup(regime, diagonal=True, instances=24):
+def sparse_step_setup(regime, diagonal=True, instances=24, runs=False):
+    """A small model and its first instances; with ``runs`` its five
+    classes are runs of ids, as frequency binning makes them."""
     sentences = markov_corpus(400, vocab_size=60, seed=13)
     vocab = build_vocabulary(sentences)
     contexts, targets = instance_arrays(sentences, vocab, n=3)
+    class_of = np.arange(len(vocab)) * 5 // len(vocab) if runs else None
     params = make_params(vocab, regime, order=3, dim=5, diagonal=diagonal,
-                         seed=120, num_classes=5, scale=0.3)
+                         seed=120, num_classes=5, scale=0.3, class_of=class_of)
     return params, contexts[:instances], targets[:instances]
 
 
@@ -893,6 +938,32 @@ class TestSparseStep:
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-12,
                                        err_msg=name)
 
+    @pytest.mark.parametrize("poison_call", [None, 3])
+    def test_class_ml_steps_read_member_runs_as_slices(self, monkeypatch, poison_call):
+        """Classes whose members are runs of ids, so that class/ML steps read
+        their rows of R as slices of the table. A whole run, and one cut by a
+        diverging step, leave what the dense replay of their finished steps
+        leaves: a slice read brings no row current in the table itself."""
+        params, contexts, targets = sparse_step_setup(REGIME_CLASS, runs=True)
+        # all but the class of <s>, whose other members are not one run
+        assert [isinstance(r, slice) for r in params.config.layout().member_rows] \
+            == [False] + [True] * 4
+        start = params.copy()
+        calls = record_gradient_calls(monkeypatch, poison_call=poison_call)
+        config = TrainingConfig(algorithm="ml_sgd", learning_rate=0.5, minibatch_size=4,
+                                epochs=2, l2_strength=0.05, rng_seed=7,
+                                validation_fraction=0.0)
+        if poison_call is None:
+            result = train(params, contexts, targets, config)
+            rates = [ep.learning_rate for ep in result.epochs for _ in range(len(calls) // 2)]
+        else:
+            with pytest.raises(TrainingDivergedError):
+                train(params, contexts, targets, config)
+            calls, rates = calls[:poison_call - 1], [0.5] * (poison_call - 1)
+        dense_replay(start, calls, rates)
+        for (name, got), (_, want) in zip(params.arrays(), start.arrays()):
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-12, err_msg=name)
+
     @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS])
     def test_rows_no_step_reads_stay_bitwise_unchanged(self, monkeypatch, regime):
         params, contexts, targets = sparse_step_setup(regime, instances=12)
@@ -904,15 +975,12 @@ class TestSparseStep:
                                 validation_fraction=0.0)
         train(params, contexts, targets, config)
         read = {"Q": set(), "R": set(), "S": set()}
-        for _, args, _ in calls:
+        cls = params.config.layout().class_of
+        for _, args, _ in calls:  # class NCE for both: a standard model has no class noise
             read["Q"].update(args[0].ravel().tolist())
-            read["R"].update(args[1].tolist())
-            if regime == REGIME_CLASS:
-                cls = params.config.classing.class_of
+            read["R"].update(args[1].tolist() + args[3].ravel().tolist())
+            if args[2] is not None:
                 read["S"].update(cls[args[1]].tolist() + args[2].ravel().tolist())
-                read["R"].update(args[3].ravel().tolist())
-            else:
-                read["R"].update(args[2].ravel().tolist())
         tables = {"Q": ("Q",), "R": ("R", "b"), "S": ("S", "t")}
         untouched = 0
         for table, names in tables.items():

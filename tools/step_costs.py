@@ -2,15 +2,16 @@
 
 Usage::
 
-    OPENBLAS_NUM_THREADS=1 python3 tools/step_costs.py
+    OPENBLAS_NUM_THREADS=1 python3 tools/step_costs.py [--dim 500]
     python3 tools/step_costs.py --smoke
 
 The *Baseline* shape is ``markov_corpus(60_000, vocab_size=20000,
 branching=20, seed=1)`` (|V| 17,680), order 5, D 100, batch 64, k 10 and one
 epoch of ``train()``, as ``snlm train`` sets a model up: classes binned by
 frequency into ceil(sqrt(|V|)) bins, a Huffman tree over target counts.
-``--smoke`` is a small corpus of the same kind, timed once, for checking
-that the tool runs.
+``--smoke`` is a small corpus of the same kind (D 8), timed once, for
+checking that the tool runs. ``--dim`` sets D for every row in place of the
+shape's.
 
 Each row is one ``train()`` epoch (diagonal transforms unless named full):
 
@@ -26,8 +27,8 @@ Each row is one ``train()`` epoch (diagonal transforms unless named full):
   instances;
 * ``epoch/steps``: that epoch's whole time over its step time.
 
-The last line is the diagonal-to-full step-speed ratio of class NCE, next to
-the ratio of their MACs.
+The last line is the diagonal-to-full step-speed ratio of class NCE at that
+D, next to the ratio of their MACs.
 """
 
 from __future__ import annotations
@@ -44,12 +45,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from snlm import training  # noqa: E402
-from snlm.corpus import BOS_ID, build_vocabulary, instance_arrays  # noqa: E402
-from snlm.model import (REGIME_CLASS, REGIME_STANDARD, REGIME_TREE,  # noqa: E402
-                        MacCounter, ModelConfig, init_parameters)
-from snlm.partitioning import frequency_binning, huffman_tree  # noqa: E402
+from snlm.corpus import build_vocabulary, instance_arrays, unigram_from_counts  # noqa: E402
+from snlm.model import (OUTPUT_LAYERS, REGIME_CLASS, REGIME_STANDARD,  # noqa: E402
+                        REGIME_TREE, MacCounter, ModelConfig, init_parameters)
 from snlm.synthetic import markov_corpus  # noqa: E402
-from snlm.training import TrainingConfig, empirical_unigram, train  # noqa: E402
+from snlm.training import TrainingConfig, train  # noqa: E402
 
 SHAPES = {"baseline": dict(tokens=60_000, vocab=20_000, branching=20, dim=100),
           "smoke": dict(tokens=1_200, vocab=150, branching=5, dim=8)}
@@ -67,16 +67,11 @@ RUNS = [("standard / nce", REGIME_STANDARD, "nce", True),
 
 def make_params(vocab, targets, regime, diagonal, dim):
     """Fresh parameters set up as ``snlm train`` sets them up."""
-    probs = empirical_unigram(targets, len(vocab))
-    classing = tree = None
-    if regime == REGIME_CLASS:
-        classing = frequency_binning(probs, max(1, math.ceil(math.sqrt(len(vocab)))))
-    elif regime == REGIME_TREE:
-        counts = np.bincount(targets, minlength=len(vocab))
-        tree = huffman_tree({w: int(counts[w]) for w in range(len(vocab)) if w != BOS_ID})
+    counts = np.bincount(targets, minlength=len(vocab))
     config = ModelConfig(order=ORDER, dim=dim, regime=regime, diagonal=diagonal,
-                         vocab_size=len(vocab), classing=classing, tree=tree)
-    return init_parameters(config, seed=1, unigram=probs)
+                         vocab_size=len(vocab),
+                         **OUTPUT_LAYERS[regime].default_structure(counts))
+    return init_parameters(config, seed=1, unigram=unigram_from_counts(counts))
 
 
 def count_calls(run) -> int:
@@ -128,21 +123,23 @@ def measure(label, regime, algorithm, diagonal, data, dim, repeats) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="a small corpus, for a quick check")
+    parser.add_argument("--dim", type=int, help="D of every row (default: the shape's)")
     args = parser.parse_args(argv)
 
     shape = SHAPES["smoke" if args.smoke else "baseline"]
+    dim = shape["dim"] if args.dim is None else args.dim
     sentences = markov_corpus(shape["tokens"], vocab_size=shape["vocab"],
                               branching=shape["branching"], seed=1)
     vocab = build_vocabulary(sentences)
     contexts, targets = instance_arrays(sentences, vocab, ORDER)
-    print(f"|V| {len(vocab)}, {len(targets)} instances, order {ORDER}, D {shape['dim']}, "
+    print(f"|V| {len(vocab)}, {len(targets)} instances, order {ORDER}, D {dim}, "
           f"batch {BATCH}, k {K_NOISE}, one epoch")
     print(f"{'regime / algorithm':<20} {'MACs/inst':>10} {'step inst/s':>12} "
           f"{'ns/MAC':>7} {'calls/step':>11} {'epoch/steps':>12}")
     rows = {}
     for run in RUNS:
         tick = time.perf_counter()
-        r = rows[run[0]] = measure(*run, (vocab, contexts, targets), shape["dim"],
+        r = rows[run[0]] = measure(*run, (vocab, contexts, targets), dim,
                                    1 if args.smoke else REPEATS)
         print(f"{r['label']:<20} {r['macs_per_inst']:>10,.0f} {r['inst_per_s']:>12,.0f} "
               f"{r['ns_per_mac']:>7.2f} {r['calls_per_step']:>11,.0f} "
@@ -151,7 +148,7 @@ def main(argv=None) -> int:
     diag, full = rows["class / nce"], rows["class / nce, full"]
     print(f"class NCE, diagonal over full: {diag['inst_per_s'] / full['inst_per_s']:.2f}x "
           f"the step speed for {full['macs_per_inst'] / diag['macs_per_inst']:.1f}x "
-          f"fewer MACs")
+          f"fewer MACs, at D {dim}")
     return 0
 
 
