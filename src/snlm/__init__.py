@@ -22,14 +22,13 @@ from .model import (REGIME_CLASS, REGIME_STANDARD, REGIME_TREE, MacCounter,
                     log_probs_batch, parameter_shapes, project_batch,
                     project_context, unnormalised_log_score,
                     unnormalised_scores_batch)
-from .modelfile import load_model, payload_nbytes, save_model
+from .modelfile import load_model, save_model
 from .partitioning import (VocabularyTree, WordClassing, brown_clustering,
                            class_bigram_objective, frequency_binning,
                            huffman_tree)
 from .training import (EpochStats, Gradients, NoiseTable, TrainingConfig,
                        TrainingResult, empirical_unigram, ml_gradient,
-                       ml_objective, nce_class_objective, nce_gradient,
-                       nce_gradient_class_factored, nce_objective,
+                       ml_objective, nce_gradient, nce_objective,
                        squared_norm, train)
 
 __version__ = "0.1.0"

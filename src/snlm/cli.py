@@ -15,9 +15,8 @@ import time
 
 import numpy as np
 
-from .corpus import (BOS_ID, EOS_ID, Vocabulary, build_vocabulary,
-                     instance_arrays, read_lines, read_sentences,
-                     unigram_from_counts)
+from .corpus import (EOS_ID, Vocabulary, build_vocabulary, instance_arrays,
+                     read_lines, read_sentences, unigram_from_counts)
 from .errors import SnlmError
 from .evaluation import (memory_estimate, perplexity, query_benchmark,
                          score_nbest)
@@ -161,7 +160,7 @@ def cmd_classes(args) -> int:
         classing = brown_clustering(sentences, vocab, K,
                                     max_iterations=args.max_iterations)
     else:
-        classing = frequency_binning(unigram_from_counts(counts, exclude=(BOS_ID,)), K)
+        classing = frequency_binning(unigram_from_counts(counts), K)
     classing.save(args.output, vocab)
     print(f"{classing.num_classes} classes over {len(vocab)} words -> {args.output}")
     if args.method == "brown":
@@ -184,6 +183,11 @@ def cmd_train(args) -> int:
     for name, needs in (("classes", "class"), ("tree", "tree")):
         if getattr(args, f"{name}_file") and args.regime != needs:
             raise SnlmError(f"--{name}-file applies to --regime {needs} only")
+    for flag, path in (("--model", args.model), ("--log-file", args.log_file)):
+        if path is not None and (os.path.isdir(path) or not os.path.basename(path)):
+            raise SnlmError(f"{flag} {path!r} does not name a file")
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise SnlmError(f"{flag} {path!r}: its directory does not exist")
 
     sentences = list(read_sentences(args.corpus))
     if args.vocab:

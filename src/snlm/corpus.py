@@ -222,26 +222,22 @@ def instance_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, n: in
     return np.ascontiguousarray(windows[:, -2::-1]), windows[:, -1].copy()
 
 
-def unigram_from_counts(counts, exclude=()) -> np.ndarray:
-    """Relative frequencies over the non-excluded ids.
+def unigram_from_counts(counts) -> np.ndarray:
+    """Relative frequencies over the ids other than ``<s>``.
 
-    Returns a float64 vector summing to 1. Excluded ids get probability
-    exactly 0 and contribute nothing to the normalizer.
+    Returns a float64 vector summing to 1. ``<s>`` gets probability exactly
+    0 and contributes nothing to the normalizer.
     """
-    counts = np.asarray(counts, dtype=np.float64)
+    counts = np.array(counts, dtype=np.float64)
     if counts.ndim != 1 or len(counts) == 0:
         raise DataError("counts must be a non-empty vector")
     if (counts < 0).any() or not np.isfinite(counts).all():
         raise DataError("counts must be finite and non-negative")
-    mask = np.ones(len(counts), dtype=bool)
-    mask[list(exclude)] = False
-    support = counts[mask]
-    total = support.sum()
+    counts[BOS_ID:BOS_ID + 1] = 0.0
+    total = counts.sum()
     if total <= 0:
         raise DataError("zero total count")
-    probs = np.zeros(len(counts))
-    probs[mask] = support / total
-    return probs
+    return counts / total
 
 
 def unigram_distribution(vocab: Vocabulary) -> np.ndarray:
@@ -251,4 +247,4 @@ def unigram_distribution(vocab: Vocabulary) -> np.ndarray:
     carries zero mass here. Distributions over prediction targets should be
     built from instance targets (``training.empirical_unigram``).
     """
-    return unigram_from_counts(vocab.counts, exclude=(BOS_ID,))
+    return unigram_from_counts(vocab.counts)

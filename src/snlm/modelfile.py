@@ -60,10 +60,6 @@ _REGIME_CODE = {REGIME_STANDARD: 0, REGIME_CLASS: 1, REGIME_TREE: 2}
 _CODE_REGIME = {v: k for k, v in _REGIME_CODE.items()}
 
 
-def payload_nbytes(params: ModelParameters) -> int:
-    return 4 * sum(a.size for _, a in params.arrays())
-
-
 def save_model(path, params: ModelParameters, vocab: Vocabulary) -> dict:
     """Write a version 4 model file; returns the byte size of each section.
 
@@ -80,7 +76,7 @@ def save_model(path, params: ModelParameters, vocab: Vocabulary) -> dict:
     counts = np.ascontiguousarray(vocab.counts, dtype="<i8")
     blob = cfg.layout().structure_bytes()
     tmp = f"{os.fspath(path)}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
-    padding = 0
+    padding = payload = 0
     try:
         with open(tmp, "xb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, cfg.order, cfg.dim, _REGIME_CODE[cfg.regime],
@@ -91,7 +87,7 @@ def save_model(path, params: ModelParameters, vocab: Vocabulary) -> dict:
             fh.write(blob)
             for _, arr in params.arrays():
                 padding += fh.write(bytes(-fh.tell() % ALIGN))
-                fh.write(np.ascontiguousarray(arr, dtype="<f4"))
+                payload += fh.write(np.ascontiguousarray(arr, dtype="<f4"))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -99,7 +95,7 @@ def save_model(path, params: ModelParameters, vocab: Vocabulary) -> dict:
         raise
     return {"header": _HEADER.size + _VOCAB_BYTES.size,
             "vocab": len(text) + counts.nbytes, "structure": len(blob),
-            "padding": padding, "payload": payload_nbytes(params)}
+            "padding": padding, "payload": payload}
 
 
 def load_model(path):

@@ -38,13 +38,14 @@ discriminated against k samples from a fixed noise distribution P_n::
 
     P(observed | w, h) = sigmoid(phi(w, h) - log(k * P_n(w)))
 
-with the model's normalizer fixed to 1. The class-factored variant runs one
-discrimination at the class level (noise = class unigram) and one within the
-target's class (noise = within-class unigram). Standard NCE is class NCE over
-one class, the output layer's partition of the support (its ``class_of``), so
-it has no class level: one code path trains both regimes. ``NoiseTable``
-holds either noise distribution and draws from it; the gradient functions
-take only its log P_n vectors.
+with the model's normalizer fixed to 1. NCE runs over the output layer's
+partition of the support (its ``class_of``): one discrimination at the class
+level (noise = class unigram) and one within the target's class (noise =
+within-class unigram). A standard model's partition is one class, so it has
+no class level. ``nce_gradient`` and ``nce_objective`` are the one pair of
+entry points for both regimes. ``NoiseTable`` holds either noise
+distribution and draws from it; the gradient functions take only its log
+P_n vectors.
 """
 
 from __future__ import annotations
@@ -373,13 +374,13 @@ def _present_rows(ids, n):
     return present.nonzero()[0], (present.cumsum() - 1)[ids]
 
 
-def _nce(params, contexts, blocks, l2, macs, grad):
-    """(objective without the L2 term, Gradients when ``grad`` else None)
-    over blocks (table name, batch rows, ids, log P_n of ids), where each
-    row of ``ids`` is an observed row of the table, then its k noise rows.
-    Each block reads its table's distinct rows once, through
-    ``params.rows``, and uses them for its scores, its pull on P and the
-    step's update; Q's rows serve the projection and its backward pass."""
+def _nce(params, contexts, blocks, l2, macs):
+    """(Gradients, objective without the L2 term) over blocks (table name,
+    batch rows, ids, log P_n of ids), where each row of ``ids`` is an
+    observed row of the table, then its k noise rows. Each block reads its
+    table's distinct rows once, through ``params.rows``, and uses them for
+    its scores, its pull on P and the step's update; Q's rows serve the
+    projection and its backward pass."""
     plan, Qu, Qg, P, active = _project_for_grad(params, contexts, macs)
     gP = np.zeros(P.shape, P.dtype)
     value, rowgrads = 0.0, {}
@@ -395,15 +396,12 @@ def _nce(params, contexts, blocks, l2, macs, grad):
         scores = _scores_for(G, bu[inv], Pr)
         v, d = _nce_terms(scores.astype(np.float64), log_pn, ids.shape[1] - 1)
         value += v
-        if grad:
-            rowgrads[name], pull = (_class_nce_backward(Pr, u, inv, (Mu, bu), d) if name == "S"
-                                    else _nce_backward(params, Pr, ids_plan, (Mu, bu), G, d))
-            gP[rows] += pull
-            count_output(macs, ids.size, params.config.dim, train=True)
-    if not grad:
-        return value, None
-    return value, _backprop_projection(params, plan, Qu, Qg, active, gP, l2 * len(P),
-                                       rowgrads)
+        rowgrads[name], pull = (_class_nce_backward(Pr, u, inv, (Mu, bu), d) if name == "S"
+                                else _nce_backward(params, Pr, ids_plan, (Mu, bu), G, d))
+        gP[rows] += pull
+        count_output(macs, ids.size, params.config.dim, train=True)
+    return _backprop_projection(params, plan, Qu, Qg, active, gP, l2 * len(P),
+                                rowgrads), value
 
 
 def _noise_ids(observed, noise, what):
@@ -421,11 +419,33 @@ def _nce_layer(params):
     return layer
 
 
-def _class_blocks(params, targets, class_noise, word_noise, log_pn):
-    """The NCE blocks over the layer's partition: the class level when it
-    has more than one class, then the word level for the targets whose class
-    has more than one member. ``class_noise`` None asks for no class level,
-    which a partition of more than one class refuses."""
+def nce_objective(params: ModelParameters, contexts, targets, class_noise, word_noise,
+                  log_pn, l2: float = 0.0) -> float:
+    """:func:`nce_gradient`'s objective less the L2 penalty, for fixed noise
+    draws (finite-difference anchor)."""
+    _, value = nce_gradient(params, contexts, targets, class_noise, word_noise, log_pn)
+    return value - 0.5 * l2 * len(targets) * squared_norm(params)
+
+
+def nce_gradient(params: ModelParameters, contexts, targets, class_noise, word_noise,
+                 log_pn, l2: float = 0.0, macs: MacCounter = None):
+    """NCE gradients against fixed noise draws over the output layer's
+    partition (``class_of``): discriminate the target's class against the
+    class noise, then the target within its class against the word noise.
+
+    A class model's partition is its classes; a standard model's is one
+    class of its whole support, which has no class level. ``class_noise``
+    and ``word_noise`` are (m, k) id matrices, of classes and of words, and
+    ``log_pn`` is the pair (log P_n(class), log P_n(word | its class)) of
+    vectors over class and word ids. With one class, ``class_noise`` and
+    log P_n(class) may be None; a partition of more than one class refuses
+    a None ``class_noise``. The word-level term is skipped for targets
+    whose class has a single effective member (its conditional is the point
+    mass either way). The gradient holds the context rows of Q, the
+    target-class and class-noise rows of S and the target and word-noise
+    rows of R.
+    Returns (Gradients, objective value without the L2 term).
+    """
     layer = _nce_layer(params)
     targets = np.asarray(targets, dtype=np.int64)
     _check_targets(targets)
@@ -441,57 +461,7 @@ def _class_blocks(params, targets, class_noise, word_noise, log_pn):
     if len(rows):
         ids = _noise_ids(targets, word_noise, "word noise")[rows]
         blocks.append(("R", rows, ids, log_word[ids]))
-    return blocks
-
-
-def nce_objective(params: ModelParameters, contexts, targets, noise,
-                  log_pn, l2: float = 0.0) -> float:
-    """NCE objective for fixed noise draws (finite-difference anchor)."""
-    return nce_class_objective(params, contexts, targets, None, noise, (None, log_pn), l2)
-
-
-def nce_gradient(params: ModelParameters, contexts, targets, noise,
-                 log_pn, l2: float = 0.0, macs: MacCounter = None):
-    """NCE gradients against fixed noise draws, for a model whose partition
-    has one class: :func:`nce_gradient_class_factored` with no class level.
-
-    ``noise`` is an (m, k) id matrix and ``log_pn`` the vector of log P_n
-    over word ids. The gradient holds the context rows of Q and the target
-    and noise rows of R. Returns (Gradients, objective value without the L2
-    term).
-    """
-    return nce_gradient_class_factored(params, contexts, targets, None, noise,
-                                       (None, log_pn), l2, macs)
-
-
-def nce_class_objective(params: ModelParameters, contexts, targets,
-                        class_noise, word_noise, log_pn, l2: float = 0.0) -> float:
-    """Class-factored NCE objective for fixed draws (finite-difference anchor)."""
-    blocks = _class_blocks(params, targets, class_noise, word_noise, log_pn)
-    value, _ = _nce(params, contexts, blocks, 0.0, None, grad=False)
-    return value - 0.5 * l2 * len(targets) * squared_norm(params)
-
-
-def nce_gradient_class_factored(params: ModelParameters, contexts, targets,
-                                class_noise, word_noise, log_pn,
-                                l2: float = 0.0, macs: MacCounter = None):
-    """Two-level NCE: discriminate the class, then the word within its class.
-
-    The classes are the output layer's partition (``class_of``): a class
-    model's, or the single class of a standard model's support. ``log_pn``
-    is the pair (log P_n(class), log P_n(word | its class)) of vectors over
-    class and word ids.
-    The class-level term is skipped when the partition has a single class,
-    and ``class_noise`` may then be None; the word-level term is skipped for
-    targets whose class has a single effective member (its conditional is
-    the point mass either way). The gradient holds the context rows of Q,
-    the target-class and class-noise rows of S and the target and word-noise
-    rows of R.
-    Returns (Gradients, objective value without the L2 term).
-    """
-    blocks = _class_blocks(params, targets, class_noise, word_noise, log_pn)
-    value, grads = _nce(params, contexts, blocks, l2, macs, grad=True)
-    return grads, value
+    return _nce(params, contexts, blocks, l2, macs)
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +610,8 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
     (or the counter in the result) tallies gradient-pass MACs only;
     validation passes are not counted.
 
-    The per-epoch log line format is ``epoch<TAB>train_ppl<TAB>valid_ppl
-    <TAB>lr<TAB>seconds``.
+    ``log_file``, a path, gets one line per epoch appended, in the format
+    ``epoch<TAB>train_ppl<TAB>valid_ppl<TAB>lr<TAB>seconds``.
     """
     config.validate()
     cfg = params.config
@@ -683,12 +653,7 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
     sgd = _SparseSGD(params)
     view = sgd.view()
 
-    if log_file is None:
-        log_fh = None
-    elif hasattr(log_file, "write"):
-        log_fh = log_file
-    else:
-        log_fh = open(log_file, "a", encoding="utf-8")
+    log_fh = None if log_file is None else open(log_file, "a", encoding="utf-8")
 
     try:
         for epoch in range(1, config.epochs + 1):
@@ -706,8 +671,8 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
                         cnoise = class_table.draw(np.zeros(len(sel), np.int64), k) \
                             if layer.rows > 1 else None
                         wnoise = word_table.draw(layer.class_of[tgt_b], k)
-                        grads, _ = nce_gradient_class_factored(
-                            view, ctx_b, tgt_b, cnoise, wnoise, log_pn, l2=l2, macs=macs)
+                        grads, _ = nce_gradient(view, ctx_b, tgt_b, cnoise, wnoise,
+                                                log_pn, l2=l2, macs=macs)
                     if not grads.finite():
                         raise TrainingDivergedError(
                             f"non-finite gradient in epoch {epoch}, step {step}; "
@@ -736,7 +701,7 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
             prev_ppl = valid_ppl
     finally:
         sgd.flush()  # no caller sees a row that still owes decay
-        if log_fh is not None and log_fh is not log_file:
+        if log_fh is not None:
             log_fh.close()
 
     return TrainingResult(params, records, macs, lr)

@@ -42,7 +42,6 @@ from snlm.training import (
     empirical_unigram,
     ml_gradient,
     nce_gradient,
-    nce_gradient_class_factored,
     train,
 )
 
@@ -110,10 +109,10 @@ def test_criterion_02_analytic_gradients_match_finite_differences():
     def nce_case():
         params = make_params(vocab, REGIME_STANDARD, order=3, dim=7, seed=32,
                              scale=0.6)
-        fn = lambda ps: float(nce_gradient(ps, contexts, targets, word_noise,
-                                           log_pn, l2=0.0)[1])
-        grads, _ = nce_gradient(params, contexts, targets, word_noise,
-                                log_pn, l2=0.0)
+        fn = lambda ps: float(nce_gradient(ps, contexts, targets, None, word_noise,
+                                           (None, log_pn), l2=0.0)[1])
+        grads, _ = nce_gradient(params, contexts, targets, None, word_noise,
+                                (None, log_pn), l2=0.0)
         return params, fn, grads
 
     def class_nce_case():
@@ -126,8 +125,8 @@ def test_criterion_02_analytic_gradients_match_finite_differences():
         class_noise = class_of[word_noise]
         args = (contexts, targets, class_noise, word_noise,
                 (classes.log_probs, words.log_probs))
-        fn = lambda ps: float(nce_gradient_class_factored(ps, *args, l2=0.0)[1])
-        grads, _ = nce_gradient_class_factored(params, *args, l2=0.0)
+        fn = lambda ps: float(nce_gradient(ps, *args, l2=0.0)[1])
+        grads, _ = nce_gradient(params, *args, l2=0.0)
         return params, fn, grads
 
     cases = [
@@ -191,8 +190,8 @@ def test_criterion_03_nce_gradient_approaches_ml_gradient():
                 # noise slots, so enumerating one repeated outcome per word
                 # and mixing with its noise probability is exact
                 noise = np.full((1, k), w, dtype=np.int32)
-                g, _ = nce_gradient(params, contexts, targets, noise,
-                                    log_pn, l2=0.0)
+                g, _ = nce_gradient(params, contexts, targets, None, noise,
+                                    (None, log_pn), l2=0.0)
                 v = np.concatenate([a.ravel() for _, a in g.dense(params).arrays()])
                 acc = unigram[w] * v if acc is None else acc + unigram[w] * v
             cos = float(acc @ vml / (np.linalg.norm(acc) * np.linalg.norm(vml)))

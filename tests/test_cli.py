@@ -552,6 +552,11 @@ class TestBadCounts:
         (["--tree-file", "t.tree"], "--tree-file"),  # under the default, class
         (["--regime", "tree", "--algorithm", "ml_sgd", "--classes-file", "c.cls"],
          "--classes-file"),
+        (["--model", "no-such-dir/m.bin"], "--model 'no-such-dir/m.bin'"),
+        (["--model", "."], "--model '.'"),
+        (["--model", ""], "--model ''"),
+        (["--log-file", "no-such-dir/train.log"], "--log-file 'no-such-dir/train.log'"),
+        (["--log-file", "."], "--log-file '.'"),
     ])
     def test_training_settings_checked_before_reading(self, tmp_path, capsys,
                                                       flag, argv, monkeypatch):
@@ -559,6 +564,7 @@ class TestBadCounts:
             raise AssertionError(f"read {path} before checking the settings")
 
         monkeypatch.setattr(cli, "read_sentences", unread)
+        monkeypatch.chdir(tmp_path)  # relative paths in argv resolve under tmp_path
         model = tmp_path / "model.bin"
         code, stdout, stderr = run(capsys, "train", tmp_path / "absent.txt",
                                    "--model", model, *argv)

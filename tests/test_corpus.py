@@ -222,8 +222,9 @@ class TestUnigram:
             assert abs(probs.sum() - 1.0) < 1e-9
 
     def test_excluded_ids_have_exactly_zero_mass(self):
-        # counts (3, 1, 2) without id 1 renormalise to (0.6, 0, 0.4)
-        probs = unigram_from_counts(np.array([3.0, 1.0, 2.0]), exclude=(1,))
+        # counts (3, 1, 2) without <s> (id 1) renormalise to (0.6, 0, 0.4)
+        assert BOS_ID == 1
+        probs = unigram_from_counts(np.array([3.0, 1.0, 2.0]))
         assert probs[1] == 0.0
         np.testing.assert_allclose(probs, [0.6, 0.0, 0.4], atol=1e-12)
 

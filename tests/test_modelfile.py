@@ -11,8 +11,7 @@ from snlm.corpus import Vocabulary, instance_arrays
 from snlm.errors import ModelFormatError, SnlmError
 from snlm.evaluation import memory_estimate, perplexity
 from snlm.model import REGIME_CLASS, REGIME_STANDARD, REGIME_TREE
-from snlm.modelfile import (_HEADER, ALIGN, MAGIC, load_model, payload_nbytes,
-                            save_model)
+from snlm.modelfile import _HEADER, ALIGN, MAGIC, load_model, save_model
 from snlm.training import TrainingConfig, train
 
 FIRST_TOKEN = _HEADER.size + 8  # the v2 vocabulary block, after its u64 length
@@ -287,7 +286,7 @@ class TestSectionSizes:
         path = tmp_path / "model.bin"
         sizes = save_model(path, params, vocab)
         assert sum(sizes.values()) == path.stat().st_size
-        assert sizes["payload"] == payload_nbytes(params)
+        assert sizes["payload"] == memory_estimate(params.config).payload_bytes
 
     def test_estimate_matches_serialized_payload(self, tmp_path):
         rng = np.random.default_rng(135)

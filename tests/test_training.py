@@ -1,7 +1,6 @@
 """Gradients, noise sampling and the SGD loop."""
 import collections
 import hashlib
-import io
 import math
 import warnings
 
@@ -33,9 +32,7 @@ from snlm.training import (
     empirical_unigram,
     ml_gradient,
     ml_objective,
-    nce_class_objective,
     nce_gradient,
-    nce_gradient_class_factored,
     nce_objective,
     squared_norm,
     train,
@@ -271,11 +268,11 @@ class TestNceGradient:
                 params.b[w] = math.log(k * probs[w])
         table = NoiseTable(probs, np.random.default_rng(81))
         noise = table.draw(np.zeros(5, dtype=np.int64), k)
-        value = nce_objective(params, contexts, targets, noise, table.log_probs)
+        value = nce_objective(params, contexts, targets, None, noise, (None, table.log_probs))
         want = (5 + 5 * k) * math.log(0.5)
         np.testing.assert_allclose(value, want, rtol=1e-12)
         # the observed column pushes up, the noise columns push down
-        grads, _ = nce_gradient(params, contexts, targets, noise, table.log_probs)
+        grads, _ = nce_gradient(params, contexts, targets, None, noise, (None, table.log_probs))
         grads = grads.dense(params)
         for i, w in enumerate(targets):
             contribution = 0.5 - 0.5 * np.count_nonzero(noise[i] == w)
@@ -290,11 +287,11 @@ class TestNceGradient:
             probs = empirical_unigram(targets, len(vocab))
             table = NoiseTable(probs, np.random.default_rng(84))
             noise = table.draw(np.zeros(5, dtype=np.int64), 2)
-            grads, _ = nce_gradient(params, contexts, targets, noise,
-                                    table.log_probs, l2=1e-3)
+            grads, _ = nce_gradient(params, contexts, targets, None, noise,
+                                    (None, table.log_probs), l2=1e-3)
             want = numeric_gradient(
-                lambda q: nce_objective(q, contexts, targets, noise,
-                                        table.log_probs, l2=1e-3), params)
+                lambda q: nce_objective(q, contexts, targets, None, noise,
+                                        (None, table.log_probs), l2=1e-3), params)
             np.testing.assert_allclose(grad_vector(grads, params), want,
                                        rtol=2e-5, atol=1e-7)
 
@@ -306,7 +303,7 @@ class TestNceGradient:
         noise = np.array([[3, 5], [5, 4]])
         probs = np.array([0.1, 0.0, 0.1, 0.4, 0.2, 0.2])
         sampler_logs = np.log(np.where(probs > 0, probs, 1.0))
-        value = nce_objective(params, contexts, targets, noise, sampler_logs)
+        value = nce_objective(params, contexts, targets, None, noise, (None, sampler_logs))
         want = 0.0
         for i in range(2):
             p = project_context(params, contexts[i])
@@ -324,8 +321,8 @@ class TestNceGradient:
         targets = np.array([5], dtype=np.int32)
         noise = np.array([[6, 7]])
         probs = empirical_unigram(np.arange(2, len(vocab)), len(vocab))
-        grads, _ = nce_gradient(params, contexts, targets, noise,
-                                np.log(np.where(probs > 0, probs, 1.0)))
+        grads, _ = nce_gradient(params, contexts, targets, None, noise,
+                                (None, np.log(np.where(probs > 0, probs, 1.0))))
         grads = grads.dense(params)
         for w in range(len(vocab)):
             if w not in {5, 6, 7}:
@@ -342,9 +339,9 @@ class TestNceGradient:
             probs = empirical_unigram(targets, len(vocab))
             table = NoiseTable(probs, np.random.default_rng(89))
             macs = MacCounter()
-            nce_gradient(params, contexts, targets,
+            nce_gradient(params, contexts, targets, None,
                          table.draw(np.zeros(8, dtype=np.int64), k),
-                         table.log_probs, macs=macs)
+                         (None, table.log_probs), macs=macs)
             costs[n_words] = (macs.output, macs.output_rows)
         assert costs[10] == costs[100]
         assert costs[100][1] == 8 * (1 + k)
@@ -366,8 +363,8 @@ class TestNceGradient:
         params = make_params(vocab, seed=92)
         with pytest.raises(DataError):
             nce_gradient(params, np.array([[3, 4]], dtype=np.int32),
-                         np.array([3], dtype=np.int32),
-                         np.array([3, 4]), np.zeros(len(vocab)))
+                         np.array([3], dtype=np.int32), None,
+                         np.array([3, 4]), (None, np.zeros(len(vocab))))
 
     def test_objective_matches_the_logaddexp_form(self):
         """``_nce_terms``' value, ``min(+-delta, 0) - log1p(exp(-|delta|))``
@@ -405,11 +402,10 @@ class TestClassFactoredNce:
         cnoise = classes.draw(np.zeros(5, dtype=np.int64), 2)
         cls = params.config.classing.class_of[targets].astype(np.int64)
         wnoise = words.draw(cls, 2)
-        grads, _ = nce_gradient_class_factored(params, contexts, targets,
-                                               cnoise, wnoise, log_pn, l2=1e-3)
+        grads, _ = nce_gradient(params, contexts, targets, cnoise, wnoise, log_pn, l2=1e-3)
         want = numeric_gradient(
-            lambda q: nce_class_objective(q, contexts, targets, cnoise,
-                                          wnoise, log_pn, l2=1e-3), params)
+            lambda q: nce_objective(q, contexts, targets, cnoise,
+                                    wnoise, log_pn, l2=1e-3), params)
         np.testing.assert_allclose(grad_vector(grads, params), want, rtol=2e-5, atol=1e-7)
 
     def test_single_class_partition_equals_flat_nce(self):
@@ -426,10 +422,10 @@ class TestClassFactoredNce:
         classes, words = class_noise(probs, cls.config.classing, 98)
         wnoise = words.draw(np.zeros(6, dtype=np.int64), 3)
         cnoise = np.empty((6, 0), dtype=np.int64)
-        got, value_cls = nce_gradient_class_factored(
+        got, value_cls = nce_gradient(
             cls, contexts, targets, cnoise, wnoise, (classes.log_probs, words.log_probs))
-        want, value_std = nce_gradient(std, contexts, targets, wnoise,
-                                       words.log_probs)
+        want, value_std = nce_gradient(std, contexts, targets, None, wnoise,
+                                       (None, words.log_probs))
         got, want = got.dense(cls), want.dense(std)
         np.testing.assert_allclose(value_cls, value_std, rtol=1e-12)
         np.testing.assert_allclose(got.R, want.R, rtol=1e-9, atol=1e-12)
@@ -453,10 +449,10 @@ class TestClassFactoredNce:
         classes, words = class_noise(probs, cls.config.classing, 101)
         cnoise = classes.draw(np.zeros(6, dtype=np.int64), 3)
         wnoise = np.repeat(targets[:, None], 2, axis=1).astype(np.int64)
-        got, value_cls = nce_gradient_class_factored(
+        got, value_cls = nce_gradient(
             cls, contexts, targets, cnoise, wnoise, (classes.log_probs, words.log_probs))
-        want, value_std = nce_gradient(std, contexts, targets, cnoise,
-                                       classes.log_probs)
+        want, value_std = nce_gradient(std, contexts, targets, None, cnoise,
+                                       (None, classes.log_probs))
         got, want = got.dense(cls), want.dense(std)
         np.testing.assert_allclose(value_cls, value_std, rtol=1e-12)
         np.testing.assert_allclose(got.S, want.R, rtol=1e-9, atol=1e-12)
@@ -489,8 +485,7 @@ class TestClassFactoredNce:
             pulls.append(pull)
             return rows, pull
         monkeypatch.setattr(training, "_class_nce_backward", spy)
-        grads, _ = nce_gradient_class_factored(params, contexts, targets, cnoise,
-                                               words.draw(cls, k), log_pn)
+        grads, _ = nce_gradient(params, contexts, targets, cnoise, words.draw(cls, k), log_pn)
 
         P = project_batch(params, contexts)[0].astype(np.float64)
         S, t = params.S.astype(np.float64), params.t.astype(np.float64)
@@ -516,9 +511,10 @@ class TestClassFactoredNce:
         params = make_params(vocab, REGIME_TREE, seed=102)
         contexts, targets = np.array([[3, 4]], dtype=np.int32), np.array([3], dtype=np.int32)
         log_pn = np.zeros(len(vocab))
-        calls = [lambda: nce_gradient(params, contexts, targets, np.array([[3]]), log_pn),
-                 lambda: nce_gradient_class_factored(params, contexts, targets, np.array([[0]]),
-                                                     np.array([[3]]), (log_pn, log_pn)),
+        calls = [lambda: nce_gradient(params, contexts, targets, None, np.array([[3]]),
+                                      (None, log_pn)),
+                 lambda: nce_objective(params, contexts, targets, np.array([[0]]),
+                                       np.array([[3]]), (log_pn, log_pn)),
                  lambda: train(params, contexts, targets,
                                TrainingConfig(algorithm="nce", validation_fraction=0.0))]
         for call in calls:
@@ -528,8 +524,9 @@ class TestClassFactoredNce:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_standard_model_is_the_one_class_partition(self, dtype):
         """A standard model's partition is one class of every word but
-        ``<s>``, with no class rows: class-factored NCE with no class noise
-        is bitwise ``nce_gradient``, in its value and every RowGrad."""
+        ``<s>``, with no class rows: ``nce_gradient`` with no class noise is
+        bitwise flat NCE, one word-level block over every target, in its
+        value and every RowGrad."""
         vocab = make_vocab(list("abcd"), counts=[4, 3, 2, 1])
         params = make_params(vocab, REGIME_STANDARD, seed=103, dtype=dtype)
         layer = params.config.layout()
@@ -538,11 +535,12 @@ class TestClassFactoredNce:
         contexts, targets = tiny_instances(vocab, 3, 104, m=6)
         noise = NoiseTable(empirical_unigram(targets, len(vocab)), np.random.default_rng(105))
         wnoise = noise.draw(np.zeros(6, dtype=np.int64), 3)
-        got, value_cls = nce_gradient_class_factored(
+        got, value = nce_gradient(
             params, contexts, targets, None, wnoise, (None, noise.log_probs), l2=1e-3)
-        want, value_std = nce_gradient(params, contexts, targets, wnoise, noise.log_probs,
-                                       l2=1e-3)
-        assert value_cls == value_std
+        ids = np.concatenate([targets[:, None], wnoise], axis=1)
+        flat = [("R", np.arange(6), ids, noise.log_probs[ids])]
+        want, value_flat = training._nce(params, contexts, flat, 1e-3, None)
+        assert value == value_flat
         assert len(got.R.rows) and len(got.Q.rows) and not len(got.S.rows)
         for (name, g), (_, w) in zip(got.tables(), want.tables()):
             for a, b in zip((g.rows, g.values, g.bias, *g.held),
@@ -556,7 +554,7 @@ class TestClassFactoredNce:
         log_pn = np.zeros(len(vocab))
         with pytest.raises(DataError, match="more than one class needs class noise"):
             nce_gradient(params, np.array([[3, 4]], dtype=np.int32),
-                         np.array([3], dtype=np.int32), np.array([[4]]), log_pn)
+                         np.array([3], dtype=np.int32), None, np.array([[4]]), (None, log_pn))
 
 
 class TestFloat32Gradients:
@@ -597,7 +595,8 @@ class TestFloat32Gradients:
         table = NoiseTable(empirical_unigram(targets, len(vocab)),
                            np.random.default_rng(142))
         noise = table.draw(np.zeros(m, dtype=np.int64), 5)
-        self.compare(nce_gradient, params, contexts, targets, noise, table.log_probs)
+        self.compare(nce_gradient, params, contexts, targets, None, noise,
+                     (None, table.log_probs))
 
     @pytest.mark.parametrize("m", [1, 200])
     @pytest.mark.parametrize("diagonal", [True, False])
@@ -609,7 +608,7 @@ class TestFloat32Gradients:
         classes, words = class_noise(empirical_unigram(targets, len(vocab)),
                                      params.config.classing, 145)
         cls = params.config.classing.class_of[targets].astype(np.int64)
-        self.compare(nce_gradient_class_factored, params, contexts, targets,
+        self.compare(nce_gradient, params, contexts, targets,
                      classes.draw(np.zeros(m, dtype=np.int64), 5), words.draw(cls, 5),
                      (classes.log_probs, words.log_probs))
 
@@ -788,33 +787,33 @@ class TestTrainLoop:
         assert 1 < len(calls) <= 25
         assert f"non-finite gradient in epoch 1, step {len(calls)};" in str(err.value)
 
-    def test_epoch_seconds_split_into_training_and_evaluation(self):
+    def test_epoch_seconds_split_into_training_and_evaluation(self, tmp_path):
         sentences = markov_corpus(300, vocab_size=8, seed=9)
         vocab = build_vocabulary(sentences)
         contexts, targets = instance_arrays(sentences, vocab, n=3)
         params = make_params(vocab, REGIME_CLASS, order=3, dim=4, seed=64,
                              dtype=np.float32)
-        log = io.StringIO()
+        log = tmp_path / "train.log"
         config = TrainingConfig(algorithm="nce", epochs=2, rng_seed=2,
                                 learning_rate=0.05, noise_samples=3)
         result = train(params, contexts, targets, config, log_file=log)
-        lines = log.getvalue().strip().split("\n")
+        lines = log.read_text().strip().split("\n")
         for ep, line in zip(result.epochs, lines):
             assert ep.train_seconds > 0 and ep.eval_seconds > 0
             assert ep.seconds == ep.train_seconds + ep.eval_seconds
             assert line.split("\t")[4] == f"{ep.seconds:.3f}"
 
-    def test_epoch_log_lines(self):
+    def test_epoch_log_lines(self, tmp_path):
         sentences = markov_corpus(200, vocab_size=6, seed=9)
         vocab = build_vocabulary(sentences)
         contexts, targets = instance_arrays(sentences, vocab, n=2)
         params = make_params(vocab, REGIME_STANDARD, order=2, dim=4, seed=64,
                              dtype=np.float32)
-        log = io.StringIO()
+        log = tmp_path / "train.log"
         config = TrainingConfig(algorithm="ml_sgd", epochs=3, rng_seed=2,
                                 learning_rate=0.05)
         train(params, contexts, targets, config, log_file=log)
-        lines = log.getvalue().strip().split("\n")
+        lines = log.read_text().strip().split("\n")
         assert len(lines) == 3
         for i, line in enumerate(lines, 1):
             fields = line.split("\t")
@@ -861,7 +860,7 @@ class TestTrainLoop:
         assert abs(mean_log_z) < 0.5
 
 
-GRADIENT_FUNCTIONS = ("ml_gradient", "nce_gradient", "nce_gradient_class_factored")
+GRADIENT_FUNCTIONS = ("ml_gradient", "nce_gradient")
 
 
 def record_gradient_calls(monkeypatch, poison_call=None):
@@ -1167,13 +1166,13 @@ class TestDecayedView:
             classes, words = class_noise(empirical_unigram(targets, params.config.vocab_size),
                                          params.config.classing, 151)
             cls = params.config.classing.class_of[targets].astype(np.int64)
-            grads, _ = nce_gradient_class_factored(
+            grads, _ = nce_gradient(
                 sgd.view(), contexts, targets, classes.draw(np.zeros(len(targets), np.int64), 3),
                 words.draw(cls, 3), (classes.log_probs, words.log_probs), l2=0.05)
         else:
-            grads, _ = nce_gradient(sgd.view(), contexts, targets,
+            grads, _ = nce_gradient(sgd.view(), contexts, targets, None,
                                     noise.draw(np.zeros(len(targets), np.int64), 3),
-                                    noise.log_probs, l2=0.05)
+                                    (None, noise.log_probs), l2=0.05)
         assert len(grads.Q.rows) and len(grads.R.rows) + len(grads.S.rows)
         scale = 0.5 / len(targets)
         decay = 1.0 - scale * grads.l2
