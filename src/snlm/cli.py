@@ -127,7 +127,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(flag, path) -> None:
+    """Refuse, before any input is read, an output ``path`` (None: not
+    given) that names no file or whose directory does not exist, so that a
+    bad path costs no work; ``flag`` names it in the message."""
+    if path is None:
+        return
+    if os.path.isdir(path) or not os.path.basename(path):
+        raise SnlmError(f"{flag} {path!r} does not name a file")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise SnlmError(f"{flag} {path!r}: its directory does not exist")
+
+
 def cmd_vocab(args) -> int:
+    _check_output("-o/--output", args.output)
     vocab = build_vocabulary(args.corpus, min_count=args.min_count,
                              max_size=args.max_size)
     vocab.save(args.output)
@@ -136,6 +149,7 @@ def cmd_vocab(args) -> int:
 
 
 def cmd_classes(args) -> int:
+    _check_output("-o/--output", args.output)
     vocab = Vocabulary.load(args.vocab)
     K = args.num_classes
     if K is None:
@@ -183,11 +197,8 @@ def cmd_train(args) -> int:
     for name, needs in (("classes", "class"), ("tree", "tree")):
         if getattr(args, f"{name}_file") and args.regime != needs:
             raise SnlmError(f"--{name}-file applies to --regime {needs} only")
-    for flag, path in (("--model", args.model), ("--log-file", args.log_file)):
-        if path is not None and (os.path.isdir(path) or not os.path.basename(path)):
-            raise SnlmError(f"{flag} {path!r} does not name a file")
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
-            raise SnlmError(f"{flag} {path!r}: its directory does not exist")
+    _check_output("--model", args.model)
+    _check_output("--log-file", args.log_file)
 
     sentences = list(read_sentences(args.corpus))
     if args.vocab:
@@ -196,6 +207,7 @@ def cmd_train(args) -> int:
         vocab = build_vocabulary(sentences, min_count=args.min_count,
                                  max_size=args.max_size)
     contexts, targets = instance_arrays(sentences, vocab, args.order)
+    del sentences  # training holds the model and the instance arrays, not the corpus
     counts = np.bincount(targets, minlength=len(vocab))
 
     # a structure file comes only with its regime (checked above)
@@ -242,6 +254,7 @@ def cmd_ppl(args) -> int:
 
 
 def cmd_score(args) -> int:
+    _check_output("-o/--output", args.output)
     params, vocab = load_model(args.model)
     lines = (line for _, line in read_lines(args.nbest))
     entries, errors = score_nbest(params, lines, vocab, unnormalised=args.unnormalised)

@@ -44,20 +44,18 @@ def score_instances(params: ModelParameters, contexts, targets,
     """Per-instance scores in input order, float64: log-probabilities, or raw
     ``phi`` scores when ``unnormalised``, computed in batches of the layer's
     width. Normalised scoring takes the queries in the output layer's
-    ``scoring_order`` before the batches are cut."""
+    ``scoring_order`` before the batches are cut: each batch gathers its
+    queries through its slice of that order and writes its scores back
+    through it, so no reordered copy of the queries is made."""
     contexts = np.asarray(contexts, dtype=np.int32)
     targets = np.asarray(targets, dtype=np.int64)
     score = unnormalised_scores_batch if unnormalised else log_probs_batch
     order = None if unnormalised else params.config.layout().scoring_order(targets)
-    if order is not None:
-        contexts, targets = contexts[order], targets[order]
     width = _batch_width(params, unnormalised)
     out = np.empty(len(targets))
     for lo in range(0, len(targets), width):
-        out[lo:lo + width] = score(params, contexts[lo:lo + width],
-                                   targets[lo:lo + width], macs)
-    if order is not None:
-        out[order] = out.copy()
+        at = slice(lo, lo + width) if order is None else order[lo:lo + width]
+        out[at] = score(params, contexts[at], targets[at], macs)
     return out
 
 

@@ -46,6 +46,9 @@ _STANDARD_BLOCK_BYTES = 2400 << 10
 # standard score block, normalised pass after pass, or of the S rows
 # gathered at a step of the tree walk.
 _SLAB_BYTES = 512 << 10
+# Bytes of the float64 block into which ``init_parameters`` draws a table's
+# rows before writing them in the parameters' dtype.
+_DRAW_BYTES = 1 << 20
 # Queries per tree backward block, whose dense weights grow with its square.
 _TREE_BLOCK = 128
 
@@ -190,6 +193,20 @@ def _floored_log(p) -> np.ndarray:
     return np.log(np.maximum(p, _PROB_FLOOR))
 
 
+def _draw_rows(rng, shape, dtype) -> np.ndarray:
+    """``rng.normal(0.0, 0.1, shape).astype(dtype)``, bitwise, without its
+    float64 copy: the draw goes in C order through one float64 block of
+    about ``_DRAW_BYTES``, each block written into the table as it is drawn
+    (``normal(0, 0.1)`` is ``0.1 * standard_normal``, element by element)."""
+    out = np.empty(shape, dtype=dtype)
+    step = max(1, _DRAW_BYTES // (8 * shape[1]))
+    block = np.empty((min(step, shape[0]), shape[1]))
+    for a in range(0, shape[0], step):
+        drawn = rng.standard_normal(out=block[:min(step, shape[0] - a)])
+        np.multiply(drawn, 0.1, out=out[a:a + len(drawn)])
+    return out
+
+
 def init_parameters(config: ModelConfig, seed: int = 0, unigram=None,
                     dtype=np.float32) -> ModelParameters:
     """Fresh parameters.
@@ -199,13 +216,15 @@ def init_parameters(config: ModelConfig, seed: int = 0, unigram=None,
     embedding; biases start at log prior mass so the initial model already
     matches the unigram distribution given by ``unigram`` (zeros when None).
     The draw order (Q, R, then S) is fixed, so a seed pins every array.
+    Each array is made once, in ``dtype``; the draws go through one bounded
+    float64 block (see ``_draw_rows``).
     """
     config.validate()
     layer = config.layout()
     rng = np.random.default_rng(seed)
     V, D = config.vocab_size, config.dim
-    Q = rng.normal(0.0, 0.1, (V, D)).astype(dtype)
-    R = rng.normal(0.0, 0.1, (V, D)).astype(dtype)
+    Q = _draw_rows(rng, (V, D), dtype)
+    R = _draw_rows(rng, (V, D), dtype)
 
     probs = None
     if unigram is not None:
@@ -217,14 +236,12 @@ def init_parameters(config: ModelConfig, seed: int = 0, unigram=None,
         b = np.zeros(V)
     b = b.astype(dtype)
 
-    scale = 1.0 / config.context_size
-    if config.diagonal:
-        C = [np.full(D, scale, dtype=dtype) for _ in range(config.context_size)]
-    else:
-        C = [(np.eye(D) * scale).astype(dtype) for _ in range(config.context_size)]
+    scale = np.full(D, 1.0 / config.context_size, dtype=dtype)
+    C = [scale.copy() if config.diagonal else np.diag(scale)
+         for _ in range(config.context_size)]
 
     t = layer.start_values(probs).astype(dtype)  # draws nothing: the order stays Q, R, S
-    S = rng.normal(0.0, 0.1, (layer.rows, D)).astype(dtype)
+    S = _draw_rows(rng, (layer.rows, D), dtype)
     S[layer.unused_rows] = 0  # after the whole draw, so the other rows keep theirs
     return ModelParameters(config, Q, R, b, C, S, t)
 
@@ -285,12 +302,16 @@ class RowGrad:
 
     ``held`` is the (matrix rows, bias values or None) pair the gradient
     read at ``rows``, current when it was taken; a step updates those
-    instead of reading the table again."""
+    instead of reading the table again. A concatenation holds nothing
+    itself (``held`` None) and keeps its ``parts``, each with the rows it
+    holds, which may be a view of the table: a step updates each part's
+    rows where they were read."""
 
     rows: np.ndarray
     values: np.ndarray
     bias: Optional[np.ndarray]
-    held: tuple
+    held: Optional[tuple]
+    parts: tuple = ()
 
     @classmethod
     def empty(cls, dim, dtype) -> "RowGrad":
@@ -301,9 +322,9 @@ class RowGrad:
     @classmethod
     def concatenate(cls, parts) -> "RowGrad":
         """The gradients ``parts`` of one table as one, their rows in turn."""
-        rows, values, bias, M, b = (np.concatenate(x) for x in zip(*(
-            (g.rows, g.values, g.bias, *g.held) for g in parts)))
-        return cls(rows, values, bias, (M, b))
+        rows, values, bias = (np.concatenate(x) for x in zip(*(
+            (g.rows, g.values, g.bias) for g in parts)))
+        return cls(rows, values, bias, None, tuple(parts))
 
     def finite(self) -> bool:
         return bool(np.isfinite(self.values).all()
@@ -325,7 +346,12 @@ def _scores(P, M, bias) -> np.ndarray:
 
 def _lse_rows(X: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Row-wise log-sum-exp as float64 (m,). The shift, ``exp`` and row sums
-    work in X's dtype; ``overwrite`` lets them use X as their scratch."""
+    work in X's dtype; ``overwrite`` lets them use X as their scratch, and
+    otherwise they take it in row slabs of about ``_SLAB_BYTES``, bitwise
+    the same, since every operation is per row."""
+    slab = max(1, _SLAB_BYTES // max(1, X.itemsize * X.shape[1]))
+    if not overwrite and len(X) > slab:
+        return np.concatenate([_lse_rows(X[a:a + slab]) for a in range(0, len(X), slab)])
     m = X.max(axis=1)
     safe = np.where(np.isfinite(m), m, 0)
     E = np.subtract(X, safe[:, None], out=X if overwrite else None)
@@ -829,8 +855,9 @@ class TreeLayer(OutputLayer):
         # blocks share rows: sum them, holding each row as first read
         g = RowGrad.concatenate(parts)
         plan = RowPlan(g.rows)
+        held = (np.concatenate(h)[plan.first] for h in zip(*(p.held for p in parts)))
         return loglik, gP, {"S": RowGrad(plan.rows, plan.sum(g.values), plan.sum(g.bias),
-                                         tuple(h[plan.first] for h in g.held))}
+                                         tuple(held))}
 
     def distribution(self, params, P, macs=None):
         tree = self.tree

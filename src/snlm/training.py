@@ -29,7 +29,12 @@ the same arrays, whose ``rows(name, ids)`` returns the rows times the decay
 they owe and writes nothing. NCE blocks and the output layers' ML
 ``backward`` passes read only the rows they write, through ``rows``, and
 the returned ``RowGrad`` keeps them (``held``), so ``_SparseSGD.apply``
-writes ``held * decay + scale * g`` with one scatter per table.
+computes ``held * decay + scale * g`` in place in ``held`` and writes it
+back with one scatter, or none where ``held`` is a view of its table (a
+concatenated gradient, such as a class/ML step's member runs, does this
+part by part).
+The training split stays index arrays into the caller's instances: each
+batch gathers its own rows.
 
 NCE
 ---
@@ -495,8 +500,9 @@ class _SparseSGD:
     each row of Q, R/b and S/t, the step that row is current through, and a
     row is multiplied by the ``decay ** missed`` it owes when a step reads
     it, on the copy that ``view``'s ``rows`` hands out, which ``apply`` then
-    updates and writes back once. ``flush`` brings every row current in
-    place. Within an epoch the decay is constant, and ``train`` flushes
+    updates in place and writes back once; rows that owe nothing may be
+    handed out as views of the table, which ``apply`` updates where they
+    lie. ``flush`` brings every row current in place. Within an epoch the decay is constant, and ``train`` flushes
     before the learning rate can change.
     The small C transforms are updated densely.
     """
@@ -541,21 +547,30 @@ class _SparseSGD:
 
     def apply(self, grads: Gradients, scale: float) -> None:
         """One step on the rows ``grads`` holds, from the current values it
-        read (``RowGrad.held``), with no gather: each table's rows become
-        ``held * decay + scale * g`` and are written back with one scatter.
-        ``grads`` is left as it was."""
+        read (``RowGrad.held``, part by part for a concatenation), with no
+        gather: each table's rows become ``held * decay + scale * g``,
+        computed in place in ``held``, bitwise as that expression. Where
+        ``held`` is a view of its table (a slice read that owed no decay),
+        that is the write; a private copy is written back with one scatter.
+        The gradient's values and biases are left as they were; its ``held``
+        rows are the step's result."""
         self.decay = 1.0 - scale * grads.l2
         self.step += 1
         for name, g in grads.tables():
-            for table, grad, held in zip(self.tables[name], (g.values, g.bias), g.held):
-                if table is None:
-                    continue
-                rows = held * self.decay
-                rows += scale * grad
-                table[g.rows] = rows
+            for part in g.parts or (g,):
+                for table, grad, held in zip(self.tables[name], (part.values, part.bias),
+                                             part.held):
+                    if table is None:
+                        continue
+                    held *= self.decay
+                    held += scale * grad
+                    # a private copy lies outside the table, so the bounds check is exact
+                    if not np.may_share_memory(held, table):
+                        table[part.rows] = held
             self.last[name][g.rows] = self.step
         for Cj, gC in zip(self.params.C, grads.C):
-            Cj[...] = Cj * self.decay + scale * gC
+            Cj *= self.decay
+            Cj += scale * gC
 
 
 @dataclass
@@ -633,14 +648,19 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
     valid_idx, train_idx = perm[:n_valid], perm[n_valid:]
     if len(train_idx) == 0:
         raise DataError("no training instances left after the validation split")
-    tr_ctx, tr_tgt = contexts[train_idx], targets[train_idx]
+    # the split stays index arrays into the caller's instances: only the
+    # validation split and the first training instances are gathered, for
+    # the perplexity passes; with nothing held out, validation scores the
+    # caller's arrays as they are
+    ppl_idx = train_idx[:TRAIN_PPL_INSTANCES]
+    ppl_ctx, ppl_tgt = contexts[ppl_idx], targets[ppl_idx]
     ev_ctx, ev_tgt = (contexts[valid_idx], targets[valid_idx]) if n_valid \
-        else (tr_ctx, tr_tgt)
+        else (contexts, targets)
 
     if config.algorithm == "nce":
         # NCE draws a class, then a word within it, from one shared rng
-        word_table = NoiseTable(empirical_unigram(tr_tgt, cfg.vocab_size), noise_rng,
-                                layer.class_of)
+        word_table = NoiseTable(empirical_unigram(targets[train_idx], cfg.vocab_size),
+                                noise_rng, layer.class_of)
         class_table = NoiseTable(word_table.mass, noise_rng)
         log_pn = (class_table.log_probs, word_table.log_probs)
 
@@ -658,13 +678,13 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
     try:
         for epoch in range(1, config.epochs + 1):
             tick = time.perf_counter()
-            order = order_rng.permutation(len(tr_tgt))
+            order = order_rng.permutation(len(train_idx))
             # a diverging step shows as a non-finite gradient, which the
             # check below reports; numpy's own warnings would only precede it
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 for step, lo in enumerate(range(0, len(order), config.minibatch_size), 1):
-                    sel = order[lo:lo + config.minibatch_size]
-                    ctx_b, tgt_b = tr_ctx[sel], tr_tgt[sel]
+                    sel = train_idx[order[lo:lo + config.minibatch_size]]
+                    ctx_b, tgt_b = contexts[sel], targets[sel]
                     if config.algorithm == "ml_sgd":
                         grads, _ = ml_gradient(view, ctx_b, tgt_b, l2=l2, macs=macs)
                     else:
@@ -683,8 +703,7 @@ def train(params: ModelParameters, contexts, targets, config: TrainingConfig,
             train_seconds = time.perf_counter() - tick
 
             tick = time.perf_counter()
-            train_ppl = _ppl(params, tr_ctx[:TRAIN_PPL_INSTANCES],
-                             tr_tgt[:TRAIN_PPL_INSTANCES])
+            train_ppl = _ppl(params, ppl_ctx, ppl_tgt)
             valid_ppl = _ppl(params, ev_ctx, ev_tgt)
             stats = EpochStats(epoch, train_ppl, valid_ppl, lr, train_seconds,
                                time.perf_counter() - tick)

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -572,6 +573,56 @@ class TestBadCounts:
         assert stdout == ""
         assert flag in stderr and "Traceback" not in stderr
         assert not model.exists()
+
+    @pytest.mark.parametrize("out", ["no-such-dir/out.txt", "."])
+    @pytest.mark.parametrize("argv", [
+        ["vocab", "corpus.txt"],
+        ["classes", "--vocab", "v.tsv"],
+        ["classes", "--vocab", "v.tsv", "--method", "brown", "--corpus", "corpus.txt"],
+        ["classes", "--vocab", "v.tsv", "--method", "huffman"],
+        ["score", "model.bin", "nbest.txt"],
+    ], ids=["vocab", "classes", "classes-brown", "classes-huffman", "score"])
+    def test_output_paths_checked_before_reading(self, tmp_path, capsys, monkeypatch,
+                                                 argv, out):
+        """An ``-o`` path that names no file, or whose directory does not
+        exist, is refused with exit 2 before any input is read, as
+        ``train`` refuses its ``--model`` and ``--log-file``."""
+        def unread(*args, **kwargs):
+            raise AssertionError("read an input before checking the output path")
+
+        for name in ("build_vocabulary", "read_sentences", "read_lines", "load_model"):
+            monkeypatch.setattr(cli, name, unread)
+        monkeypatch.setattr(cli.Vocabulary, "load", unread)
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run(capsys, *argv, "-o", out)
+        assert code == 2
+        assert stdout == ""
+        assert f"-o/--output {out!r}" in stderr and "Traceback" not in stderr
+
+    def test_train_drops_the_corpus_before_the_model(self, tmp_path, capsys, corpus,
+                                                     monkeypatch):
+        """``train`` holds the instance arrays, not the sentences: no sentence
+        read from the corpus is alive when the parameters are made."""
+        class Sentence(list):
+            pass
+
+        refs, alive = [], []
+
+        def read(path, _real=cli.read_sentences):
+            for tokens in _real(path):
+                sentence = Sentence(tokens)
+                refs.append(weakref.ref(sentence))
+                yield sentence
+
+        def init(*args, _real=cli.init_parameters, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "read_sentences", read)
+        monkeypatch.setattr(cli, "init_parameters", init)
+        assert run(capsys, "train", corpus[0], "--model", tmp_path / "m.bin", "--order", "3",
+                   "--dim", "4", "--epochs", "1")[0] == 0
+        assert len(refs) == 120 and alive == [0]
 
     def test_zero_classes(self, tmp_path, capsys, corpus):
         vocab, out = tmp_path / "vocab.tsv", tmp_path / "classes.tsv"

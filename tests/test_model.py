@@ -1,5 +1,6 @@
 """Projection, scoring and the three normalization regimes."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -815,6 +816,33 @@ class TestRowGrad:
         assert g.values.dtype == pull.dtype == np.float32
 
 
+class TestLogSumExp:
+    def test_row_slabs_are_bitwise_one_pass_without_a_copy(self, monkeypatch):
+        """A (64, 17,745) float32 block, with a -inf column and a row of -inf,
+        in slabs of about ``_SLAB_BYTES`` against one pass over every row: the
+        same bits, and a traced peak under half the block, where one pass
+        makes a second block of differences."""
+        rng = np.random.default_rng(193)
+        X = rng.normal(0.0, 4.0, (64, 17_745)).astype(np.float32)
+        X[:, BOS_ID] = -np.inf
+        X[5] = -np.inf
+        before = X.copy()
+        tracemalloc.start()
+        try:
+            with np.errstate(divide="ignore"):  # the row of -inf takes log(0)
+                got = _lse_rows(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.tobytes() == before.tobytes()
+        monkeypatch.setattr(model, "_SLAB_BYTES", X.nbytes)
+        with np.errstate(divide="ignore"):
+            want = _lse_rows(X)
+        assert got.dtype == np.float64 and got[5] == -np.inf
+        assert got.tobytes() == want.tobytes()
+        assert peak < X.nbytes / 2
+
+
 class TestInitParameters:
     def test_initial_model_reproduces_target_unigram(self):
         vocab = make_vocab(list("abcd"), counts=[8, 4, 2, 1])
@@ -846,6 +874,56 @@ class TestInitParameters:
         vocab = make_vocab(list("ab"))
         params = init_parameters(make_config(vocab), seed=0)
         assert all(a.dtype == np.float32 for _, a in params.arrays())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
+    def test_draws_bitwise_as_one_normal_draw_per_table(self, monkeypatch, regime,
+                                                        diagonal, dtype):
+        """Blocks of 4 rows, of which 11 rows of Q and R and 18 of a tree's S
+        are no multiple, against one ``rng.normal(0.0, 0.1, shape)`` per table
+        cast to the dtype, in the order Q, R, S, with S's unused rows zeroed
+        after the whole draw; the other arrays as their formulas give them."""
+        vocab = make_vocab([f"w{i}" for i in range(8)])
+        cfg = make_config(vocab, regime, order=4, dim=5, diagonal=diagonal, num_classes=3)
+        monkeypatch.setattr(model, "_DRAW_BYTES", 4 * 8 * 5)
+        probs = np.arange(len(vocab), dtype=np.float64)
+        probs[BOS_ID] = 0
+        probs /= probs.sum()
+        got = init_parameters(cfg, seed=4, unigram=probs, dtype=dtype)
+        layer, V = cfg.layout(), len(vocab)
+        rng = np.random.default_rng(4)
+        Q, R, S = (rng.normal(0.0, 0.1, shape).astype(dtype)
+                   for shape in ((V, 5), (V, 5), (layer.rows, 5)))
+        S[layer.unused_rows] = 0
+        C = (np.ones(5) if diagonal else np.eye(5)) * (1.0 / 3)
+        want = ModelParameters(cfg, Q, R, np.log(np.maximum(probs, 1e-10)).astype(dtype),
+                               [C.astype(dtype)] * 3, S, layer.start_values(probs).astype(dtype))
+        assert len(Q) % 4 and (regime != REGIME_TREE or len(S) % 4)
+        for (name, a), (_, b) in zip(got.arrays(), want.arrays()):
+            assert a.dtype == dtype and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
+    def test_peak_is_the_parameters_and_the_draw_block(self, regime):
+        """Each array is made once, in its dtype: at 9.6 MB of Q and R the
+        traced peak is at most the parameters' bytes and two draw blocks,
+        where a float64 draw cast afterwards would take twice the tables."""
+        V, D = 6_000, 200
+        counts = np.arange(V)
+        counts[BOS_ID] = 0
+        cfg = ModelConfig(order=4, dim=D, regime=regime, vocab_size=V,
+                          **model.OUTPUT_LAYERS[regime].default_structure(counts))
+        cfg.layout()
+        probs = counts / counts.sum()
+        tracemalloc.start()
+        try:
+            params = init_parameters(cfg, seed=1, unigram=probs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(a.nbytes for _, a in params.arrays())
+        assert params.Q.nbytes + params.R.nbytes >= 8e6
+        assert peak <= nbytes + 2 * model._DRAW_BYTES
 
 
 REGIMES = (REGIME_STANDARD, REGIME_CLASS, REGIME_TREE)

@@ -2,6 +2,7 @@
 import collections
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from snlm.errors import DataError, TrainingDivergedError
 from snlm.evaluation import perplexity_from_instances, perplexity_of
 from snlm.model import (
     MacCounter,
+    ModelConfig,
     ModelParameters,
     REGIME_CLASS,
     REGIME_STANDARD,
@@ -1198,3 +1200,49 @@ class TestDecayedView:
             assert got.tobytes() == want.tobytes()
         for name in sgd.last:
             np.testing.assert_array_equal(sgd.last[name], last[name])
+
+
+def traced_peak(run) -> int:
+    """The traced peak of what ``run()`` allocates."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFootprint:
+    """A training run holds the model, the caller's instance arrays and
+    bounded scratch: no copy of the instances, no table-sized temporaries."""
+
+    def test_train_makes_no_copy_of_the_instances(self):
+        """At order 10 on 200,000 instances, 1% held out, a copy of the
+        training split alone would trace 1.1x the contexts' bytes; ``train``
+        gathers only the validation split, its perplexity instances and each
+        batch."""
+        rng = np.random.default_rng(160)
+        N, V = 200_000, 40
+        config = ModelConfig(order=10, dim=4, regime=REGIME_STANDARD, vocab_size=V)
+        params = init_parameters(config, seed=1)
+        contexts = rng.integers(0, V, (N, 9)).astype(np.int32)
+        targets = rng.integers(BOS_ID + 1, V, N).astype(np.int32)
+        tconf = TrainingConfig(algorithm="nce", epochs=1, minibatch_size=512, rng_seed=3,
+                               validation_fraction=0.01)
+        peak = traced_peak(lambda: train(params, contexts, targets, tconf))
+        assert peak < contexts.nbytes
+
+    def test_standard_ml_apply_updates_a_held_view_in_place(self):
+        """A standard/ML step holds all of R as a view of the table: ``apply``
+        updates it there, with one R-sized temporary (``scale * g``), where
+        a product and a scatter would take two."""
+        rng = np.random.default_rng(161)
+        V = 20_000
+        params = init_parameters(ModelConfig(order=3, dim=50, regime=REGIME_STANDARD,
+                                             vocab_size=V), seed=2)
+        contexts = rng.integers(0, V, (8, 2)).astype(np.int32)
+        targets = rng.integers(BOS_ID + 1, V, 8).astype(np.int32)
+        grads, _ = ml_gradient(params, contexts, targets, l2=0.05)
+        assert grads.R.held[0].base is params.R
+        sgd = training._SparseSGD(params)
+        assert traced_peak(lambda: sgd.apply(grads, 0.01)) < 1.5 * params.R.nbytes

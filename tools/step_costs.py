@@ -25,7 +25,11 @@ Each row is one ``train()`` epoch (diagonal transforms unless named full):
   made by an epoch outside its perplexity passes, less those of a run with no
   epoch, over the number of steps, on the first ``CALL_INSTANCES``
   instances;
-* ``epoch/steps``: that epoch's whole time over its step time.
+* ``epoch/steps``: that epoch's whole time over its step time;
+* ``peak/params``: the traced peak (``tracemalloc``) of one more, untimed
+  epoch of the timed model on the first ``CALL_INSTANCES`` instances, over
+  the parameters' bytes. The parameters and the instances exist before the
+  trace starts, so this is what the epoch holds beyond them.
 
 The last line is the diagonal-to-full step-speed ratio of class NCE at that
 D, next to the ratio of their MACs.
@@ -38,6 +42,7 @@ import dataclasses
 import math
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -113,11 +118,19 @@ def measure(label, regime, algorithm, diagonal, data, dim, repeats) -> dict:
     for n_epochs in (0, 1):
         run_config = dataclasses.replace(config, epochs=n_epochs)
         calls[n_epochs] = count_calls(lambda: train(start.copy(), ctx, tgt, run_config))
+    traced = params.copy()  # the timed rows' structure, not one built from the slice
+    tracemalloc.start()
+    try:
+        train(traced, ctx, tgt, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {"label": label, "macs_per_inst": macs.total / n_train,
             "inst_per_s": n_train / epoch.train_seconds,
             "ns_per_mac": epoch.train_seconds * 1e9 / macs.total,
             "calls_per_step": (calls[1] - calls[0]) / math.ceil(n_calls / BATCH),
-            "epoch_over_steps": epoch.seconds / epoch.train_seconds}
+            "epoch_over_steps": epoch.seconds / epoch.train_seconds,
+            "peak_over_params": peak / sum(a.nbytes for _, a in params.arrays())}
 
 
 def main(argv=None) -> int:
@@ -135,7 +148,7 @@ def main(argv=None) -> int:
     print(f"|V| {len(vocab)}, {len(targets)} instances, order {ORDER}, D {dim}, "
           f"batch {BATCH}, k {K_NOISE}, one epoch")
     print(f"{'regime / algorithm':<20} {'MACs/inst':>10} {'step inst/s':>12} "
-          f"{'ns/MAC':>7} {'calls/step':>11} {'epoch/steps':>12}")
+          f"{'ns/MAC':>7} {'calls/step':>11} {'epoch/steps':>12} {'peak/params':>12}")
     rows = {}
     for run in RUNS:
         tick = time.perf_counter()
@@ -143,7 +156,8 @@ def main(argv=None) -> int:
                                    1 if args.smoke else REPEATS)
         print(f"{r['label']:<20} {r['macs_per_inst']:>10,.0f} {r['inst_per_s']:>12,.0f} "
               f"{r['ns_per_mac']:>7.2f} {r['calls_per_step']:>11,.0f} "
-              f"{r['epoch_over_steps']:>11.2f}x   ({time.perf_counter() - tick:.1f} s)",
+              f"{r['epoch_over_steps']:>11.2f}x {r['peak_over_params']:>11.2f}x"
+              f"   ({time.perf_counter() - tick:.1f} s)",
               flush=True)
     diag, full = rows["class / nce"], rows["class / nce, full"]
     print(f"class NCE, diagonal over full: {diag['inst_per_s'] / full['inst_per_s']:.2f}x "
