@@ -197,8 +197,10 @@ def instance_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, n: in
     Each is a window of width n over one id stream in which every sentence
     is ``<s>`` * (n-1), its :func:`token_ids`, ``</s>``; windows ending on a
     ``<s>`` (the padding) are dropped, so ``<s>`` is never a target. The
-    tokens of all sentences are mapped in one pass and placed in the stream
-    by their offsets.
+    tokens of all sentences are mapped in one pass and written into the
+    stream's token slots through one boolean mask; the token list is freed
+    before the windows are gathered, and each result is gathered once from
+    the stream, so the traced peak stays under twice the result's bytes.
 
     Returns
     -------
@@ -211,15 +213,16 @@ def instance_arrays(sentences: Iterable[Sequence[str]], vocab: Vocabulary, n: in
     if not sentences:
         raise DataError("empty corpus")
     lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    offset = n * np.arange(len(sentences)) + (n - 1)  # stream index less token index
-    ends = lengths.cumsum() + offset  # each sentence's </s>
+    ends = lengths.cumsum() + n * np.arange(len(sentences)) + (n - 1)  # each sentence's </s>
     stream = np.full(int(ends[-1]) + 1, BOS_ID, dtype=np.int32)
+    slots = np.ones(len(stream), dtype=bool)  # where the tokens go
+    slots[ends] = False
+    slots[(ends - lengths - (n - 1))[:, None] + np.arange(n - 1)] = False  # the padding
+    stream[slots] = token_ids(list(chain.from_iterable(sentences)), vocab)
     stream[ends] = EOS_ID
-    tokens = list(chain.from_iterable(sentences))
-    stream[np.arange(len(tokens)) + np.repeat(offset, lengths)] = token_ids(tokens, vocab)
+    keep = np.flatnonzero(stream[n - 1:] != BOS_ID)  # windows not ending on padding
     windows = np.lib.stride_tricks.sliding_window_view(stream, n)
-    windows = windows[windows[:, -1] != BOS_ID]
-    return np.ascontiguousarray(windows[:, -2::-1]), windows[:, -1].copy()
+    return windows[keep, -2::-1], stream[n - 1:][keep]
 
 
 def unigram_from_counts(counts) -> np.ndarray:

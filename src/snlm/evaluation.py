@@ -12,8 +12,9 @@ import numpy as np
 from .corpus import UNK_ID, Vocabulary, instance_arrays
 from .errors import DataError
 from .model import (MacCounter, ModelConfig, ModelParameters, log_prob,
-                    log_probs_batch, parameter_shapes, unnormalised_log_score,
-                    unnormalised_scores_batch)
+                    log_probs_batch, parameter_shapes, row_ranks,
+                    unnormalised_log_score, unnormalised_scores_batch)
+from .model import _distinct_rows  # noqa: F401  the n-best tests reach it here
 
 _SCRATCH_BYTES = 8 << 20   # bound on a scoring batch's largest temporary
 # Bound on a raw-score batch's arrays: kept within a 2 MiB per-core L2 cache,
@@ -42,21 +43,36 @@ def _batch_width(params: ModelParameters, unnormalised: bool = False) -> int:
 def score_instances(params: ModelParameters, contexts, targets,
                     unnormalised: bool = False, macs: MacCounter = None) -> np.ndarray:
     """Per-instance scores in input order, float64: log-probabilities, or raw
-    ``phi`` scores when ``unnormalised``, computed in batches of the layer's
-    width. Normalised scoring takes the queries in the output layer's
-    ``scoring_order`` before the batches are cut: each batch gathers its
-    queries through its slice of that order and writes its scores back
-    through it, so no reordered copy of the queries is made."""
-    contexts = np.asarray(contexts, dtype=np.int32)
-    targets = np.asarray(targets, dtype=np.int64)
+    ``phi`` scores when ``unnormalised``.
+
+    Each distinct (context, target) query is scored once and its score
+    copied to every instance that asks it. :func:`row_ranks` ranks the
+    queries by their contexts, then by target, so that the distinct queries
+    are in lexicographic order, equal contexts side by side. They are cut
+    into batches of the layer's width, for normalised scoring in the output
+    layer's ``scoring_order``; each batch gathers one instance of each of
+    its queries and writes its scores back through that order, and
+    :func:`log_probs_batch` projects and normalises each distinct context
+    of a batch once. The MAC counter tallies only that work: for raw scores
+    each distinct query's projection and score; for log-probabilities each
+    distinct context's projection and normaliser, once per batch that asks
+    it, and each distinct query's pick, word term or tree walk. The
+    instances are not copied and keep their dtypes: beside the packed keys,
+    the per-instance arrays made are the ranks and the returned scores.
+    """
+    contexts, targets = np.asarray(contexts), np.asarray(targets)
+    query, count = row_ranks(targets[None], row_ranks(contexts.T))
+    first = np.empty(count, dtype=np.intp)  # one instance of each distinct query
+    first[query] = np.arange(len(query))
     score = unnormalised_scores_batch if unnormalised else log_probs_batch
-    order = None if unnormalised else params.config.layout().scoring_order(targets)
+    order = None if unnormalised else params.config.layout().scoring_order(targets[first])
     width = _batch_width(params, unnormalised)
-    out = np.empty(len(targets))
-    for lo in range(0, len(targets), width):
+    out = np.empty(count)
+    for lo in range(0, count, width):
         at = slice(lo, lo + width) if order is None else order[lo:lo + width]
-        out[at] = score(params, contexts[at], targets[at], macs)
-    return out
+        ids = first[at]
+        out[at] = score(params, contexts[ids], targets[ids], macs)
+    return out[query]
 
 
 def perplexity_from_instances(params: ModelParameters, contexts, targets,
@@ -96,7 +112,10 @@ def perplexity(params: ModelParameters, sentences, vocab: Vocabulary,
 
     Every prediction event is scored: each token plus one ``</s>`` per
     sentence. ``<unk>`` targets are scored like ordinary words and tallied in
-    ``oov_count``.
+    ``oov_count``. ``macs_per_query`` is the MACs done over the events
+    scored: :func:`score_instances` scores each distinct query once and
+    projects and normalises each distinct context once per batch, so
+    repeated contexts and queries lower it.
     """
     sentences = [list(s) for s in sentences]
     if not sentences:
@@ -158,9 +177,9 @@ def score_nbest(params: ModelParameters, lines, vocab: Vocabulary,
     each hypothesis, never on neighboring lines.
 
     Hypotheses are scored in groups of about ``_NBEST_GROUP_TOKENS``
-    tokens: one instance array per group, one batched scoring pass over its
-    distinct queries (found by :func:`_distinct_rows`' packed keys), split
-    back into per-hypothesis sums. Each line is split once, by
+    tokens: one instance array per group and one :func:`score_instances`
+    pass, which scores each distinct query once, split back into
+    per-hypothesis sums. Each line is split once, by
     :func:`parse_nbest_line`; only a line it rejects is tested for being
     blank, which is skipped without an error.
     """
@@ -184,46 +203,14 @@ def score_nbest(params: ModelParameters, lines, vocab: Vocabulary,
     return entries, errors
 
 
-def _distinct_rows(a: np.ndarray):
-    """(distinct rows in lexicographic order, inverse) of a 2-D int32 array
-    of fewer than 2**31 rows, so that ``a == rows[inverse]``: ``np.unique(a,
-    axis=0, return_inverse=True)`` by packed keys. Offset so that none is
-    below 0, each id takes the ``bits`` that the largest needs. The columns
-    are packed, the first highest, into int64 keys of at most 63 bits, as
-    many to a key as fit, and each key after the first also carries, above
-    its columns, the rank of the key before it. One ``np.unique`` per key
-    ranks the rows by the columns packed so far, so the last key's ranks
-    are the rows' lexicographic ranks: two 1-D sorts at order 5 and
-    |V| < 32k, where a lexsort of the columns takes twice as long."""
-    ids = a.T.astype(np.int64, order="C")
-    ids -= ids.min(initial=0)
-    bits = max(1, int(ids.max(initial=0)).bit_length())
-    inverse, ranks, col = np.zeros(len(a), dtype=np.intp), 1, 0
-    while col < len(ids):
-        end = min(len(ids), col + (63 - (ranks - 1).bit_length()) // bits)
-        key = inverse.astype(np.int64)
-        for j in range(col, end):
-            key <<= bits
-            key |= ids[j]
-        distinct, inverse = np.unique(key, return_inverse=True)
-        ranks, col = len(distinct), end
-    rows = np.empty((ranks, a.shape[1]), dtype=a.dtype)
-    rows[inverse] = a
-    return rows, inverse
-
-
 def _score_hypotheses(params, group, sentences, vocab, unnormalised):
     """NBestEntry per (line_no, sent_id, hypothesis, rest) of a group, whose
-    hypotheses' words are ``sentences``.
-
-    Hypotheses of one source share most of their n-grams, so each distinct
-    (context, target) query is scored once and its score copied to every
-    instance that asks it.
+    hypotheses' words are ``sentences``: one instance array and one
+    :func:`score_instances` pass, which scores the queries that the
+    hypotheses of one source share once, split into per-hypothesis sums.
     """
     contexts, targets = instance_arrays(sentences, vocab, params.config.order)
-    queries, inverse = _distinct_rows(np.column_stack([contexts, targets]))
-    scores = score_instances(params, queries[:, :-1], queries[:, -1],
-                             unnormalised)[inverse]
+    scores = score_instances(params, contexts, targets, unnormalised)
     starts = np.cumsum([0] + [len(s) + 1 for s in sentences[:-1]])
     return [NBestEntry(*g, score)
             for g, score in zip(group, np.add.reduceat(scores, starts).tolist())]

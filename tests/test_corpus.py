@@ -1,5 +1,6 @@
 """Vocabulary construction, instance extraction and unigram statistics."""
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from snlm.corpus import (
     unigram_from_counts,
 )
 from snlm.errors import DataError
+from snlm.synthetic import markov_corpus
 
 
 class TestVocabulary:
@@ -208,6 +210,21 @@ class TestInstanceArrays:
             assert ctx.shape == (len(want_tgt), n - 1)
             assert ctx.tolist() == want_ctx
             assert tgt.tolist() == want_tgt
+
+    def test_traced_peak_is_under_twice_the_result(self):
+        """At order 5, ``snlm train``'s default, the arrays built on the way
+        (the token list, the id stream, the kept window starts) stay under
+        the result's own bytes, and both results own their C-ordered data."""
+        sentences = markov_corpus(20_000, vocab_size=5000, branching=20, seed=1)
+        vocab = build_vocabulary(sentences)
+        tracemalloc.start()
+        try:
+            ctx, tgt = instance_arrays(sentences, vocab, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * (ctx.nbytes + tgt.nbytes)
+        assert ctx.flags.c_contiguous and ctx.flags.owndata and tgt.flags.owndata
 
 
 class TestUnigram:

@@ -30,6 +30,7 @@ from snlm.model import (
     log_prob,
     log_probs_batch,
     project_batch,
+    row_ranks,
     unnormalised_log_score,
     unnormalised_scores_batch,
 )
@@ -338,23 +339,64 @@ class TestDistinctQueries:
         distinct = {(*c, t) for c, t in zip(ctx.tolist(), tgt.tolist())}
         assert len(distinct) < len(tgt) / 2  # the lists are duplicate-heavy
 
-        scored = []
-
-        def recording(params, contexts, targets, *args, **kwargs):
-            scored.append(len(targets))
-            return score_instances(params, contexts, targets, *args, **kwargs)
-
-        monkeypatch.setattr(evaluation, "score_instances", recording)
+        batches = record_batches(monkeypatch)
         for unnormalised in (False, True):
-            scored.clear()
+            batches.clear()
             entries, errors = score_nbest(params, lines, vocab, unnormalised)
             assert errors == [] and len(entries) == len(lines)
-            assert scored == [len(distinct)]
+            assert sum(len(t) for _, t in batches) == len(distinct)
             for e, hyp in zip(entries, hyps):
                 want = score_sentence(params, hyp, vocab, unnormalised)
                 assert abs(e.score - want) <= 1e-5 * (len(hyp) + 1)
             again, _ = score_nbest(params, lines, vocab, unnormalised)
             assert [e.score for e in again] == [e.score for e in entries]
+
+
+def record_batches(monkeypatch):
+    """The (contexts, targets) of every batch that ``score_instances`` hands
+    to ``log_probs_batch`` or ``unnormalised_scores_batch`` from now on, in
+    a list the caller may clear."""
+    batches = []
+
+    def recording(score):
+        def record(params, contexts, targets, macs=None):
+            batches.append((np.array(contexts), np.array(targets)))
+            return score(params, contexts, targets, macs)
+        return record
+
+    monkeypatch.setattr(evaluation, "log_probs_batch", recording(log_probs_batch))
+    monkeypatch.setattr(evaluation, "unnormalised_scores_batch",
+                        recording(unnormalised_scores_batch))
+    return batches
+
+
+def batch_macs(params, batches, unnormalised):
+    """The exact MACs of scoring ``batches`` of (contexts, targets), counted
+    query by query: a raw score costs each query its projection and one
+    (D,) product. A log-probability costs each distinct context of a batch
+    (of its queries whose target is not ``<s>``) one projection and, in the
+    standard and class layers, one normaliser over the support or the
+    classes; each query adds its class's word terms or its tree path."""
+    cfg, layer = params.config, params.config.layout()
+    D, project = cfg.dim, cfg.context_size * cfg.dim  # diagonal transforms
+    want = MacCounter()
+    for contexts, targets in batches:
+        if unnormalised:
+            want.projection += len(targets) * project
+            want.output += len(targets) * D
+            continue
+        contexts, targets = contexts[targets != BOS_ID], targets[targets != BOS_ID]
+        distinct = len({tuple(c) for c in contexts.tolist()})
+        want.projection += distinct * project
+        if cfg.regime == REGIME_STANDARD:
+            want.output += distinct * len(layer.support) * D
+        elif cfg.regime == REGIME_CLASS:
+            sizes = layer.class_sizes[layer.class_of[targets]]
+            want.output += (distinct * layer.rows * (layer.rows > 1)
+                            + int(sizes[sizes > 1].sum())) * D
+        else:
+            want.output += sum(cfg.tree.depth(t) for t in targets.tolist()) * D
+    return want
 
 
 def query_bytes(params):
@@ -380,16 +422,21 @@ class TestBatchWidth:
         layer_width = evaluation._batch_width(params)
         assert layer_width > len(tgt)
         for unnormalised in (False, True):
+            batches = record_batches(monkeypatch)
             wide_macs = MacCounter()
             wide = score_instances(params, ctx, tgt, unnormalised, wide_macs)
+            assert len(batches) == 1
+            assert wide_macs == batch_macs(params, batches, unnormalised)
             for budget in (1, 7 * params.config.layout().row_bytes()):
                 monkeypatch.setattr(evaluation, "_SCRATCH_BYTES", budget)
                 monkeypatch.setattr(evaluation, "_RAW_SCRATCH_BYTES", budget)
+                batches.clear()
                 macs = MacCounter()
                 narrow = score_instances(params, ctx, tgt, unnormalised, macs)
                 assert np.abs(narrow - wide).max() <= 1e-5
-                assert macs == wide_macs
-                monkeypatch.undo()
+                assert len(batches) > 1
+                assert macs == batch_macs(params, batches, unnormalised)
+            monkeypatch.undo()
         total, count = perplexity_from_instances(params, ctx, tgt)
         assert (total, count) == (math.fsum(score_instances(params, ctx, tgt).tolist()),
                                   len(tgt))
@@ -499,40 +546,35 @@ class TestScoringOrder:
         ctx, tgt = self.alternating(vocab)
         assert (np.diff(class_of[tgt]) != 0).all()
 
-        alone_macs = MacCounter()
-        alone = np.array([log_probs_batch(params, ctx[i:i + 1], tgt[i:i + 1], alone_macs)[0]
+        alone = np.array([log_probs_batch(params, ctx[i:i + 1], tgt[i:i + 1])[0]
                           for i in range(len(tgt))])
-        batches = []
-
-        def recording(params, contexts, targets, macs=None):
-            batches.append(class_of[targets])
-            return log_probs_batch(params, contexts, targets, macs)
-
-        monkeypatch.setattr(evaluation, "log_probs_batch", recording)
+        distinct = len({(*c, t) for c, t in zip(ctx.tolist(), tgt.tolist())})
+        batches = record_batches(monkeypatch)
         monkeypatch.setattr(evaluation, "_SCRATCH_BYTES", 10 * query_bytes(params))
         macs = MacCounter()
         got = score_instances(params, ctx, tgt, macs=macs)
         assert np.abs(got - alone).max() <= 1e-6
-        assert macs == alone_macs
-        assert len(batches) == math.ceil(len(tgt) / 10)
-        for classes in batches:
-            assert (np.diff(classes) >= 0).all()
-        assert (np.diff(np.concatenate(batches)) >= 0).all()
+        assert macs == batch_macs(params, batches, False)
+        assert len(batches) == math.ceil(distinct / 10)
+        classes = [class_of[targets] for _, targets in batches]
+        for batch in classes:
+            assert (np.diff(batch) >= 0).all()
+        assert (np.diff(np.concatenate(classes)) >= 0).all()
 
     def test_unnormalised_scores_keep_input_order(self, monkeypatch):
         vocab = make_vocab([f"w{i}" for i in range(13)])
         params = make_params(vocab, REGIME_CLASS, order=3, dim=6, seed=192,
                              num_classes=4, dtype=np.float32)
         ctx, tgt = self.alternating(vocab)
-        seen = []
-
-        def recording(params, contexts, targets, macs=None):
-            seen.append(np.array(targets))
-            return unnormalised_scores_batch(params, contexts, targets, macs)
-
-        monkeypatch.setattr(evaluation, "unnormalised_scores_batch", recording)
-        score_instances(params, ctx, tgt, unnormalised=True)
-        np.testing.assert_array_equal(np.concatenate(seen), tgt)
+        queries = [(*c, t) for c, t in zip(ctx.tolist(), tgt.tolist())]
+        assert len(set(queries)) < len(queries)  # some queries repeat
+        batches = record_batches(monkeypatch)
+        got = score_instances(params, ctx, tgt, unnormalised=True)
+        seen = [(*c, t) for contexts, targets in batches
+                for c, t in zip(contexts.tolist(), targets.tolist())]
+        assert sorted(seen) == sorted(set(queries))  # each distinct query once
+        want = [unnormalised_log_score(params, c, t) for c, t in zip(ctx, tgt)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
     def test_class_and_tree_layers_order_queries(self):
         """Class queries go by target class, tree queries deepest first and
@@ -554,6 +596,99 @@ class TestScoringOrder:
             key = key[order]
             assert (np.diff(key) >= 0).all()
             assert (np.diff(order)[np.diff(key) == 0] > 0).all()  # stable
+
+
+class TestDeduplicatedScoring:
+    """Every evaluation path scores each distinct query once and normalises
+    each distinct context once per batch, on instances whose contexts repeat
+    heavily, with the parent's per-query scores."""
+
+    @staticmethod
+    def repeating(vocab, rng, n=240):
+        """Six contexts, each asked of many targets, repeats and ``<s>``
+        targets among them."""
+        support = np.array([w for w in range(len(vocab)) if w != BOS_ID])
+        contexts = rng.choice(support, size=(6, 2))[rng.integers(0, 6, size=n)]
+        targets = rng.choice(support, size=n)
+        targets[::23] = BOS_ID
+        return contexts.astype(np.int32), targets.astype(np.int32)
+
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_scores_match_batches_of_one_and_macs_count_the_work(self, regime, dtype,
+                                                                 tol, monkeypatch):
+        vocab = make_vocab(list("abcdefghij"), counts=[20, 13, 8, 5, 3, 2, 2, 1, 1, 1])
+        params = make_params(vocab, regime, order=3, dim=6, seed=200, num_classes=3,
+                             dtype=dtype)
+        ctx, tgt = self.repeating(vocab, np.random.default_rng(201))
+        distinct = len({(*c, t) for c, t in zip(ctx.tolist(), tgt.tolist())})
+        assert len({tuple(c) for c in ctx.tolist()}) == 6 and distinct < len(tgt) / 2
+        # 11 distinct queries a batch: each context's queries are split over several
+        budget = (11 * query_bytes(params), 11 * 3 * params.dtype.itemsize * 6)
+        for unnormalised, single in ((False, log_prob), (True, unnormalised_log_score)):
+            alone = [single(params, c, t) for c, t in zip(ctx, tgt)]
+            batches = record_batches(monkeypatch)
+            for narrow in (False, True):
+                if narrow:
+                    monkeypatch.setattr(evaluation, "_SCRATCH_BYTES", budget[0])
+                    monkeypatch.setattr(evaluation, "_RAW_SCRATCH_BYTES", budget[1])
+                batches.clear()
+                macs = MacCounter()
+                got = score_instances(params, ctx, tgt, unnormalised, macs)
+                np.testing.assert_allclose(got, alone, rtol=0, atol=tol)
+                if not unnormalised:
+                    assert (got[tgt == BOS_ID] == -np.inf).all()
+                    assert np.isfinite(got[tgt != BOS_ID]).all()
+                assert sum(len(t) for _, t in batches) == distinct
+                assert len(batches) == (math.ceil(distinct / 11) if narrow else 1)
+                assert macs == batch_macs(params, batches, unnormalised)
+                if narrow and not unnormalised:
+                    first = {tuple(c) for c in batches[0][0].tolist()}
+                    assert any(first & {tuple(c) for c in b[0].tolist()} for b in batches[1:])
+            monkeypatch.undo()
+
+    def test_query_ranks_match_np_unique(self):
+        """Targets ranked under their contexts' ranks, as ``score_instances``
+        ranks queries, give ``np.unique``'s lexicographic ranks of the
+        (context, target) rows, in int32 and int64, with ids of 15 bits and
+        of 21 (a key per context column then)."""
+        rng = np.random.default_rng(203)
+        for dtype in (np.int32, np.int64):
+            for high in (17_680, 1 << 21):
+                ids = rng.integers(0, high, size=6)
+                ctx, tgt = ids[rng.integers(0, 6, size=(400, 4))], ids[rng.integers(0, 6, size=400)]
+                ctx, tgt = ctx.astype(dtype), tgt.astype(dtype)
+                rank, count = row_ranks(tgt[None], row_ranks(ctx.T))
+                rows, inverse = np.unique(np.column_stack([ctx, tgt]), axis=0,
+                                          return_inverse=True)
+                assert count == len(rows) < 400
+                np.testing.assert_array_equal(rank, inverse.reshape(-1))
+
+    @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
+    def test_every_entry_point_scores_distinct_queries(self, regime, monkeypatch):
+        """``perplexity``, ``score_sentence`` and ``score_nbest`` hand each
+        distinct query to one batch, and ``snlm ppl``'s MACs per query fall
+        with the share of repeated contexts."""
+        vocab = make_vocab(list("abcd"), counts=[8, 4, 2, 1])
+        params = make_params(vocab, regime, order=3, dim=5, seed=202, num_classes=2)
+        sentence = ["a", "b"] * 6  # contexts (a, b) and (b, a) repeat
+        ctx, tgt = instance_arrays([sentence], vocab, 3)
+        distinct = len({(*c, t) for c, t in zip(ctx.tolist(), tgt.tolist())})
+        assert distinct < len(tgt) / 2
+        batches = record_batches(monkeypatch)
+        macs = MacCounter()
+        report = perplexity(params, [sentence], vocab, macs=macs)
+        assert [len(t) for _, t in batches] == [distinct]
+        assert report.macs_per_query == batch_macs(params, batches, False).total / len(tgt)
+        want = sum(log_prob(params, c, t) for c, t in zip(ctx, tgt))
+        np.testing.assert_allclose(report.total_log_prob, want, rtol=1e-12)
+        for unnormalised in (False, True):
+            batches.clear()
+            got = score_sentence(params, sentence, vocab, unnormalised)
+            entries, _ = score_nbest(params, [f"1 ||| {' '.join(sentence)}"] * 3, vocab,
+                                     unnormalised)
+            assert [len(t) for _, t in batches] == [distinct, distinct]
+            np.testing.assert_allclose([e.score for e in entries], [got] * 3, rtol=1e-12)
 
 
 class TestMemoryEstimate:

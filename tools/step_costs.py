@@ -24,7 +24,8 @@ Each row is one ``train()`` epoch (diagonal transforms unless named full):
 * ``calls/step``: function calls, Python and builtin as cProfile counts them,
   made by an epoch outside its perplexity passes, less those of a run with no
   epoch, over the number of steps, on the first ``CALL_INSTANCES``
-  instances;
+  instances of the timed model, whose structure is built from every
+  target;
 * ``epoch/steps``: that epoch's whole time over its step time;
 * ``peak/params``: the traced peak (``tracemalloc``) of one more, untimed
   epoch of the timed model on the first ``CALL_INSTANCES`` instances, over
@@ -113,12 +114,11 @@ def measure(label, regime, algorithm, diagonal, data, dim, repeats) -> dict:
 
     ctx, tgt = contexts[:CALL_INSTANCES], targets[:CALL_INSTANCES]
     n_calls = len(tgt) - int(round(len(tgt) * config.validation_fraction))
-    start = make_params(vocab, tgt, regime, diagonal, dim)
     calls = {}
     for n_epochs in (0, 1):
         run_config = dataclasses.replace(config, epochs=n_epochs)
-        calls[n_epochs] = count_calls(lambda: train(start.copy(), ctx, tgt, run_config))
-    traced = params.copy()  # the timed rows' structure, not one built from the slice
+        calls[n_epochs] = count_calls(lambda: train(params.copy(), ctx, tgt, run_config))
+    traced = params.copy()
     tracemalloc.start()
     try:
         train(traced, ctx, tgt, config)
