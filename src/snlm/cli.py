@@ -111,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("nbest", help="lines 'sent_id ||| hypothesis ||| ...'")
     p.add_argument("--unnormalised", action="store_true",
-                   help="sum raw scores instead of log-probabilities")
+                   help="sum raw scores instead of log-probabilities "
+                        "(standard and class models)")
     p.add_argument("-o", "--output", help="default: stdout")
     p.set_defaults(func=cmd_score)
 
@@ -256,6 +257,9 @@ def cmd_ppl(args) -> int:
 def cmd_score(args) -> int:
     _check_output("-o/--output", args.output)
     params, vocab = load_model(args.model)
+    if args.unnormalised and params.config.regime == REGIME_TREE:
+        raise SnlmError("--unnormalised does not apply to tree models: the tree layer "
+                        "never trains R or b, so raw scores would be untrained")
     lines = (line for _, line in read_lines(args.nbest))
     entries, errors = score_nbest(params, lines, vocab, unnormalised=args.unnormalised)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout

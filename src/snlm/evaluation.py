@@ -11,33 +11,28 @@ import numpy as np
 
 from .corpus import UNK_ID, Vocabulary, instance_arrays
 from .errors import DataError
-from .model import (MacCounter, ModelConfig, ModelParameters, log_prob,
-                    log_probs_batch, parameter_shapes, row_ranks,
+from .model import (_SLAB_BYTES, MacCounter, ModelConfig, ModelParameters,
+                    log_prob, log_probs_batch, parameter_shapes, row_ranks,
                     unnormalised_log_score, unnormalised_scores_batch)
-from .model import _distinct_rows  # noqa: F401  the n-best tests reach it here
 
 _SCRATCH_BYTES = 8 << 20   # bound on a scoring batch's largest temporary
-# Bound on a raw-score batch's arrays: kept within a 2 MiB per-core L2 cache,
-# where a raw pass runs fastest (2.06 ms at 1,310 rows against 2.69 ms at
-# 10,485 on the rescoring queries, D 100, single-threaded BLAS on a Xeon).
-_RAW_SCRATCH_BYTES = 1 << 20
 _NBEST_GROUP_TOKENS = 1 << 16  # n-best tokens gathered into one scoring call
 
 
 def _batch_width(params: ModelParameters, unnormalised: bool = False) -> int:
     """Rows per scoring batch: as many as keep what the queries hold within
-    ``_SCRATCH_BYTES`` together (``_RAW_SCRATCH_BYTES`` for raw scores), at
-    least one. Each query holds its projection and, before it, its n-1
-    gathered context rows of Q; once those are freed, one gathered (D,) row,
-    of R for raw scores or of the projection in the class layer, to which
-    normalised scoring adds the output layer's ``row_bytes``. A query is
-    sized at the larger of the two stages. All of it is in the parameters'
-    dtype."""
+    ``_SCRATCH_BYTES`` together (``_SLAB_BYTES``, the L2-cache bound of the
+    score slabs, for raw scores), at least one. Each query holds its
+    projection and, before it, its n-1 gathered context rows of Q; once
+    those are freed, one gathered (D,) row, of R for raw scores or of the
+    projection in the class layer, to which normalised scoring adds the
+    output layer's ``row_bytes``. A query is sized at the larger of the two
+    stages. All of it is in the parameters' dtype."""
     itemsize = params.dtype.itemsize
     vector = itemsize * params.config.dim
     later = vector if unnormalised else vector + params.config.layout().row_bytes(itemsize)
     row = vector + max(params.config.context_size * vector, later)
-    return max(1, (_RAW_SCRATCH_BYTES if unnormalised else _SCRATCH_BYTES) // row)
+    return max(1, (_SLAB_BYTES if unnormalised else _SCRATCH_BYTES) // row)
 
 
 def score_instances(params: ModelParameters, contexts, targets,
@@ -117,9 +112,6 @@ def perplexity(params: ModelParameters, sentences, vocab: Vocabulary,
     projects and normalises each distinct context once per batch, so
     repeated contexts and queries lower it.
     """
-    sentences = [list(s) for s in sentences]
-    if not sentences:
-        raise DataError("empty corpus")
     n = params.config.order
     macs = macs if macs is not None else MacCounter()
 

@@ -43,8 +43,8 @@ _PROB_FLOOR = 1e-10  # keeps log-space initializers finite
 # scores per block, and R is read once per batch of about 330 queries.
 _STANDARD_BLOCK_BYTES = 2400 << 10
 # Bytes of one row slab, which stays in a 2 MiB per-core L2 cache: of a
-# standard score block, normalised pass after pass, or of the S rows
-# gathered at a step of the tree walk.
+# standard score block, normalised pass after pass, of the S rows gathered
+# at a step of the tree walk, or of a raw-score batch's arrays.
 _SLAB_BYTES = 512 << 10
 # Bytes of the float64 block into which ``init_parameters`` draws a table's
 # rows before writing them in the parameters' dtype.
@@ -98,6 +98,9 @@ class ModelConfig:
             raise DataError("dim must be >= 1")
         if self.regime not in OUTPUT_LAYERS:
             raise DataError(f"unknown regime {self.regime!r}")
+        for field in ("classing", "tree"):
+            if getattr(self, field) is not None and field != OUTPUT_LAYERS[self.regime].structure:
+                raise DataError(f"the {self.regime} regime reads no {field}")
 
     @property
     def context_size(self) -> int:
@@ -436,12 +439,12 @@ class OutputLayer:
 
     A layer owns its ``rows`` extra score rows ``S``/``t`` and their
     ``start_values(probs)``, its section of the model file, and its passes:
-    ``log_probs(params, P, targets, macs, rows)`` (float64 (m,), one per
+    ``log_probs(params, P, targets, rows, macs)`` (float64 (m,), one per
     target), where P holds the batch's distinct projections and ``rows``
-    each query's row of P (None: P has one row per query), so that what
-    depends only on the context, the standard softmax's log-normaliser and
-    the class layer's class-level one, is computed, and counted, once per
-    row of P; picks, word terms and tree walks are per query.
+    each query's row of P, so that what depends only on the context, the
+    standard softmax's log-normaliser and the class layer's class-level
+    one, is computed, and counted, once per row of P; picks, word terms
+    and tree walks are per query.
     ``backward`` (float64 log-likelihood, gP,
     and a :class:`RowGrad` for each of ``"R"`` and ``"S"`` that it reads)
     and ``distribution`` (float64 (m, V)). ``log_probs`` and ``backward``
@@ -457,9 +460,11 @@ class OutputLayer:
     the class rows of S when there are two or more, then the word within
     its class. A layer with no partition (``class_of`` None) cannot be
     trained by NCE.
-    ``default_structure(counts)`` gives the ModelConfig keywords of the
-    structure ``snlm train`` builds from the target counts when it is given
-    none, as ``read_structure`` gives those of a model file's.
+    ``structure`` names the one ModelConfig field that holds the layer's
+    structure (None: it has none), which ModelConfig refuses in any other;
+    ``default_structure(counts)`` gives that keyword for the structure
+    ``snlm train`` builds from the target counts when it is given none, as
+    ``read_structure`` gives it for a model file's.
     ``row_bytes(itemsize)`` is the size of the temporaries ``log_probs``
     makes per query from parameters of ``itemsize`` bytes (4, float32, by
     default): its score rows work in the parameters' dtype. Evaluation sizes
@@ -472,6 +477,7 @@ class OutputLayer:
     rows = 0
     unused_rows = np.zeros(0, dtype=np.int64)
     class_of = None
+    structure = None
 
     def __init__(self, config: ModelConfig):
         self.vocab_size, self.dim = config.vocab_size, config.dim
@@ -529,8 +535,7 @@ class StandardLayer(OutputLayer):
     def row_bytes(self, itemsize=4) -> int:
         return itemsize * self.block_words(itemsize)  # one block's score row
 
-    def log_probs(self, params, P, targets, macs=None, rows=None):
-        rows = np.arange(len(P)) if rows is None else rows
+    def log_probs(self, params, P, targets, rows, macs=None):
         # picked before the blocks, so its gathers never overlap the score buffer
         picked = (np.einsum("md,md->m", P[rows], params.R[targets]).astype(np.float64)
                   + params.b[targets])
@@ -613,6 +618,8 @@ class ClassLayer(OutputLayer):
     into one flat buffer, and one segmented log-sum-exp over that buffer
     (see ``_word_terms``); ``distribution`` keeps the per-class form as the
     reference."""
+
+    structure = "classing"
 
     def __init__(self, config: ModelConfig):
         super().__init__(config)
@@ -720,8 +727,7 @@ class ClassLayer(OutputLayer):
         logp = picked - (shift + np.log(sums, dtype=np.float64))
         return _WordTerms(order, logp, runs, Pr, flat, sums, sizes, at, held)
 
-    def log_probs(self, params, P, targets, macs=None, rows=None):
-        rows = np.arange(len(P)) if rows is None else rows
+    def log_probs(self, params, P, targets, rows, macs=None):
         out = np.zeros(len(targets))
         if self.rows > 1:
             psi = self._class_scores(P, params.S, params.t)
@@ -783,10 +789,11 @@ class TreeLayer(OutputLayer):
     ``log_probs`` walks each query up ``tree.parent`` from its leaf, deepest
     queries first, so those still walking are a prefix; a step gathers one
     row of S and t each, in slabs whose rows fill about ``_SLAB_BYTES``, an
-    L2 cache's worth. ``scoring_order`` sorts by depth, then target, so equal
-    targets gather the same rows. ``backward`` walks the same way, in blocks
-    of ``_TREE_BLOCK`` queries; ``distribution``, the reference, goes down
-    from the root."""
+    L2 cache's worth. ``backward`` walks the same way, in blocks of
+    ``_TREE_BLOCK`` queries; ``distribution``, the reference, goes down from
+    the root."""
+
+    structure = "tree"
 
     def __init__(self, config: ModelConfig):
         super().__init__(config)
@@ -828,12 +835,6 @@ class TreeLayer(OutputLayer):
         return (np.concatenate([leaf[:0], *steps]),
                 np.concatenate([np.arange(0), *(np.arange(len(c)) for c in steps)]))
 
-    def scoring_order(self, targets):
-        """Deepest first, then by target, stable, by one sort of a combined key
-        (twice as fast as ``np.lexsort``): equal targets gather the same rows."""
-        height = self.tree.max_depth - self.tree.node_depth[self.tree.leaf_of[targets]]
-        return np.argsort(height.astype(np.int64) * self.vocab_size + targets, kind="stable")
-
     def start_values(self, probs):
         """log(left mass / right mass) in left children's rows: the biases
         alone give each word its prior mass (uniform when probs is None)."""
@@ -869,9 +870,9 @@ class TreeLayer(OutputLayer):
         """The Huffman tree of the target counts over every word but ``<s>``."""
         return {"tree": huffman_tree({w: int(c) for w, c in enumerate(counts) if w != BOS_ID})}
 
-    def log_probs(self, params, P, targets, macs=None, rows=None):
+    def log_probs(self, params, P, targets, rows, macs=None):
         order, leaf, depth = self._deepest_first(targets)
-        at = order if rows is None else rows[order]
+        at = rows[order]
         count_output(macs, int(depth.sum()), self.dim)
         sums = np.zeros(len(targets))
         slab = max(1, _SLAB_BYTES // (params.dtype.itemsize * self.dim))
@@ -984,12 +985,14 @@ def log_probs_batch(params: ModelParameters, contexts: np.ndarray, targets: np.n
     """
     targets = np.asarray(targets, dtype=np.int64)
     valid = targets != BOS_ID
-    contexts, rows = np.asarray(contexts)[valid], None
+    contexts = np.asarray(contexts)[valid]
     if len(contexts) > 1:
         contexts, rows = _distinct_rows(contexts)
+    else:
+        rows = np.arange(len(contexts))
     P = project_batch(params, contexts, macs)[0]  # mask freed: no gradient
     out = np.full(len(targets), -np.inf)
-    out[valid] = params.config.layout().log_probs(params, P, targets[valid], macs, rows)
+    out[valid] = params.config.layout().log_probs(params, P, targets[valid], rows, macs)
     return out
 
 

@@ -320,6 +320,20 @@ class TestTrainAndEvaluate:
         raw = float(out_u.read_text().split(" ||| ")[-1])
         assert norm != raw
 
+    def test_unnormalised_score_refuses_a_tree_model(self, tmp_path, capsys, corpus):
+        """The tree layer never trains R or b, so a tree model's raw scores
+        come from its initial draw: ``score --unnormalised`` exits 2 and
+        prints nothing, while normalised scoring of the same model runs."""
+        model, _ = self.train_model(tmp_path, capsys, corpus, "--regime", "tree",
+                                    "--algorithm", "ml_sgd")
+        nbest = tmp_path / "nbest.txt"
+        nbest.write_text("1 ||| red cat\n")
+        code, stdout, stderr = run(capsys, "score", model, nbest, "--unnormalised")
+        assert (code, stdout) == (2, "")
+        assert "never trains R" in stderr
+        code, stdout, _ = run(capsys, "score", model, nbest)
+        assert code == 0 and stdout.startswith("1 ||| red cat ||| ")
+
     def test_info_reports_consistent_accounting(self, tmp_path, capsys, corpus):
         model, _ = self.train_model(tmp_path, capsys, corpus)
         code, stdout, _ = run(capsys, "info", model)

@@ -273,48 +273,6 @@ class TestBatchedNbest:
 
 class TestDistinctQueries:
     @staticmethod
-    def assert_matches_unique(a):
-        rows, inverse = evaluation._distinct_rows(a)
-        want_rows, want_inverse = np.unique(a, axis=0, return_inverse=True)
-        np.testing.assert_array_equal(rows, want_rows)
-        np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
-        np.testing.assert_array_equal(rows[inverse], a)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_rows_match_np_unique(self, seed):
-        rng = np.random.default_rng(seed)
-        shape = (int(rng.integers(2, 400)), int(rng.integers(1, 6)))
-        high = int(rng.choice([2, 5, 1 << 20]))
-        self.assert_matches_unique(
-            rng.integers(-high, high, size=shape).astype(np.int32))
-
-    def test_edge_cases_match_np_unique(self):
-        rng = np.random.default_rng(180)
-        self.assert_matches_unique(np.zeros((0, 4), dtype=np.int32))
-        self.assert_matches_unique(np.array([[3, -1, 7]], dtype=np.int32))
-        self.assert_matches_unique(np.full((25, 3), 9, dtype=np.int32))
-        distinct = rng.permutation(np.arange(60, dtype=np.int32)).reshape(20, 3)
-        self.assert_matches_unique(distinct)
-        assert len(evaluation._distinct_rows(distinct)[0]) == 20
-
-    def test_packing_limits_match_np_unique(self):
-        """Ids at both ends of int32 take 32 bits, a key to each column; ids
-        of 21 bits fill a key with three columns; 1 and 8 columns, no rows,
-        and every row equal."""
-        rng = np.random.default_rng(183)
-        info = np.iinfo(np.int32)
-        ends = np.array([info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max],
-                        dtype=np.int32)
-        for cols in (1, 8):
-            for a in (rng.choice(ends, size=(40, cols)),
-                      rng.integers(0, 1 << 21, size=(40, cols)).astype(np.int32),
-                      rng.integers(0, 17_680, size=(40, cols)).astype(np.int32)):
-                self.assert_matches_unique(a[rng.integers(0, 40, size=300)])
-            self.assert_matches_unique(np.zeros((0, cols), dtype=np.int32))
-            for value in (info.min, 0, info.max):
-                self.assert_matches_unique(np.full((30, cols), value, dtype=np.int32))
-
-    @staticmethod
     def nbest(rng, words, sources=4, hyps=40):
         lines = []
         for sid in range(sources):
@@ -429,7 +387,7 @@ class TestBatchWidth:
             assert wide_macs == batch_macs(params, batches, unnormalised)
             for budget in (1, 7 * params.config.layout().row_bytes()):
                 monkeypatch.setattr(evaluation, "_SCRATCH_BYTES", budget)
-                monkeypatch.setattr(evaluation, "_RAW_SCRATCH_BYTES", budget)
+                monkeypatch.setattr(evaluation, "_SLAB_BYTES", budget)
                 batches.clear()
                 macs = MacCounter()
                 narrow = score_instances(params, ctx, tgt, unnormalised, macs)
@@ -497,18 +455,18 @@ class TestBatchWidth:
         vocab = make_vocab([f"w{i}" for i in range(400)])
         params = make_params(vocab, REGIME_STANDARD, dim=6, seed=173, dtype=np.float32)
         raw = evaluation._batch_width(params, unnormalised=True)
-        assert raw == evaluation._RAW_SCRATCH_BYTES // (3 * 4 * 6)  # order 3: 3 rows a query
+        assert raw == evaluation._SLAB_BYTES // (3 * 4 * 6)  # order 3: 3 rows a query
         assert raw > evaluation._batch_width(params)
 
     @pytest.mark.parametrize("regime", [REGIME_STANDARD, REGIME_CLASS, REGIME_TREE])
     def test_unnormalised_width_keeps_a_batch_in_l2(self, regime):
-        """Raw scores take 1 MiB batches of (D,) float32 rows, three per query
-        at order 3 (the projection and its two context rows, which are freed
-        before its row of R is gathered): 873 rows at D 100 whatever the
-        output layer."""
+        """Raw scores take batches of ``_SLAB_BYTES`` (512 KiB) of (D,) float32
+        rows, three per query at order 3 (the projection and its two context
+        rows, which are freed before its row of R is gathered): 436 rows at
+        D 100 whatever the output layer."""
         vocab = make_vocab([f"w{i}" for i in range(40)])
         params = make_params(vocab, regime, dim=100, seed=176, dtype=np.float32)
-        assert evaluation._batch_width(params, unnormalised=True) == 873
+        assert evaluation._batch_width(params, unnormalised=True) == 436
 
     def test_rows_over_budget_still_score_one_at_a_time(self, monkeypatch):
         vocab = make_vocab(list("abc"))
@@ -576,26 +534,20 @@ class TestScoringOrder:
         want = [unnormalised_log_score(params, c, t) for c, t in zip(ctx, tgt)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
-    def test_class_and_tree_layers_order_queries(self):
-        """Class queries go by target class, tree queries deepest first and
-        then by target; both sorts are stable. The standard layer keeps the
-        input order."""
+    def test_only_the_class_layer_orders_queries(self):
+        """Class queries go by target class, in a stable sort; the standard
+        and tree layers keep the input order (the tree walk sorts each batch
+        deepest first itself)."""
         vocab = make_vocab([f"w{i}" for i in range(13)], counts=list(range(26, 0, -2)))
         _, tgt = self.alternating(vocab, reps=3)
-        assert make_config(vocab, REGIME_STANDARD).layout().scoring_order(tgt) is None
-        layers = {r: make_config(vocab, r, num_classes=4).layout()
-                  for r in (REGIME_CLASS, REGIME_TREE)}
-        tree = layers[REGIME_TREE].tree
-        depth = tree.node_depth[tree.leaf_of[tgt]]
-        assert len(set(depth.tolist())) >= 3
-        keys = {REGIME_CLASS: layers[REGIME_CLASS].class_of[tgt],
-                REGIME_TREE: -depth * len(vocab) + tgt}  # depth down, then target up
-        for regime, key in keys.items():
-            order = layers[regime].scoring_order(tgt)
-            np.testing.assert_array_equal(np.sort(order), np.arange(len(tgt)))
-            key = key[order]
-            assert (np.diff(key) >= 0).all()
-            assert (np.diff(order)[np.diff(key) == 0] > 0).all()  # stable
+        for regime in (REGIME_STANDARD, REGIME_TREE):
+            assert make_config(vocab, regime).layout().scoring_order(tgt) is None
+        layer = make_config(vocab, REGIME_CLASS, num_classes=4).layout()
+        order = layer.scoring_order(tgt)
+        np.testing.assert_array_equal(np.sort(order), np.arange(len(tgt)))
+        key = layer.class_of[tgt][order]
+        assert (np.diff(key) >= 0).all()
+        assert (np.diff(order)[np.diff(key) == 0] > 0).all()  # stable
 
 
 class TestDeduplicatedScoring:
@@ -631,7 +583,7 @@ class TestDeduplicatedScoring:
             for narrow in (False, True):
                 if narrow:
                     monkeypatch.setattr(evaluation, "_SCRATCH_BYTES", budget[0])
-                    monkeypatch.setattr(evaluation, "_RAW_SCRATCH_BYTES", budget[1])
+                    monkeypatch.setattr(evaluation, "_SLAB_BYTES", budget[1])
                 batches.clear()
                 macs = MacCounter()
                 got = score_instances(params, ctx, tgt, unnormalised, macs)

@@ -316,7 +316,7 @@ class TestClassFactoredRegime:
             targets = rng.choice(layer.support, size=m)
             P, _ = project_batch(params, contexts)
             want = np.log(layer.distribution(params, P)[np.arange(m), targets])
-            got = layer.log_probs(params, P, targets)
+            got = layer.log_probs(params, P, targets, np.arange(m))
             assert got.dtype == np.float64
             np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
@@ -338,8 +338,8 @@ class TestClassFactoredRegime:
         want = np.concatenate([layer.members_eff[c] for c in classes])
         assert sorted(grads["R"].rows.tolist()) == sorted(want.tolist())
         assert gP.shape == P.shape
-        np.testing.assert_allclose(loglik, layer.log_probs(params, P, targets).sum(),
-                                   rtol=1e-12)
+        logp = layer.log_probs(params, P, targets, np.arange(len(P)))
+        np.testing.assert_allclose(loglik, logp.sum(), rtol=1e-12)
 
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -364,7 +364,8 @@ class TestClassFactoredRegime:
 
         def passes():
             loglik, gP, grads = layer.backward(params, P, targets)
-            return ([layer.log_probs(params, P, targets), layer.distribution(params, P),
+            return ([layer.log_probs(params, P, targets, np.arange(60)),
+                     layer.distribution(params, P),
                      np.float64(loglik), gP]
                     + [a for g in grads.values() for a in (g.rows, g.values, g.bias)])
 
@@ -816,6 +817,53 @@ class TestRowGrad:
         assert g.values.dtype == pull.dtype == np.float32
 
 
+class TestDistinctRows:
+    """``_distinct_rows``, by which ``log_probs_batch`` projects each
+    distinct context once, against ``np.unique(axis=0)``."""
+
+    @staticmethod
+    def assert_matches_unique(a):
+        rows, inverse = model._distinct_rows(a)
+        want_rows, want_inverse = np.unique(a, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
+        np.testing.assert_array_equal(rows[inverse], a)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_rows_match_np_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(2, 400)), int(rng.integers(1, 6)))
+        high = int(rng.choice([2, 5, 1 << 20]))
+        self.assert_matches_unique(
+            rng.integers(-high, high, size=shape).astype(np.int32))
+
+    def test_edge_cases_match_np_unique(self):
+        rng = np.random.default_rng(180)
+        self.assert_matches_unique(np.zeros((0, 4), dtype=np.int32))
+        self.assert_matches_unique(np.array([[3, -1, 7]], dtype=np.int32))
+        self.assert_matches_unique(np.full((25, 3), 9, dtype=np.int32))
+        distinct = rng.permutation(np.arange(60, dtype=np.int32)).reshape(20, 3)
+        self.assert_matches_unique(distinct)
+        assert len(model._distinct_rows(distinct)[0]) == 20
+
+    def test_packing_limits_match_np_unique(self):
+        """Ids at both ends of int32 take 32 bits, a key to each column; ids
+        of 21 bits fill a key with three columns; 1 and 8 columns, no rows,
+        and every row equal."""
+        rng = np.random.default_rng(183)
+        info = np.iinfo(np.int32)
+        ends = np.array([info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max],
+                        dtype=np.int32)
+        for cols in (1, 8):
+            for a in (rng.choice(ends, size=(40, cols)),
+                      rng.integers(0, 1 << 21, size=(40, cols)).astype(np.int32),
+                      rng.integers(0, 17_680, size=(40, cols)).astype(np.int32)):
+                self.assert_matches_unique(a[rng.integers(0, 40, size=300)])
+            self.assert_matches_unique(np.zeros((0, cols), dtype=np.int32))
+            for value in (info.min, 0, info.max):
+                self.assert_matches_unique(np.full((30, cols), value, dtype=np.int32))
+
+
 class TestLogSumExp:
     def test_row_slabs_are_bitwise_one_pass_without_a_copy(self, monkeypatch):
         """A (64, 17,745) float32 block, with a -inf column and a row of -inf,
@@ -982,6 +1030,23 @@ class TestConfigValidation:
                           vocab_size=len(vocab), tree=bad)
         with pytest.raises(DataError):
             cfg.validate()
+
+    def test_structure_of_another_regime_rejected(self):
+        """A ModelConfig takes only the structure its layer names; another
+        regime's is refused with the field and the regime, not dropped."""
+        vocab = make_vocab(list("abc"))
+        given = {"classing": make_config(vocab, REGIME_CLASS).classing,
+                 "tree": make_config(vocab, REGIME_TREE).tree}
+        for regime in (REGIME_STANDARD, REGIME_CLASS, REGIME_TREE):
+            own = model.OUTPUT_LAYERS[regime].structure
+            mine = {own: given[own]} if own else {}
+            for field in set(given) - {own}:
+                with pytest.raises(DataError, match=f"{regime} regime reads no {field}"):
+                    ModelConfig(order=3, dim=4, regime=regime, vocab_size=len(vocab),
+                                **mine, **{field: given[field]})
+            ModelConfig(order=3, dim=4, regime=regime, vocab_size=len(vocab), **mine).validate()
+            counts = np.maximum(vocab.counts, 1)
+            assert list(model.OUTPUT_LAYERS[regime].default_structure(counts)) == list(mine)
 
     def test_order_below_two_rejected(self):
         with pytest.raises(DataError):

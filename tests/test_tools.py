@@ -109,3 +109,36 @@ def test_lower_is_better_gain_and_verdict_line():
     same = bench_pairs.report(runs_of([100] * 10, [100] * 10), METRICS)
     assert (bench_pairs.verdict("w", same, METRICS)
             == "w: every metric within its bound; gain shown: none")
+
+
+SAMPLE_MODULE = '''"""A module docstring,
+over two lines."""
+
+import os  # a comment after code
+
+
+# a comment line
+def f(x):
+    """A function docstring."""
+    s = """a string
+that is no docstring"""
+    return (x +
+            len(s))
+'''
+
+
+def test_code_lines_counts_a_known_module_and_totals_the_package(tmp_path, capsys):
+    code_lines = load_tool("code_lines")
+    path = tmp_path / "sample.py"
+    path.write_text(SAMPLE_MODULE)
+    # code: the import, the def, both lines of the string and of the return
+    assert code_lines.count(path) == (13, 6)
+    assert code_lines.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["module", "lines", "code"]
+    rows = {f[0]: [int(v.replace(",", "")) for v in f[1:]] for f in map(str.split, lines[1:])}
+    names = [p.name for p in sorted((code_lines.ROOT / code_lines.PACKAGE).glob("*.py"))]
+    assert list(rows) == names + ["total"]
+    total = rows.pop("total")
+    assert total == [sum(r[0] for r in rows.values()), sum(r[1] for r in rows.values())]
+    assert 0 < total[1] < total[0]
