@@ -21,7 +21,7 @@ from .model import (REGIME_CLASS, REGIME_STANDARD, REGIME_TREE, MacCounter,
                     full_distribution, init_parameters, log_prob,
                     log_probs_batch, parameter_shapes, project_batch,
                     project_context, unnormalised_log_score,
-                    unnormalised_scores_batch)
+                    starting_parameters, unnormalised_scores_batch)
 from .modelfile import load_model, save_model
 from .partitioning import (VocabularyTree, WordClassing, brown_clustering,
                            class_bigram_objective, frequency_binning,

@@ -21,11 +21,10 @@ from .errors import SnlmError
 from .evaluation import (memory_estimate, perplexity, query_benchmark,
                          score_nbest)
 from .model import (OUTPUT_LAYERS, REGIME_CLASS, REGIME_STANDARD, REGIME_TREE,
-                    ModelConfig, TreeLayer, init_parameters)
+                    TreeLayer, starting_parameters)
 from .modelfile import load_model, save_model
-from .partitioning import (VocabularyTree, WordClassing, brown_clustering,
-                           class_bigram_objective, default_num_classes,
-                           frequency_binning)
+from .partitioning import (brown_clustering, class_bigram_objective,
+                           default_num_classes, frequency_binning)
 from .training import TrainingConfig, train
 
 _REGIME_NAMES = {"standard": REGIME_STANDARD, "class": REGIME_CLASS,
@@ -192,12 +191,12 @@ def cmd_train(args) -> int:
         if value < least:
             raise SnlmError(f"{flag} must be >= {least}, got {value}")
     regime = _REGIME_NAMES[args.regime]
-    if regime == REGIME_TREE and tconf.algorithm == "nce":
-        raise SnlmError("--regime tree needs --algorithm ml_sgd: "
-                        "NCE applies to standard or class models")
-    for name, needs in (("classes", "class"), ("tree", "tree")):
-        if getattr(args, f"{name}_file") and args.regime != needs:
-            raise SnlmError(f"--{name}-file applies to --regime {needs} only")
+    layer = OUTPUT_LAYERS[regime]
+    if tconf.algorithm == "nce":
+        layer.require_word_rows("NCE", "; train it with --algorithm ml_sgd")
+    for flag, field in (("--classes-file", "classing"), ("--tree-file", "tree")):
+        if getattr(args, flag[2:].replace("-", "_")) and field != layer.structure:
+            raise SnlmError(f"{flag} does not apply to --regime {args.regime}")
     _check_output("--model", args.model)
     _check_output("--log-file", args.log_file)
 
@@ -209,18 +208,9 @@ def cmd_train(args) -> int:
                                  max_size=args.max_size)
     contexts, targets = instance_arrays(sentences, vocab, args.order)
     del sentences  # training holds the model and the instance arrays, not the corpus
-    counts = np.bincount(targets, minlength=len(vocab))
-
-    # a structure file comes only with its regime (checked above)
-    if args.classes_file:
-        structure = {"classing": WordClassing.load(args.classes_file, vocab)}
-    elif args.tree_file:
-        structure = {"tree": VocabularyTree.load(args.tree_file, vocab)}
-    else:
-        structure = OUTPUT_LAYERS[regime].default_structure(counts)
-    config = ModelConfig(order=args.order, dim=args.dim, regime=regime,
-                         diagonal=args.diagonal, vocab_size=len(vocab), **structure)
-    params = init_parameters(config, seed=args.seed, unigram=unigram_from_counts(counts))
+    path = args.classes_file or args.tree_file  # at most one, checked above to fit the layer
+    params = starting_parameters(targets, len(vocab), args.order, args.dim, regime, args.diagonal,
+                                 args.seed, layer.load_structure(path, vocab) if path else None)
 
     print(f"{len(targets)} instances, |V|={len(vocab)}, regime={args.regime}, "
           f"algorithm={args.algorithm}")
@@ -257,9 +247,6 @@ def cmd_ppl(args) -> int:
 def cmd_score(args) -> int:
     _check_output("-o/--output", args.output)
     params, vocab = load_model(args.model)
-    if args.unnormalised and params.config.regime == REGIME_TREE:
-        raise SnlmError("--unnormalised does not apply to tree models: the tree layer "
-                        "never trains R or b, so raw scores would be untrained")
     lines = (line for _, line in read_lines(args.nbest))
     entries, errors = score_nbest(params, lines, vocab, unnormalised=args.unnormalised)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
@@ -284,22 +271,16 @@ def cmd_info(args) -> int:
     params, vocab = load_model(args.model)
     cfg = params.config
     est = memory_estimate(cfg, vocab)
-    print(f"order\t{cfg.order}")
-    print(f"dim\t{cfg.dim}")
-    print(f"regime\t{cfg.regime}")
-    print(f"diagonal\t{cfg.diagonal}")
-    print(f"vocab_size\t{cfg.vocab_size}")
+    for field in ("order", "dim", "regime", "diagonal", "vocab_size"):
+        print(f"{field}\t{getattr(cfg, field)}")
     if cfg.classing is not None:
         print(f"classes\t{cfg.classing.num_classes}")
     if cfg.tree is not None:
         print(f"tree_nodes\t{cfg.tree.num_nodes}")
         print(f"tree_depth_max\t{cfg.tree.max_depth}")
-    print(f"embedding_params\t{est.embedding_params}")
-    print(f"bias_params\t{est.bias_params}")
-    print(f"context_params\t{est.context_params}")
-    print(f"structure_params\t{est.structure_params}")
-    print(f"parameter_count\t{est.parameter_count}")
-    print(f"payload_bytes\t{est.payload_bytes}")
+    for field in ("embedding_params", "bias_params", "context_params", "structure_params",
+                  "parameter_count", "payload_bytes"):
+        print(f"{field}\t{getattr(est, field)}")
     print(f"payload_megabytes\t{est.megabytes:.2f}")
     print(f"file_bytes\t{os.path.getsize(args.model)}")
     return 0

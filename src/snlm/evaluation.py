@@ -38,7 +38,8 @@ def _batch_width(params: ModelParameters, unnormalised: bool = False) -> int:
 def score_instances(params: ModelParameters, contexts, targets,
                     unnormalised: bool = False, macs: MacCounter = None) -> np.ndarray:
     """Per-instance scores in input order, float64: log-probabilities, or raw
-    ``phi`` scores when ``unnormalised``.
+    ``phi`` scores when ``unnormalised``, which a model whose output layer
+    never trains R and b (a tree model) refuses with a ``DataError``.
 
     Each distinct (context, target) query is scored once and its score
     copied to every instance that asks it. :func:`row_ranks` ranks the
@@ -55,6 +56,8 @@ def score_instances(params: ModelParameters, contexts, targets,
     instances are not copied and keep their dtypes: beside the packed keys,
     the per-instance arrays made are the ranks and the returned scores.
     """
+    if unnormalised:
+        params.config.layout().require_word_rows("unnormalised scoring")
     contexts, targets = np.asarray(contexts), np.asarray(targets)
     query, count = row_ranks(targets[None], row_ranks(contexts.T))
     first = np.empty(count, dtype=np.intp)  # one instance of each distinct query
@@ -133,7 +136,8 @@ def score_sentence(params: ModelParameters, sentence, vocab: Vocabulary,
     """Total (log-domain) score of one sentence, including ``</s>``.
 
     Normalized mode sums log-probabilities; unnormalised mode sums raw
-    ``phi`` scores, the fast path for NCE-trained models.
+    ``phi`` scores, the fast path for NCE-trained models, which a tree
+    model refuses (see :func:`score_instances`).
     """
     contexts, targets = instance_arrays([sentence], vocab, params.config.order)
     return float(score_instances(params, contexts, targets, unnormalised, macs).sum())
@@ -173,8 +177,11 @@ def score_nbest(params: ModelParameters, lines, vocab: Vocabulary,
     pass, which scores each distinct query once, split back into
     per-hypothesis sums. Each line is split once, by
     :func:`parse_nbest_line`; only a line it rejects is tested for being
-    blank, which is skipped without an error.
+    blank, which is skipped without an error. A tree model refuses
+    ``unnormalised`` before any line is read (see :func:`score_instances`).
     """
+    if unnormalised:
+        params.config.layout().require_word_rows("unnormalised scoring")
     entries, errors, group, sentences, tokens = [], [], [], [], 0
     for line_no, raw in enumerate(lines, 1):
         line = raw.rstrip("\n")

@@ -229,15 +229,10 @@ def init_parameters(config: ModelConfig, seed: int = 0, unigram=None,
     Q = _draw_rows(rng, (V, D), dtype)
     R = _draw_rows(rng, (V, D), dtype)
 
-    probs = None
-    if unigram is not None:
-        probs = np.asarray(unigram, dtype=np.float64)
-        if probs.shape != (V,):
-            raise DataError("unigram size mismatch")
-        b = _floored_log(probs)
-    else:
-        b = np.zeros(V)
-    b = b.astype(dtype)
+    probs = None if unigram is None else np.asarray(unigram, dtype=np.float64)
+    if probs is not None and probs.shape != (V,):
+        raise DataError("unigram size mismatch")
+    b = (np.zeros(V) if probs is None else _floored_log(probs)).astype(dtype)
 
     scale = np.full(D, 1.0 / config.context_size, dtype=dtype)
     C = [scale.copy() if config.diagonal else np.diag(scale)
@@ -247,6 +242,20 @@ def init_parameters(config: ModelConfig, seed: int = 0, unigram=None,
     S = _draw_rows(rng, (layer.rows, D), dtype)
     S[layer.unused_rows] = 0  # after the whole draw, so the other rows keep theirs
     return ModelParameters(config, Q, R, b, C, S, t)
+
+
+def starting_parameters(targets, vocab_size: int, order: int, dim: int, regime: str,
+                        diagonal: bool = True, seed: int = 1, structure: dict = None):
+    """The parameters ``snlm train`` starts from, for the instance
+    ``targets``: the output layer's ``default_structure`` of the target
+    counts unless ``structure`` (ModelConfig keywords, as
+    ``OutputLayer.load_structure`` gives them) is given, and
+    :func:`init_parameters` at ``seed`` from the target unigram."""
+    counts = np.bincount(targets, minlength=vocab_size)
+    if structure is None:  # an unknown regime gets none, for ModelConfig to refuse
+        structure = OUTPUT_LAYERS.get(regime, OutputLayer).default_structure(counts)
+    config = ModelConfig(order, dim, regime, diagonal, vocab_size, **structure)
+    return init_parameters(config, seed=seed, unigram=unigram_from_counts(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -458,30 +467,44 @@ class OutputLayer:
     over: each word's class and each class's count of members but ``<s>``.
     NCE discriminates the target's class against noise classes, scored by
     the class rows of S when there are two or more, then the word within
-    its class. A layer with no partition (``class_of`` None) cannot be
-    trained by NCE.
+    its class. ``reads_word_rows`` states whether the layer's scores read
+    R and b: a layer that never reads them (the tree layer) never trains
+    them either, and has no partition, so neither NCE nor raw scores
+    ``r_w . p + b_w`` apply to it: ``require_word_rows`` refuses them.
     ``structure`` names the one ModelConfig field that holds the layer's
     structure (None: it has none), which ModelConfig refuses in any other;
     ``default_structure(counts)`` gives that keyword for the structure
     ``snlm train`` builds from the target counts when it is given none, as
-    ``read_structure`` gives it for a model file's.
+    ``load_structure(path, vocab)`` gives it for a structure file (the
+    output of ``snlm classes``) and ``read_structure`` for a model file's.
     ``row_bytes(itemsize)`` is the size of the temporaries ``log_probs``
     makes per query from parameters of ``itemsize`` bytes (4, float32, by
     default): its score rows work in the parameters' dtype. Evaluation sizes
     its batches from it. ``scoring_order(targets)`` is the order in which
     normalised scoring hands it queries. Targets are prediction targets,
     never ``<s>``. Rows ``unused_rows`` of S and t stay 0, unread. The base
-    class has no score rows, no partition, no structure and no order.
+    class has no score rows, no structure and no order.
     """
 
     rows = 0
     unused_rows = np.zeros(0, dtype=np.int64)
-    class_of = None
+    reads_word_rows = True
     structure = None
 
     def __init__(self, config: ModelConfig):
+        if self.structure and getattr(config, self.structure) is None:
+            raise DataError(f"the {config.regime} regime needs a {self.structure}")
         self.vocab_size, self.dim = config.vocab_size, config.dim
         self.support = np.flatnonzero(np.arange(self.vocab_size) != BOS_ID)
+
+    @classmethod
+    def require_word_rows(cls, use: str, hint: str = "") -> None:
+        """Refuse ``use`` (NCE, or raw scores), which reads R and b, where
+        the layer never does; ``hint`` ends the message."""
+        if not cls.reads_word_rows:
+            able = " or ".join(r for r, layer in OUTPUT_LAYERS.items() if layer.reads_word_rows)
+            raise DataError(f"{use} applies to {able} models: "
+                            f"{cls.__name__} never trains R or b{hint}")
 
     def start_values(self, probs):
         return np.zeros(self.rows)
@@ -495,8 +518,9 @@ class OutputLayer:
         return b""
 
     @staticmethod
-    def read_structure(read, vocab_size: int) -> dict:
-        """ModelConfig keywords read from the structure section by ``read(n)``."""
+    def read_structure(read, vocab_size: int, version: int) -> dict:
+        """ModelConfig keywords read by ``read(n)`` from the structure
+        section of a model file at ``version``."""
         return {}
 
     @staticmethod
@@ -624,8 +648,6 @@ class ClassLayer(OutputLayer):
     def __init__(self, config: ModelConfig):
         super().__init__(config)
         classing = config.classing
-        if classing is None:
-            raise DataError("class_factored regime needs a WordClassing")
         if len(classing.class_of) != config.vocab_size:
             raise DataError("classing does not cover the vocabulary")
         self.class_of = classing.class_of
@@ -667,10 +689,14 @@ class ClassLayer(OutputLayer):
                 + np.ascontiguousarray(self.class_of, dtype="<i4").tobytes())
 
     @staticmethod
-    def read_structure(read, vocab_size):
+    def read_structure(read, vocab_size, version):
         (K,) = struct.unpack("<I", read(4))  # WordClassing rejects K > |V|
         class_of = np.frombuffer(read(4 * vocab_size), dtype="<i4")
         return {"classing": WordClassing(class_of.copy(), K)}
+
+    @staticmethod
+    def load_structure(path, vocab):
+        return {"classing": WordClassing.load(path, vocab)}
 
     @staticmethod
     def default_structure(counts):
@@ -794,12 +820,11 @@ class TreeLayer(OutputLayer):
     the root."""
 
     structure = "tree"
+    reads_word_rows = False
 
     def __init__(self, config: ModelConfig):
         super().__init__(config)
         tree = config.tree
-        if tree is None:
-            raise DataError("tree_factored regime needs a VocabularyTree")
         if not np.array_equal(tree.words, self.support):
             raise DataError("tree leaves must cover the vocabulary minus <s>")
         self.tree = tree
@@ -856,7 +881,11 @@ class TreeLayer(OutputLayer):
                 + np.ascontiguousarray(nodes, dtype="<i4").tobytes())
 
     @staticmethod
-    def read_structure(read, vocab_size):
+    def read_structure(read, vocab_size, version):
+        """Refuses files before version 4, whose rows scored a node against
+        its sibling."""
+        if version < 4:
+            raise ModelFormatError(f"unsupported model file version {version} for a tree model")
         num_nodes, root = struct.unpack("<II", read(8))
         nodes = np.frombuffer(read(16 * num_nodes), dtype="<i4").reshape(num_nodes, 4)
         if root != num_nodes - 1:
@@ -864,6 +893,10 @@ class TreeLayer(OutputLayer):
         if (nodes[:, 3] >= vocab_size).any():
             raise ModelFormatError("tree leaf word out of range")
         return {"tree": VocabularyTree(*(nodes[:, i].copy() for i in range(4)))}
+
+    @staticmethod
+    def load_structure(path, vocab):
+        return {"tree": VocabularyTree.load(path, vocab)}
 
     @staticmethod
     def default_structure(counts):

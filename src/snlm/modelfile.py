@@ -27,7 +27,8 @@ changes the file. :func:`save_model` renames a finished file over the old
 one, so a model mapped from a path stays intact when that path is saved
 again. Version 3, version 4's layout, and version 2, without the padding,
 are read by the same code, except for tree models, whose rows scored a
-node against its sibling. Version 1 files are refused.
+node against its sibling: the tree layer's ``read_structure`` refuses them.
+Version 1 files are refused.
 
 Parameters are stored as 32-bit reals regardless of the in-memory dtype, so
 float32 models round-trip bit for bit. The file carries no checksum: a
@@ -132,8 +133,6 @@ def load_model(path):
     if regime_code not in _CODE_REGIME:
         raise ModelFormatError(f"unknown regime code {regime_code}")
     regime = _CODE_REGIME[regime_code]
-    if regime == REGIME_TREE and version < VERSION:
-        raise ModelFormatError(f"unsupported model file version {version} for a tree model")
 
     (nbytes,) = _VOCAB_BYTES.unpack(read(_VOCAB_BYTES.size))
     if nbytes + 8 * vocab_size > size - pos:  # the joined tokens, then a count each
@@ -147,7 +146,7 @@ def load_model(path):
                                f"header says {vocab_size}")
     counts = read(8 * vocab_size)
 
-    structure = OUTPUT_LAYERS[regime].read_structure(read, vocab_size)
+    structure = OUTPUT_LAYERS[regime].read_structure(read, vocab_size, version)
     config = ModelConfig(order=order, dim=dim, regime=regime, diagonal=bool(diagonal),
                          vocab_size=vocab_size, **structure)
     config.validate()

@@ -417,10 +417,9 @@ def _noise_ids(observed, noise, what):
 
 
 def _nce_layer(params):
-    """The model's output layer, if it has a partition for NCE."""
+    """The model's output layer, if it reads R and b, and so has a partition for NCE."""
     layer = params.config.layout()
-    if layer.class_of is None:
-        raise DataError("NCE applies to standard or class_factored models")
+    layer.require_word_rows("NCE")
     return layer
 
 

@@ -7,12 +7,14 @@ import pytest
 
 from snlm import cli
 from snlm.cli import build_parser, main
-from snlm.corpus import Vocabulary, build_vocabulary, read_sentences
+from snlm.corpus import BOS_ID, Vocabulary, build_vocabulary, instance_arrays, read_sentences
 from snlm.evaluation import perplexity
-from snlm.modelfile import load_model
-from snlm.partitioning import (MAX_TREE_DEPTH, VocabularyTree, WordClassing,
+from snlm.model import OUTPUT_LAYERS, starting_parameters
+from snlm.modelfile import load_model, save_model
+from snlm.partitioning import (MAX_TREE_DEPTH, VocabularyTree, WordClassing, huffman_tree,
                                class_bigram_objective)
 from snlm.synthetic import markov_corpus
+from snlm.training import TrainingConfig, train
 
 from conftest import caterpillar
 
@@ -363,6 +365,55 @@ class TestTrainAndEvaluate:
             assert params.config.regime.startswith(regime)
 
 
+class TestTrainMatchesTheLibrary:
+    """``snlm train`` writes exactly the model that ``starting_parameters``
+    and ``train()`` give for the same instances and settings, with each
+    regime's default structure and with one loaded from a structure file."""
+
+    @staticmethod
+    def structure_file(path, name, vocab):
+        """A structure unlike the default, and its flag: classes by id, a
+        balanced tree."""
+        if name == "class":
+            WordClassing(np.arange(len(vocab)) % 3, 3).save(path, vocab)
+            return "--classes-file"
+        huffman_tree({w: 1 for w in range(len(vocab)) if w != BOS_ID}).save(path, vocab)
+        return "--tree-file"
+
+    @pytest.mark.parametrize("name, algorithm, diagonal, from_file", [
+        ("standard", "nce", True, False), ("standard", "ml_sgd", False, False),
+        ("class", "nce", True, False), ("class", "ml_sgd", True, True),
+        ("tree", "ml_sgd", True, False), ("tree", "ml_sgd", True, True)])
+    def test_model_file_is_the_library_model(self, tmp_path, capsys, corpus, name,
+                                             algorithm, diagonal, from_file):
+        regime = cli._REGIME_NAMES[name]
+        sentences = list(read_sentences(corpus[0]))
+        vocab = build_vocabulary(sentences)
+        contexts, targets = instance_arrays(sentences, vocab, 3)
+        argv = ["--regime", name, "--algorithm", algorithm, "--diagonal", str(diagonal).lower()]
+        structure = None
+        if from_file:
+            path = tmp_path / "structure.txt"
+            argv += [self.structure_file(path, name, vocab), path]
+            structure = OUTPUT_LAYERS[regime].load_structure(path, vocab)
+        model = tmp_path / "cli.bin"
+        code, _, stderr = run(capsys, "train", corpus[0], "--model", model, "--order", "3",
+                              "--dim", "4", "--epochs", "2", "--batch", "16", "--lr", "0.2",
+                              "--k", "3", "--seed", "5", *argv)
+        assert code == 0, stderr
+
+        params = starting_parameters(targets, len(vocab), 3, 4, regime, diagonal, 5, structure)
+        if from_file:  # unlike the default structure, so a file left unread would show
+            default = starting_parameters(targets, len(vocab), 3, 4, regime, diagonal, 5)
+            assert (default.config.layout().structure_bytes()
+                    != params.config.layout().structure_bytes())
+        train(params, contexts, targets,
+              TrainingConfig(algorithm=algorithm, learning_rate=0.2, minibatch_size=16,
+                             epochs=2, noise_samples=3, rng_seed=5))
+        save_model(tmp_path / "library.bin", params, vocab)
+        assert (tmp_path / "library.bin").read_bytes() == model.read_bytes()
+
+
 class TestLiteralSentenceStart:
     """A literal <s> in text is read as <unk>; it is never a target."""
 
@@ -628,12 +679,12 @@ class TestBadCounts:
                 refs.append(weakref.ref(sentence))
                 yield sentence
 
-        def init(*args, _real=cli.init_parameters, **kwargs):
+        def init(*args, _real=cli.starting_parameters, **kwargs):
             alive.append(sum(ref() is not None for ref in refs))
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(cli, "read_sentences", read)
-        monkeypatch.setattr(cli, "init_parameters", init)
+        monkeypatch.setattr(cli, "starting_parameters", init)
         assert run(capsys, "train", corpus[0], "--model", tmp_path / "m.bin", "--order", "3",
                    "--dim", "4", "--epochs", "1")[0] == 0
         assert len(refs) == 120 and alive == [0]

@@ -177,6 +177,27 @@ class TestScoreNbest:
         want = score_sentence(params, ["b", "a"], vocab, unnormalised=True)
         np.testing.assert_allclose(entries[0].score, want, rtol=1e-12)
 
+    def test_unnormalised_scoring_refuses_a_tree_model(self):
+        """A tree model's R and b are never read, so never trained: every
+        raw-scoring entry point refuses it, ``score_nbest`` before it reads
+        a line, while normalised scoring of the same model runs."""
+        vocab = make_vocab(list("ab"))
+        params = make_params(vocab, REGIME_TREE, seed=122)
+        ctx, tgt = instance_arrays([["b", "a"]], vocab, 3)
+
+        def unread():
+            raise AssertionError("read an n-best line")
+            yield
+
+        calls = [lambda: score_instances(params, ctx, tgt, unnormalised=True),
+                 lambda: score_sentence(params, ["b", "a"], vocab, unnormalised=True),
+                 lambda: score_nbest(params, unread(), vocab, unnormalised=True),
+                 lambda: score_nbest(params, [], vocab, unnormalised=True)]
+        for call in calls:
+            with pytest.raises(DataError, match="never trains R"):
+                call()
+        assert np.isfinite(score_sentence(params, ["b", "a"], vocab))
+
     def test_parse_rejects_blank_sentence_id(self):
         assert parse_nbest_line("  ||| hyp") is None
         assert parse_nbest_line("no separators at all") is None
@@ -258,7 +279,7 @@ class TestBatchedNbest:
         vocab = make_vocab(list("abcdefg"), counts=[13, 8, 5, 3, 2, 1, 1])
         params = make_params(vocab, regime, order=3, dim=6, seed=160,
                              num_classes=3, dtype=np.float32)
-        for unnormalised in (False, True):
+        for unnormalised, _ in scoring_modes(params):
             entries, errors = score_nbest(params, self.LINES, vocab, unnormalised)
             assert [e.line_no for e in entries] == [1, 4, 6, 8, 9, 10]
             assert [e.sent_id for e in entries] == ["1", "1", "2", "2", "3", "3"]
@@ -298,7 +319,7 @@ class TestDistinctQueries:
         assert len(distinct) < len(tgt) / 2  # the lists are duplicate-heavy
 
         batches = record_batches(monkeypatch)
-        for unnormalised in (False, True):
+        for unnormalised, _ in scoring_modes(params):
             batches.clear()
             entries, errors = score_nbest(params, lines, vocab, unnormalised)
             assert errors == [] and len(entries) == len(lines)
@@ -308,6 +329,13 @@ class TestDistinctQueries:
                 assert abs(e.score - want) <= 1e-5 * (len(hyp) + 1)
             again, _ = score_nbest(params, lines, vocab, unnormalised)
             assert [e.score for e in again] == [e.score for e in entries]
+
+
+def scoring_modes(params):
+    """(unnormalised, single-query scorer) of each mode ``params`` can be
+    scored in: raw scores only where its output layer reads R and b."""
+    modes = ((False, log_prob), (True, unnormalised_log_score))
+    return modes if params.config.layout().reads_word_rows else modes[:1]
 
 
 def record_batches(monkeypatch):
@@ -379,7 +407,7 @@ class TestBatchWidth:
         ctx, tgt = instance_arrays(self.sentences(), vocab, 3)
         layer_width = evaluation._batch_width(params)
         assert layer_width > len(tgt)
-        for unnormalised in (False, True):
+        for unnormalised, _ in scoring_modes(params):
             batches = record_batches(monkeypatch)
             wide_macs = MacCounter()
             wide = score_instances(params, ctx, tgt, unnormalised, wide_macs)
@@ -577,7 +605,7 @@ class TestDeduplicatedScoring:
         assert len({tuple(c) for c in ctx.tolist()}) == 6 and distinct < len(tgt) / 2
         # 11 distinct queries a batch: each context's queries are split over several
         budget = (11 * query_bytes(params), 11 * 3 * params.dtype.itemsize * 6)
-        for unnormalised, single in ((False, log_prob), (True, unnormalised_log_score)):
+        for unnormalised, single in scoring_modes(params):
             alone = [single(params, c, t) for c, t in zip(ctx, tgt)]
             batches = record_batches(monkeypatch)
             for narrow in (False, True):
@@ -634,7 +662,7 @@ class TestDeduplicatedScoring:
         assert report.macs_per_query == batch_macs(params, batches, False).total / len(tgt)
         want = sum(log_prob(params, c, t) for c, t in zip(ctx, tgt))
         np.testing.assert_allclose(report.total_log_prob, want, rtol=1e-12)
-        for unnormalised in (False, True):
+        for unnormalised, _ in scoring_modes(params):
             batches.clear()
             got = score_sentence(params, sentence, vocab, unnormalised)
             entries, _ = score_nbest(params, [f"1 ||| {' '.join(sentence)}"] * 3, vocab,
@@ -701,7 +729,7 @@ class TestSentenceBatches:
                              num_classes=3, dtype=np.float32)
         sentence = ["a", "g", "b", "zzz", "a", "c", "f", "e"]
         insts = list(zip(*instance_arrays([sentence], vocab, 3)))
-        for unnormalised, single in ((False, log_prob), (True, unnormalised_log_score)):
+        for unnormalised, single in scoring_modes(params):
             batch_macs, single_macs = MacCounter(), MacCounter()
             got = score_sentence(params, sentence, vocab, unnormalised, batch_macs)
             parts = [single(params, ctx, target, single_macs) for ctx, target in insts]

@@ -1,6 +1,8 @@
 """Projection, scoring and the three normalization regimes."""
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1084,3 +1086,21 @@ class TestDefaultStructure:
                 np.testing.assert_array_equal(getattr(got["tree"], field),
                                               getattr(want["tree"], field))
         ModelConfig(order=4, dim=3, regime=regime, vocab_size=V, **got).validate()
+
+
+def test_starting_parameters_refuse_an_unknown_regime():
+    with pytest.raises(DataError, match="unknown regime 'softmax'"):
+        model.starting_parameters(np.array([3, 4, 3]), 5, 3, 2, "softmax")
+
+
+def test_only_the_model_module_compares_regimes():
+    """Every regime rule is a fact that an output layer states: no module of
+    ``snlm`` but ``model.py`` tests a regime (``regime ==``, ``regime !=``,
+    ``== REGIME_*``, in either order)."""
+    compares = re.compile(r"regime\s*[!=]=|[!=]=\s*REGIME_|REGIME_\w+\s*[!=]=")
+    found = [f"{path.name}:{n}: {line.strip()}"
+             for path in sorted(Path(model.__file__).parent.glob("*.py"))
+             if path.name != "model.py"
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if compares.search(line)]
+    assert found == []

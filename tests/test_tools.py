@@ -94,6 +94,16 @@ def test_report_needs_nine_wins_and_a_gap_wider_than_the_parent_spread():
         "items_per_s"]["pairs_change_better"] == 10
 
 
+def test_report_shows_no_gain_from_fewer_than_ten_pairs():
+    """Three pairs won of three, by far more than the parent's spread, show
+    no gain: too few pairs to tell one from the machine's drift."""
+    bench_pairs = load_tool("bench_pairs")
+    rep = bench_pairs.report(runs_of(PARENT[:3], [120, 121, 119]), METRICS)
+    items = rep["items_per_s"]
+    assert items["pairs_change_better"] == 3 and not items["gain_shown"]
+    assert not items["worse_than_bound"]
+
+
 def test_lower_is_better_gain_and_verdict_line():
     bench_pairs = load_tool("bench_pairs")
     runs = runs_of([100] * 10, [60] * 10)

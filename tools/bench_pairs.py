@@ -23,11 +23,12 @@ Each metric also gets a regression verdict against its ``bound``, which
 ``worse_than_bound`` when the change's median is worse than the parent's by
 more than the bound, and ``unresolved`` when either side's quartile spread
 (q3 - q1 over the median) is wider than the bound, so that the runs cannot
-tell. A metric's ``gain_shown`` is true when the change is better in at
-least nine of every ten pairs (a tie counts for neither side) and the
-medians differ, in the change's favour, by more than the parent's quartile
-spread (q3 - q1). One verdict line per workload is printed once its pairs
-are done.
+tell. A metric's ``gain_shown`` is true when at least ``GAIN_PAIRS`` (10)
+pairs were run, the change is better in at least nine of every ten pairs
+(a tie counts for neither side) and the medians differ, in the change's
+favour, by more than the parent's quartile spread (q3 - q1): three pairs
+won of three cannot tell a gain from the machine's drift. One verdict line
+per workload is printed once its pairs are done.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+GAIN_PAIRS = 10  # the fewest pairs that can show a gain
 
 
 def export_commit(commit: str, dest: Path) -> str:
@@ -94,7 +96,8 @@ def report(runs: dict, metrics: list) -> dict:
                      "worse_than_bound": ratio < 1 - bound if higher else ratio > 1 + bound,
                      "unresolved": any((s["q3"] - s["q1"]) / s["median"] > bound
                                        for s in (parent, change)),
-                     "gain_shown": (10 * better >= 9 * len(side["parent"])
+                     "gain_shown": (len(side["parent"]) >= GAIN_PAIRS
+                                    and 10 * better >= 9 * len(side["parent"])
                                     and gain > parent["q3"] - parent["q1"])}
     for s in runs:
         out[f"{s}_operations"] = {"attempted": sum(r["attempted"] for r in runs[s]),

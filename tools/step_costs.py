@@ -7,8 +7,9 @@ Usage::
 
 The *Baseline* shape is ``markov_corpus(60_000, vocab_size=20000,
 branching=20, seed=1)`` (|V| 17,680), order 5, D 100, batch 64, k 10 and one
-epoch of ``train()``, as ``snlm train`` sets a model up: classes binned by
-frequency into ceil(sqrt(|V|)) bins, a Huffman tree over target counts.
+epoch of ``train()``, from the parameters ``snlm train`` starts from
+(``model.starting_parameters`` at seed 1): classes binned by frequency into
+ceil(sqrt(|V|)) bins, a Huffman tree over target counts.
 ``--smoke`` is a small corpus of the same kind (D 8), timed once, for
 checking that the tool runs. ``--dim`` sets D for every row in place of the
 shape's.
@@ -46,14 +47,12 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from snlm import training  # noqa: E402
-from snlm.corpus import build_vocabulary, instance_arrays, unigram_from_counts  # noqa: E402
-from snlm.model import (OUTPUT_LAYERS, REGIME_CLASS, REGIME_STANDARD,  # noqa: E402
-                        REGIME_TREE, MacCounter, ModelConfig, init_parameters)
+from snlm.corpus import build_vocabulary, instance_arrays  # noqa: E402
+from snlm.model import (REGIME_CLASS, REGIME_STANDARD, REGIME_TREE,  # noqa: E402
+                        MacCounter, starting_parameters)
 from snlm.synthetic import markov_corpus  # noqa: E402
 from snlm.training import TrainingConfig, train  # noqa: E402
 
@@ -69,15 +68,6 @@ RUNS = [("standard / nce", REGIME_STANDARD, "nce", True),
         ("class / ml_sgd", REGIME_CLASS, "ml_sgd", True),
         ("tree / ml_sgd", REGIME_TREE, "ml_sgd", True),
         ("class / nce, full", REGIME_CLASS, "nce", False)]
-
-
-def make_params(vocab, targets, regime, diagonal, dim):
-    """Fresh parameters set up as ``snlm train`` sets them up."""
-    counts = np.bincount(targets, minlength=len(vocab))
-    config = ModelConfig(order=ORDER, dim=dim, regime=regime, diagonal=diagonal,
-                         vocab_size=len(vocab),
-                         **OUTPUT_LAYERS[regime].default_structure(counts))
-    return init_parameters(config, seed=1, unigram=unigram_from_counts(counts))
 
 
 def count_calls(run) -> int:
@@ -104,7 +94,7 @@ def measure(label, regime, algorithm, diagonal, data, dim, repeats) -> dict:
     vocab, contexts, targets = data
     config = TrainingConfig(algorithm=algorithm, minibatch_size=BATCH,
                             noise_samples=K_NOISE, epochs=1, rng_seed=1)
-    params = make_params(vocab, targets, regime, diagonal, dim)
+    params = starting_parameters(targets, len(vocab), ORDER, dim, regime, diagonal, seed=1)
     epochs = []
     for _ in range(repeats):
         macs = MacCounter()
